@@ -36,8 +36,6 @@ from .engine import (
     StrategyConfig,
     TrainConfig,
     adaptive_lambda,
-    aggregate_fedavg,
-    aggregate_fedpdc,
     local_loss,
     local_train,
     run_round,

@@ -131,11 +131,12 @@ def _check_aggregation() -> bool:
     arch = nn.ModelArch((3, 4, 2))
     models = [nn.ParamVector(arch, rng.standard_normal(nn.param_count(arch))) for _ in range(4)]
     sizes = [10, 20, 30, 40]
-    avg = engine.aggregate_fedavg(models, sizes)
+    weights = engine.fedavg_weights(sizes)
+    avg = engine._combine(models, weights)
     stacked = np.stack([m.values for m in models])
-    if not np.allclose(avg.values, engine.fedavg_weights(sizes) @ stacked, atol=0):
+    if not np.allclose(avg.values, weights @ stacked, atol=0):
         return False
-    equal = engine.aggregate_fedpdc(models, [0.5, 0.5, 0.5, 0.5])
+    equal = engine._combine(models, engine.fedpdc_weights([0.5, 0.5, 0.5, 0.5])[0])
     return bool(np.max(np.abs(equal.values - stacked.mean(axis=0))) < 1e-12)
 
 
@@ -146,13 +147,13 @@ def _check_reduction() -> bool:
         return False
     clients = [engine.ClientState(i, data.subset(idx)) for i, idx in enumerate(part.client_indices)]
     model = nn.init_model(nn.ModelArch((3, 5, 2)), 0)
-    train = engine.TrainConfig(local_epochs=2, batch_size=8, rounds=2, seed=3)
+    train = engine.TrainConfig(local_epochs=2, batch_size=8, seed=3)
     finals = []
     for strategy in (
         engine.StrategyConfig("fedavg"),
         engine.StrategyConfig("fedprox", mu_prox=0.0),
     ):
-        server = engine.make_server_state(model, None, 2)
+        server = engine.ServerState(model, None)
         for _ in range(2):
             server, _rec = engine.run_round(server, clients, strategy, train)
         finals.append(server.model.values)

@@ -55,6 +55,8 @@ class ExperimentConfig:
             raise ConfigError("hidden widths must be >= 1")
         if self.clients < 1:
             raise ConfigError("clients must be >= 1")
+        if self.rounds < 0:
+            raise ConfigError("rounds must be >= 0")
         if self.beta <= 0:
             raise ConfigError("beta must be > 0")
         if self.server_per_class < 1:
@@ -63,6 +65,9 @@ class ExperimentConfig:
             raise ConfigError("test_per_class must be >= 0")
         if self.seed < 0 or any(s < 0 for s in self.seeds):
             raise ConfigError("seeds must be >= 0")
+        if len(set(self.seeds)) != len(self.seeds):
+            # each seed owns one run directory; a repeat would overwrite it
+            raise ConfigError(f"seeds must be distinct, got {self.seeds}")
 
     def strategy_config(self) -> StrategyConfig:
         return StrategyConfig(
@@ -80,7 +85,6 @@ class ExperimentConfig:
             lr=self.eta,
             momentum=self.momentum,
             weight_decay=self.weight_decay,
-            rounds=self.rounds,
             seed=seed,
         )
 

@@ -147,28 +147,32 @@ def attach_grad_ratio(report: DissimilarityReport, grad_ratio: float | None) -> 
     return replace(report, grad_ratio=grad_ratio, flags=flags)
 
 
-def descent_check(records: Sequence["RoundRecord"]) -> list[DescentRecord]:
+def descent_check(records: Sequence["RoundRecord"], final_loss: float) -> list[DescentRecord]:
     """Per-round descent ratios lambda_hat = (f_t - f_{t+1}) / ||grad f_t||^2.
 
+    f_{t+1} is the next round's global_loss, and final_loss (the global
+    objective at the model after the last round) for the last round.
     Requires rounds recorded with global-loss instrumentation enabled.
     """
-    out: list[DescentRecord] = []
     for rec in records:
-        if rec.global_loss is None or rec.global_grad_sqnorm is None or rec.global_loss_after is None:
+        if rec.global_loss is None or rec.global_grad_sqnorm is None:
             raise DiagnosticsError(
                 f"round {rec.round} lacks global-loss instrumentation; "
                 "run with instrument_global_loss enabled"
             )
+    out: list[DescentRecord] = []
+    losses_after = [rec.global_loss for rec in records[1:]] + [final_loss]
+    for rec, loss_after in zip(records, losses_after):
         sqnorm = rec.global_grad_sqnorm
         if sqnorm <= GRAD_NORM_TOL**2:
             lam = math.nan
         else:
-            lam = (rec.global_loss - rec.global_loss_after) / sqnorm
+            lam = (rec.global_loss - loss_after) / sqnorm
         out.append(
             DescentRecord(
                 round=rec.round,
                 loss_before=rec.global_loss,
-                loss_after=rec.global_loss_after,
+                loss_after=loss_after,
                 grad_sqnorm=sqnorm,
                 lambda_hat=lam,
             )

@@ -1,5 +1,9 @@
 """Round-synchronous federated loop: sampling, local training, aggregation.
 
+A client's p is its public-set accuracy from the previous round, else 1.
+Every strategy aggregates through one path: fedavg_weights or
+fedpdc_weights feeding _combine.
+
 Strategies:
   fedavg          size-weighted averaging of local models
   fedprox         fedavg plus a proximal term anchoring locals to the global model
@@ -17,7 +21,7 @@ gradient) by (1 + lam*(1-p)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -76,7 +80,6 @@ class TrainConfig:
     lr: float = 0.01
     momentum: float = 0.9
     weight_decay: float = 1e-5
-    rounds: int = 50
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -84,8 +87,6 @@ class TrainConfig:
             raise ConfigError("local_epochs must be >= 0")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        if self.rounds < 0:
-            raise ConfigError("rounds must be >= 0")
         if self.lr < 0:
             raise ConfigError("lr must be >= 0")
         if not 0.0 <= self.momentum < 1.0:
@@ -96,45 +97,28 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class ClientState:
-    """One participant: its id, private data, and the accuracy it is assumed
-    to have when it was not scored in the previous round (1.0)."""
+    """One participant: its id and private data."""
 
     id: int
     data: LabeledDataset
-    last_accuracy: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.last_accuracy <= 1.0:
-            raise StateError("client accuracy must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
 class ServerState:
+    """The global model before a round, plus the public-set accuracy of each
+    client scored in the previous round; a client absent from
+    prev_accuracies trains with p = 1."""
+
     model: ParamVector
     server_set: ServerSet | None
-    round: int
-    ledger: tuple[float, ...]
-    prev_selected: tuple[int, ...] = ()
-    global_accuracy: float = math.nan
+    round: int = 0
+    prev_accuracies: dict[int, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.round < 0:
             raise StateError("round must be >= 0")
-        if any(not 0.0 <= p <= 1.0 for p in self.ledger):
-            raise StateError("ledger accuracies must lie in [0, 1]")
-
-
-def make_server_state(
-    model: ParamVector, server_set: ServerSet | None, num_clients: int
-) -> ServerState:
-    acc = evaluate_accuracy(model, server_set.data) if server_set is not None else math.nan
-    return ServerState(
-        model=model,
-        server_set=server_set,
-        round=0,
-        ledger=(1.0,) * num_clients,
-        global_accuracy=acc,
-    )
+        if any(not 0.0 <= p <= 1.0 for p in self.prev_accuracies.values()):
+            raise StateError("previous accuracies must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -152,7 +136,6 @@ class RoundRecord:
     flags: tuple[str, ...] = ()
     global_loss: float | None = None
     global_grad_sqnorm: float | None = None
-    global_loss_after: float | None = None
 
 
 @dataclass(frozen=True)
@@ -231,34 +214,40 @@ def local_train(
     opt = init_optimizer(w_global, train.lr, train.momentum, train.weight_decay)
     rng = stream(TAG_LOCAL, train.seed, round_index)
     losses: list[float] = []
-    for _epoch in range(train.local_epochs):
-        perm = rng.permutation(n)
-        for start in range(0, n, train.batch_size):
-            idx = perm[start : start + train.batch_size]
-            batch = Batch(client.data.features[idx], client.data.labels[idx])
-            logits = forward(model, batch)
-            loss, rule = local_loss(logits, batch.labels, strategy, p_in, model, w_global)
-            if not math.isfinite(loss):
-                raise DivergenceError(
-                    f"client {client.id} hit a non-finite loss in round {round_index}"
-                )
-            grad = backward(model, batch)
-            if rule.ce_scale != 1.0:
-                grad = rule.ce_scale * grad
-            if rule.prox_weight != 0.0:
-                grad = grad + rule.prox_weight * (model.values - w_global.values)
-            try:
-                model, opt = sgd_step(model, grad, opt)
-            except StateError:
-                # the update itself left the finite domain
-                raise DivergenceError(
-                    f"client {client.id} hit non-finite parameters in round {round_index}"
-                ) from None
-            losses.append(loss)
-    return model, losses
+    # a diverging run overflows before the finiteness checks below turn it
+    # into DivergenceError; keep numpy from warning on the way there
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _epoch in range(train.local_epochs):
+            perm = rng.permutation(n)
+            for start in range(0, n, train.batch_size):
+                idx = perm[start : start + train.batch_size]
+                batch = Batch(client.data.features[idx], client.data.labels[idx])
+                logits = forward(model, batch)
+                loss, rule = local_loss(logits, batch.labels, strategy, p_in, model, w_global)
+                if not math.isfinite(loss):
+                    raise DivergenceError(
+                        f"client {client.id} hit a non-finite loss in round {round_index}"
+                    )
+                grad = backward(model, batch)
+                if rule.ce_scale != 1.0:
+                    grad = rule.ce_scale * grad
+                if rule.prox_weight != 0.0:
+                    grad = grad + rule.prox_weight * (model.values - w_global.values)
+                try:
+                    model, opt = sgd_step(model, grad, opt)
+                except StateError:
+                    # the update itself left the finite domain
+                    raise DivergenceError(
+                        f"client {client.id} hit non-finite parameters in round {round_index}"
+                    ) from None
+                losses.append(loss)
+        return model, losses
 
 
 def _combine(models: list[ParamVector], weights: np.ndarray) -> ParamVector:
+    """weights @ models, with weights from fedavg_weights or fedpdc_weights."""
+    if len(models) != weights.size:
+        raise AggregationError("models and weights must have equal length")
     arch = models[0].arch
     if any(m.arch != arch for m in models):
         raise AggregationError("all models must share one architecture")
@@ -286,22 +275,6 @@ def fedpdc_weights(accuracies) -> tuple[np.ndarray, bool]:
     if total == 0.0:
         return np.full(accs.size, 1.0 / accs.size), True
     return accs / total, False
-
-
-def aggregate_fedavg(models: list[ParamVector], sizes) -> ParamVector:
-    """Average weighted by local dataset size over the selected set."""
-    weights = fedavg_weights(sizes)
-    if len(models) != weights.size:
-        raise AggregationError("models and sizes must have equal length")
-    return _combine(models, weights)
-
-
-def aggregate_fedpdc(models: list[ParamVector], accuracies) -> ParamVector:
-    """Average weighted by each local model's public-set accuracy."""
-    weights, _fallback = fedpdc_weights(accuracies)
-    if len(models) != weights.size:
-        raise AggregationError("models and accuracies must have equal length")
-    return _combine(models, weights)
 
 
 def adaptive_lambda(round_number: int) -> float:
@@ -333,8 +306,8 @@ def run_round(
         raise ConfigError("need at least one client")
     if any(c.id != i for i, c in enumerate(clients)):
         raise StateError("clients must be listed in id order 0..N-1")
-    if len(server.ledger) != num_clients:
-        raise StateError("ledger length must match the number of clients")
+    if any(not 0 <= cid < num_clients for cid in server.prev_accuracies):
+        raise StateError("previous accuracies name a client that does not exist")
     has_server_set = server.server_set is not None and len(server.server_set) > 0
     if strategy.scores_on_server and not has_server_set:
         raise EvaluationError(f"{strategy.strategy} requires a nonempty server set")
@@ -355,9 +328,7 @@ def run_round(
     local_models: dict[int, ParamVector] = {}
     per_client_loss: dict[int, float] = {}
     for cid in selected:
-        p_in = (
-            server.ledger[cid] if cid in server.prev_selected else clients[cid].last_accuracy
-        )
+        p_in = server.prev_accuracies.get(cid, 1.0)
         sent[cid] = p_in
         model_i, batch_losses = local_train(
             clients[cid], server.model, p_in, train, eff_strategy, server.round
@@ -366,12 +337,9 @@ def run_round(
         per_client_loss[cid] = _mean_or_nan(batch_losses)
 
     measured: dict[int, float] = {}
-    new_ledger = list(server.ledger)
     if has_server_set:
         for cid in selected:
-            p_i = evaluate_accuracy(local_models[cid], server.server_set.data)
-            measured[cid] = p_i
-            new_ledger[cid] = p_i
+            measured[cid] = evaluate_accuracy(local_models[cid], server.server_set.data)
 
     flags: list[str] = []
     models = [local_models[cid] for cid in selected]
@@ -388,12 +356,6 @@ def run_round(
     )
     acc_test = evaluate_accuracy(new_model, test_data) if test_data is not None else math.nan
 
-    loss_after = None
-    if instrument_global_loss:
-        loss_after, _ = global_objective(
-            new_model, [c.data for c in clients], [len(c.data) for c in clients]
-        )
-
     record = RoundRecord(
         round=server.round,
         selected=selected,
@@ -406,14 +368,8 @@ def run_round(
         flags=tuple(flags),
         global_loss=global_loss,
         global_grad_sqnorm=grad_sqnorm,
-        global_loss_after=loss_after,
     )
     new_server = replace(
-        server,
-        model=new_model,
-        round=server.round + 1,
-        ledger=tuple(new_ledger),
-        prev_selected=selected,
-        global_accuracy=acc_server,
+        server, model=new_model, round=server.round + 1, prev_accuracies=dict(measured)
     )
     return new_server, record

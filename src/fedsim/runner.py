@@ -8,7 +8,9 @@ Each run owns one directory containing:
   diagnostics.csv     per-round global loss / gradient instrumentation (optional)
   dissimilarity.csv   per-round dissimilarity measures (optional)
 
-Reruns with the same config reproduce every artifact byte for byte.
+Artifacts are written after the last round. The objective after round t is
+the one round t+1 measures first, so only the final model needs an extra
+global-objective pass. Reruns reproduce every artifact byte for byte.
 """
 
 from __future__ import annotations
@@ -36,15 +38,10 @@ from .diagnostics import (
     attach_grad_ratio,
     descent_check,
     dissimilarity_B,
+    global_objective,
     gradient_dissimilarity,
 )
-from .engine import (
-    ClientState,
-    RoundRecord,
-    ServerState,
-    make_server_state,
-    run_round,
-)
+from .engine import ClientState, RoundRecord, ServerState, run_round
 from .nn import ModelArch, init_model, save_model
 
 ROUND_CSV_HEADER = "round,selected,mean_local_loss,global_acc_server,global_acc_test,agg_weights,flags"
@@ -101,7 +98,7 @@ def build_problem(cfg: ExperimentConfig, seed: int) -> Problem:
     ]
     arch = ModelArch((pool.input_dim, *cfg.hidden, pool.num_classes))
     model = init_model(arch, seed)
-    server = make_server_state(model, server_set, cfg.clients)
+    server = ServerState(model, server_set)
     return Problem(
         pool=pool,
         server_set=server_set,
@@ -158,6 +155,35 @@ def _write_diagnostics_csv(descent: list[DescentRecord], path: Path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _write_dissimilarity_csv(
+    records: list[RoundRecord], grad_ratios: list[float | None], path: Path
+) -> None:
+    lines = ["round,grad_ratio,max_acc_ratio,acc_ratios,flags"]
+    for rec, grad_ratio in zip(records, grad_ratios):
+        report = dissimilarity_B(
+            rec.global_acc_server,
+            [rec.measured_accuracies[cid] for cid in rec.selected],
+            round_index=rec.round,
+        )
+        report = attach_grad_ratio(report, grad_ratio)
+        ratios = ";".join(
+            f"{cid}:inf" if math.isinf(r) else f"{cid}:{_fmt(r)}"
+            for cid, r in zip(rec.selected, report.client_ratios)
+        )
+        lines.append(
+            ",".join(
+                [
+                    str(rec.round),
+                    _fmt(report.grad_ratio),
+                    "inf" if math.isinf(report.max_ratio) else _fmt(report.max_ratio),
+                    ratios,
+                    ";".join(report.flags),
+                ]
+            )
+        )
+    path.write_text("\n".join(lines) + "\n")
+
+
 def run_experiment(cfg: ExperimentConfig, seed: int, run_dir) -> RunResult:
     """Execute cfg.rounds communication rounds for one seed, writing artifacts."""
     run_dir = Path(run_dir)
@@ -170,16 +196,13 @@ def run_experiment(cfg: ExperimentConfig, seed: int, run_dir) -> RunResult:
     write_partition_manifest(problem.partition, run_dir / "partition.txt")
 
     server = problem.server
+    datasets = [c.data for c in problem.clients]
+    sizes = [len(c.data) for c in problem.clients]
     records: list[RoundRecord] = []
-    dissim_lines = ["round,grad_ratio,max_acc_ratio,acc_ratios,flags"]
+    grad_ratios: list[float | None] = []
     for _t in range(cfg.rounds):
-        grad_ratio = None
         if cfg.emit_dissimilarity:
-            grad_ratio = gradient_dissimilarity(
-                server.model,
-                [c.data for c in problem.clients],
-                [len(c.data) for c in problem.clients],
-            )
+            grad_ratios.append(gradient_dissimilarity(server.model, datasets, sizes))
         server, rec = run_round(
             server,
             problem.clients,
@@ -189,38 +212,17 @@ def run_experiment(cfg: ExperimentConfig, seed: int, run_dir) -> RunResult:
             instrument_global_loss=cfg.instrument_global_loss,
         )
         records.append(rec)
-        if cfg.emit_dissimilarity:
-            report = dissimilarity_B(
-                rec.global_acc_server,
-                [rec.measured_accuracies[cid] for cid in rec.selected],
-                round_index=rec.round,
-            )
-            report = attach_grad_ratio(report, grad_ratio)
-            ratios = ";".join(
-                f"{cid}:inf" if math.isinf(r) else f"{cid}:{_fmt(r)}"
-                for cid, r in zip(rec.selected, report.client_ratios)
-            )
-            dissim_lines.append(
-                ",".join(
-                    [
-                        str(rec.round),
-                        _fmt(report.grad_ratio),
-                        "inf" if math.isinf(report.max_ratio) else _fmt(report.max_ratio),
-                        ratios,
-                        ";".join(report.flags),
-                    ]
-                )
-            )
 
     _write_rounds_csv(records, run_dir / "rounds.csv")
     save_model(server.model, run_dir / "final_model.bin")
 
     descent = None
     if cfg.instrument_global_loss:
-        descent = descent_check(records)
+        final_loss, _ = global_objective(server.model, datasets, sizes)
+        descent = descent_check(records, final_loss)
         _write_diagnostics_csv(descent, run_dir / "diagnostics.csv")
     if cfg.emit_dissimilarity:
-        (run_dir / "dissimilarity.csv").write_text("\n".join(dissim_lines) + "\n")
+        _write_dissimilarity_csv(records, grad_ratios, run_dir / "dissimilarity.csv")
 
     return RunResult(run_dir=run_dir, records=records, server=server, descent=descent)
 

@@ -108,11 +108,11 @@ def test_criterion_2_aggregation_identities():
             nn.ParamVector(arch, rng.standard_normal(nn.param_count(arch))) for _ in range(k)
         ]
         stacked = np.stack([m.values for m in models])
-        combined = engine.aggregate_fedavg(models, sizes)
+        combined = engine._combine(models, engine.fedavg_weights(sizes))
         ok &= bool(np.all(combined.values >= stacked.min(axis=0) - 1e-12))
         ok &= bool(np.all(combined.values <= stacked.max(axis=0) + 1e-12))
     models = [nn.ParamVector(arch, rng.standard_normal(nn.param_count(arch))) for _ in range(5)]
-    equal = engine.aggregate_fedpdc(models, [0.6] * 5)
+    equal = engine._combine(models, engine.fedpdc_weights([0.6] * 5)[0])
     mean = np.mean(np.stack([m.values for m in models]), axis=0)
     ok &= bool(np.max(np.abs(equal.values - mean)) < 1e-12)
     report(2, "aggregation identities", ok)
@@ -134,10 +134,10 @@ def _toy_federation(seed=2):
 
 def test_criterion_3_reduction_equivalences():
     server_set, clients, model = _toy_federation()
-    train = engine.TrainConfig(local_epochs=2, batch_size=16, rounds=10, seed=5)
+    train = engine.TrainConfig(local_epochs=2, batch_size=16, seed=5)
     trajectories = []
     for strat in (engine.StrategyConfig("fedavg"), engine.StrategyConfig("fedprox", mu_prox=0.0)):
-        server = engine.make_server_state(model, server_set, len(clients))
+        server = engine.ServerState(model, server_set)
         history = []
         for _ in range(10):
             server, _ = engine.run_round(server, clients, strat, train)
@@ -147,9 +147,9 @@ def test_criterion_3_reduction_equivalences():
 
     full = max(len(c.data) for c in clients)
     train1 = engine.TrainConfig(
-        local_epochs=1, batch_size=full, lr=0.05, momentum=0.0, weight_decay=0.0, rounds=1, seed=5
+        local_epochs=1, batch_size=full, lr=0.05, momentum=0.0, weight_decay=0.0, seed=5
     )
-    server = engine.make_server_state(model, server_set, len(clients))
+    server = engine.ServerState(model, server_set)
     stepped, _ = engine.run_round(server, clients, engine.StrategyConfig("fedavg"), train1)
     _, grad = global_objective(model, [c.data for c in clients], [len(c.data) for c in clients])
     central_diff = float(np.max(np.abs(stepped.model.values - (model.values - 0.05 * grad))))
@@ -163,7 +163,7 @@ def test_criterion_3_reduction_equivalences():
 
 def test_criterion_4_literal_penalty_neutrality():
     _server_set, clients, model = _toy_federation(seed=3)
-    train = engine.TrainConfig(local_epochs=3, batch_size=16, rounds=1, seed=7)
+    train = engine.TrainConfig(local_epochs=3, batch_size=16, seed=7)
     p = 0.3
     m0, losses0 = engine.local_train(
         clients[0], model, p, train, engine.StrategyConfig("fedpdc", lam=0.0), 1
@@ -208,8 +208,8 @@ def test_criterion_6_dissimilarity_sanity():
     server_set, clients, model = _toy_federation(seed=4)
     shared = clients[0].data
     twins = [engine.ClientState(0, shared), engine.ClientState(1, shared)]
-    server = engine.make_server_state(model, server_set, 2)
-    train = engine.TrainConfig(local_epochs=1, batch_size=16, rounds=1, seed=0)
+    server = engine.ServerState(model, server_set)
+    train = engine.TrainConfig(local_epochs=1, batch_size=16, seed=0)
     _new, rec = engine.run_round(server, twins, engine.StrategyConfig("fedpdc"), train)
     acc_report = dissimilarity_B(
         rec.global_acc_server, [rec.measured_accuracies[c] for c in rec.selected]

@@ -58,6 +58,8 @@ class TestValidation:
             "seed = -1",
             "hidden = 64,0",
             "tau = 1.5",
+            "rounds = -1",
+            "seeds = 0,0",
         ],
     )
     def test_constraints_enforced_at_parse_time(self, line):

@@ -123,12 +123,21 @@ class TestDescent:
 
     def test_missing_instrumentation_raises(self):
         with pytest.raises(DiagnosticsError):
-            descent_check([self._record()])
+            descent_check([self._record()], 1.0)
 
     def test_constant_model_has_zero_ratio(self):
-        rec = self._record(global_loss=1.5, global_loss_after=1.5, global_grad_sqnorm=0.25)
-        (out,) = descent_check([rec])
+        rec = self._record(global_loss=1.5, global_grad_sqnorm=0.25)
+        (out,) = descent_check([rec], 1.5)
         assert out.lambda_hat == 0.0
+
+    def test_pairs_each_round_with_the_next(self):
+        recs = [
+            self._record(round=0, global_loss=2.0, global_grad_sqnorm=0.25),
+            self._record(round=1, global_loss=1.5, global_grad_sqnorm=0.5),
+        ]
+        first, last = descent_check(recs, 1.0)
+        assert (first.loss_before, first.loss_after, first.lambda_hat) == (2.0, 1.5, 2.0)
+        assert (last.loss_before, last.loss_after, last.lambda_hat) == (1.5, 1.0, 1.0)
 
     def test_centralized_descent_oracle(self, toy_problem):
         # plain full-batch gradient descent must decrease the objective each step

@@ -102,7 +102,7 @@ class TestLocalTrain:
     def test_zero_epochs_returns_global(self):
         client = self._client()
         w = random_model(nn.ModelArch((4, 5, 3)), seed=0)
-        train = engine.TrainConfig(local_epochs=0, rounds=1, seed=0)
+        train = engine.TrainConfig(local_epochs=0, seed=0)
         model, losses = engine.local_train(client, w, 1.0, train, engine.StrategyConfig("fedavg"), 0)
         assert np.array_equal(model.values, w.values)
         assert losses == []
@@ -110,7 +110,7 @@ class TestLocalTrain:
     def test_zero_lr_returns_global(self):
         client = self._client()
         w = random_model(nn.ModelArch((4, 5, 3)), seed=0)
-        train = engine.TrainConfig(local_epochs=3, batch_size=8, lr=0.0, rounds=1, seed=0)
+        train = engine.TrainConfig(local_epochs=3, batch_size=8, lr=0.0, seed=0)
         model, losses = engine.local_train(client, w, 1.0, train, engine.StrategyConfig("fedavg"), 0)
         assert np.array_equal(model.values, w.values)
         assert len(losses) == 3 * 3  # 24 samples / batch 8 -> 3 batches per epoch
@@ -119,7 +119,7 @@ class TestLocalTrain:
         client = self._client(seed=5)
         w = random_model(nn.ModelArch((4, 5, 3)), seed=5)
         train = engine.TrainConfig(
-            local_epochs=1, batch_size=len(client.data), lr=0.05, momentum=0.0, weight_decay=0.0, rounds=1, seed=9
+            local_epochs=1, batch_size=len(client.data), lr=0.05, momentum=0.0, weight_decay=0.0, seed=9
         )
         model, _ = engine.local_train(client, w, 1.0, train, engine.StrategyConfig("fedavg"), 4)
         # oracle: replicate the documented shuffle stream, then one backward+sgd_step
@@ -129,26 +129,27 @@ class TestLocalTrain:
         expected, _ = nn.sgd_step(w, grad, nn.init_optimizer(w, lr=0.05))
         assert np.array_equal(model.values, expected.values)
 
+    # "error": divergence must surface as DivergenceError, not a numpy warning
+    @pytest.mark.filterwarnings("error")
     def test_update_overflow_is_divergence(self):
         client = self._client()
         w = random_model(nn.ModelArch((4, 5, 3)), seed=0)
-        train = engine.TrainConfig(local_epochs=1, batch_size=8, lr=1e308, momentum=0.0, rounds=1, seed=0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(DivergenceError, match="client 0"):
-                engine.local_train(client, w, 1.0, train, engine.StrategyConfig("fedavg"), 0)
+        train = engine.TrainConfig(local_epochs=1, batch_size=8, lr=1e308, momentum=0.0, seed=0)
+        with pytest.raises(DivergenceError, match="client 0"):
+            engine.local_train(client, w, 1.0, train, engine.StrategyConfig("fedavg"), 0)
 
+    @pytest.mark.filterwarnings("error")
     def test_divergence_names_client_and_round(self):
         client = self._client()
         w = random_model(nn.ModelArch((4, 5, 3)), seed=0)
-        train = engine.TrainConfig(local_epochs=5, batch_size=8, lr=1e150, momentum=0.0, rounds=1, seed=0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(DivergenceError, match=r"client 0 .* round 2"):
-                engine.local_train(client, w, 1.0, train, engine.StrategyConfig("fedavg"), 2)
+        train = engine.TrainConfig(local_epochs=5, batch_size=8, lr=1e150, momentum=0.0, seed=0)
+        with pytest.raises(DivergenceError, match=r"client 0 .* round 2"):
+            engine.local_train(client, w, 1.0, train, engine.StrategyConfig("fedavg"), 2)
 
     def test_identical_inputs_identical_output(self):
         client = self._client(seed=3)
         w = random_model(nn.ModelArch((4, 5, 3)), seed=3)
-        train = engine.TrainConfig(local_epochs=2, batch_size=8, rounds=1, seed=1)
+        train = engine.TrainConfig(local_epochs=2, batch_size=8, seed=1)
         strat = engine.StrategyConfig("fedavg")
         a, _ = engine.local_train(client, w, 1.0, train, strat, 0)
         b, _ = engine.local_train(client, w, 1.0, train, strat, 0)
@@ -158,48 +159,48 @@ class TestLocalTrain:
 class TestAggregation:
     def test_size_weighted_average(self):
         models = scalar_models(0.0, 4.0)
-        out = engine.aggregate_fedavg(models, [100, 300])
+        out = engine._combine(models, engine.fedavg_weights([100, 300]))
         assert np.allclose(out.values, 3.0, atol=0)
 
     def test_equal_sizes_give_arithmetic_mean(self):
         models = scalar_models(1.0, 2.0, 4.0)
-        out = engine.aggregate_fedavg(models, [5, 5, 5])
+        out = engine._combine(models, engine.fedavg_weights([5, 5, 5]))
         assert np.max(np.abs(out.values - 7.0 / 3.0)) < 1e-12
 
     def test_single_model_unchanged(self):
         (model,) = scalar_models(1.234)
-        out = engine.aggregate_fedavg([model], [17])
+        out = engine._combine([model], engine.fedavg_weights([17]))
         assert np.array_equal(out.values, model.values)
 
     def test_accuracy_weighted_average(self):
         arch = nn.ModelArch((1, 1))
         e1 = nn.ParamVector(arch, np.array([1.0, 0.0]))
         e2 = nn.ParamVector(arch, np.array([0.0, 1.0]))
-        out = engine.aggregate_fedpdc([e1, e2], [0.8, 0.2])
+        out = engine._combine([e1, e2], engine.fedpdc_weights([0.8, 0.2])[0])
         assert np.allclose(out.values, [0.8, 0.2], atol=1e-15)
 
     def test_equal_accuracies_give_mean(self):
         models = scalar_models(1.0, 3.0)
-        out = engine.aggregate_fedpdc(models, [0.4, 0.4])
+        out = engine._combine(models, engine.fedpdc_weights([0.4, 0.4])[0])
         assert np.max(np.abs(out.values - 2.0)) < 1e-12
 
     def test_zero_accuracies_fall_back_to_uniform(self):
         weights, flagged = engine.fedpdc_weights([0.0, 0.0, 0.0])
         assert flagged
         assert np.array_equal(weights, np.full(3, 1.0 / 3.0))
-        out = engine.aggregate_fedpdc(scalar_models(3.0, 6.0, 0.0), [0.0, 0.0, 0.0])
+        out = engine._combine(scalar_models(3.0, 6.0, 0.0), weights)
         assert np.allclose(out.values, 3.0, atol=1e-15)
 
     def test_input_validation(self):
         models = scalar_models(1.0, 2.0)
         with pytest.raises(AggregationError):
-            engine.aggregate_fedavg(models, [5])
+            engine._combine(models, engine.fedavg_weights([5]))
         with pytest.raises(AggregationError):
-            engine.aggregate_fedavg(models, [5, 0])
+            engine._combine(models, engine.fedavg_weights([5, 0]))
         with pytest.raises(AggregationError):
-            engine.aggregate_fedpdc(models, [0.5, 1.5])
+            engine._combine(models, engine.fedpdc_weights([0.5, 1.5])[0])
         with pytest.raises(AggregationError):
-            engine.aggregate_fedavg([], [])
+            engine._combine([], engine.fedavg_weights([]))
 
 
 @settings(max_examples=50, deadline=None)
@@ -215,7 +216,7 @@ def test_aggregation_weights_normalized_and_convex(k, seed):
     arch = nn.ModelArch((2, 2))
     models = [nn.ParamVector(arch, rng.standard_normal(nn.param_count(arch))) for _ in range(k)]
     stacked = np.stack([m.values for m in models])
-    combined = engine.aggregate_fedavg(models, sizes)
+    combined = engine._combine(models, engine.fedavg_weights(sizes))
     tol = 1e-12
     assert np.all(combined.values >= stacked.min(axis=0) - tol)
     assert np.all(combined.values <= stacked.max(axis=0) + tol)
@@ -244,9 +245,9 @@ class TestRunRound:
     def test_single_client_full_weight(self, toy_problem):
         _pool, server_set, rest, _part, _clients, model = toy_problem
         client = engine.ClientState(0, rest)
-        server = engine.make_server_state(model, server_set, 1)
+        server = engine.ServerState(model, server_set)
         strat = engine.StrategyConfig("fedpdc")
-        train = engine.TrainConfig(local_epochs=1, batch_size=32, rounds=1, seed=0)
+        train = engine.TrainConfig(local_epochs=1, batch_size=32, seed=0)
         new_server, rec = engine.run_round(server, [client], strat, train)
         local, _ = engine.local_train(client, model, 1.0, train, strat, 0)
         assert rec.agg_weights == {0: 1.0}
@@ -256,8 +257,8 @@ class TestRunRound:
         _pool, server_set, rest, _part, _clients, model = toy_problem
         shared = rest.subset(range(40))
         clients = [engine.ClientState(0, shared), engine.ClientState(1, shared)]
-        server = engine.make_server_state(model, server_set, 2)
-        train = engine.TrainConfig(local_epochs=2, batch_size=16, rounds=1, seed=5)
+        server = engine.ServerState(model, server_set)
+        train = engine.TrainConfig(local_epochs=2, batch_size=16, seed=5)
         new_server, rec = engine.run_round(server, clients, engine.StrategyConfig("fedpdc"), train)
         local, _ = engine.local_train(clients[0], model, 1.0, train, engine.StrategyConfig("fedpdc"), 0)
         assert np.array_equal(new_server.model.values, local.values)
@@ -270,33 +271,47 @@ class TestRunRound:
             engine.ClientState(1, rest.subset(range(50, 110))),
         ]
         strat = engine.StrategyConfig("fedpdc", lam=2.0)
-        train = engine.TrainConfig(local_epochs=2, batch_size=16, rounds=1, seed=7)
-        server = engine.make_server_state(model, server_set, 2)
+        train = engine.TrainConfig(local_epochs=2, batch_size=16, seed=7)
+        server = engine.ServerState(model, server_set)
         new_server, rec = engine.run_round(server, clients, strat, train)
 
         # oracle: the same round assembled from the public pieces
         assert engine.sample_clients(2, 1.0, 0, 7) == (0, 1)
         locals_ = [engine.local_train(c, model, 1.0, train, strat, 0)[0] for c in clients]
         accs = [nn.evaluate_accuracy(m, server_set.data) for m in locals_]
-        expected = engine.aggregate_fedpdc(locals_, accs)
+        expected = engine._combine(locals_, engine.fedpdc_weights(accs)[0])
         assert np.array_equal(new_server.model.values, expected.values)
         assert rec.measured_accuracies == {0: accs[0], 1: accs[1]}
-        assert new_server.ledger == (accs[0], accs[1])
+        assert new_server.prev_accuracies == {0: accs[0], 1: accs[1]}
         assert abs(sum(rec.agg_weights.values()) - 1.0) < 1e-12
 
     def test_fresh_clients_train_with_unit_accuracy(self, toy_problem):
+        # p is the accuracy from the previous round only; a client scored in
+        # round t-2, skipped in t-1 and selected in t trains with p = 1
         _pool, server_set, rest, _part, clients, model = toy_problem
-        server = engine.make_server_state(model, server_set, 4)
+        server = engine.ServerState(model, server_set)
         strat = engine.StrategyConfig("fedpdc", tau=0.5)
-        train = engine.TrainConfig(local_epochs=1, batch_size=32, rounds=2, seed=1)
-        server1, rec0 = engine.run_round(server, clients, strat, train)
-        assert all(p == 1.0 for p in rec0.sent_accuracies.values())
-        server2, rec1 = engine.run_round(server1, clients, strat, train)
-        for cid, p in rec1.sent_accuracies.items():
-            if cid in rec0.selected:
-                assert p == rec0.measured_accuracies[cid]
-            else:
-                assert p == 1.0
+        train = engine.TrainConfig(local_epochs=1, batch_size=32, seed=1)
+        records = []
+        for _ in range(15):
+            server, rec = engine.run_round(server, clients, strat, train)
+            records.append(rec)
+        assert all(p == 1.0 for p in records[0].sent_accuracies.values())
+        for prev, rec in zip(records, records[1:]):
+            for cid, p in rec.sent_accuracies.items():
+                if cid in prev.selected:
+                    assert p == prev.measured_accuracies[cid]
+                else:
+                    assert p == 1.0
+        stale = [
+            (older.measured_accuracies[cid], rec.sent_accuracies[cid])
+            for older, prev, rec in zip(records, records[1:], records[2:])
+            for cid in rec.selected
+            if cid in older.selected and cid not in prev.selected
+        ]
+        assert stale, "no client was selected, skipped, then selected again"
+        assert any(old < 1.0 for old, _ in stale)
+        assert all(p == 1.0 for _, p in stale)
 
     def test_zero_accuracy_round_is_flagged_uniform(self):
         # crafted model misclassifies both balanced server samples: logits [x, -x]
@@ -305,8 +320,8 @@ class TestRunRound:
         server_set = make_server_set(np.array([[-1.0], [1.0]]), np.array([0, 1]), 2, 1)
         client_data = LabeledDataset(np.array([[1.0], [-1.0]]), np.array([0, 1]), 2)
         clients = [engine.ClientState(0, client_data), engine.ClientState(1, client_data)]
-        server = engine.make_server_state(model, server_set, 2)
-        train = engine.TrainConfig(local_epochs=1, batch_size=2, lr=0.0, rounds=1, seed=0)
+        server = engine.ServerState(model, server_set)
+        train = engine.TrainConfig(local_epochs=1, batch_size=2, lr=0.0, seed=0)
         _new_server, rec = engine.run_round(server, clients, engine.StrategyConfig("fedpdc"), train)
         assert rec.measured_accuracies == {0: 0.0, 1: 0.0}
         assert "uniform_weights_zero_accuracy" in rec.flags
@@ -314,25 +329,25 @@ class TestRunRound:
 
     def test_requires_server_set_for_accuracy_weighting(self, toy_problem):
         _pool, _server_set, rest, _part, clients, model = toy_problem
-        server = engine.make_server_state(model, None, 4)
+        server = engine.ServerState(model, None)
         with pytest.raises(EvaluationError):
             engine.run_round(
-                server, clients, engine.StrategyConfig("fedpdc"), engine.TrainConfig(rounds=1, seed=0)
+                server, clients, engine.StrategyConfig("fedpdc"), engine.TrainConfig(seed=0)
             )
+
+    def test_rejects_invalid_previous_accuracies(self, toy_problem):
+        _pool, server_set, rest, _part, clients, model = toy_problem
+        with pytest.raises(StateError):
+            engine.ServerState(model, server_set, 1, {0: 1.5})
+        server = engine.ServerState(model, server_set, 1, {len(clients): 0.5})
+        with pytest.raises(StateError):
+            engine.run_round(server, clients, engine.StrategyConfig("fedpdc"), engine.TrainConfig())
 
     def test_adaptive_lambda_enters_reported_loss(self, toy_problem):
         # round 4 (1-based 5): lam = 2.5; literal penalty shifts losses only
         _pool, server_set, rest, _part, clients, model = toy_problem
-        train = engine.TrainConfig(local_epochs=1, batch_size=32, rounds=1, seed=3)
-        base = engine.make_server_state(model, server_set, 4)
-        server = engine.ServerState(
-            model=model,
-            server_set=server_set,
-            round=4,
-            ledger=(0.5, 0.5, 0.5, 0.5),
-            prev_selected=(0, 1, 2, 3),
-            global_accuracy=base.global_accuracy,
-        )
+        train = engine.TrainConfig(local_epochs=1, batch_size=32, seed=3)
+        server = engine.ServerState(model, server_set, 4, {0: 0.5, 1: 0.5, 2: 0.5, 3: 0.5})
         _s_adaptive, rec_adaptive = engine.run_round(
             server, clients, engine.StrategyConfig("fedpdc_adaptive"), train
         )
@@ -347,19 +362,19 @@ class TestRunRound:
 
     def test_instrumentation_fields(self, toy_problem):
         _pool, server_set, rest, _part, clients, model = toy_problem
-        server = engine.make_server_state(model, server_set, 4)
-        train = engine.TrainConfig(local_epochs=1, batch_size=32, lr=0.0, rounds=1, seed=0)
-        _new, rec = engine.run_round(
-            server, clients, engine.StrategyConfig("fedavg"), train, instrument_global_loss=True
-        )
+        server = engine.ServerState(model, server_set)
+        train = engine.TrainConfig(local_epochs=1, batch_size=32, lr=0.0, seed=0)
+        strat = engine.StrategyConfig("fedavg")
+        new, rec = engine.run_round(server, clients, strat, train, instrument_global_loss=True)
         assert rec.global_loss is not None and rec.global_grad_sqnorm is not None
-        # lr = 0: the model cannot move, so the objective cannot change
-        assert rec.global_loss_after == rec.global_loss
+        # lr = 0: the model cannot move, so the next round sees the same objective
+        _, rec_next = engine.run_round(new, clients, strat, train, instrument_global_loss=True)
+        assert rec_next.global_loss == rec.global_loss
 
     def test_round_record_mean_loss_is_nan_without_batches(self, toy_problem):
         _pool, server_set, rest, _part, clients, model = toy_problem
-        server = engine.make_server_state(model, server_set, 4)
-        train = engine.TrainConfig(local_epochs=0, rounds=1, seed=0)
+        server = engine.ServerState(model, server_set)
+        train = engine.TrainConfig(local_epochs=0, seed=0)
         _new, rec = engine.run_round(server, clients, engine.StrategyConfig("fedavg"), train)
         assert math.isnan(rec.mean_local_loss)
 
@@ -367,10 +382,10 @@ class TestRunRound:
 class TestReductionIdentities:
     def test_zero_prox_trajectory_bitwise_equals_fedavg(self, toy_problem):
         _pool, server_set, rest, _part, clients, model = toy_problem
-        train = engine.TrainConfig(local_epochs=2, batch_size=16, rounds=10, seed=5)
+        train = engine.TrainConfig(local_epochs=2, batch_size=16, seed=5)
         finals = []
         for strat in (engine.StrategyConfig("fedavg"), engine.StrategyConfig("fedprox", mu_prox=0.0)):
-            server = engine.make_server_state(model, server_set, 4)
+            server = engine.ServerState(model, server_set)
             history = []
             for _ in range(10):
                 server, _rec = engine.run_round(server, clients, strat, train)
@@ -384,9 +399,9 @@ class TestReductionIdentities:
         _pool, server_set, rest, _part, clients, model = toy_problem
         full = max(len(c.data) for c in clients)
         train = engine.TrainConfig(
-            local_epochs=1, batch_size=full, lr=0.05, momentum=0.0, weight_decay=0.0, rounds=1, seed=5
+            local_epochs=1, batch_size=full, lr=0.05, momentum=0.0, weight_decay=0.0, seed=5
         )
-        server = engine.make_server_state(model, server_set, 4)
+        server = engine.ServerState(model, server_set)
         new_server, _rec = engine.run_round(server, clients, engine.StrategyConfig("fedavg"), train)
         _loss, grad = global_objective(
             model, [c.data for c in clients], [len(c.data) for c in clients]
@@ -395,7 +410,7 @@ class TestReductionIdentities:
 
     def test_literal_penalty_never_moves_the_model(self, toy_problem):
         _pool, _server_set, rest, _part, clients, model = toy_problem
-        train = engine.TrainConfig(local_epochs=3, batch_size=16, rounds=1, seed=2)
+        train = engine.TrainConfig(local_epochs=3, batch_size=16, seed=2)
         p = 0.3
         m0, l0 = engine.local_train(
             clients[0], model, p, train, engine.StrategyConfig("fedpdc", lam=0.0), 1
