@@ -54,6 +54,7 @@ from .nn import (
     forward,
     init_model,
     load_model,
+    loss_and_grad,
     save_model,
     sgd_step,
 )

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .data import LabeledDataset
-from .errors import ConfigError, DataError, DiagnosticsError
+from .errors import ConfigError, DataError, DiagnosticsError, DivergenceError
 from .nn import Batch, ParamVector, backward, cross_entropy, forward
 
 if TYPE_CHECKING:
@@ -107,11 +107,15 @@ def global_objective(
         raise DiagnosticsError("total dataset size must be positive")
     loss = 0.0
     grad = np.zeros(len(model))
-    for dataset, size in zip(datasets, sizes):
-        batch = Batch(dataset.features, dataset.labels)
-        weight = size / total
-        loss += weight * cross_entropy(forward(model, batch), batch.labels)
-        grad += weight * backward(model, batch)
+    # a huge but finite model overflows here; report that as divergence
+    with np.errstate(over="ignore", invalid="ignore"):
+        for dataset, size in zip(datasets, sizes):
+            batch = Batch(dataset.features, dataset.labels)
+            weight = size / total
+            loss += weight * cross_entropy(forward(model, batch), batch.labels)
+            grad += weight * backward(model, batch)
+    if not (math.isfinite(loss) and np.isfinite(grad).all()):
+        raise DivergenceError("the global objective is not finite at this model; it has diverged")
     return loss, grad
 
 
@@ -128,12 +132,15 @@ def gradient_dissimilarity(
     total = float(sum(sizes))
     mean_sq = 0.0
     mean_grad = np.zeros(len(model))
-    for dataset, size in zip(datasets, sizes):
-        batch = Batch(dataset.features, dataset.labels)
-        g_k = backward(model, batch)
-        weight = size / total
-        mean_sq += weight * float(g_k @ g_k)
-        mean_grad += weight * g_k
+    with np.errstate(over="ignore", invalid="ignore"):
+        for dataset, size in zip(datasets, sizes):
+            batch = Batch(dataset.features, dataset.labels)
+            g_k = backward(model, batch)
+            weight = size / total
+            mean_sq += weight * float(g_k @ g_k)
+            mean_grad += weight * g_k
+    if not (math.isfinite(mean_sq) and np.isfinite(mean_grad).all()):
+        raise DivergenceError("client gradients are not finite at this model; it has diverged")
     denom = float(np.linalg.norm(mean_grad))
     if denom <= GRAD_NORM_TOL:
         return None

@@ -30,20 +30,16 @@ from .diagnostics import global_objective
 from .errors import (
     AggregationError,
     ConfigError,
+    DataError,
     DivergenceError,
     EvaluationError,
+    ShapeError,
     StateError,
 )
-from .nn import (
-    Batch,
-    ParamVector,
-    backward,
-    cross_entropy,
-    evaluate_accuracy,
-    forward,
-    init_optimizer,
-    sgd_step,
-)
+from .nn import ParamVector, cross_entropy, evaluate_accuracy, loss_and_grad
+
+# perfbench/spans.py traces these names in this module's namespace
+from .nn import Batch, backward, forward, sgd_step  # noqa: F401
 from .seeding import TAG_LOCAL, TAG_SAMPLE, stream
 
 STRATEGIES = ("fedavg", "fedprox", "fedpdc", "fedpdc_adaptive")
@@ -162,6 +158,33 @@ def sample_clients(num_clients: int, tau: float, round_index: int, seed: int) ->
     return tuple(sorted(int(c) for c in picked))
 
 
+def _resolve_strategy(strategy: StrategyConfig, p: float) -> tuple[float, GradRule]:
+    """The strategy's terms for a client with accuracy p: the constant its
+    reported loss adds to the cross-entropy, and its gradient rule."""
+    if not 0.0 <= p <= 1.0:
+        raise StateError(f"accuracy p must lie in [0, 1], got {p}")
+    if strategy.strategy == "fedavg":
+        return 0.0, GradRule()
+    if strategy.strategy == "fedprox":
+        return 0.0, GradRule(prox_weight=strategy.mu_prox)
+    # fedpdc / fedpdc_adaptive
+    penalty = strategy.lam * (1.0 - p)
+    if strategy.penalty_mode == "literal":
+        # constant in w: reported loss includes it, the gradient does not
+        return penalty, GradRule()
+    return 0.0, GradRule(ce_scale=1.0 + penalty)
+
+
+def _reported_loss(ce: float, penalty: float, rule: GradRule, diff: np.ndarray | None) -> float:
+    """Strategy loss from the cross-entropy; diff = w - w_global is read
+    only when the rule has a prox term. ce >= +0, so a unit scale and a
+    zero penalty leave it unchanged bit for bit."""
+    loss = rule.ce_scale * ce + penalty
+    if rule.prox_weight != 0.0:
+        loss += 0.5 * rule.prox_weight * float(diff @ diff)
+    return loss
+
+
 def local_loss(
     logits: np.ndarray,
     labels: np.ndarray,
@@ -171,28 +194,23 @@ def local_loss(
     w_global: ParamVector,
 ) -> tuple[float, GradRule]:
     """Strategy loss on one batch plus the rule for building its gradient."""
-    if not 0.0 <= p <= 1.0:
-        raise StateError(f"accuracy p must lie in [0, 1], got {p}")
+    penalty, rule = _resolve_strategy(strategy, p)
     ce = cross_entropy(logits, labels)
-    if strategy.strategy == "fedavg":
-        return ce, GradRule()
-    if strategy.strategy == "fedprox":
-        if strategy.mu_prox == 0.0:
-            return ce, GradRule()
-        diff = w.values - w_global.values
-        return ce + 0.5 * strategy.mu_prox * float(diff @ diff), GradRule(
-            prox_weight=strategy.mu_prox
-        )
-    # fedpdc / fedpdc_adaptive
-    penalty = strategy.lam * (1.0 - p)
-    if strategy.penalty_mode == "literal":
-        # constant in w: reported loss includes it, the gradient does not
-        loss = ce + penalty if penalty != 0.0 else ce
-        return loss, GradRule()
-    scale = 1.0 + penalty
-    if scale == 1.0:
-        return ce, GradRule()
-    return scale * ce, GradRule(ce_scale=scale)
+    return _reported_loss(ce, penalty, rule, w.values - w_global.values), rule
+
+
+def _diverged(
+    what: str, client_id: int, round_index: int, step: int, losses: list[float]
+) -> DivergenceError:
+    last = losses[-1] if losses else None
+    return DivergenceError(
+        f"client {client_id} hit {what} in round {round_index} at step {step} "
+        f"(last finite loss: {last})",
+        client=client_id,
+        round=round_index,
+        step=step,
+        last_finite_loss=last,
+    )
 
 
 def local_train(
@@ -208,10 +226,25 @@ def local_train(
     The per-epoch shuffle stream is keyed by (seed, round) only, so clients
     holding identical data produce identical local models. Returns the final
     local model and every batch's reported loss in order.
+
+    Each step does the arithmetic of local_loss, nn.backward and nn.sgd_step,
+    in their order, on plain arrays; p, the strategy and the client's data
+    are checked once, before the first step.
     """
-    n = len(client.data)
-    model = w_global
-    opt = init_optimizer(w_global, train.lr, train.momentum, train.weight_decay)
+    arch = w_global.arch
+    data = client.data
+    n = len(data)
+    penalty, rule = _resolve_strategy(strategy, p_in)
+    if data.features.shape[1] != arch.input_dim:
+        raise ShapeError(
+            f"client {client.id} features have {data.features.shape[1]} columns, "
+            f"architecture expects {arch.input_dim}"
+        )
+    if data.labels.max() >= arch.output_dim:
+        raise DataError(f"client {client.id} labels must lie in [0, {arch.output_dim})")
+    anchor = w_global.values
+    values = anchor.copy()
+    buf = np.zeros_like(values)
     rng = stream(TAG_LOCAL, train.seed, round_index)
     losses: list[float] = []
     # a diverging run overflows before the finiteness checks below turn it
@@ -221,27 +254,25 @@ def local_train(
             perm = rng.permutation(n)
             for start in range(0, n, train.batch_size):
                 idx = perm[start : start + train.batch_size]
-                batch = Batch(client.data.features[idx], client.data.labels[idx])
-                logits = forward(model, batch)
-                loss, rule = local_loss(logits, batch.labels, strategy, p_in, model, w_global)
+                ce, grad = loss_and_grad(arch, values, data.features[idx], data.labels[idx])
+                diff = values - anchor if rule.prox_weight != 0.0 else None
+                loss = _reported_loss(ce, penalty, rule, diff)
                 if not math.isfinite(loss):
-                    raise DivergenceError(
-                        f"client {client.id} hit a non-finite loss in round {round_index}"
-                    )
-                grad = backward(model, batch)
-                if rule.ce_scale != 1.0:
-                    grad = rule.ce_scale * grad
-                if rule.prox_weight != 0.0:
-                    grad = grad + rule.prox_weight * (model.values - w_global.values)
-                try:
-                    model, opt = sgd_step(model, grad, opt)
-                except StateError:
-                    # the update itself left the finite domain
-                    raise DivergenceError(
-                        f"client {client.id} hit non-finite parameters in round {round_index}"
-                    ) from None
+                    raise _diverged("a non-finite loss", client.id, round_index, len(losses), losses)
                 losses.append(loss)
-        return model, losses
+                if rule.ce_scale != 1.0:
+                    grad *= rule.ce_scale
+                if rule.prox_weight != 0.0:
+                    grad += rule.prox_weight * diff
+                buf *= train.momentum
+                buf += grad
+                buf += train.weight_decay * values
+                values -= train.lr * buf
+                if not np.isfinite(values).all():
+                    raise _diverged(
+                        "non-finite parameters", client.id, round_index, len(losses) - 1, losses
+                    )
+    return ParamVector(arch, values), losses
 
 
 def _combine(models: list[ParamVector], weights: np.ndarray) -> ParamVector:

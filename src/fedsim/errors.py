@@ -34,7 +34,26 @@ class StateError(FedsimError):
 
 
 class DivergenceError(FedsimError):
-    """Local training produced a non-finite loss."""
+    """Training or evaluation left the finite domain.
+
+    Raised by local training it names the client, the round, the 0-based
+    step within the client's local training, and the last finite loss that
+    client reported (None before its first); elsewhere these are None.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        client: int | None = None,
+        round: int | None = None,
+        step: int | None = None,
+        last_finite_loss: float | None = None,
+    ) -> None:
+        super().__init__(message)
+        self.client = client
+        self.round = round
+        self.step = step
+        self.last_finite_loss = last_finite_loss
 
 
 class DiagnosticsError(FedsimError):

@@ -13,7 +13,14 @@ from typing import Callable
 import numpy as np
 
 from .data import LabeledDataset
-from .errors import ConfigError, DataError, EvaluationError, ShapeError, StateError
+from .errors import (
+    ConfigError,
+    DataError,
+    DivergenceError,
+    EvaluationError,
+    ShapeError,
+    StateError,
+)
 from .seeding import TAG_INIT, stream
 
 ACTIVATIONS = ("relu",)
@@ -240,6 +247,50 @@ def backward(model: ParamVector, batch: Batch) -> np.ndarray:
     return grad
 
 
+def loss_and_grad(
+    arch: ModelArch, values: np.ndarray, features: np.ndarray, labels: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy and its gradient from one forward pass.
+
+    Bitwise equal to (cross_entropy(forward(...)), backward(...)), which stay
+    the reference; the loss and the softmax delta share one exp(shifted).
+    Inputs are trusted: the caller has checked the feature width and that
+    labels lie in [0, arch.output_dim).
+    """
+    layers = unpack(arch, values)
+    activations = [features]
+    pre_acts = []
+    act = features
+    for weight, bias in layers[:-1]:
+        pre = act @ weight + bias
+        pre_acts.append(pre)
+        act = np.maximum(pre, 0.0)
+        activations.append(act)
+    weight, bias = layers[-1]
+    logits = act @ weight + bias
+
+    n = features.shape[0]
+    rows = np.arange(n)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    norm = exp.sum(axis=1, keepdims=True)
+    # np.mean's own arithmetic (pairwise sum, then divide) without its call overhead
+    ce = float((np.log(norm.ravel()) - shifted[rows, labels]).sum()) / n
+    delta = exp / norm
+    delta[rows, labels] -= 1.0
+    delta /= n
+
+    grad = np.zeros(values.size)
+    grad_layers = unpack(arch, grad)
+    for li in range(len(layers) - 1, -1, -1):
+        g_weight, g_bias = grad_layers[li]
+        g_weight[:] = activations[li].T @ delta
+        g_bias[:] = delta.sum(axis=0)
+        if li > 0:
+            delta = (delta @ layers[li][0].T) * (pre_acts[li - 1] > 0.0)
+    return ce, grad
+
+
 def central_difference(fn: Callable[[np.ndarray], float], x: np.ndarray, step: float) -> np.ndarray:
     """Central finite differences of a scalar function, coordinate by coordinate."""
     if step <= 0:
@@ -291,7 +342,11 @@ def evaluate_accuracy(model: ParamVector, dataset: LabeledDataset) -> float:
         raise EvaluationError(
             f"dataset has {num_classes} classes but the model outputs {model.arch.output_dim}"
         )
-    logits = _forward_raw(model.arch, model.values, dataset.features)
+    # a huge but finite model overflows here; report that as divergence
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = _forward_raw(model.arch, model.values, dataset.features)
+    if not np.isfinite(logits).all():
+        raise DivergenceError("the model's logits are not finite; it has diverged")
     preds = np.argmax(logits, axis=1)
     return float(np.mean(preds == dataset.labels))
 

@@ -19,7 +19,7 @@ from fedsim.diagnostics import (
     speedup,
     theorem_constant,
 )
-from fedsim.errors import ConfigError, DataError, DiagnosticsError
+from fedsim.errors import ConfigError, DataError, DiagnosticsError, DivergenceError
 
 
 class TestAccuracyRatio:
@@ -104,6 +104,18 @@ class TestGradientRatio:
         num = math.sqrt(0.25 * float(g_a @ g_a) + 0.75 * float(g_b @ g_b))
         den = float(np.linalg.norm(0.25 * g_a + 0.75 * g_b))
         assert gradient_dissimilarity(model, [a, b], [6, 18]) == pytest.approx(num / den, rel=1e-12)
+
+
+# "error": a diverged model must surface as DivergenceError, not a numpy warning
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("diagnostic", [global_objective, gradient_dissimilarity])
+def test_huge_finite_model_is_divergence(diagnostic):
+    rng = np.random.default_rng(5)
+    arch = nn.ModelArch((4, 6, 3))
+    model = nn.ParamVector(arch, np.full(nn.param_count(arch), 1e200))
+    data = LabeledDataset(rng.standard_normal((12, 4)), rng.integers(0, 3, 12), 3)
+    with pytest.raises(DivergenceError):
+        diagnostic(model, [data, data], [12, 12])
 
 
 class TestDescent:

@@ -8,7 +8,15 @@ from hypothesis import strategies as st
 from conftest import random_batch, random_model
 from fedsim import engine, nn
 from fedsim.data import LabeledDataset, ServerSet
-from fedsim.errors import AggregationError, ConfigError, DivergenceError, EvaluationError, StateError
+from fedsim.errors import (
+    AggregationError,
+    ConfigError,
+    DataError,
+    DivergenceError,
+    EvaluationError,
+    ShapeError,
+    StateError,
+)
 from fedsim.seeding import TAG_LOCAL, stream
 
 
@@ -77,7 +85,7 @@ class TestLocalLoss:
         strat = engine.StrategyConfig("fedprox", mu_prox=mu)
         loss, rule = engine.local_loss(self.logits, self.batch.labels, strat, 0.5, self.w, self.wg)
         diff = self.w.values - self.wg.values
-        assert loss == pytest.approx(self.ce + 0.5 * mu * float(diff @ diff), rel=1e-15)
+        assert loss == self.ce + 0.5 * mu * float(diff @ diff)
         assert rule.prox_weight == mu
 
     def test_scaled_mode_scales_loss_and_gradient(self):
@@ -146,6 +154,58 @@ class TestLocalTrain:
         with pytest.raises(DivergenceError, match=r"client 0 .* round 2"):
             engine.local_train(client, w, 1.0, train, engine.StrategyConfig("fedavg"), 2)
 
+    @pytest.mark.filterwarnings("error")
+    def test_divergence_error_carries_client_round_step_and_last_loss(self):
+        # linear model; weight decay 1e200 at lr 1 flips and inflates the
+        # weights to about -1e200 in step 0, so step 1 still has a finite
+        # loss but its update overflows
+        rng = np.random.default_rng(7)
+        data = LabeledDataset(rng.uniform(0.0, 1.0, (16, 4)), np.arange(16) % 3, 3)
+        client = engine.ClientState(3, data)
+        arch = nn.ModelArch((4, 3))
+        w = nn.ParamVector(arch, np.ones(nn.param_count(arch)))
+        train = engine.TrainConfig(
+            local_epochs=1, batch_size=8, lr=1.0, momentum=0.0, weight_decay=1e200, seed=0
+        )
+        with pytest.raises(DivergenceError, match=r"client 3 .* round 5 at step 1") as info:
+            engine.local_train(client, w, 1.0, train, engine.StrategyConfig("fedavg"), 5)
+        perm = stream(TAG_LOCAL, 0, 5).permutation(16)
+        first = nn.Batch(data.features[perm[:8]], data.labels[perm[:8]])
+        second = nn.Batch(data.features[perm[8:]], data.labels[perm[8:]])
+        opt = nn.init_optimizer(w, lr=1.0, weight_decay=1e200)
+        w1, _ = nn.sgd_step(w, nn.backward(w, first), opt)
+        err = info.value
+        assert (err.client, err.round, err.step) == (3, 5, 1)
+        assert err.last_finite_loss == nn.cross_entropy(nn.forward(w1, second), second.labels)
+
+        # a model whose logits overflow fails at step 0, before any finite loss
+        deep = nn.ModelArch((4, 5, 3))
+        huge = nn.ParamVector(deep, np.full(nn.param_count(deep), 1e200))
+        with pytest.raises(DivergenceError, match="non-finite loss") as info:
+            engine.local_train(client, huge, 1.0, train, engine.StrategyConfig("fedavg"), 5)
+        assert (info.value.client, info.value.round, info.value.step) == (3, 5, 0)
+        assert info.value.last_finite_loss is None
+
+    def test_rejects_accuracy_out_of_range(self):
+        w = random_model(nn.ModelArch((4, 5, 3)), seed=0)
+        train = engine.TrainConfig(local_epochs=1, batch_size=8, seed=0)
+        with pytest.raises(StateError):
+            engine.local_train(self._client(), w, 1.5, train, engine.StrategyConfig("fedpdc"), 0)
+
+    def test_rejects_labels_beyond_model_outputs(self):
+        rng = np.random.default_rng(0)
+        data = LabeledDataset(rng.standard_normal((24, 4)), np.arange(24) % 3, 3)
+        w = random_model(nn.ModelArch((4, 5, 2)), seed=0)
+        train = engine.TrainConfig(local_epochs=1, batch_size=8, seed=0)
+        with pytest.raises(DataError):
+            engine.local_train(engine.ClientState(0, data), w, 1.0, train, engine.StrategyConfig("fedavg"), 0)
+
+    def test_rejects_feature_width_mismatch(self):
+        w = random_model(nn.ModelArch((5, 5, 3)), seed=0)
+        train = engine.TrainConfig(local_epochs=1, batch_size=8, seed=0)
+        with pytest.raises(ShapeError):
+            engine.local_train(self._client(dim=4), w, 1.0, train, engine.StrategyConfig("fedavg"), 0)
+
     def test_identical_inputs_identical_output(self):
         client = self._client(seed=3)
         w = random_model(nn.ModelArch((4, 5, 3)), seed=3)
@@ -154,6 +214,58 @@ class TestLocalTrain:
         a, _ = engine.local_train(client, w, 1.0, train, strat, 0)
         b, _ = engine.local_train(client, w, 1.0, train, strat, 0)
         assert np.array_equal(a.values, b.values)
+
+
+def reference_local_train(client, w_global, p_in, train, strategy, round_index):
+    """local_train written on the per-batch Batch / forward / local_loss /
+    backward / sgd_step path; the oracle for the plain-array loop."""
+    model = w_global
+    opt = nn.init_optimizer(w_global, train.lr, train.momentum, train.weight_decay)
+    rng = stream(TAG_LOCAL, train.seed, round_index)
+    n = len(client.data)
+    losses = []
+    for _epoch in range(train.local_epochs):
+        perm = rng.permutation(n)
+        for start in range(0, n, train.batch_size):
+            idx = perm[start : start + train.batch_size]
+            batch = nn.Batch(client.data.features[idx], client.data.labels[idx])
+            logits = nn.forward(model, batch)
+            loss, rule = engine.local_loss(logits, batch.labels, strategy, p_in, model, w_global)
+            grad = nn.backward(model, batch)
+            if rule.ce_scale != 1.0:
+                grad = rule.ce_scale * grad
+            if rule.prox_weight != 0.0:
+                grad = grad + rule.prox_weight * (model.values - w_global.values)
+            model, opt = nn.sgd_step(model, grad, opt)
+            losses.append(loss)
+    return model, losses
+
+
+@pytest.mark.parametrize(
+    "strategy, p_in",
+    [
+        (engine.StrategyConfig("fedavg"), 1.0),
+        (engine.StrategyConfig("fedprox", mu_prox=0.3), 1.0),
+        (engine.StrategyConfig("fedpdc", lam=1.5), 0.6),
+        (engine.StrategyConfig("fedpdc", lam=2.0, penalty_mode="scaled_ce"), 0.4),
+        (engine.StrategyConfig("fedpdc_adaptive", lam=0.5, penalty_mode="scaled_ce"), 1.0),
+    ],
+    ids=["fedavg", "fedprox", "fedpdc_literal", "fedpdc_scaled_ce", "scaled_ce_unit_p"],
+)
+def test_local_train_bitwise_equals_reference_loop(strategy, p_in):
+    rng = np.random.default_rng(11)
+    # 31 samples in batches of 8: every epoch ends on a ragged batch of 7
+    data = LabeledDataset(rng.standard_normal((31, 5)), rng.integers(0, 4, 31), 4)
+    client = engine.ClientState(2, data)
+    w = random_model(nn.ModelArch((5, 7, 4)), seed=11)
+    train = engine.TrainConfig(
+        local_epochs=3, batch_size=8, lr=0.05, momentum=0.9, weight_decay=1e-3, seed=4
+    )
+    model, losses = engine.local_train(client, w, p_in, train, strategy, 6)
+    ref_model, ref_losses = reference_local_train(client, w, p_in, train, strategy, 6)
+    assert np.array_equal(model.values, ref_model.values)
+    assert losses == ref_losses
+    assert len(losses) == 3 * 4
 
 
 class TestAggregation:

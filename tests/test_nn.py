@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import random_batch, random_model
 from fedsim import nn
-from fedsim.errors import ConfigError, DataError, EvaluationError, ShapeError
+from fedsim.errors import ConfigError, DataError, DivergenceError, EvaluationError, ShapeError
 
 
 class TestInitModel:
@@ -249,6 +249,19 @@ class TestEvaluateAccuracy:
             nn.evaluate_accuracy(model, data)
 
 
+    # "error": a diverged model must surface as DivergenceError, not a numpy warning
+    @pytest.mark.filterwarnings("error")
+    def test_huge_finite_model_is_divergence(self):
+        from fedsim.data import LabeledDataset
+
+        arch = nn.ModelArch((4, 5, 3))
+        model = nn.ParamVector(arch, np.full(nn.param_count(arch), 1e200))
+        rng = np.random.default_rng(0)
+        data = LabeledDataset(rng.standard_normal((10, 4)), rng.integers(0, 3, 10), 3)
+        with pytest.raises(DivergenceError):
+            nn.evaluate_accuracy(model, data)
+
+
 class TestCheckpoint:
     def test_round_trip_bitwise(self, tmp_path):
         arch = nn.ModelArch((4, 7, 3))
@@ -317,3 +330,21 @@ def test_construction_leaves_caller_arrays_writable():
     assert model.values[0] == 0.0
     with pytest.raises(ValueError):
         model.values[0] = 2.0
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    hidden=st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=2),
+    in_dim=st.integers(min_value=1, max_value=5),
+    out_dim=st.integers(min_value=2, max_value=5),
+    size=st.integers(min_value=1, max_value=9),
+    scale=st.sampled_from([0.1, 1.0, 30.0]),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_loss_and_grad_equals_forward_cross_entropy_backward(hidden, in_dim, out_dim, size, scale, seed):
+    arch = nn.ModelArch((in_dim, *hidden, out_dim))
+    model = nn.ParamVector(arch, scale * random_model(arch, seed).values)
+    batch = random_batch(arch, size, seed)
+    ce, grad = nn.loss_and_grad(arch, model.values, batch.features, batch.labels)
+    assert ce == nn.cross_entropy(nn.forward(model, batch), batch.labels)
+    assert np.array_equal(grad, nn.backward(model, batch))
