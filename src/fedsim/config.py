@@ -7,6 +7,7 @@ config can be serialized back to text and reparsed into an equal object.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 from .engine import StrategyConfig, TrainConfig
@@ -43,6 +44,10 @@ class ExperimentConfig:
     emit_dissimilarity: bool = False
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{_FIELD_TO_KEY[f.name]} must be finite, got {value!r}")
         # engine dataclasses enforce their own domains; surface as ConfigError
         self.strategy_config()
         self.train_config(self.seed)

@@ -6,6 +6,11 @@ and the gradient ratio sqrt(E_k ||grad_k||^2) / ||grad||. The descent monitor
 tracks the per-round decline of the global objective relative to its squared
 gradient norm, which is an in-expectation guarantee: individual rounds may
 violate it and are reported, never failed.
+
+The global objective and the gradient ratio both come from full_batch_pass,
+the one loop that visits every client's full dataset at a model (one
+loss_and_grad call per client). The runner calls it once per round when
+either diagnostic is on.
 """
 
 from __future__ import annotations
@@ -13,16 +18,16 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .data import LabeledDataset
-from .errors import ConfigError, DataError, DiagnosticsError, DivergenceError
-from .nn import Batch, ParamVector, backward, cross_entropy, forward
+from .errors import ConfigError, DataError, DiagnosticsError, DivergenceError, ShapeError
+from .nn import ParamVector, loss_and_grad
 
-if TYPE_CHECKING:
-    from .engine import RoundRecord
+# perfbench/spans.py traces these names in this module's namespace
+from .nn import Batch, backward, cross_entropy, forward  # noqa: F401
 
 GRAD_NORM_TOL = 1e-12
 
@@ -93,58 +98,59 @@ def dissimilarity_B(
     )
 
 
-def global_objective(
+def full_batch_pass(
     model: ParamVector, datasets: Sequence[LabeledDataset], sizes: Sequence[int]
-) -> tuple[float, np.ndarray]:
-    """Size-weighted mean of per-client full-batch loss and gradient.
+) -> tuple[float, np.ndarray, float | None]:
+    """(f, grad f, sqrt(E_k ||grad_k||^2) / ||grad f||) at model, where f is
+    the size-weighted mean of the clients' full-batch losses.
 
-    Reduction runs in ascending client order so results are reproducible.
+    One loss_and_grad call per client, reduced in the order given so results
+    are reproducible. The ratio is None (undefined) when ||grad f|| is below
+    GRAD_NORM_TOL; by Jensen's inequality it is otherwise >= 1.
     """
     if len(datasets) == 0 or len(datasets) != len(sizes):
         raise DiagnosticsError("datasets and sizes must be nonempty and equal length")
+    if any(size <= 0 for size in sizes):
+        raise DiagnosticsError(f"dataset sizes must be positive, got {list(sizes)}")
+    arch = model.arch
+    for k, dataset in enumerate(datasets):
+        if dataset.input_dim != arch.input_dim:
+            raise ShapeError(
+                f"dataset {k} features have {dataset.input_dim} columns, "
+                f"architecture expects {arch.input_dim}"
+            )
+        if dataset.labels.max() >= arch.output_dim:
+            raise DataError(f"dataset {k} labels must lie in [0, {arch.output_dim})")
     total = float(sum(sizes))
-    if total <= 0:
-        raise DiagnosticsError("total dataset size must be positive")
     loss = 0.0
     grad = np.zeros(len(model))
+    mean_sq = 0.0
     # a huge but finite model overflows here; report that as divergence
     with np.errstate(over="ignore", invalid="ignore"):
         for dataset, size in zip(datasets, sizes):
-            batch = Batch(dataset.features, dataset.labels)
+            ce, g_k = loss_and_grad(arch, model.values, dataset.features, dataset.labels)
             weight = size / total
-            loss += weight * cross_entropy(forward(model, batch), batch.labels)
-            grad += weight * backward(model, batch)
-    if not (math.isfinite(loss) and np.isfinite(grad).all()):
-        raise DivergenceError("the global objective is not finite at this model; it has diverged")
-    return loss, grad
+            loss += weight * ce
+            grad += weight * g_k
+            mean_sq += weight * float(g_k @ g_k)
+    if not (math.isfinite(loss) and math.isfinite(mean_sq) and np.isfinite(grad).all()):
+        raise DivergenceError("client losses or gradients are not finite at this model: diverged")
+    denom = float(np.linalg.norm(grad))
+    return loss, grad, (math.sqrt(mean_sq) / denom if denom > GRAD_NORM_TOL else None)
+
+
+def global_objective(
+    model: ParamVector, datasets: Sequence[LabeledDataset], sizes: Sequence[int]
+) -> tuple[float, np.ndarray]:
+    """Size-weighted mean of per-client full-batch loss and gradient."""
+    return full_batch_pass(model, datasets, sizes)[:2]
 
 
 def gradient_dissimilarity(
     model: ParamVector, datasets: Sequence[LabeledDataset], sizes: Sequence[int]
 ) -> float | None:
-    """sqrt(E_k ||grad_k||^2) / ||grad|| with size-weighted expectation.
-
-    Returns None (undefined) when the global gradient norm is below
-    GRAD_NORM_TOL; by Jensen's inequality the ratio is always >= 1.
-    """
-    if len(datasets) == 0 or len(datasets) != len(sizes):
-        raise DiagnosticsError("datasets and sizes must be nonempty and equal length")
-    total = float(sum(sizes))
-    mean_sq = 0.0
-    mean_grad = np.zeros(len(model))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for dataset, size in zip(datasets, sizes):
-            batch = Batch(dataset.features, dataset.labels)
-            g_k = backward(model, batch)
-            weight = size / total
-            mean_sq += weight * float(g_k @ g_k)
-            mean_grad += weight * g_k
-    if not (math.isfinite(mean_sq) and np.isfinite(mean_grad).all()):
-        raise DivergenceError("client gradients are not finite at this model; it has diverged")
-    denom = float(np.linalg.norm(mean_grad))
-    if denom <= GRAD_NORM_TOL:
-        return None
-    return math.sqrt(mean_sq) / denom
+    """sqrt(E_k ||grad_k||^2) / ||grad|| with size-weighted expectation."""
+    return full_batch_pass(model, datasets, sizes)[2]
 
 
 def attach_grad_ratio(report: DissimilarityReport, grad_ratio: float | None) -> DissimilarityReport:
@@ -154,37 +160,29 @@ def attach_grad_ratio(report: DissimilarityReport, grad_ratio: float | None) -> 
     return replace(report, grad_ratio=grad_ratio, flags=flags)
 
 
-def descent_check(records: Sequence["RoundRecord"], final_loss: float) -> list[DescentRecord]:
+def descent_check(
+    losses: Sequence[float], grad_sqnorms: Sequence[float], final_loss: float
+) -> list[DescentRecord]:
     """Per-round descent ratios lambda_hat = (f_t - f_{t+1}) / ||grad f_t||^2.
 
-    f_{t+1} is the next round's global_loss, and final_loss (the global
-    objective at the model after the last round) for the last round.
-    Requires rounds recorded with global-loss instrumentation enabled.
+    losses[t] and grad_sqnorms[t] are the global objective and its squared
+    gradient norm at the model before round t; f_{t+1} is losses[t+1], and
+    final_loss (the objective at the model after the last round) for the
+    last round.
     """
-    for rec in records:
-        if rec.global_loss is None or rec.global_grad_sqnorm is None:
-            raise DiagnosticsError(
-                f"round {rec.round} lacks global-loss instrumentation; "
-                "run with instrument_global_loss enabled"
-            )
-    out: list[DescentRecord] = []
-    losses_after = [rec.global_loss for rec in records[1:]] + [final_loss]
-    for rec, loss_after in zip(records, losses_after):
-        sqnorm = rec.global_grad_sqnorm
-        if sqnorm <= GRAD_NORM_TOL**2:
-            lam = math.nan
-        else:
-            lam = (rec.global_loss - loss_after) / sqnorm
-        out.append(
-            DescentRecord(
-                round=rec.round,
-                loss_before=rec.global_loss,
-                loss_after=loss_after,
-                grad_sqnorm=sqnorm,
-                lambda_hat=lam,
-            )
+    if len(losses) != len(grad_sqnorms):
+        raise DiagnosticsError("descent needs a global loss and a squared gradient norm per round")
+    losses_after = list(losses[1:]) + [final_loss]
+    return [
+        DescentRecord(
+            round=t,
+            loss_before=loss,
+            loss_after=loss_after,
+            grad_sqnorm=sqnorm,
+            lambda_hat=math.nan if sqnorm <= GRAD_NORM_TOL**2 else (loss - loss_after) / sqnorm,
         )
-    return out
+        for t, (loss, sqnorm, loss_after) in enumerate(zip(losses, grad_sqnorms, losses_after))
+    ]
 
 
 def descent_summary(records: Sequence[DescentRecord]) -> tuple[float, float]:

@@ -2,7 +2,9 @@
 
 A client's p is its public-set accuracy from the previous round, else 1.
 Every strategy aggregates through one path: fedavg_weights or
-fedpdc_weights feeding _combine.
+fedpdc_weights feeding _combine. A round measures no diagnostics; the
+runner takes the global objective and the gradient dissimilarity at the
+pre-round model (fedsim.diagnostics.full_batch_pass).
 
 Strategies:
   fedavg          size-weighted averaging of local models
@@ -26,7 +28,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import LabeledDataset, ServerSet
-from .diagnostics import global_objective
 from .errors import (
     AggregationError,
     ConfigError,
@@ -39,6 +40,7 @@ from .errors import (
 from .nn import ParamVector, cross_entropy, evaluate_accuracy, loss_and_grad
 
 # perfbench/spans.py traces these names in this module's namespace
+from .diagnostics import global_objective  # noqa: F401
 from .nn import Batch, backward, forward, sgd_step  # noqa: F401
 from .seeding import TAG_LOCAL, TAG_SAMPLE, stream
 
@@ -130,8 +132,6 @@ class RoundRecord:
     global_acc_server: float
     global_acc_test: float
     flags: tuple[str, ...] = ()
-    global_loss: float | None = None
-    global_grad_sqnorm: float | None = None
 
 
 @dataclass(frozen=True)
@@ -325,7 +325,6 @@ def run_round(
     strategy: StrategyConfig,
     train: TrainConfig,
     test_data: LabeledDataset | None = None,
-    instrument_global_loss: bool = False,
 ) -> tuple[ServerState, RoundRecord]:
     """One communication round: sample, train locals, score, aggregate.
 
@@ -346,13 +345,6 @@ def run_round(
     eff_strategy = strategy
     if strategy.strategy == "fedpdc_adaptive":
         eff_strategy = replace(strategy, lam=adaptive_lambda(server.round + 1))
-
-    global_loss = grad_sqnorm = None
-    if instrument_global_loss:
-        datasets = [c.data for c in clients]
-        sizes = [len(c.data) for c in clients]
-        global_loss, grad = global_objective(server.model, datasets, sizes)
-        grad_sqnorm = float(grad @ grad)
 
     selected = sample_clients(num_clients, strategy.tau, server.round, train.seed)
     sent: dict[int, float] = {}
@@ -397,8 +389,6 @@ def run_round(
         global_acc_server=acc_server,
         global_acc_test=acc_test,
         flags=tuple(flags),
-        global_loss=global_loss,
-        global_grad_sqnorm=grad_sqnorm,
     )
     new_server = replace(
         server, model=new_model, round=server.round + 1, prev_accuracies=dict(measured)

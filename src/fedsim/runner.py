@@ -8,9 +8,12 @@ Each run owns one directory containing:
   diagnostics.csv     per-round global loss / gradient instrumentation (optional)
   dissimilarity.csv   per-round dissimilarity measures (optional)
 
-Artifacts are written after the last round. The objective after round t is
-the one round t+1 measures first, so only the final model needs an extra
-global-objective pass. Reruns reproduce every artifact byte for byte.
+The runner owns the diagnostics: when either is enabled it runs one
+full-batch pass over every client at the pre-round model, which yields the
+global objective, its squared gradient norm and the gradient ratio at once.
+The objective after round t is the one measured before round t+1, so only
+the final model needs an extra pass. Artifacts are written after the last
+round. Reruns reproduce every artifact byte for byte.
 """
 
 from __future__ import annotations
@@ -38,9 +41,11 @@ from .diagnostics import (
     attach_grad_ratio,
     descent_check,
     dissimilarity_B,
-    global_objective,
-    gradient_dissimilarity,
+    full_batch_pass,
 )
+
+# perfbench/spans.py traces this name in this module's namespace
+from .diagnostics import gradient_dissimilarity  # noqa: F401
 from .engine import ClientState, RoundRecord, ServerState, run_round
 from .nn import ModelArch, init_model, save_model
 
@@ -199,18 +204,16 @@ def run_experiment(cfg: ExperimentConfig, seed: int, run_dir) -> RunResult:
     datasets = [c.data for c in problem.clients]
     sizes = [len(c.data) for c in problem.clients]
     records: list[RoundRecord] = []
+    losses: list[float] = []
+    grad_sqnorms: list[float] = []
     grad_ratios: list[float | None] = []
     for _t in range(cfg.rounds):
-        if cfg.emit_dissimilarity:
-            grad_ratios.append(gradient_dissimilarity(server.model, datasets, sizes))
-        server, rec = run_round(
-            server,
-            problem.clients,
-            strategy,
-            train,
-            test_data=problem.test_set,
-            instrument_global_loss=cfg.instrument_global_loss,
-        )
+        if cfg.instrument_global_loss or cfg.emit_dissimilarity:
+            loss, grad, ratio = full_batch_pass(server.model, datasets, sizes)
+            losses.append(loss)
+            grad_sqnorms.append(float(grad @ grad))
+            grad_ratios.append(ratio)
+        server, rec = run_round(server, problem.clients, strategy, train, test_data=problem.test_set)
         records.append(rec)
 
     _write_rounds_csv(records, run_dir / "rounds.csv")
@@ -218,17 +221,13 @@ def run_experiment(cfg: ExperimentConfig, seed: int, run_dir) -> RunResult:
 
     descent = None
     if cfg.instrument_global_loss:
-        final_loss, _ = global_objective(server.model, datasets, sizes)
-        descent = descent_check(records, final_loss)
+        final_loss = full_batch_pass(server.model, datasets, sizes)[0]
+        descent = descent_check(losses, grad_sqnorms, final_loss)
         _write_diagnostics_csv(descent, run_dir / "diagnostics.csv")
     if cfg.emit_dissimilarity:
         _write_dissimilarity_csv(records, grad_ratios, run_dir / "dissimilarity.csv")
 
     return RunResult(run_dir=run_dir, records=records, server=server, descent=descent)
-
-
-def _final_metric(records: list[RoundRecord], attr: str) -> float:
-    return getattr(records[-1], attr) if records else math.nan
 
 
 def run_sweep(cfg: ExperimentConfig, out_root=None) -> list[RunResult]:
@@ -241,16 +240,19 @@ def run_sweep(cfg: ExperimentConfig, out_root=None) -> list[RunResult]:
         for seed in cfg.seeds_list()
     ]
     if len(results) > 1:
+        # (server, test) accuracy after the last round; NaN when never measured
+        finals = [
+            (r.records[-1].global_acc_server, r.records[-1].global_acc_test)
+            if r.records
+            else (math.nan, math.nan)
+            for r in results
+        ]
         lines = ["seed,final_acc_server,final_acc_test"]
-        for seed, res in zip(cfg.seeds_list(), results):
-            lines.append(
-                f"{seed},{_fmt(_final_metric(res.records, 'global_acc_server'))},"
-                f"{_fmt(_final_metric(res.records, 'global_acc_test'))}"
-            )
+        lines += [f"{seed},{_fmt(s)},{_fmt(t)}" for seed, (s, t) in zip(cfg.seeds_list(), finals)]
         for name, fn in (("mean", statistics.mean), ("stdev", statistics.stdev)):
-            server_vals = [_final_metric(r.records, "global_acc_server") for r in results]
-            test_vals = [_final_metric(r.records, "global_acc_test") for r in results]
-            lines.append(f"{name},{_fmt(fn(server_vals))},{_fmt(fn(test_vals))}")
+            # a statistic over a NaN is undefined: blank, like the NaN itself
+            cells = [_fmt(math.nan if any(map(math.isnan, col)) else fn(col)) for col in zip(*finals)]
+            lines.append(",".join([name, *cells]))
         (root / "sweep_summary.csv").write_text("\n".join(lines) + "\n")
     return results
 

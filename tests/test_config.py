@@ -60,6 +60,13 @@ class TestValidation:
             "tau = 1.5",
             "rounds = -1",
             "seeds = 0,0",
+            "beta = nan",
+            "beta = inf",
+            "lambda = nan",
+            "mu_prox = nan",
+            "weight_decay = nan",
+            "eta = inf",
+            "cluster_spread = inf",
         ],
     )
     def test_constraints_enforced_at_parse_time(self, line):

@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 from conftest import random_model
-from fedsim import engine, nn
+from fedsim import nn
 from fedsim.data import LabeledDataset, SyntheticSpec, dirichlet_partition, generate_synthetic
 from fedsim.diagnostics import (
+    GRAD_NORM_TOL,
     DescentRecord,
     TheoremConstants,
     descent_check,
     descent_summary,
     dissimilarity_B,
+    full_batch_pass,
     global_objective,
     gradient_dissimilarity,
     read_history_csv,
@@ -19,7 +21,7 @@ from fedsim.diagnostics import (
     speedup,
     theorem_constant,
 )
-from fedsim.errors import ConfigError, DataError, DiagnosticsError, DivergenceError
+from fedsim.errors import ConfigError, DataError, DiagnosticsError, DivergenceError, ShapeError
 
 
 class TestAccuracyRatio:
@@ -106,6 +108,98 @@ class TestGradientRatio:
         assert gradient_dissimilarity(model, [a, b], [6, 18]) == pytest.approx(num / den, rel=1e-12)
 
 
+def reference_global_objective(model, datasets, sizes):
+    # the loop global_objective ran before the shared pass, kept as the reference
+    total = float(sum(sizes))
+    loss = 0.0
+    grad = np.zeros(len(model))
+    for dataset, size in zip(datasets, sizes):
+        batch = nn.Batch(dataset.features, dataset.labels)
+        weight = size / total
+        loss += weight * nn.cross_entropy(nn.forward(model, batch), batch.labels)
+        grad += weight * nn.backward(model, batch)
+    return loss, grad
+
+
+def reference_gradient_dissimilarity(model, datasets, sizes):
+    # the loop gradient_dissimilarity ran before the shared pass
+    total = float(sum(sizes))
+    mean_sq = 0.0
+    mean_grad = np.zeros(len(model))
+    for dataset, size in zip(datasets, sizes):
+        g_k = nn.backward(model, nn.Batch(dataset.features, dataset.labels))
+        weight = size / total
+        mean_sq += weight * float(g_k @ g_k)
+        mean_grad += weight * g_k
+    denom = float(np.linalg.norm(mean_grad))
+    return None if denom <= GRAD_NORM_TOL else math.sqrt(mean_sq) / denom
+
+
+@pytest.mark.parametrize(
+    "widths, rows, weighted_by_size",
+    [
+        ((4, 3), (1, 7, 30, 3), True),
+        ((5, 8, 3), (12, 1, 2, 45, 9), True),
+        ((6, 7, 5, 4), (3, 17), True),
+        ((5, 8, 3), (12, 1, 2, 45, 9), False),
+    ],
+)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_shared_pass_bitwise_equals_reference_loops(widths, rows, weighted_by_size, seed):
+    rng = np.random.default_rng(seed)
+    arch = nn.ModelArch(widths)
+    model = random_model(arch, seed=seed)
+    classes = arch.output_dim
+    datasets = [
+        LabeledDataset(rng.standard_normal((n, arch.input_dim)), rng.integers(0, classes, n), classes)
+        for n in rows
+    ]
+    sizes = list(rows) if weighted_by_size else [int(s) for s in rng.integers(1, 50, len(rows))]
+    want_loss, want_grad = reference_global_objective(model, datasets, sizes)
+    want_ratio = reference_gradient_dissimilarity(model, datasets, sizes)
+
+    loss, grad, ratio = full_batch_pass(model, datasets, sizes)
+    assert loss == want_loss and np.array_equal(grad, want_grad) and ratio == want_ratio
+    got_loss, got_grad = global_objective(model, datasets, sizes)
+    assert got_loss == want_loss and np.array_equal(got_grad, want_grad)
+    assert gradient_dissimilarity(model, datasets, sizes) == want_ratio
+
+
+@pytest.mark.parametrize("diagnostic", [global_objective, gradient_dissimilarity])
+class TestPassValidation:
+    @staticmethod
+    def _setup(input_dim=4, classes=3):
+        rng = np.random.default_rng(6)
+        model = random_model(nn.ModelArch((4, 5, 3)), seed=6)
+        data = LabeledDataset(
+            rng.standard_normal((8, input_dim)), rng.integers(0, classes, 8), classes
+        )
+        return model, data
+
+    @pytest.mark.parametrize("sizes", [[0], [8, 0], [-1, 9], [8, -8]])
+    def test_nonpositive_size_rejected(self, diagnostic, sizes):
+        model, data = self._setup()
+        with pytest.raises(DiagnosticsError):
+            diagnostic(model, [data] * len(sizes), sizes)
+
+    @pytest.mark.parametrize("datasets, sizes", [(0, []), (2, [8])])
+    def test_empty_or_unequal_lists_rejected(self, diagnostic, datasets, sizes):
+        model, data = self._setup()
+        with pytest.raises(DiagnosticsError):
+            diagnostic(model, [data] * datasets, sizes)
+
+    def test_feature_width_mismatch_is_shape_error(self, diagnostic):
+        model, data = self._setup(input_dim=5)
+        with pytest.raises(ShapeError):
+            diagnostic(model, [data], [8])
+
+    def test_labels_beyond_model_outputs_are_data_error(self, diagnostic):
+        model, data = self._setup(classes=6)
+        data = LabeledDataset(data.features, np.full(8, 5), 6)
+        with pytest.raises(DataError):
+            diagnostic(model, [data], [8])
+
+
 # "error": a diverged model must surface as DivergenceError, not a numpy warning
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("diagnostic", [global_objective, gradient_dissimilarity])
@@ -119,37 +213,19 @@ def test_huge_finite_model_is_divergence(diagnostic):
 
 
 class TestDescent:
-    def _record(self, **kw):
-        base = dict(
-            round=0,
-            selected=(0,),
-            sent_accuracies={},
-            measured_accuracies={},
-            agg_weights={0: 1.0},
-            mean_local_loss=0.0,
-            global_acc_server=0.5,
-            global_acc_test=0.5,
-        )
-        base.update(kw)
-        return engine.RoundRecord(**base)
-
     def test_missing_instrumentation_raises(self):
+        # a round with a global loss but no squared gradient norm
         with pytest.raises(DiagnosticsError):
-            descent_check([self._record()], 1.0)
+            descent_check([1.5], [], 1.0)
 
     def test_constant_model_has_zero_ratio(self):
-        rec = self._record(global_loss=1.5, global_grad_sqnorm=0.25)
-        (out,) = descent_check([rec], 1.5)
+        (out,) = descent_check([1.5], [0.25], 1.5)
         assert out.lambda_hat == 0.0
 
     def test_pairs_each_round_with_the_next(self):
-        recs = [
-            self._record(round=0, global_loss=2.0, global_grad_sqnorm=0.25),
-            self._record(round=1, global_loss=1.5, global_grad_sqnorm=0.5),
-        ]
-        first, last = descent_check(recs, 1.0)
-        assert (first.loss_before, first.loss_after, first.lambda_hat) == (2.0, 1.5, 2.0)
-        assert (last.loss_before, last.loss_after, last.lambda_hat) == (1.5, 1.0, 1.0)
+        first, last = descent_check([2.0, 1.5], [0.25, 0.5], 1.0)
+        assert (first.round, first.loss_before, first.loss_after, first.lambda_hat) == (0, 2.0, 1.5, 2.0)
+        assert (last.round, last.loss_before, last.loss_after, last.lambda_hat) == (1, 1.5, 1.0, 1.0)
 
     def test_centralized_descent_oracle(self, toy_problem):
         # plain full-batch gradient descent must decrease the objective each step

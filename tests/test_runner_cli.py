@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fedsim import nn
+from fedsim import diagnostics, nn
 from fedsim.cli import main
 from fedsim.config import ExperimentConfig, config_text, parse_config
 from fedsim.diagnostics import read_history_csv
@@ -58,6 +58,31 @@ class TestRunExperiment:
         for name in ("rounds.csv", "final_model.bin", "partition.txt", "diagnostics.csv", "dissimilarity.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    def test_instrumentation_fields(self, tmp_path):
+        res = run_experiment(quick_cfg(eta=0.0, instrument_global_loss=True), 0, tmp_path / "r")
+        assert len(res.descent) == 4
+        # lr = 0: the model cannot move, so every round sees the same objective
+        assert len({d.loss_before for d in res.descent} | {d.loss_after for d in res.descent}) == 1
+        assert all(d.grad_sqnorm > 0 and d.lambda_hat == 0.0 for d in res.descent)
+
+    @pytest.mark.parametrize(
+        "instrument, dissimilarity, passes",
+        [(True, True, 5), (True, False, 5), (False, True, 4), (False, False, 0)],
+    )
+    def test_one_full_batch_pass_per_round(self, tmp_path, monkeypatch, instrument, dissimilarity, passes):
+        # 4 rounds: one pass per round when a diagnostic is on, one more for the final loss
+        rows_seen = []
+
+        def counting(arch, values, features, labels):
+            rows_seen.append(features.shape[0])
+            return nn.loss_and_grad(arch, values, features, labels)
+
+        monkeypatch.setattr(diagnostics, "loss_and_grad", counting)
+        cfg = quick_cfg(instrument_global_loss=instrument, emit_dissimilarity=dissimilarity)
+        run_experiment(cfg, 0, tmp_path / "r")
+        client_rows = [len(c.data) for c in build_problem(cfg, 0).clients]
+        assert sorted(rows_seen) == sorted(client_rows * passes)
+
     def test_manifest_reparses_to_the_run_config(self, tmp_path):
         cfg = quick_cfg(seeds=(5, 6))
         run_experiment(cfg, 5, tmp_path / "r")
@@ -109,6 +134,19 @@ class TestSweep:
         assert float(mean_row.split(",")[2]) == pytest.approx(np.mean(finals), rel=1e-12)
         stdev_row = next(line for line in summary if line.startswith("stdev,"))
         assert float(stdev_row.split(",")[2]) == pytest.approx(np.std(finals, ddof=1), rel=1e-12)
+
+    @pytest.mark.parametrize("overrides", [dict(test_per_class=0), dict(rounds=0)])
+    def test_summary_blank_where_a_final_accuracy_is_nan(self, tmp_path, capsys, overrides):
+        out = tmp_path / "sweep"
+        path = tmp_path / "exp.cfg"
+        path.write_text(config_text(quick_cfg(seeds=(1, 2), output_dir=str(out), **overrides)))
+        assert main(["run", str(path)]) == 0
+        rows = [line.split(",") for line in (out / "sweep_summary.csv").read_text().splitlines()]
+        assert [r[0] for r in rows] == ["seed", "1", "2", "mean", "stdev"]
+        # the test set (or every round) is missing: no test accuracy, so blank cells
+        assert all(r[2] == "" for r in rows[1:])
+        server_measured = overrides.get("rounds", 4) > 0
+        assert all((r[1] != "") == server_measured for r in rows[1:])
 
 
 class TestCli:
