@@ -113,13 +113,17 @@ def _cmd_plotdata(args) -> int:
 
 
 def _check_gradients() -> bool:
+    """The gradient of the kernel that training and diagnostics run, against
+    central differences of its own loss."""
     for seed in (0, 1, 2):
         rng = np.random.default_rng(seed)
         arch = nn.ModelArch((4, 6, 3))
-        model = nn.init_model(arch, seed)
-        batch = nn.Batch(rng.standard_normal((6, 4)), rng.integers(0, 3, 6))
-        analytic = nn.backward(model, batch)
-        numeric = nn.finite_diff_grad(model, batch)
+        values = nn.init_model(arch, seed).values
+        features, labels = rng.standard_normal((6, 4)), rng.integers(0, 3, 6)
+        analytic = nn.loss_and_grad(arch, values, features, labels)[1]
+        numeric = nn.central_difference(
+            lambda v: nn.loss_and_grad(arch, v, features, labels)[0], values, 1e-3
+        )
         denom = max(float(np.max(np.abs(numeric))), 1e-12)
         if float(np.max(np.abs(analytic - numeric))) / denom >= 1e-4:
             return False

@@ -1,8 +1,11 @@
 """Experiment configuration: `key = value` files, defaults, strict validation.
 
-Unknown keys are rejected and every constraint is checked at parse time so a
-run can never fail on a bad knob after compute has started. The resolved
-config can be serialized back to text and reparsed into an equal object.
+Every `ExperimentConfig` field is one key, named after the field (`lam` is
+written `lambda`), and its annotation picks how the value is parsed and
+formatted. Unknown keys are rejected and every constraint is checked at parse
+time so a run can never fail on a bad knob after compute has started. The
+resolved config can be serialized back to text and reparsed into an equal
+object.
 """
 
 from __future__ import annotations
@@ -100,18 +103,6 @@ class ExperimentConfig:
         return replace(self, seed=seed, seeds=(seed,))
 
 
-def _parse_int(text: str) -> int:
-    return int(text)
-
-
-def _parse_float(text: str) -> float:
-    return float(text)
-
-
-def _parse_str(text: str) -> str:
-    return text
-
-
 def _parse_bool(text: str) -> bool:
     if text == "true":
         return True
@@ -126,37 +117,19 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(tok.strip()) for tok in text.split(","))
 
 
-# config key -> (dataclass field, value parser)
-_SCHEMA: dict[str, tuple[str, object]] = {
-    "dataset": ("dataset", _parse_str),
-    "num_classes": ("num_classes", _parse_int),
-    "samples_per_class": ("samples_per_class", _parse_int),
-    "input_dim": ("input_dim", _parse_int),
-    "cluster_spread": ("cluster_spread", _parse_float),
-    "hidden": ("hidden", _parse_int_list),
-    "clients": ("clients", _parse_int),
-    "beta": ("beta", _parse_float),
-    "server_per_class": ("server_per_class", _parse_int),
-    "test_per_class": ("test_per_class", _parse_int),
-    "strategy": ("strategy", _parse_str),
-    "lambda": ("lam", _parse_float),
-    "mu_prox": ("mu_prox", _parse_float),
-    "penalty_mode": ("penalty_mode", _parse_str),
-    "tau": ("tau", _parse_float),
-    "local_epochs": ("local_epochs", _parse_int),
-    "batch_size": ("batch_size", _parse_int),
-    "eta": ("eta", _parse_float),
-    "momentum": ("momentum", _parse_float),
-    "weight_decay": ("weight_decay", _parse_float),
-    "rounds": ("rounds", _parse_int),
-    "seed": ("seed", _parse_int),
-    "seeds": ("seeds", _parse_int_list),
-    "output_dir": ("output_dir", _parse_str),
-    "instrument_global_loss": ("instrument_global_loss", _parse_bool),
-    "emit_dissimilarity": ("emit_dissimilarity", _parse_bool),
+# field annotation (a string, under `from __future__ import annotations`) ->
+# (parser, formatter); each formatter is its parser's inverse
+_TEXT_FORMS = {
+    "str": (str, str),
+    "int": (int, str),
+    "float": (float, repr),
+    "bool": (_parse_bool, lambda value: "true" if value else "false"),
+    "tuple[int, ...]": (_parse_int_list, lambda value: ",".join(str(v) for v in value)),
 }
 
-_FIELD_TO_KEY = {field: key for key, (field, _) in _SCHEMA.items()}
+# the config key is the field name, except where the name is a Python keyword
+_FIELD_TO_KEY = {f.name: "lambda" if f.name == "lam" else f.name for f in fields(ExperimentConfig)}
+_KEY_TO_FIELD = {_FIELD_TO_KEY[f.name]: f for f in fields(ExperimentConfig)}
 
 
 def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
@@ -171,16 +144,16 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _SCHEMA:
+        if key not in _KEY_TO_FIELD:
             raise ConfigError(f"{source}: line {lineno}: unknown key {key!r}")
         if key in seen:
             raise ConfigError(
                 f"{source}: line {lineno}: duplicate key {key!r} (first set on line {seen[key]})"
             )
         seen[key] = lineno
-        field_name, parser = _SCHEMA[key]
+        f = _KEY_TO_FIELD[key]
         try:
-            values[field_name] = parser(value)
+            values[f.name] = _TEXT_FORMS[f.type][0](value)
         except ValueError as exc:
             raise ConfigError(f"{source}: line {lineno}: bad value for {key!r}: {exc}") from None
     try:
@@ -193,28 +166,17 @@ def parse_config(path) -> ExperimentConfig:
     try:
         with open(path) as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     return parse_config_text(text, source=str(path))
 
 
-def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, tuple):
-        return ",".join(str(v) for v in value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def config_text(cfg: ExperimentConfig) -> str:
     """Canonical echo of the resolved config; reparses to an equal object."""
-    lines = []
-    for f in fields(cfg):
-        key = _FIELD_TO_KEY[f.name]
-        lines.append(f"{key} = {_format_value(getattr(cfg, f.name))}")
-    return "\n".join(lines) + "\n"
+    return "".join(
+        f"{_FIELD_TO_KEY[f.name]} = {_TEXT_FORMS[f.type][1](getattr(cfg, f.name))}\n"
+        for f in fields(cfg)
+    )
 
 
 def write_config(cfg: ExperimentConfig, path) -> None:

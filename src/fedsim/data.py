@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,8 +78,6 @@ class Partition:
     """Per-client index lists into one dataset; disjoint and nonempty."""
 
     client_indices: tuple[tuple[int, ...], ...]
-    beta: float
-    seed: int
 
     def __post_init__(self) -> None:
         seen: set[int] = set()
@@ -92,9 +91,6 @@ class Partition:
     @property
     def num_clients(self) -> int:
         return len(self.client_indices)
-
-    def sizes(self) -> list[int]:
-        return [len(idxs) for idxs in self.client_indices]
 
 
 @dataclass(frozen=True)
@@ -142,7 +138,7 @@ def load_csv(path) -> LabeledDataset:
     try:
         with open(path, newline="") as fh:
             rows = [row for row in csv.reader(fh) if row]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read dataset {path}: {exc}") from None
     if not rows:
         raise DataError(f"{path}: file is empty")
@@ -159,8 +155,8 @@ def load_csv(path) -> LabeledDataset:
             label = float(row[0])
         except ValueError:
             raise DataError(f"{path}: row {lineno} has non-numeric label {row[0]!r}") from None
-        if label != int(label):
-            raise DataError(f"{path}: row {lineno} label {row[0]!r} is not an integer")
+        if not (math.isfinite(label) and label == int(label) and -(2**63) <= label < 2**63):
+            raise DataError(f"{path}: row {lineno} label {row[0]!r} is not a 64-bit integer")
         raw_labels[i] = int(label)
         try:
             features[i] = [float(cell) for cell in row[1:]]
@@ -227,9 +223,7 @@ def dirichlet_partition(
                 start += cnt
         if degenerate or any(len(idxs) == 0 for idxs in per_client):
             continue
-        return Partition(
-            tuple(tuple(idxs) for idxs in per_client), beta=beta, seed=seed
-        )
+        return Partition(tuple(tuple(idxs) for idxs in per_client))
     raise PartitionError(
         f"no nonempty partition after {_MAX_PARTITION_RETRIES} attempts; "
         "use a larger dataset or a larger beta"

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -34,11 +34,10 @@ GRAD_NORM_TOL = 1e-12
 
 @dataclass(frozen=True)
 class DissimilarityReport:
-    round: int
-    client_ratios: tuple[float, ...]
+    client_ratios: dict[int, float]
     max_ratio: float
-    grad_ratio: float | None = None
-    flags: tuple[str, ...] = ()
+    grad_ratio: float | None
+    flags: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -74,26 +73,30 @@ class TheoremConstants:
 
 
 def dissimilarity_B(
-    global_acc: float, client_accs: Sequence[float], round_index: int = 0
+    global_acc: float, client_accs: Mapping[int, float], grad_ratio: float | None
 ) -> DissimilarityReport:
-    """Accuracy-ratio dissimilarity P/p_k per client; p_k = 0 yields an
-    infinity sentinel and a flag rather than an error."""
+    """Accuracy-ratio dissimilarity P/p_k per client id, beside the gradient
+    ratio from full_batch_pass. p_k = 0 yields an infinity sentinel and a
+    flag naming the client rather than an error; a None gradient ratio
+    (undefined) is flagged after those."""
     if not 0.0 <= global_acc <= 1.0:
         raise DataError("global accuracy must lie in [0, 1]")
-    ratios: list[float] = []
+    ratios: dict[int, float] = {}
     flags: list[str] = []
-    for k, p_k in enumerate(client_accs):
+    for cid, p_k in client_accs.items():
         if not 0.0 <= p_k <= 1.0:
             raise DataError(f"client accuracy {p_k} out of [0, 1]")
         if p_k == 0.0:
-            ratios.append(math.inf)
-            flags.append(f"client_{k}_zero_accuracy")
+            ratios[cid] = math.inf
+            flags.append(f"client_{cid}_zero_accuracy")
         else:
-            ratios.append(global_acc / p_k)
+            ratios[cid] = global_acc / p_k
+    if grad_ratio is None:
+        flags.append("grad_ratio_undefined")
     return DissimilarityReport(
-        round=round_index,
-        client_ratios=tuple(ratios),
-        max_ratio=max(ratios) if ratios else math.nan,
+        client_ratios=ratios,
+        max_ratio=max(ratios.values()) if ratios else math.nan,
+        grad_ratio=grad_ratio,
         flags=tuple(flags),
     )
 
@@ -153,13 +156,6 @@ def gradient_dissimilarity(
     return full_batch_pass(model, datasets, sizes)[2]
 
 
-def attach_grad_ratio(report: DissimilarityReport, grad_ratio: float | None) -> DissimilarityReport:
-    flags = report.flags
-    if grad_ratio is None:
-        flags = flags + ("grad_ratio_undefined",)
-    return replace(report, grad_ratio=grad_ratio, flags=flags)
-
-
 def descent_check(
     losses: Sequence[float], grad_sqnorms: Sequence[float], final_loss: float
 ) -> list[DescentRecord]:
@@ -216,23 +212,17 @@ def theorem_constant(c: TheoremConstants) -> float:
 def read_history_csv(path) -> list[dict[str, str]]:
     """Rows of a per-round metrics CSV as string dicts, header-validated."""
     try:
-        fh = open(path, newline="")
-    except OSError as exc:
+        with open(path, newline="") as fh:
+            table = list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read history {path}: {exc}") from None
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty history file") from None
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DataError(
-                    f"{path}: line {lineno} has {len(row)} cells, expected {len(header)}"
-                )
-            rows.append(dict(zip(header, row)))
-    return rows
+    if not table:
+        raise DataError(f"{path}: empty history file")
+    header = table[0]
+    for lineno, row in enumerate(table[1:], start=2):
+        if len(row) != len(header):
+            raise DataError(f"{path}: line {lineno} has {len(row)} cells, expected {len(header)}")
+    return [dict(zip(header, row)) for row in table[1:]]
 
 
 def rounds_to_target(

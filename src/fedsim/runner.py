@@ -36,13 +36,7 @@ from .data import (
     partition_stats,
     write_partition_manifest,
 )
-from .diagnostics import (
-    DescentRecord,
-    attach_grad_ratio,
-    descent_check,
-    dissimilarity_B,
-    full_batch_pass,
-)
+from .diagnostics import DescentRecord, descent_check, dissimilarity_B, full_batch_pass
 
 # perfbench/spans.py traces this name in this module's namespace
 from .diagnostics import gradient_dissimilarity  # noqa: F401
@@ -62,7 +56,6 @@ class Problem:
     train_pool: LabeledDataset
     partition: Partition
     clients: list[ClientState]
-    arch: ModelArch
     server: ServerState
 
 
@@ -90,7 +83,9 @@ def build_problem(cfg: ExperimentConfig, seed: int) -> Problem:
 
     server_set, rest = build_server_set(pool, cfg.server_per_class, seed)
     if cfg.test_per_class > 0:
-        # reuse the balanced-carve machinery; seed+1 keeps the draw distinct
+        # seed+1 keeps this draw apart from this seed's server carve, but it is
+        # also seed+1's server-carve stream: a known collision, kept because
+        # removing it changes every trajectory
         test_holdout, train_pool = build_server_set(rest, cfg.test_per_class, seed + 1)
         test_set: LabeledDataset | None = test_holdout.data
     else:
@@ -111,7 +106,6 @@ def build_problem(cfg: ExperimentConfig, seed: int) -> Problem:
         train_pool=train_pool,
         partition=partition,
         clients=clients,
-        arch=arch,
         server=server,
     )
 
@@ -165,15 +159,10 @@ def _write_dissimilarity_csv(
 ) -> None:
     lines = ["round,grad_ratio,max_acc_ratio,acc_ratios,flags"]
     for rec, grad_ratio in zip(records, grad_ratios):
-        report = dissimilarity_B(
-            rec.global_acc_server,
-            [rec.measured_accuracies[cid] for cid in rec.selected],
-            round_index=rec.round,
-        )
-        report = attach_grad_ratio(report, grad_ratio)
+        report = dissimilarity_B(rec.global_acc_server, rec.measured_accuracies, grad_ratio)
         ratios = ";".join(
             f"{cid}:inf" if math.isinf(r) else f"{cid}:{_fmt(r)}"
-            for cid, r in zip(rec.selected, report.client_ratios)
+            for cid, r in report.client_ratios.items()
         )
         lines.append(
             ",".join(

@@ -211,11 +211,9 @@ def test_criterion_6_dissimilarity_sanity():
     server = engine.ServerState(model, server_set)
     train = engine.TrainConfig(local_epochs=1, batch_size=16, seed=0)
     _new, rec = engine.run_round(server, twins, engine.StrategyConfig("fedpdc"), train)
-    acc_report = dissimilarity_B(
-        rec.global_acc_server, [rec.measured_accuracies[c] for c in rec.selected]
-    )
-    ok = all(r == 1.0 for r in acc_report.client_ratios)
     b_same = gradient_dissimilarity(model, [shared, shared], [len(shared)] * 2)
+    acc_report = dissimilarity_B(rec.global_acc_server, rec.measured_accuracies, b_same)
+    ok = all(r == 1.0 for r in acc_report.client_ratios.values())
     ok &= abs(b_same - 1.0) < 1e-9
 
     rng = np.random.default_rng(6)

@@ -1,3 +1,7 @@
+import re
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 
 from fedsim.config import ExperimentConfig, config_text, parse_config, parse_config_text
@@ -87,6 +91,39 @@ class TestRoundTrip:
         )
         assert parse_config_text(config_text(cfg)) == cfg
 
+    def test_every_field_round_trips(self):
+        cfg = ExperimentConfig(
+            dataset="data/points.csv",
+            num_classes=5,
+            samples_per_class=30,
+            input_dim=3,
+            cluster_spread=0.125,
+            hidden=(),
+            clients=7,
+            beta=0.1,
+            server_per_class=4,
+            test_per_class=0,
+            strategy="fedpdc_adaptive",
+            lam=0.3,
+            mu_prox=0.2,
+            penalty_mode="scaled_ce",
+            tau=0.5,
+            local_epochs=2,
+            batch_size=8,
+            eta=0.1,
+            momentum=0.5,
+            weight_decay=0.0,
+            rounds=0,
+            seed=3,
+            seeds=(4, 1),
+            output_dir="out dir",
+            instrument_global_loss=True,
+            emit_dissimilarity=True,
+        )
+        unchanged = [f.name for f in fields(cfg) if getattr(cfg, f.name) == f.default]
+        assert unchanged == []
+        assert parse_config_text(config_text(cfg)) == cfg
+
     def test_key_value_layout(self):
         text = config_text(ExperimentConfig())
         assert "eta = 0.01" in text
@@ -105,3 +142,15 @@ def test_strategy_and_train_views():
 def test_seeds_list_falls_back_to_seed():
     assert ExperimentConfig(seed=4).seeds_list() == (4,)
     assert ExperimentConfig(seeds=(7, 8)).seeds_list() == (7, 8)
+
+
+def test_readme_table_lists_every_key_with_its_default():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    documented = {}
+    for row in re.findall(r"^\| (`.+?) \| (.+?) \|", readme, flags=re.M):
+        keys = [k.strip("` ") for k in row[0].split(",")]
+        defaults = [d.strip("` ") for d in row[1].split(",")]
+        assert len(keys) == len(defaults), row
+        documented.update(zip(keys, ("" if d == "empty" else d for d in defaults)))
+    emitted = dict(line.split(" = ") for line in config_text(ExperimentConfig()).splitlines())
+    assert documented == emitted

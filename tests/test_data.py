@@ -77,6 +77,13 @@ class TestCsv:
         with pytest.raises(DataError, match="row 1"):
             load_csv(path)
 
+    @pytest.mark.parametrize("label", ["nan", "inf", "-inf", "1e20", "1.5"])
+    def test_label_not_an_int64_names_row(self, tmp_path, label):
+        path = tmp_path / "d.csv"
+        path.write_text(f"1,0.5\n{label},0.25\n")
+        with pytest.raises(DataError, match=f"row 2 label '{label}'"):
+            load_csv(path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("")
@@ -191,13 +198,13 @@ class TestPartitionStats:
 
 def test_partition_type_rejects_overlap_and_empty():
     with pytest.raises(PartitionError):
-        Partition(((0, 1), (1, 2)), beta=1.0, seed=0)
+        Partition(((0, 1), (1, 2)))
     with pytest.raises(PartitionError):
-        Partition(((0, 1), ()), beta=1.0, seed=0)
+        Partition(((0, 1), ()))
 
 
 def test_manifest_format(tmp_path):
-    part = Partition(((3, 0), (2, 5)), beta=1.0, seed=0)
+    part = Partition(((3, 0), (2, 5)))
     path = tmp_path / "partition.txt"
     write_partition_manifest(part, path)
     assert path.read_text() == "0: 0,3\n1: 2,5\n"

@@ -26,27 +26,38 @@ from fedsim.errors import ConfigError, DataError, DiagnosticsError, DivergenceEr
 
 class TestAccuracyRatio:
     def test_equal_accuracies_give_unit_ratio(self):
-        report = dissimilarity_B(0.8, [0.8, 0.8, 0.8])
-        assert report.client_ratios == (1.0, 1.0, 1.0)
+        report = dissimilarity_B(0.8, {0: 0.8, 1: 0.8, 2: 0.8}, 1.5)
+        assert report.client_ratios == {0: 1.0, 1: 1.0, 2: 1.0}
         assert report.max_ratio == 1.0
+        assert (report.grad_ratio, report.flags) == (1.5, ())
 
     def test_ratio_arithmetic(self):
-        report = dissimilarity_B(0.9, [0.45, 0.9])
-        assert report.client_ratios == (2.0, 1.0)
+        report = dissimilarity_B(0.9, {0: 0.45, 1: 0.9}, 1.0)
+        assert report.client_ratios == {0: 2.0, 1: 1.0}
         assert report.max_ratio == 2.0
 
     def test_zero_accuracy_yields_flagged_sentinel(self):
-        report = dissimilarity_B(0.5, [0.0, 0.5])
+        report = dissimilarity_B(0.5, {0: 0.0, 1: 0.5}, 1.0)
         assert math.isinf(report.client_ratios[0])
-        assert any("zero_accuracy" in f for f in report.flags)
+        assert report.flags == ("client_0_zero_accuracy",)
+
+    def test_flags_name_client_ids_then_undefined_grad_ratio(self):
+        report = dissimilarity_B(0.5, {7: 0.5, 2: 0.0, 5: 0.0}, None)
+        assert list(report.client_ratios) == [7, 2, 5]
+        assert report.grad_ratio is None
+        assert report.flags == (
+            "client_2_zero_accuracy",
+            "client_5_zero_accuracy",
+            "grad_ratio_undefined",
+        )
 
     def test_ratio_at_least_one_when_local_below_global(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             global_acc = rng.uniform(0.1, 1.0)
             locals_ = rng.uniform(0.01, global_acc, 4)
-            report = dissimilarity_B(global_acc, list(locals_))
-            assert all(r >= 1.0 for r in report.client_ratios)
+            report = dissimilarity_B(global_acc, dict(enumerate(locals_)), 1.0)
+            assert all(r >= 1.0 for r in report.client_ratios.values())
 
 
 def client_datasets(beta, seed, classes=8, per_class=120, dim=16):

@@ -5,7 +5,14 @@ from fedsim import diagnostics, nn
 from fedsim.cli import main
 from fedsim.config import ExperimentConfig, config_text, parse_config
 from fedsim.diagnostics import read_history_csv
-from fedsim.runner import ROUND_CSV_HEADER, build_problem, run_experiment, run_sweep
+from fedsim.engine import RoundRecord
+from fedsim.runner import (
+    ROUND_CSV_HEADER,
+    _write_dissimilarity_csv,
+    build_problem,
+    run_experiment,
+    run_sweep,
+)
 
 QUICK = dict(
     num_classes=3,
@@ -116,6 +123,25 @@ class TestRunExperiment:
         assert res.records[-1].global_acc_test > 0.9
 
 
+def test_dissimilarity_flags_name_client_ids(tmp_path):
+    # tau < 1: client 5 is the second selected client, not client 1
+    rec = RoundRecord(
+        round=3,
+        selected=(2, 5),
+        sent_accuracies={2: 1.0, 5: 1.0},
+        measured_accuracies={2: 0.5, 5: 0.0},
+        agg_weights={2: 1.0, 5: 0.0},
+        mean_local_loss=0.7,
+        global_acc_server=0.25,
+        global_acc_test=0.25,
+    )
+    path = tmp_path / "dissimilarity.csv"
+    _write_dissimilarity_csv([rec], [None], path)
+    assert path.read_text().splitlines()[1] == (
+        "3,,inf,2:0.5;5:inf,client_5_zero_accuracy;grad_ratio_undefined"
+    )
+
+
 class TestSweep:
     def test_single_seed_sweep_equals_direct_run(self, tmp_path):
         cfg = quick_cfg(seed=3, output_dir=str(tmp_path / "sweep"))
@@ -217,6 +243,47 @@ class TestCli:
         assert main(["check"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out and out.count("PASS") == 3
+
+    def test_check_fails_on_a_wrong_training_gradient(self, monkeypatch, capsys):
+        exact = nn.loss_and_grad
+
+        def skewed(*args):
+            ce, grad = exact(*args)
+            return ce, grad * 1.01
+
+        monkeypatch.setattr(nn, "loss_and_grad", skewed)
+        assert main(["check"]) == 1
+        assert "FAIL  analytic gradient" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("label", ["nan", "inf"])
+    def test_non_finite_csv_label_exit_code(self, tmp_path, capsys, label):
+        data = tmp_path / "d.csv"
+        data.write_text("".join(f"{i % 2},{i},{-i}\n" for i in range(40)) + f"{label},0,0\n")
+        cfg = self.write_cfg(tmp_path, dataset=str(data), output_dir=str(tmp_path / "runs"))
+        assert main(["run", str(cfg)]) == 3
+        assert f"row 41 label '{label}'" in capsys.readouterr().err
+
+    def test_undecodable_config_exit_code(self, tmp_path, capsys):
+        bad_cfg = tmp_path / "bad.cfg"
+        bad_cfg.write_bytes(b"rounds = 2\n# caf\xff\n")
+        assert main(["run", str(bad_cfg)]) == 2
+        assert "cannot read config" in capsys.readouterr().err
+
+    # a byte that is not UTF-8, and a cell beyond the csv module's field limit
+    @pytest.mark.parametrize("cell", [b"\xff", b"1" * 200_000], ids=["not_utf8", "over_limit"])
+    def test_unreadable_csv_exit_codes(self, tmp_path, capsys, cell):
+        data = tmp_path / "d.csv"
+        data.write_bytes(b"0,1.0\n1," + cell + b"\n")
+        cfg = self.write_cfg(tmp_path, dataset=str(data), output_dir=str(tmp_path / "runs"))
+        assert main(["run", str(cfg)]) == 3
+        assert "cannot read dataset" in capsys.readouterr().err
+
+        run_dir = tmp_path / "r"
+        run_dir.mkdir()
+        (run_dir / "rounds.csv").write_bytes(ROUND_CSV_HEADER.encode() + b"\n0," + cell + b"\n")
+        for command in ("compare", "plotdata"):
+            assert main([command, str(run_dir)]) == 3
+            assert "cannot read history" in capsys.readouterr().err
 
     def test_compare_missing_run_dir(self, tmp_path, capsys):
         assert main(["compare", str(tmp_path / "ghost")]) == 3
