@@ -33,8 +33,6 @@ from .engine import (
     ClientState,
     RoundRecord,
     ServerState,
-    StrategyConfig,
-    TrainConfig,
     adaptive_lambda,
     local_loss,
     local_train,

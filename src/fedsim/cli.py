@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import engine, nn
-from .config import parse_config
+from .config import ExperimentConfig, parse_config
 from .data import SyntheticSpec, dirichlet_partition, generate_synthetic, partition_stats
 from .diagnostics import read_history_csv, rounds_to_target, speedup
 from .errors import (
@@ -131,15 +132,19 @@ def _check_gradients() -> bool:
 
 
 def _check_aggregation() -> bool:
+    """FedAvg weights are the size shares, the combined model is the weighted
+    sum of the models, and equal accuracies weigh the models equally."""
     rng = np.random.default_rng(7)
     arch = nn.ModelArch((3, 4, 2))
     models = [nn.ParamVector(arch, rng.standard_normal(nn.param_count(arch))) for _ in range(4)]
-    sizes = [10, 20, 30, 40]
-    weights = engine.fedavg_weights(sizes)
-    avg = engine._combine(models, weights)
-    stacked = np.stack([m.values for m in models])
-    if not np.allclose(avg.values, weights @ stacked, atol=0):
+    shares = [0.1, 0.2, 0.3, 0.4]
+    weights = engine.fedavg_weights([10, 20, 30, 40])
+    if not np.allclose(weights, shares, rtol=0, atol=1e-15):
         return False
+    loop_sum = sum(share * model.values for share, model in zip(shares, models))
+    if not np.allclose(engine._combine(models, weights).values, loop_sum, rtol=0, atol=1e-12):
+        return False
+    stacked = np.stack([m.values for m in models])
     equal = engine._combine(models, engine.fedpdc_weights([0.5, 0.5, 0.5, 0.5])[0])
     return bool(np.max(np.abs(equal.values - stacked.mean(axis=0))) < 1e-12)
 
@@ -151,15 +156,12 @@ def _check_reduction() -> bool:
         return False
     clients = [engine.ClientState(i, data.subset(idx)) for i, idx in enumerate(part.client_indices)]
     model = nn.init_model(nn.ModelArch((3, 5, 2)), 0)
-    train = engine.TrainConfig(local_epochs=2, batch_size=8, seed=3)
+    fedavg = ExperimentConfig(strategy="fedavg", local_epochs=2, batch_size=8, seed=3)
     finals = []
-    for strategy in (
-        engine.StrategyConfig("fedavg"),
-        engine.StrategyConfig("fedprox", mu_prox=0.0),
-    ):
+    for cfg in (fedavg, replace(fedavg, strategy="fedprox", mu_prox=0.0)):
         server = engine.ServerState(model, None)
         for _ in range(2):
-            server, _rec = engine.run_round(server, clients, strategy, train)
+            server, _rec = engine.run_round(server, clients, cfg)
         finals.append(server.model.values)
     return bool(np.array_equal(finals[0], finals[1]))
 

@@ -5,7 +5,8 @@ written `lambda`), and its annotation picks how the value is parsed and
 formatted. Unknown keys are rejected and every constraint is checked at parse
 time so a run can never fail on a bad knob after compute has started. The
 resolved config can be serialized back to text and reparsed into an equal
-object.
+object. The engine reads the strategy and training settings straight from a
+validated `ExperimentConfig`.
 """
 
 from __future__ import annotations
@@ -13,8 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 
-from .engine import StrategyConfig, TrainConfig
 from .errors import ConfigError
+
+STRATEGIES = ("fedavg", "fedprox", "fedpdc", "fedpdc_adaptive")
+PENALTY_MODES = ("literal", "scaled_ce")
 
 
 @dataclass(frozen=True)
@@ -51,9 +54,24 @@ class ExperimentConfig:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{_FIELD_TO_KEY[f.name]} must be finite, got {value!r}")
-        # engine dataclasses enforce their own domains; surface as ConfigError
-        self.strategy_config()
-        self.train_config(self.seed)
+        if self.strategy not in STRATEGIES:
+            raise ConfigError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
+        if self.penalty_mode not in PENALTY_MODES:
+            raise ConfigError(f"penalty_mode must be one of {PENALTY_MODES}")
+        if not 0.0 < self.tau <= 1.0:
+            raise ConfigError(f"tau must lie in (0, 1], got {self.tau}")
+        if self.lam < 0 or self.mu_prox < 0:
+            raise ConfigError("lambda and mu_prox must be >= 0")
+        if self.local_epochs < 0:
+            raise ConfigError("local_epochs must be >= 0")
+        if self.batch_size < 1:
+            raise ConfigError("batch_size must be >= 1")
+        if self.eta < 0:
+            raise ConfigError("eta must be >= 0")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ConfigError("momentum must lie in [0, 1)")
+        if self.weight_decay < 0:
+            raise ConfigError("weight_decay must be >= 0")
         if self.dataset == "synthetic":
             if self.num_classes < 1 or self.samples_per_class < 1 or self.input_dim < 1:
                 raise ConfigError("synthetic counts (num_classes, samples_per_class, input_dim) must be >= 1")
@@ -76,25 +94,6 @@ class ExperimentConfig:
         if len(set(self.seeds)) != len(self.seeds):
             # each seed owns one run directory; a repeat would overwrite it
             raise ConfigError(f"seeds must be distinct, got {self.seeds}")
-
-    def strategy_config(self) -> StrategyConfig:
-        return StrategyConfig(
-            strategy=self.strategy,
-            lam=self.lam,
-            mu_prox=self.mu_prox,
-            penalty_mode=self.penalty_mode,
-            tau=self.tau,
-        )
-
-    def train_config(self, seed: int) -> TrainConfig:
-        return TrainConfig(
-            local_epochs=self.local_epochs,
-            batch_size=self.batch_size,
-            lr=self.eta,
-            momentum=self.momentum,
-            weight_decay=self.weight_decay,
-            seed=seed,
-        )
 
     def seeds_list(self) -> tuple[int, ...]:
         return self.seeds if self.seeds else (self.seed,)

@@ -162,6 +162,8 @@ def load_csv(path) -> LabeledDataset:
             features[i] = [float(cell) for cell in row[1:]]
         except ValueError:
             raise DataError(f"{path}: row {lineno} has a non-numeric feature cell") from None
+        if not np.isfinite(features[i]).all():
+            raise DataError(f"{path}: row {lineno} has a non-finite feature cell")
     uniq = np.unique(raw_labels)
     dense = np.searchsorted(uniq, raw_labels)
     return LabeledDataset(features, dense, len(uniq))

@@ -1,10 +1,12 @@
 """Round-synchronous federated loop: sampling, local training, aggregation.
 
-A client's p is its public-set accuracy from the previous round, else 1.
-Every strategy aggregates through one path: fedavg_weights or
-fedpdc_weights feeding _combine. A round measures no diagnostics; the
-runner takes the global objective and the gradient dissimilarity at the
-pre-round model (fedsim.diagnostics.full_batch_pass).
+Local training and the round loop read the strategy and SGD settings
+(lambda, mu_prox, penalty_mode, tau, eta, ...) from a validated
+ExperimentConfig. A client's p is its public-set accuracy from the
+previous round, else 1. Every strategy aggregates through one path:
+fedavg_weights or fedpdc_weights feeding _combine. A round measures no
+diagnostics; the runner takes the global objective and the gradient
+dissimilarity at the pre-round model (fedsim.diagnostics.full_batch_pass).
 
 Strategies:
   fedavg          size-weighted averaging of local models
@@ -27,6 +29,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .config import ExperimentConfig
 from .data import LabeledDataset, ServerSet
 from .errors import (
     AggregationError,
@@ -43,55 +46,6 @@ from .nn import ParamVector, cross_entropy, evaluate_accuracy, loss_and_grad
 from .diagnostics import global_objective  # noqa: F401
 from .nn import Batch, backward, forward, sgd_step  # noqa: F401
 from .seeding import TAG_LOCAL, TAG_SAMPLE, stream
-
-STRATEGIES = ("fedavg", "fedprox", "fedpdc", "fedpdc_adaptive")
-PENALTY_MODES = ("literal", "scaled_ce")
-
-
-@dataclass(frozen=True)
-class StrategyConfig:
-    strategy: str
-    lam: float = 1.0
-    mu_prox: float = 0.0
-    penalty_mode: str = "literal"
-    tau: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.strategy not in STRATEGIES:
-            raise ConfigError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
-        if self.penalty_mode not in PENALTY_MODES:
-            raise ConfigError(f"penalty_mode must be one of {PENALTY_MODES}")
-        if not 0.0 < self.tau <= 1.0:
-            raise ConfigError(f"tau must lie in (0, 1], got {self.tau}")
-        if self.lam < 0 or self.mu_prox < 0:
-            raise ConfigError("lam and mu_prox must be >= 0")
-
-    @property
-    def scores_on_server(self) -> bool:
-        return self.strategy in ("fedpdc", "fedpdc_adaptive")
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    local_epochs: int = 10
-    batch_size: int = 64
-    lr: float = 0.01
-    momentum: float = 0.9
-    weight_decay: float = 1e-5
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.local_epochs < 0:
-            raise ConfigError("local_epochs must be >= 0")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if self.lr < 0:
-            raise ConfigError("lr must be >= 0")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigError("momentum must lie in [0, 1)")
-        if self.weight_decay < 0:
-            raise ConfigError("weight_decay must be >= 0")
-
 
 @dataclass(frozen=True)
 class ClientState:
@@ -158,18 +112,18 @@ def sample_clients(num_clients: int, tau: float, round_index: int, seed: int) ->
     return tuple(sorted(int(c) for c in picked))
 
 
-def _resolve_strategy(strategy: StrategyConfig, p: float) -> tuple[float, GradRule]:
+def _resolve_strategy(cfg: ExperimentConfig, p: float) -> tuple[float, GradRule]:
     """The strategy's terms for a client with accuracy p: the constant its
     reported loss adds to the cross-entropy, and its gradient rule."""
     if not 0.0 <= p <= 1.0:
         raise StateError(f"accuracy p must lie in [0, 1], got {p}")
-    if strategy.strategy == "fedavg":
+    if cfg.strategy == "fedavg":
         return 0.0, GradRule()
-    if strategy.strategy == "fedprox":
-        return 0.0, GradRule(prox_weight=strategy.mu_prox)
+    if cfg.strategy == "fedprox":
+        return 0.0, GradRule(prox_weight=cfg.mu_prox)
     # fedpdc / fedpdc_adaptive
-    penalty = strategy.lam * (1.0 - p)
-    if strategy.penalty_mode == "literal":
+    penalty = cfg.lam * (1.0 - p)
+    if cfg.penalty_mode == "literal":
         # constant in w: reported loss includes it, the gradient does not
         return penalty, GradRule()
     return 0.0, GradRule(ce_scale=1.0 + penalty)
@@ -188,13 +142,13 @@ def _reported_loss(ce: float, penalty: float, rule: GradRule, diff: np.ndarray |
 def local_loss(
     logits: np.ndarray,
     labels: np.ndarray,
-    strategy: StrategyConfig,
+    cfg: ExperimentConfig,
     p: float,
     w: ParamVector,
     w_global: ParamVector,
 ) -> tuple[float, GradRule]:
     """Strategy loss on one batch plus the rule for building its gradient."""
-    penalty, rule = _resolve_strategy(strategy, p)
+    penalty, rule = _resolve_strategy(cfg, p)
     ce = cross_entropy(logits, labels)
     return _reported_loss(ce, penalty, rule, w.values - w_global.values), rule
 
@@ -217,8 +171,7 @@ def local_train(
     client: ClientState,
     w_global: ParamVector,
     p_in: float,
-    train: TrainConfig,
-    strategy: StrategyConfig,
+    cfg: ExperimentConfig,
     round_index: int,
 ) -> tuple[ParamVector, list[float]]:
     """Minibatch SGD on the strategy loss for local_epochs epochs.
@@ -228,13 +181,13 @@ def local_train(
     local model and every batch's reported loss in order.
 
     Each step does the arithmetic of local_loss, nn.backward and nn.sgd_step,
-    in their order, on plain arrays; p, the strategy and the client's data
-    are checked once, before the first step.
+    in their order, on plain arrays; p and the client's data are checked
+    once, before the first step.
     """
     arch = w_global.arch
     data = client.data
     n = len(data)
-    penalty, rule = _resolve_strategy(strategy, p_in)
+    penalty, rule = _resolve_strategy(cfg, p_in)
     if data.features.shape[1] != arch.input_dim:
         raise ShapeError(
             f"client {client.id} features have {data.features.shape[1]} columns, "
@@ -245,15 +198,15 @@ def local_train(
     anchor = w_global.values
     values = anchor.copy()
     buf = np.zeros_like(values)
-    rng = stream(TAG_LOCAL, train.seed, round_index)
+    rng = stream(TAG_LOCAL, cfg.seed, round_index)
     losses: list[float] = []
     # a diverging run overflows before the finiteness checks below turn it
     # into DivergenceError; keep numpy from warning on the way there
     with np.errstate(over="ignore", invalid="ignore"):
-        for _epoch in range(train.local_epochs):
+        for _epoch in range(cfg.local_epochs):
             perm = rng.permutation(n)
-            for start in range(0, n, train.batch_size):
-                idx = perm[start : start + train.batch_size]
+            for start in range(0, n, cfg.batch_size):
+                idx = perm[start : start + cfg.batch_size]
                 ce, grad = loss_and_grad(arch, values, data.features[idx], data.labels[idx])
                 diff = values - anchor if rule.prox_weight != 0.0 else None
                 loss = _reported_loss(ce, penalty, rule, diff)
@@ -264,10 +217,10 @@ def local_train(
                     grad *= rule.ce_scale
                 if rule.prox_weight != 0.0:
                     grad += rule.prox_weight * diff
-                buf *= train.momentum
+                buf *= cfg.momentum
                 buf += grad
-                buf += train.weight_decay * values
-                values -= train.lr * buf
+                buf += cfg.weight_decay * values
+                values -= cfg.eta * buf
                 if not np.isfinite(values).all():
                     raise _diverged(
                         "non-finite parameters", client.id, round_index, len(losses) - 1, losses
@@ -322,8 +275,7 @@ def _mean_or_nan(values: list[float]) -> float:
 def run_round(
     server: ServerState,
     clients: list[ClientState],
-    strategy: StrategyConfig,
-    train: TrainConfig,
+    cfg: ExperimentConfig,
     test_data: LabeledDataset | None = None,
 ) -> tuple[ServerState, RoundRecord]:
     """One communication round: sample, train locals, score, aggregate.
@@ -338,24 +290,21 @@ def run_round(
         raise StateError("clients must be listed in id order 0..N-1")
     if any(not 0 <= cid < num_clients for cid in server.prev_accuracies):
         raise StateError("previous accuracies name a client that does not exist")
-    has_server_set = server.server_set is not None and len(server.server_set) > 0
-    if strategy.scores_on_server and not has_server_set:
-        raise EvaluationError(f"{strategy.strategy} requires a nonempty server set")
+    has_server_set = server.server_set is not None
+    scores_on_server = cfg.strategy in ("fedpdc", "fedpdc_adaptive")
+    if scores_on_server and not has_server_set:
+        raise EvaluationError(f"{cfg.strategy} requires a server set")
+    if cfg.strategy == "fedpdc_adaptive":
+        cfg = replace(cfg, lam=adaptive_lambda(server.round + 1))
 
-    eff_strategy = strategy
-    if strategy.strategy == "fedpdc_adaptive":
-        eff_strategy = replace(strategy, lam=adaptive_lambda(server.round + 1))
-
-    selected = sample_clients(num_clients, strategy.tau, server.round, train.seed)
+    selected = sample_clients(num_clients, cfg.tau, server.round, cfg.seed)
     sent: dict[int, float] = {}
     local_models: dict[int, ParamVector] = {}
     per_client_loss: dict[int, float] = {}
     for cid in selected:
         p_in = server.prev_accuracies.get(cid, 1.0)
         sent[cid] = p_in
-        model_i, batch_losses = local_train(
-            clients[cid], server.model, p_in, train, eff_strategy, server.round
-        )
+        model_i, batch_losses = local_train(clients[cid], server.model, p_in, cfg, server.round)
         local_models[cid] = model_i
         per_client_loss[cid] = _mean_or_nan(batch_losses)
 
@@ -366,7 +315,7 @@ def run_round(
 
     flags: list[str] = []
     models = [local_models[cid] for cid in selected]
-    if eff_strategy.scores_on_server:
+    if scores_on_server:
         weights, fallback = fedpdc_weights([measured[cid] for cid in selected])
         if fallback:
             flags.append("uniform_weights_zero_accuracy")

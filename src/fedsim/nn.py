@@ -23,8 +23,6 @@ from .errors import (
 )
 from .seeding import TAG_INIT, stream
 
-ACTIVATIONS = ("relu",)
-
 CHECKPOINT_MAGIC = "fedsim-model v1"
 
 
@@ -33,7 +31,6 @@ class ModelArch:
     """Fully connected architecture; hidden layers use ReLU, output is raw logits."""
 
     layer_widths: tuple[int, ...]
-    activation: str = "relu"
 
     def __post_init__(self) -> None:
         widths = tuple(int(w) for w in self.layer_widths)
@@ -41,8 +38,6 @@ class ModelArch:
             raise ConfigError("architecture needs at least input and output widths")
         if any(w < 1 for w in widths):
             raise ConfigError(f"layer widths must be >= 1, got {widths}")
-        if self.activation not in ACTIVATIONS:
-            raise ConfigError(f"unknown activation {self.activation!r}")
         object.__setattr__(self, "layer_widths", widths)
 
     @property
@@ -337,10 +332,9 @@ def evaluate_accuracy(model: ParamVector, dataset: LabeledDataset) -> float:
     """
     if len(dataset) == 0:
         raise EvaluationError("cannot evaluate accuracy on an empty dataset")
-    num_classes = getattr(dataset, "num_classes", model.arch.output_dim)
-    if num_classes > model.arch.output_dim:
+    if dataset.num_classes > model.arch.output_dim:
         raise EvaluationError(
-            f"dataset has {num_classes} classes but the model outputs {model.arch.output_dim}"
+            f"dataset has {dataset.num_classes} classes but the model outputs {model.arch.output_dim}"
         )
     # a huge but finite model overflows here; report that as divergence
     with np.errstate(over="ignore", invalid="ignore"):

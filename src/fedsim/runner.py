@@ -183,10 +183,9 @@ def run_experiment(cfg: ExperimentConfig, seed: int, run_dir) -> RunResult:
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     problem = build_problem(cfg, seed)
-    strategy = cfg.strategy_config()
-    train = cfg.train_config(seed)
+    run_cfg = cfg.for_seed(seed)
 
-    write_config(cfg.for_seed(seed), run_dir / "manifest.txt")
+    write_config(run_cfg, run_dir / "manifest.txt")
     write_partition_manifest(problem.partition, run_dir / "partition.txt")
 
     server = problem.server
@@ -202,7 +201,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int, run_dir) -> RunResult:
             losses.append(loss)
             grad_sqnorms.append(float(grad @ grad))
             grad_ratios.append(ratio)
-        server, rec = run_round(server, problem.clients, strategy, train, test_data=problem.test_set)
+        server, rec = run_round(server, problem.clients, run_cfg, test_data=problem.test_set)
         records.append(rec)
 
     _write_rounds_csv(records, run_dir / "rounds.csv")
@@ -219,9 +218,9 @@ def run_experiment(cfg: ExperimentConfig, seed: int, run_dir) -> RunResult:
     return RunResult(run_dir=run_dir, records=records, server=server, descent=descent)
 
 
-def run_sweep(cfg: ExperimentConfig, out_root=None) -> list[RunResult]:
+def run_sweep(cfg: ExperimentConfig) -> list[RunResult]:
     """One run per configured seed; multi-seed sweeps get a summary CSV."""
-    root = Path(out_root) if out_root is not None else Path(cfg.output_dir)
+    root = Path(cfg.output_dir)
     root.mkdir(parents=True, exist_ok=True)
     write_config(cfg, root / "config.resolved.txt")
     results = [

@@ -9,6 +9,7 @@ module-scoped set of experiments: the 8-class Gaussian task (dim 16,
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -134,23 +135,29 @@ def _toy_federation(seed=2):
 
 def test_criterion_3_reduction_equivalences():
     server_set, clients, model = _toy_federation()
-    train = engine.TrainConfig(local_epochs=2, batch_size=16, seed=5)
+    fedavg = ExperimentConfig(strategy="fedavg", local_epochs=2, batch_size=16, seed=5)
     trajectories = []
-    for strat in (engine.StrategyConfig("fedavg"), engine.StrategyConfig("fedprox", mu_prox=0.0)):
+    for cfg in (fedavg, replace(fedavg, strategy="fedprox", mu_prox=0.0)):
         server = engine.ServerState(model, server_set)
         history = []
         for _ in range(10):
-            server, _ = engine.run_round(server, clients, strat, train)
+            server, _ = engine.run_round(server, clients, cfg)
             history.append(server.model.values)
         trajectories.append(history)
     bitwise = all(np.array_equal(a, b) for a, b in zip(*trajectories))
 
     full = max(len(c.data) for c in clients)
-    train1 = engine.TrainConfig(
-        local_epochs=1, batch_size=full, lr=0.05, momentum=0.0, weight_decay=0.0, seed=5
+    full_batch = ExperimentConfig(
+        strategy="fedavg",
+        local_epochs=1,
+        batch_size=full,
+        eta=0.05,
+        momentum=0.0,
+        weight_decay=0.0,
+        seed=5,
     )
     server = engine.ServerState(model, server_set)
-    stepped, _ = engine.run_round(server, clients, engine.StrategyConfig("fedavg"), train1)
+    stepped, _ = engine.run_round(server, clients, full_batch)
     _, grad = global_objective(model, [c.data for c in clients], [len(c.data) for c in clients])
     central_diff = float(np.max(np.abs(stepped.model.values - (model.values - 0.05 * grad))))
     report(
@@ -163,14 +170,10 @@ def test_criterion_3_reduction_equivalences():
 
 def test_criterion_4_literal_penalty_neutrality():
     _server_set, clients, model = _toy_federation(seed=3)
-    train = engine.TrainConfig(local_epochs=3, batch_size=16, seed=7)
+    cfg = ExperimentConfig(strategy="fedpdc", local_epochs=3, batch_size=16, seed=7)
     p = 0.3
-    m0, losses0 = engine.local_train(
-        clients[0], model, p, train, engine.StrategyConfig("fedpdc", lam=0.0), 1
-    )
-    m10, losses10 = engine.local_train(
-        clients[0], model, p, train, engine.StrategyConfig("fedpdc", lam=10.0), 1
-    )
+    m0, losses0 = engine.local_train(clients[0], model, p, replace(cfg, lam=0.0), 1)
+    m10, losses10 = engine.local_train(clients[0], model, p, replace(cfg, lam=10.0), 1)
     shift = 10.0 * (1.0 - p)
     ok = np.array_equal(m0.values, m10.values)
     ok &= len(losses0) == len(losses10) > 0
@@ -209,8 +212,8 @@ def test_criterion_6_dissimilarity_sanity():
     shared = clients[0].data
     twins = [engine.ClientState(0, shared), engine.ClientState(1, shared)]
     server = engine.ServerState(model, server_set)
-    train = engine.TrainConfig(local_epochs=1, batch_size=16, seed=0)
-    _new, rec = engine.run_round(server, twins, engine.StrategyConfig("fedpdc"), train)
+    cfg = ExperimentConfig(strategy="fedpdc", local_epochs=1, batch_size=16, seed=0)
+    _new, rec = engine.run_round(server, twins, cfg)
     b_same = gradient_dissimilarity(model, [shared, shared], [len(shared)] * 2)
     acc_report = dissimilarity_B(rec.global_acc_server, rec.measured_accuracies, b_same)
     ok = all(r == 1.0 for r in acc_report.client_ratios.values())

@@ -71,11 +71,23 @@ class TestValidation:
             "weight_decay = nan",
             "eta = inf",
             "cluster_spread = inf",
+            "lambda = -1",
+            "mu_prox = -1",
+            "tau = 0",
+            "local_epochs = -1",
+            "eta = -1",
+            "momentum = -0.1",
+            "weight_decay = -1",
         ],
     )
     def test_constraints_enforced_at_parse_time(self, line):
         with pytest.raises(ConfigError):
             parse_config_text(line + "\n")
+
+    @pytest.mark.parametrize("key", ["eta", "lambda"])
+    def test_negative_eta_and_lambda_errors_name_the_key(self, key):
+        with pytest.raises(ConfigError, match=rf"\b{key}\b.* must be >= 0"):
+            parse_config_text(f"{key} = -1\n")
 
 
 class TestRoundTrip:
@@ -129,14 +141,6 @@ class TestRoundTrip:
         assert "eta = 0.01" in text
         assert "instrument_global_loss = false" in text
         assert "hidden = 64" in text
-
-
-def test_strategy_and_train_views():
-    cfg = ExperimentConfig(strategy="fedprox", mu_prox=0.5, tau=0.4, eta=0.02)
-    strat = cfg.strategy_config()
-    assert (strat.strategy, strat.mu_prox, strat.tau) == ("fedprox", 0.5, 0.4)
-    train = cfg.train_config(seed=9)
-    assert (train.lr, train.seed) == (0.02, 9)
 
 
 def test_seeds_list_falls_back_to_seed():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import random_batch, random_model
 from fedsim import engine, nn
+from fedsim.config import ExperimentConfig
 from fedsim.data import LabeledDataset, ServerSet
 from fedsim.errors import (
     AggregationError,
@@ -59,44 +61,49 @@ class TestLocalLoss:
         self.ce = nn.cross_entropy(self.logits, self.batch.labels)
 
     def test_literal_penalty_arithmetic(self):
-        strat = engine.StrategyConfig("fedpdc", lam=1.0)
+        strat = ExperimentConfig(strategy="fedpdc", lam=1.0)
         loss, rule = engine.local_loss(self.logits, self.batch.labels, strat, 0.6, self.w, self.wg)
         assert loss == self.ce + 1.0 * (1.0 - 0.6)
         assert rule == engine.GradRule()
 
     def test_fresh_client_penalty_vanishes(self):
-        strat = engine.StrategyConfig("fedpdc", lam=5.0)
+        strat = ExperimentConfig(strategy="fedpdc", lam=5.0)
         loss, rule = engine.local_loss(self.logits, self.batch.labels, strat, 1.0, self.w, self.wg)
         assert loss == self.ce
         assert rule == engine.GradRule()
 
     def test_fedprox_zero_mu_reduces_to_fedavg(self):
         loss_prox, rule_prox = engine.local_loss(
-            self.logits, self.batch.labels, engine.StrategyConfig("fedprox", mu_prox=0.0), 0.5, self.w, self.wg
+            self.logits,
+            self.batch.labels,
+            ExperimentConfig(strategy="fedprox", mu_prox=0.0),
+            0.5,
+            self.w,
+            self.wg,
         )
         loss_avg, rule_avg = engine.local_loss(
-            self.logits, self.batch.labels, engine.StrategyConfig("fedavg"), 0.5, self.w, self.wg
+            self.logits, self.batch.labels, ExperimentConfig(strategy="fedavg"), 0.5, self.w, self.wg
         )
         assert loss_prox == loss_avg
         assert rule_prox == rule_avg
 
     def test_fedprox_quadratic_anchor(self):
         mu = 0.3
-        strat = engine.StrategyConfig("fedprox", mu_prox=mu)
+        strat = ExperimentConfig(strategy="fedprox", mu_prox=mu)
         loss, rule = engine.local_loss(self.logits, self.batch.labels, strat, 0.5, self.w, self.wg)
         diff = self.w.values - self.wg.values
         assert loss == self.ce + 0.5 * mu * float(diff @ diff)
         assert rule.prox_weight == mu
 
     def test_scaled_mode_scales_loss_and_gradient(self):
-        strat = engine.StrategyConfig("fedpdc", lam=2.0, penalty_mode="scaled_ce")
+        strat = ExperimentConfig(strategy="fedpdc", lam=2.0, penalty_mode="scaled_ce")
         loss, rule = engine.local_loss(self.logits, self.batch.labels, strat, 0.25, self.w, self.wg)
         scale = 1.0 + 2.0 * 0.75
         assert loss == scale * self.ce
         assert rule.ce_scale == scale
 
     def test_rejects_accuracy_out_of_range(self):
-        strat = engine.StrategyConfig("fedpdc")
+        strat = ExperimentConfig(strategy="fedpdc")
         with pytest.raises(StateError):
             engine.local_loss(self.logits, self.batch.labels, strat, 1.5, self.w, self.wg)
 
@@ -110,26 +117,32 @@ class TestLocalTrain:
     def test_zero_epochs_returns_global(self):
         client = self._client()
         w = random_model(nn.ModelArch((4, 5, 3)), seed=0)
-        train = engine.TrainConfig(local_epochs=0, seed=0)
-        model, losses = engine.local_train(client, w, 1.0, train, engine.StrategyConfig("fedavg"), 0)
+        cfg = ExperimentConfig(strategy="fedavg", local_epochs=0, seed=0)
+        model, losses = engine.local_train(client, w, 1.0, cfg, 0)
         assert np.array_equal(model.values, w.values)
         assert losses == []
 
     def test_zero_lr_returns_global(self):
         client = self._client()
         w = random_model(nn.ModelArch((4, 5, 3)), seed=0)
-        train = engine.TrainConfig(local_epochs=3, batch_size=8, lr=0.0, seed=0)
-        model, losses = engine.local_train(client, w, 1.0, train, engine.StrategyConfig("fedavg"), 0)
+        cfg = ExperimentConfig(strategy="fedavg", local_epochs=3, batch_size=8, eta=0.0, seed=0)
+        model, losses = engine.local_train(client, w, 1.0, cfg, 0)
         assert np.array_equal(model.values, w.values)
         assert len(losses) == 3 * 3  # 24 samples / batch 8 -> 3 batches per epoch
 
     def test_single_full_batch_epoch_matches_composition(self):
         client = self._client(seed=5)
         w = random_model(nn.ModelArch((4, 5, 3)), seed=5)
-        train = engine.TrainConfig(
-            local_epochs=1, batch_size=len(client.data), lr=0.05, momentum=0.0, weight_decay=0.0, seed=9
+        cfg = ExperimentConfig(
+            strategy="fedavg",
+            local_epochs=1,
+            batch_size=len(client.data),
+            eta=0.05,
+            momentum=0.0,
+            weight_decay=0.0,
+            seed=9,
         )
-        model, _ = engine.local_train(client, w, 1.0, train, engine.StrategyConfig("fedavg"), 4)
+        model, _ = engine.local_train(client, w, 1.0, cfg, 4)
         # oracle: replicate the documented shuffle stream, then one backward+sgd_step
         perm = stream(TAG_LOCAL, 9, 4).permutation(len(client.data))
         batch = nn.Batch(client.data.features[perm], client.data.labels[perm])
@@ -142,17 +155,21 @@ class TestLocalTrain:
     def test_update_overflow_is_divergence(self):
         client = self._client()
         w = random_model(nn.ModelArch((4, 5, 3)), seed=0)
-        train = engine.TrainConfig(local_epochs=1, batch_size=8, lr=1e308, momentum=0.0, seed=0)
+        cfg = ExperimentConfig(
+            strategy="fedavg", local_epochs=1, batch_size=8, eta=1e308, momentum=0.0, seed=0
+        )
         with pytest.raises(DivergenceError, match="client 0"):
-            engine.local_train(client, w, 1.0, train, engine.StrategyConfig("fedavg"), 0)
+            engine.local_train(client, w, 1.0, cfg, 0)
 
     @pytest.mark.filterwarnings("error")
     def test_divergence_names_client_and_round(self):
         client = self._client()
         w = random_model(nn.ModelArch((4, 5, 3)), seed=0)
-        train = engine.TrainConfig(local_epochs=5, batch_size=8, lr=1e150, momentum=0.0, seed=0)
+        cfg = ExperimentConfig(
+            strategy="fedavg", local_epochs=5, batch_size=8, eta=1e150, momentum=0.0, seed=0
+        )
         with pytest.raises(DivergenceError, match=r"client 0 .* round 2"):
-            engine.local_train(client, w, 1.0, train, engine.StrategyConfig("fedavg"), 2)
+            engine.local_train(client, w, 1.0, cfg, 2)
 
     @pytest.mark.filterwarnings("error")
     def test_divergence_error_carries_client_round_step_and_last_loss(self):
@@ -164,11 +181,11 @@ class TestLocalTrain:
         client = engine.ClientState(3, data)
         arch = nn.ModelArch((4, 3))
         w = nn.ParamVector(arch, np.ones(nn.param_count(arch)))
-        train = engine.TrainConfig(
-            local_epochs=1, batch_size=8, lr=1.0, momentum=0.0, weight_decay=1e200, seed=0
+        cfg = ExperimentConfig(
+            strategy="fedavg", local_epochs=1, batch_size=8, eta=1.0, momentum=0.0, weight_decay=1e200, seed=0
         )
         with pytest.raises(DivergenceError, match=r"client 3 .* round 5 at step 1") as info:
-            engine.local_train(client, w, 1.0, train, engine.StrategyConfig("fedavg"), 5)
+            engine.local_train(client, w, 1.0, cfg, 5)
         perm = stream(TAG_LOCAL, 0, 5).permutation(16)
         first = nn.Batch(data.features[perm[:8]], data.labels[perm[:8]])
         second = nn.Batch(data.features[perm[8:]], data.labels[perm[8:]])
@@ -182,55 +199,54 @@ class TestLocalTrain:
         deep = nn.ModelArch((4, 5, 3))
         huge = nn.ParamVector(deep, np.full(nn.param_count(deep), 1e200))
         with pytest.raises(DivergenceError, match="non-finite loss") as info:
-            engine.local_train(client, huge, 1.0, train, engine.StrategyConfig("fedavg"), 5)
+            engine.local_train(client, huge, 1.0, cfg, 5)
         assert (info.value.client, info.value.round, info.value.step) == (3, 5, 0)
         assert info.value.last_finite_loss is None
 
     def test_rejects_accuracy_out_of_range(self):
         w = random_model(nn.ModelArch((4, 5, 3)), seed=0)
-        train = engine.TrainConfig(local_epochs=1, batch_size=8, seed=0)
+        cfg = ExperimentConfig(strategy="fedpdc", local_epochs=1, batch_size=8, seed=0)
         with pytest.raises(StateError):
-            engine.local_train(self._client(), w, 1.5, train, engine.StrategyConfig("fedpdc"), 0)
+            engine.local_train(self._client(), w, 1.5, cfg, 0)
 
     def test_rejects_labels_beyond_model_outputs(self):
         rng = np.random.default_rng(0)
         data = LabeledDataset(rng.standard_normal((24, 4)), np.arange(24) % 3, 3)
         w = random_model(nn.ModelArch((4, 5, 2)), seed=0)
-        train = engine.TrainConfig(local_epochs=1, batch_size=8, seed=0)
+        cfg = ExperimentConfig(strategy="fedavg", local_epochs=1, batch_size=8, seed=0)
         with pytest.raises(DataError):
-            engine.local_train(engine.ClientState(0, data), w, 1.0, train, engine.StrategyConfig("fedavg"), 0)
+            engine.local_train(engine.ClientState(0, data), w, 1.0, cfg, 0)
 
     def test_rejects_feature_width_mismatch(self):
         w = random_model(nn.ModelArch((5, 5, 3)), seed=0)
-        train = engine.TrainConfig(local_epochs=1, batch_size=8, seed=0)
+        cfg = ExperimentConfig(strategy="fedavg", local_epochs=1, batch_size=8, seed=0)
         with pytest.raises(ShapeError):
-            engine.local_train(self._client(dim=4), w, 1.0, train, engine.StrategyConfig("fedavg"), 0)
+            engine.local_train(self._client(dim=4), w, 1.0, cfg, 0)
 
     def test_identical_inputs_identical_output(self):
         client = self._client(seed=3)
         w = random_model(nn.ModelArch((4, 5, 3)), seed=3)
-        train = engine.TrainConfig(local_epochs=2, batch_size=8, seed=1)
-        strat = engine.StrategyConfig("fedavg")
-        a, _ = engine.local_train(client, w, 1.0, train, strat, 0)
-        b, _ = engine.local_train(client, w, 1.0, train, strat, 0)
+        cfg = ExperimentConfig(strategy="fedavg", local_epochs=2, batch_size=8, seed=1)
+        a, _ = engine.local_train(client, w, 1.0, cfg, 0)
+        b, _ = engine.local_train(client, w, 1.0, cfg, 0)
         assert np.array_equal(a.values, b.values)
 
 
-def reference_local_train(client, w_global, p_in, train, strategy, round_index):
+def reference_local_train(client, w_global, p_in, cfg, round_index):
     """local_train written on the per-batch Batch / forward / local_loss /
     backward / sgd_step path; the oracle for the plain-array loop."""
     model = w_global
-    opt = nn.init_optimizer(w_global, train.lr, train.momentum, train.weight_decay)
-    rng = stream(TAG_LOCAL, train.seed, round_index)
+    opt = nn.init_optimizer(w_global, cfg.eta, cfg.momentum, cfg.weight_decay)
+    rng = stream(TAG_LOCAL, cfg.seed, round_index)
     n = len(client.data)
     losses = []
-    for _epoch in range(train.local_epochs):
+    for _epoch in range(cfg.local_epochs):
         perm = rng.permutation(n)
-        for start in range(0, n, train.batch_size):
-            idx = perm[start : start + train.batch_size]
+        for start in range(0, n, cfg.batch_size):
+            idx = perm[start : start + cfg.batch_size]
             batch = nn.Batch(client.data.features[idx], client.data.labels[idx])
             logits = nn.forward(model, batch)
-            loss, rule = engine.local_loss(logits, batch.labels, strategy, p_in, model, w_global)
+            loss, rule = engine.local_loss(logits, batch.labels, cfg, p_in, model, w_global)
             grad = nn.backward(model, batch)
             if rule.ce_scale != 1.0:
                 grad = rule.ce_scale * grad
@@ -244,11 +260,11 @@ def reference_local_train(client, w_global, p_in, train, strategy, round_index):
 @pytest.mark.parametrize(
     "strategy, p_in",
     [
-        (engine.StrategyConfig("fedavg"), 1.0),
-        (engine.StrategyConfig("fedprox", mu_prox=0.3), 1.0),
-        (engine.StrategyConfig("fedpdc", lam=1.5), 0.6),
-        (engine.StrategyConfig("fedpdc", lam=2.0, penalty_mode="scaled_ce"), 0.4),
-        (engine.StrategyConfig("fedpdc_adaptive", lam=0.5, penalty_mode="scaled_ce"), 1.0),
+        (ExperimentConfig(strategy="fedavg"), 1.0),
+        (ExperimentConfig(strategy="fedprox", mu_prox=0.3), 1.0),
+        (ExperimentConfig(strategy="fedpdc", lam=1.5), 0.6),
+        (ExperimentConfig(strategy="fedpdc", lam=2.0, penalty_mode="scaled_ce"), 0.4),
+        (ExperimentConfig(strategy="fedpdc_adaptive", lam=0.5, penalty_mode="scaled_ce"), 1.0),
     ],
     ids=["fedavg", "fedprox", "fedpdc_literal", "fedpdc_scaled_ce", "scaled_ce_unit_p"],
 )
@@ -258,11 +274,11 @@ def test_local_train_bitwise_equals_reference_loop(strategy, p_in):
     data = LabeledDataset(rng.standard_normal((31, 5)), rng.integers(0, 4, 31), 4)
     client = engine.ClientState(2, data)
     w = random_model(nn.ModelArch((5, 7, 4)), seed=11)
-    train = engine.TrainConfig(
-        local_epochs=3, batch_size=8, lr=0.05, momentum=0.9, weight_decay=1e-3, seed=4
+    cfg = replace(
+        strategy, local_epochs=3, batch_size=8, eta=0.05, momentum=0.9, weight_decay=1e-3, seed=4
     )
-    model, losses = engine.local_train(client, w, p_in, train, strategy, 6)
-    ref_model, ref_losses = reference_local_train(client, w, p_in, train, strategy, 6)
+    model, losses = engine.local_train(client, w, p_in, cfg, 6)
+    ref_model, ref_losses = reference_local_train(client, w, p_in, cfg, 6)
     assert np.array_equal(model.values, ref_model.values)
     assert losses == ref_losses
     assert len(losses) == 3 * 4
@@ -358,10 +374,9 @@ class TestRunRound:
         _pool, server_set, rest, _part, _clients, model = toy_problem
         client = engine.ClientState(0, rest)
         server = engine.ServerState(model, server_set)
-        strat = engine.StrategyConfig("fedpdc")
-        train = engine.TrainConfig(local_epochs=1, batch_size=32, seed=0)
-        new_server, rec = engine.run_round(server, [client], strat, train)
-        local, _ = engine.local_train(client, model, 1.0, train, strat, 0)
+        cfg = ExperimentConfig(strategy="fedpdc", local_epochs=1, batch_size=32, seed=0)
+        new_server, rec = engine.run_round(server, [client], cfg)
+        local, _ = engine.local_train(client, model, 1.0, cfg, 0)
         assert rec.agg_weights == {0: 1.0}
         assert np.array_equal(new_server.model.values, local.values)
 
@@ -370,9 +385,9 @@ class TestRunRound:
         shared = rest.subset(range(40))
         clients = [engine.ClientState(0, shared), engine.ClientState(1, shared)]
         server = engine.ServerState(model, server_set)
-        train = engine.TrainConfig(local_epochs=2, batch_size=16, seed=5)
-        new_server, rec = engine.run_round(server, clients, engine.StrategyConfig("fedpdc"), train)
-        local, _ = engine.local_train(clients[0], model, 1.0, train, engine.StrategyConfig("fedpdc"), 0)
+        cfg = ExperimentConfig(strategy="fedpdc", local_epochs=2, batch_size=16, seed=5)
+        new_server, rec = engine.run_round(server, clients, cfg)
+        local, _ = engine.local_train(clients[0], model, 1.0, cfg, 0)
         assert np.array_equal(new_server.model.values, local.values)
         assert rec.measured_accuracies[0] == rec.measured_accuracies[1]
 
@@ -382,14 +397,13 @@ class TestRunRound:
             engine.ClientState(0, rest.subset(range(0, 50))),
             engine.ClientState(1, rest.subset(range(50, 110))),
         ]
-        strat = engine.StrategyConfig("fedpdc", lam=2.0)
-        train = engine.TrainConfig(local_epochs=2, batch_size=16, seed=7)
+        cfg = ExperimentConfig(strategy="fedpdc", lam=2.0, local_epochs=2, batch_size=16, seed=7)
         server = engine.ServerState(model, server_set)
-        new_server, rec = engine.run_round(server, clients, strat, train)
+        new_server, rec = engine.run_round(server, clients, cfg)
 
         # oracle: the same round assembled from the public pieces
         assert engine.sample_clients(2, 1.0, 0, 7) == (0, 1)
-        locals_ = [engine.local_train(c, model, 1.0, train, strat, 0)[0] for c in clients]
+        locals_ = [engine.local_train(c, model, 1.0, cfg, 0)[0] for c in clients]
         accs = [nn.evaluate_accuracy(m, server_set.data) for m in locals_]
         expected = engine._combine(locals_, engine.fedpdc_weights(accs)[0])
         assert np.array_equal(new_server.model.values, expected.values)
@@ -402,11 +416,10 @@ class TestRunRound:
         # round t-2, skipped in t-1 and selected in t trains with p = 1
         _pool, server_set, rest, _part, clients, model = toy_problem
         server = engine.ServerState(model, server_set)
-        strat = engine.StrategyConfig("fedpdc", tau=0.5)
-        train = engine.TrainConfig(local_epochs=1, batch_size=32, seed=1)
+        cfg = ExperimentConfig(strategy="fedpdc", tau=0.5, local_epochs=1, batch_size=32, seed=1)
         records = []
         for _ in range(15):
-            server, rec = engine.run_round(server, clients, strat, train)
+            server, rec = engine.run_round(server, clients, cfg)
             records.append(rec)
         assert all(p == 1.0 for p in records[0].sent_accuracies.values())
         for prev, rec in zip(records, records[1:]):
@@ -433,8 +446,8 @@ class TestRunRound:
         client_data = LabeledDataset(np.array([[1.0], [-1.0]]), np.array([0, 1]), 2)
         clients = [engine.ClientState(0, client_data), engine.ClientState(1, client_data)]
         server = engine.ServerState(model, server_set)
-        train = engine.TrainConfig(local_epochs=1, batch_size=2, lr=0.0, seed=0)
-        _new_server, rec = engine.run_round(server, clients, engine.StrategyConfig("fedpdc"), train)
+        cfg = ExperimentConfig(strategy="fedpdc", local_epochs=1, batch_size=2, eta=0.0, seed=0)
+        _new_server, rec = engine.run_round(server, clients, cfg)
         assert rec.measured_accuracies == {0: 0.0, 1: 0.0}
         assert "uniform_weights_zero_accuracy" in rec.flags
         assert rec.agg_weights == {0: 0.5, 1: 0.5}
@@ -443,9 +456,7 @@ class TestRunRound:
         _pool, _server_set, rest, _part, clients, model = toy_problem
         server = engine.ServerState(model, None)
         with pytest.raises(EvaluationError):
-            engine.run_round(
-                server, clients, engine.StrategyConfig("fedpdc"), engine.TrainConfig(seed=0)
-            )
+            engine.run_round(server, clients, ExperimentConfig(strategy="fedpdc", seed=0))
 
     def test_rejects_invalid_previous_accuracies(self, toy_problem):
         _pool, server_set, rest, _part, clients, model = toy_problem
@@ -453,18 +464,18 @@ class TestRunRound:
             engine.ServerState(model, server_set, 1, {0: 1.5})
         server = engine.ServerState(model, server_set, 1, {len(clients): 0.5})
         with pytest.raises(StateError):
-            engine.run_round(server, clients, engine.StrategyConfig("fedpdc"), engine.TrainConfig())
+            engine.run_round(server, clients, ExperimentConfig(strategy="fedpdc"))
 
     def test_adaptive_lambda_enters_reported_loss(self, toy_problem):
         # round 4 (1-based 5): lam = 2.5; literal penalty shifts losses only
         _pool, server_set, rest, _part, clients, model = toy_problem
-        train = engine.TrainConfig(local_epochs=1, batch_size=32, seed=3)
+        cfg = ExperimentConfig(local_epochs=1, batch_size=32, seed=3)
         server = engine.ServerState(model, server_set, 4, {0: 0.5, 1: 0.5, 2: 0.5, 3: 0.5})
         _s_adaptive, rec_adaptive = engine.run_round(
-            server, clients, engine.StrategyConfig("fedpdc_adaptive"), train
+            server, clients, replace(cfg, strategy="fedpdc_adaptive")
         )
         _s_plain, rec_plain = engine.run_round(
-            server, clients, engine.StrategyConfig("fedpdc", lam=0.0), train
+            server, clients, replace(cfg, strategy="fedpdc", lam=0.0)
         )
         assert np.array_equal(_s_adaptive.model.values, _s_plain.model.values)
         expected_shift = engine.adaptive_lambda(5) * (1.0 - 0.5)
@@ -475,21 +486,21 @@ class TestRunRound:
     def test_round_record_mean_loss_is_nan_without_batches(self, toy_problem):
         _pool, server_set, rest, _part, clients, model = toy_problem
         server = engine.ServerState(model, server_set)
-        train = engine.TrainConfig(local_epochs=0, seed=0)
-        _new, rec = engine.run_round(server, clients, engine.StrategyConfig("fedavg"), train)
+        cfg = ExperimentConfig(strategy="fedavg", local_epochs=0, seed=0)
+        _new, rec = engine.run_round(server, clients, cfg)
         assert math.isnan(rec.mean_local_loss)
 
 
 class TestReductionIdentities:
     def test_zero_prox_trajectory_bitwise_equals_fedavg(self, toy_problem):
         _pool, server_set, rest, _part, clients, model = toy_problem
-        train = engine.TrainConfig(local_epochs=2, batch_size=16, seed=5)
+        fedavg = ExperimentConfig(strategy="fedavg", local_epochs=2, batch_size=16, seed=5)
         finals = []
-        for strat in (engine.StrategyConfig("fedavg"), engine.StrategyConfig("fedprox", mu_prox=0.0)):
+        for cfg in (fedavg, replace(fedavg, strategy="fedprox", mu_prox=0.0)):
             server = engine.ServerState(model, server_set)
             history = []
             for _ in range(10):
-                server, _rec = engine.run_round(server, clients, strat, train)
+                server, _rec = engine.run_round(server, clients, cfg)
                 history.append(server.model.values)
             finals.append(history)
         assert all(np.array_equal(a, b) for a, b in zip(finals[0], finals[1]))
@@ -499,11 +510,17 @@ class TestReductionIdentities:
 
         _pool, server_set, rest, _part, clients, model = toy_problem
         full = max(len(c.data) for c in clients)
-        train = engine.TrainConfig(
-            local_epochs=1, batch_size=full, lr=0.05, momentum=0.0, weight_decay=0.0, seed=5
+        cfg = ExperimentConfig(
+            strategy="fedavg",
+            local_epochs=1,
+            batch_size=full,
+            eta=0.05,
+            momentum=0.0,
+            weight_decay=0.0,
+            seed=5,
         )
         server = engine.ServerState(model, server_set)
-        new_server, _rec = engine.run_round(server, clients, engine.StrategyConfig("fedavg"), train)
+        new_server, _rec = engine.run_round(server, clients, cfg)
         _loss, grad = global_objective(
             model, [c.data for c in clients], [len(c.data) for c in clients]
         )
@@ -511,14 +528,10 @@ class TestReductionIdentities:
 
     def test_literal_penalty_never_moves_the_model(self, toy_problem):
         _pool, _server_set, rest, _part, clients, model = toy_problem
-        train = engine.TrainConfig(local_epochs=3, batch_size=16, seed=2)
+        cfg = ExperimentConfig(strategy="fedpdc", local_epochs=3, batch_size=16, seed=2)
         p = 0.3
-        m0, l0 = engine.local_train(
-            clients[0], model, p, train, engine.StrategyConfig("fedpdc", lam=0.0), 1
-        )
-        m10, l10 = engine.local_train(
-            clients[0], model, p, train, engine.StrategyConfig("fedpdc", lam=10.0), 1
-        )
+        m0, l0 = engine.local_train(clients[0], model, p, replace(cfg, lam=0.0), 1)
+        m10, l10 = engine.local_train(clients[0], model, p, replace(cfg, lam=10.0), 1)
         assert np.array_equal(m0.values, m10.values)
         shift = 10.0 * (1.0 - p)
         assert all(b == a + shift for a, b in zip(l0, l10))

@@ -37,8 +37,6 @@ class TestInitModel:
             nn.ModelArch((3, 0, 2))
         with pytest.raises(ConfigError):
             nn.ModelArch((5,))
-        with pytest.raises(ConfigError):
-            nn.ModelArch((3, 2), activation="tanh")
 
 
 class TestForward:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fedsim import diagnostics, nn
+from fedsim import diagnostics, engine, nn
 from fedsim.cli import main
 from fedsim.config import ExperimentConfig, config_text, parse_config
 from fedsim.diagnostics import read_history_csv
@@ -255,6 +255,14 @@ class TestCli:
         assert main(["check"]) == 1
         assert "FAIL  analytic gradient" in capsys.readouterr().out
 
+    def test_check_fails_on_size_blind_fedavg_weights(self, monkeypatch, capsys):
+        def uniform(sizes):
+            return np.full(len(sizes), 1.0 / len(sizes))
+
+        monkeypatch.setattr(engine, "fedavg_weights", uniform)
+        assert main(["check"]) == 1
+        assert "FAIL  aggregation" in capsys.readouterr().out
+
     @pytest.mark.parametrize("label", ["nan", "inf"])
     def test_non_finite_csv_label_exit_code(self, tmp_path, capsys, label):
         data = tmp_path / "d.csv"
@@ -262,6 +270,14 @@ class TestCli:
         cfg = self.write_cfg(tmp_path, dataset=str(data), output_dir=str(tmp_path / "runs"))
         assert main(["run", str(cfg)]) == 3
         assert f"row 41 label '{label}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_csv_feature_names_path_and_row(self, tmp_path, capsys, cell):
+        data = tmp_path / "d.csv"
+        data.write_text("".join(f"{i % 2},{i},{-i}\n" for i in range(40)) + f"1,0,{cell}\n")
+        cfg = self.write_cfg(tmp_path, dataset=str(data), output_dir=str(tmp_path / "runs"))
+        assert main(["run", str(cfg)]) == 3
+        assert f"{data}: row 41 has a non-finite feature cell" in capsys.readouterr().err
 
     def test_undecodable_config_exit_code(self, tmp_path, capsys):
         bad_cfg = tmp_path / "bad.cfg"
