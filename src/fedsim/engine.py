@@ -40,7 +40,7 @@ from .errors import (
     ShapeError,
     StateError,
 )
-from .nn import ParamVector, cross_entropy, evaluate_accuracy, loss_and_grad
+from .nn import ParamVector, cross_entropy, evaluate_accuracy, loss_and_grad_into, unpack
 
 # perfbench/spans.py traces these names in this module's namespace
 from .diagnostics import global_objective  # noqa: F401
@@ -181,8 +181,11 @@ def local_train(
     local model and every batch's reported loss in order.
 
     Each step does the arithmetic of local_loss, nn.backward and nn.sgd_step,
-    in their order, on plain arrays; p and the client's data are checked
-    once, before the first step.
+    in their order, on plain arrays: the layer views of the parameters and
+    of one gradient buffer are bound once, each epoch gathers the client's
+    rows in shuffled order once so a batch is a contiguous slice, and the
+    prox difference and the update run through preallocated arrays. p and
+    the client's data are checked once, before the first step.
     """
     arch = w_global.arch
     data = client.data
@@ -197,7 +200,16 @@ def local_train(
         raise DataError(f"client {client.id} labels must lie in [0, {arch.output_dim})")
     anchor = w_global.values
     values = anchor.copy()
+    grad = np.empty_like(values)
+    layers, grad_layers = unpack(arch, values), unpack(arch, grad)
     buf = np.zeros_like(values)
+    scratch = np.empty_like(values)
+    prox = rule.prox_weight != 0.0
+    diff = np.empty_like(values) if prox else None
+    batch_size, eta, momentum, decay = cfg.batch_size, cfg.eta, cfg.momentum, cfg.weight_decay
+    # a batch starts at a multiple of batch_size, so row i of the epoch is
+    # row i % batch_size of its batch
+    batch_rows = np.arange(n) % batch_size * arch.output_dim
     rng = stream(TAG_LOCAL, cfg.seed, round_index)
     losses: list[float] = []
     # a diverging run overflows before the finiteness checks below turn it
@@ -205,22 +217,27 @@ def local_train(
     with np.errstate(over="ignore", invalid="ignore"):
         for _epoch in range(cfg.local_epochs):
             perm = rng.permutation(n)
-            for start in range(0, n, cfg.batch_size):
-                idx = perm[start : start + cfg.batch_size]
-                ce, grad = loss_and_grad(arch, values, data.features[idx], data.labels[idx])
-                diff = values - anchor if rule.prox_weight != 0.0 else None
+            features, picks = data.features[perm], batch_rows + data.labels[perm]
+            for start in range(0, n, batch_size):
+                rows = slice(start, start + batch_size)
+                ce = loss_and_grad_into(layers, grad_layers, features[rows], picks[rows])
+                if prox:
+                    np.subtract(values, anchor, out=diff)
                 loss = _reported_loss(ce, penalty, rule, diff)
                 if not math.isfinite(loss):
                     raise _diverged("a non-finite loss", client.id, round_index, len(losses), losses)
                 losses.append(loss)
                 if rule.ce_scale != 1.0:
                     grad *= rule.ce_scale
-                if rule.prox_weight != 0.0:
-                    grad += rule.prox_weight * diff
-                buf *= cfg.momentum
+                if prox:
+                    np.multiply(rule.prox_weight, diff, out=scratch)
+                    grad += scratch
+                buf *= momentum
                 buf += grad
-                buf += cfg.weight_decay * values
-                values -= cfg.eta * buf
+                np.multiply(decay, values, out=scratch)
+                buf += scratch
+                np.multiply(eta, buf, out=scratch)
+                values -= scratch
                 if not np.isfinite(values).all():
                     raise _diverged(
                         "non-finite parameters", client.id, round_index, len(losses) - 1, losses

@@ -170,9 +170,13 @@ def _forward_raw(arch: ModelArch, values: np.ndarray, features: np.ndarray) -> n
     layers = unpack(arch, values)
     act = features
     for weight, bias in layers[:-1]:
-        act = np.maximum(act @ weight + bias, 0.0)
+        act = act @ weight
+        act += bias
+        np.maximum(act, 0.0, out=act)
     weight, bias = layers[-1]
-    return act @ weight + bias
+    logits = act @ weight
+    logits += bias
+    return logits
 
 
 def forward(model: ParamVector, batch: Batch) -> np.ndarray:
@@ -248,42 +252,64 @@ def loss_and_grad(
     """Mean cross-entropy and its gradient from one forward pass.
 
     Bitwise equal to (cross_entropy(forward(...)), backward(...)), which stay
-    the reference; the loss and the softmax delta share one exp(shifted).
-    Inputs are trusted: the caller has checked the feature width and that
-    labels lie in [0, arch.output_dim).
+    the reference. Inputs are trusted: the caller has checked the feature
+    width and that labels lie in [0, arch.output_dim).
     """
-    layers = unpack(arch, values)
-    activations = [features]
-    pre_acts = []
+    grad = np.empty(values.size)
+    picks = np.arange(features.shape[0]) * arch.output_dim + labels
+    ce = loss_and_grad_into(unpack(arch, values), unpack(arch, grad), features, picks)
+    return ce, grad
+
+
+def loss_and_grad_into(
+    layers: list[tuple[np.ndarray, np.ndarray]],
+    grad_layers: list[tuple[np.ndarray, np.ndarray]],
+    features: np.ndarray,
+    picks: np.ndarray,
+) -> float:
+    """The kernel of loss_and_grad: returns the mean cross-entropy and writes
+    every entry of the gradient into grad_layers, the unpack() views of a
+    caller-owned buffer; layers are the unpack() views of the parameters.
+    picks[i] = i * output_dim + label[i] is row i's label entry in the
+    flattened (rows, output_dim) logits.
+
+    Each layer's output is one array: the bias, the ReLU, the softmax and
+    the ReLU mask of the backward pass are applied to it in place, so a
+    step allocates no second temporary of that size. The loss and the
+    softmax delta share one exp(shifted).
+    """
+    acts = [features]
     act = features
     for weight, bias in layers[:-1]:
-        pre = act @ weight + bias
-        pre_acts.append(pre)
-        act = np.maximum(pre, 0.0)
-        activations.append(act)
+        act = act @ weight
+        act += bias
+        np.maximum(act, 0.0, out=act)
+        acts.append(act)
     weight, bias = layers[-1]
-    logits = act @ weight + bias
+    delta = act @ weight
+    delta += bias
 
     n = features.shape[0]
-    rows = np.arange(n)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    norm = exp.sum(axis=1, keepdims=True)
+    delta -= delta.max(axis=1, keepdims=True)
+    flat = delta.ravel()  # a view: delta is a fresh C-ordered array
+    picked = flat[picks]
+    np.exp(delta, out=delta)
+    norm = delta.sum(axis=1, keepdims=True)
     # np.mean's own arithmetic (pairwise sum, then divide) without its call overhead
-    ce = float((np.log(norm.ravel()) - shifted[rows, labels]).sum()) / n
-    delta = exp / norm
-    delta[rows, labels] -= 1.0
+    ce = float((np.log(norm.ravel()) - picked).sum()) / n
+    delta /= norm
+    flat[picks] -= 1.0
     delta /= n
 
-    grad = np.zeros(values.size)
-    grad_layers = unpack(arch, grad)
     for li in range(len(layers) - 1, -1, -1):
         g_weight, g_bias = grad_layers[li]
-        g_weight[:] = activations[li].T @ delta
-        g_bias[:] = delta.sum(axis=0)
+        np.matmul(acts[li].T, delta, out=g_weight)
+        delta.sum(axis=0, out=g_bias)
         if li > 0:
-            delta = (delta @ layers[li][0].T) * (pre_acts[li - 1] > 0.0)
-    return ce, grad
+            # acts[li] = max(pre, 0) is > 0 exactly where the pre-activation is
+            delta = delta @ layers[li][0].T
+            delta *= acts[li] > 0.0
+    return ce
 
 
 def central_difference(fn: Callable[[np.ndarray], float], x: np.ndarray, step: float) -> np.ndarray:

@@ -41,6 +41,7 @@ from .diagnostics import DescentRecord, descent_check, dissimilarity_B, full_bat
 # perfbench/spans.py traces this name in this module's namespace
 from .diagnostics import gradient_dissimilarity  # noqa: F401
 from .engine import ClientState, RoundRecord, ServerState, run_round
+from .errors import ConfigError
 from .nn import ModelArch, init_model, save_model
 
 ROUND_CSV_HEADER = "round,selected,mean_local_loss,global_acc_server,global_acc_test,agg_weights,flags"
@@ -178,9 +179,20 @@ def _write_dissimilarity_csv(
     path.write_text("\n".join(lines) + "\n")
 
 
+def _require_fresh(run_dir: Path) -> None:
+    """A run directory must be new or empty: writing into an old run's files
+    would leave a directory that mixes two runs."""
+    if run_dir.is_file() or (run_dir.is_dir() and any(run_dir.iterdir())):
+        raise ConfigError(
+            f"run directory {run_dir} already holds files; remove it or choose another output_dir"
+        )
+
+
 def run_experiment(cfg: ExperimentConfig, seed: int, run_dir) -> RunResult:
-    """Execute cfg.rounds communication rounds for one seed, writing artifacts."""
+    """Execute cfg.rounds communication rounds for one seed, writing artifacts
+    into run_dir, which must be new or empty."""
     run_dir = Path(run_dir)
+    _require_fresh(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     problem = build_problem(cfg, seed)
     run_cfg = cfg.for_seed(seed)
@@ -219,13 +231,16 @@ def run_experiment(cfg: ExperimentConfig, seed: int, run_dir) -> RunResult:
 
 
 def run_sweep(cfg: ExperimentConfig) -> list[RunResult]:
-    """One run per configured seed; multi-seed sweeps get a summary CSV."""
+    """One run per configured seed; multi-seed sweeps get a summary CSV.
+    Every seed's run directory is checked before any compute or write."""
     root = Path(cfg.output_dir)
+    run_dirs = [root / f"{cfg.strategy}-seed{seed}" for seed in cfg.seeds_list()]
+    for run_dir in run_dirs:
+        _require_fresh(run_dir)
     root.mkdir(parents=True, exist_ok=True)
     write_config(cfg, root / "config.resolved.txt")
     results = [
-        run_experiment(cfg, seed, root / f"{cfg.strategy}-seed{seed}")
-        for seed in cfg.seeds_list()
+        run_experiment(cfg, seed, run_dir) for seed, run_dir in zip(cfg.seeds_list(), run_dirs)
     ]
     if len(results) > 1:
         # (server, test) accuracy after the last round; NaN when never measured

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import random_batch, random_model
 from fedsim import engine, nn
-from fedsim.config import ExperimentConfig
+from fedsim.config import PENALTY_MODES, STRATEGIES, ExperimentConfig
 from fedsim.data import LabeledDataset, ServerSet
 from fedsim.errors import (
     AggregationError,
@@ -282,6 +282,49 @@ def test_local_train_bitwise_equals_reference_loop(strategy, p_in):
     assert np.array_equal(model.values, ref_model.values)
     assert losses == ref_losses
     assert len(losses) == 3 * 4
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    in_dim=st.integers(min_value=1, max_value=7),
+    hidden=st.lists(st.integers(min_value=1, max_value=8), min_size=1, max_size=2),
+    out_dim=st.integers(min_value=2, max_value=5),
+    size=st.integers(min_value=1, max_value=40),
+    batch_size=st.integers(min_value=1, max_value=9),
+    strategy=st.sampled_from(STRATEGIES),
+    penalty_mode=st.sampled_from(PENALTY_MODES),
+    p_in=st.sampled_from([0.0, 0.35, 1.0]),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_local_train_bitwise_equals_reference_for_any_shape(
+    in_dim, hidden, out_dim, size, batch_size, strategy, penalty_mode, p_in, seed
+):
+    # every batch size from 1 to 9 against up to 40 rows: batches that divide
+    # the client, ragged last batches and a single short batch, so each
+    # epoch's gathered rows are sliced at every offset
+    rng = np.random.default_rng(seed)
+    data = LabeledDataset(
+        rng.standard_normal((size, in_dim)), rng.integers(0, out_dim, size), out_dim
+    )
+    client = engine.ClientState(1, data)
+    w = random_model(nn.ModelArch((in_dim, *hidden, out_dim)), seed)
+    cfg = ExperimentConfig(
+        strategy=strategy,
+        penalty_mode=penalty_mode,
+        lam=1.5,
+        mu_prox=0.3,
+        local_epochs=2,
+        batch_size=batch_size,
+        eta=0.05,
+        momentum=0.9,
+        weight_decay=1e-3,
+        seed=seed,
+    )
+    model, losses = engine.local_train(client, w, p_in, cfg, 3)
+    ref_model, ref_losses = reference_local_train(client, w, p_in, cfg, 3)
+    assert np.array_equal(model.values, ref_model.values)
+    assert losses == ref_losses
+    assert len(losses) == 2 * -(-size // batch_size)
 
 
 class TestAggregation:

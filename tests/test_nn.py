@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_batch, random_model
@@ -229,6 +229,21 @@ class TestEvaluateAccuracy:
             hits += best == data.labels[i]
         assert nn.evaluate_accuracy(model, data) == hits / 30
 
+    def test_full_set_matches_plain_forward_argmax(self):
+        from fedsim.data import LabeledDataset
+
+        arch = nn.ModelArch((16, 64, 8))
+        model = random_model(arch, seed=4)
+        rng = np.random.default_rng(4)
+        data = LabeledDataset(rng.standard_normal((320, 16)), rng.integers(0, 8, 320), 8)
+        # the logits written without in-place steps: one temporary per operation
+        (w1, b1), (w2, b2) = nn.unpack(arch, model.values)
+        plain = np.maximum(data.features @ w1 + b1, 0.0) @ w2 + b2
+        logits = nn.forward(model, nn.Batch(data.features, data.labels))
+        assert np.array_equal(logits, plain)
+        expected = float(np.mean(np.argmax(logits, axis=1) == data.labels))
+        assert nn.evaluate_accuracy(model, data) == expected
+
     def test_empty_dataset_rejected(self):
         class Empty:
             def __len__(self):
@@ -339,6 +354,10 @@ def test_construction_leaves_caller_arrays_writable():
     scale=st.sampled_from([0.1, 1.0, 30.0]),
     seed=st.integers(min_value=0, max_value=10_000),
 )
+# full-batch sizes, where a hidden layer's output is an array of >= 128 KiB
+@example(hidden=[64], in_dim=5, out_dim=5, size=256, scale=1.0, seed=0)
+@example(hidden=[64, 6], in_dim=3, out_dim=4, size=289, scale=0.1, seed=1)
+@example(hidden=[64, 64], in_dim=5, out_dim=2, size=320, scale=30.0, seed=2)
 def test_loss_and_grad_equals_forward_cross_entropy_backward(hidden, in_dim, out_dim, size, scale, seed):
     arch = nn.ModelArch((in_dim, *hidden, out_dim))
     model = nn.ParamVector(arch, scale * random_model(arch, seed).values)

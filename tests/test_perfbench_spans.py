@@ -1,13 +1,20 @@
-"""The benchmark tracer patches fedsim names by (module, attribute); a rename
-in fedsim must fail here, not inside a traced benchmark run."""
+"""The benchmark tracer patches fedsim names by (module, attribute) and counts
+work at their call boundaries; a change in fedsim that breaks either must
+fail here, not inside a traced benchmark run."""
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import fedsim  # noqa: F401  (SPANS must resolve once the package is imported)
 
-SPANS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS_PY = ROOT / "perfbench" / "spans.py"
+CHILD_PY = ROOT / "perfbench" / "child.py"
 
 
 def test_every_traced_name_resolves():
@@ -20,3 +27,36 @@ def test_every_traced_name_resolves():
         if not hasattr(importlib.import_module(module), attr)
     ]
     assert missing == []
+
+
+def test_traced_sample_count_equals_rounds_csv(tmp_path):
+    """The tracer counts local-training samples at each per-client
+    engine.local_train call; perfbench/run.py --trace 1 checks that count
+    against rounds.csv and partition.txt, as this test does on a tiny run."""
+    out = tmp_path / "out"
+    config = tmp_path / "tiny.cfg"
+    config.write_text(
+        "num_classes = 3\nsamples_per_class = 30\ninput_dim = 4\nhidden = 8\n"
+        "clients = 5\ntau = 0.6\nbeta = 0.5\nserver_per_class = 4\ntest_per_class = 4\n"
+        "strategy = fedprox\nlocal_epochs = 3\nbatch_size = 8\nrounds = 3\nseed = 1\n"
+        f"output_dir = {out}\n"
+    )
+    result = tmp_path / "trace.json"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, str(CHILD_PY), "trace", str(result), str(config)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(result.read_text())["exit_codes"] == [0]
+    counters = json.loads(Path(f"{result}.spans").read_text())["counters"]
+
+    run_dir = out / "fedprox-seed1"
+    sizes = {}
+    for line in (run_dir / "partition.txt").read_text().splitlines():
+        cid, _, idxs = line.partition(":")
+        sizes[int(cid)] = len(idxs.split(","))
+    rows = [line.split(",") for line in (run_dir / "rounds.csv").read_text().splitlines()[1:]]
+    selected = [int(cid) for row in rows for cid in row[1].split(";")]
+    assert len(rows) == 3 and len(selected) == 3 * 3
+    assert counters["engine.local_train.samples"] == sum(3 * sizes[cid] for cid in selected)

@@ -6,6 +6,7 @@ from fedsim.cli import main
 from fedsim.config import ExperimentConfig, config_text, parse_config
 from fedsim.diagnostics import read_history_csv
 from fedsim.engine import RoundRecord
+from fedsim.errors import ConfigError
 from fedsim.runner import (
     ROUND_CSV_HEADER,
     _write_dissimilarity_csv,
@@ -173,6 +174,42 @@ class TestSweep:
         assert all(r[2] == "" for r in rows[1:])
         server_measured = overrides.get("rounds", 4) > 0
         assert all((r[1] != "") == server_measured for r in rows[1:])
+
+
+class TestUsedRunDirectory:
+    def test_rerun_into_a_used_output_dir_is_refused_and_changes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "runs"
+        first = tmp_path / "first.cfg"
+        first.write_text(
+            config_text(
+                quick_cfg(rounds=3, seeds=(1, 2), instrument_global_loss=True, output_dir=str(out))
+            )
+        )
+        assert main(["run", str(first)]) == 0
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        second = tmp_path / "second.cfg"
+        second.write_text(config_text(quick_cfg(rounds=1, seed=1, output_dir=str(out))))
+        capsys.readouterr()
+        assert main(["run", str(second)]) == 2
+        assert str(out / "fedavg-seed1") in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+    def test_sweep_checks_every_seed_before_any_compute(self, tmp_path):
+        out = tmp_path / "runs"
+        (out / "fedavg-seed2").mkdir(parents=True)
+        (out / "fedavg-seed2" / "notes.txt").write_text("kept\n")
+        with pytest.raises(ConfigError, match="fedavg-seed2"):
+            run_sweep(quick_cfg(seeds=(1, 2), output_dir=str(out)))
+        assert sorted(p.name for p in out.iterdir()) == ["fedavg-seed2"]
+
+    def test_run_experiment_refuses_a_used_directory(self, tmp_path):
+        (tmp_path / "old.txt").write_text("")
+        with pytest.raises(ConfigError, match="already holds files"):
+            run_experiment(quick_cfg(rounds=0), 1, tmp_path)
+
+    def test_existing_empty_directory_is_allowed(self, tmp_path):
+        run_experiment(quick_cfg(rounds=1), 1, tmp_path)
+        assert (tmp_path / "rounds.csv").is_file()
 
 
 class TestCli:
