@@ -23,8 +23,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .data import LabeledDataset
-from .errors import ConfigError, DataError, DiagnosticsError, DivergenceError, ShapeError
-from .nn import ParamVector, loss_and_grad
+from .errors import ConfigError, DataError, DiagnosticsError, DivergenceError
+from .nn import ParamVector, check_fits, loss_and_grad
 
 # perfbench/spans.py traces these names in this module's namespace
 from .nn import Batch, backward, cross_entropy, forward  # noqa: F401
@@ -102,37 +102,30 @@ def dissimilarity_B(
 
 
 def full_batch_pass(
-    model: ParamVector, datasets: Sequence[LabeledDataset], sizes: Sequence[int]
+    model: ParamVector, datasets: Sequence[LabeledDataset]
 ) -> tuple[float, np.ndarray, float | None]:
     """(f, grad f, sqrt(E_k ||grad_k||^2) / ||grad f||) at model, where f is
-    the size-weighted mean of the clients' full-batch losses.
+    the mean of the clients' full-batch losses, client k weighted by
+    len(datasets[k]) / (total samples).
 
     One loss_and_grad call per client, reduced in the order given so results
     are reproducible. The ratio is None (undefined) when ||grad f|| is below
     GRAD_NORM_TOL; by Jensen's inequality it is otherwise >= 1.
     """
-    if len(datasets) == 0 or len(datasets) != len(sizes):
-        raise DiagnosticsError("datasets and sizes must be nonempty and equal length")
-    if any(size <= 0 for size in sizes):
-        raise DiagnosticsError(f"dataset sizes must be positive, got {list(sizes)}")
+    if len(datasets) == 0:
+        raise DiagnosticsError("the full-batch pass needs at least one dataset")
     arch = model.arch
     for k, dataset in enumerate(datasets):
-        if dataset.input_dim != arch.input_dim:
-            raise ShapeError(
-                f"dataset {k} features have {dataset.input_dim} columns, "
-                f"architecture expects {arch.input_dim}"
-            )
-        if dataset.labels.max() >= arch.output_dim:
-            raise DataError(f"dataset {k} labels must lie in [0, {arch.output_dim})")
-    total = float(sum(sizes))
+        check_fits(arch, dataset, f"dataset {k}")
+    total = float(sum(len(dataset) for dataset in datasets))
     loss = 0.0
     grad = np.zeros(len(model))
     mean_sq = 0.0
     # a huge but finite model overflows here; report that as divergence
     with np.errstate(over="ignore", invalid="ignore"):
-        for dataset, size in zip(datasets, sizes):
+        for dataset in datasets:
             ce, g_k = loss_and_grad(arch, model.values, dataset.features, dataset.labels)
-            weight = size / total
+            weight = len(dataset) / total
             loss += weight * ce
             grad += weight * g_k
             mean_sq += weight * float(g_k @ g_k)
@@ -143,17 +136,15 @@ def full_batch_pass(
 
 
 def global_objective(
-    model: ParamVector, datasets: Sequence[LabeledDataset], sizes: Sequence[int]
+    model: ParamVector, datasets: Sequence[LabeledDataset]
 ) -> tuple[float, np.ndarray]:
     """Size-weighted mean of per-client full-batch loss and gradient."""
-    return full_batch_pass(model, datasets, sizes)[:2]
+    return full_batch_pass(model, datasets)[:2]
 
 
-def gradient_dissimilarity(
-    model: ParamVector, datasets: Sequence[LabeledDataset], sizes: Sequence[int]
-) -> float | None:
+def gradient_dissimilarity(model: ParamVector, datasets: Sequence[LabeledDataset]) -> float | None:
     """sqrt(E_k ||grad_k||^2) / ||grad|| with size-weighted expectation."""
-    return full_batch_pass(model, datasets, sizes)[2]
+    return full_batch_pass(model, datasets)[2]
 
 
 def descent_check(

@@ -31,16 +31,15 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .data import LabeledDataset, ServerSet
-from .errors import (
-    AggregationError,
-    ConfigError,
-    DataError,
-    DivergenceError,
-    EvaluationError,
-    ShapeError,
-    StateError,
+from .errors import AggregationError, ConfigError, DivergenceError, EvaluationError, StateError
+from .nn import (
+    ParamVector,
+    check_fits,
+    cross_entropy,
+    evaluate_accuracy,
+    loss_and_grad_into,
+    unpack,
 )
-from .nn import ParamVector, cross_entropy, evaluate_accuracy, loss_and_grad_into, unpack
 
 # perfbench/spans.py traces these names in this module's namespace
 from .diagnostics import global_objective  # noqa: F401
@@ -191,13 +190,7 @@ def local_train(
     data = client.data
     n = len(data)
     penalty, rule = _resolve_strategy(cfg, p_in)
-    if data.features.shape[1] != arch.input_dim:
-        raise ShapeError(
-            f"client {client.id} features have {data.features.shape[1]} columns, "
-            f"architecture expects {arch.input_dim}"
-        )
-    if data.labels.max() >= arch.output_dim:
-        raise DataError(f"client {client.id} labels must lie in [0, {arch.output_dim})")
+    check_fits(arch, data, f"client {client.id}")
     anchor = w_global.values
     values = anchor.copy()
     grad = np.empty_like(values)
@@ -260,7 +253,7 @@ def fedavg_weights(sizes) -> np.ndarray:
     sizes = np.asarray(sizes, dtype=np.float64)
     if sizes.size == 0:
         raise AggregationError("nothing to aggregate")
-    if np.any(sizes <= 0):
+    if not np.all(sizes > 0):
         raise AggregationError("dataset sizes must be positive")
     return sizes / sizes.sum()
 
@@ -270,7 +263,7 @@ def fedpdc_weights(accuracies) -> tuple[np.ndarray, bool]:
     accs = np.asarray(accuracies, dtype=np.float64)
     if accs.size == 0:
         raise AggregationError("nothing to aggregate")
-    if np.any((accs < 0) | (accs > 1)):
+    if not np.all((accs >= 0) & (accs <= 1)):
         raise AggregationError("accuracies must lie in [0, 1]")
     total = accs.sum()
     if total == 0.0:

@@ -162,21 +162,27 @@ def init_model(arch: ModelArch, seed: int) -> ParamVector:
     return ParamVector(arch, values)
 
 
+def _forward_layers(
+    layers: list[tuple[np.ndarray, np.ndarray]], features: np.ndarray
+) -> list[np.ndarray]:
+    """[features, hidden activations..., logits] through the unpack() views
+    of the parameters; hidden layers use ReLU, applied in place."""
+    acts = [features]
+    for li, (weight, bias) in enumerate(layers):
+        act = acts[-1] @ weight
+        act += bias
+        if li < len(layers) - 1:
+            np.maximum(act, 0.0, out=act)
+        acts.append(act)
+    return acts
+
+
 def _forward_raw(arch: ModelArch, values: np.ndarray, features: np.ndarray) -> np.ndarray:
     if features.shape[1] != arch.input_dim:
         raise ShapeError(
             f"features have {features.shape[1]} columns, architecture expects {arch.input_dim}"
         )
-    layers = unpack(arch, values)
-    act = features
-    for weight, bias in layers[:-1]:
-        act = act @ weight
-        act += bias
-        np.maximum(act, 0.0, out=act)
-    weight, bias = layers[-1]
-    logits = act @ weight
-    logits += bias
-    return logits
+    return _forward_layers(unpack(arch, values), features)[-1]
 
 
 def forward(model: ParamVector, batch: Batch) -> np.ndarray:
@@ -191,10 +197,22 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _check_labels(logits: np.ndarray, labels: np.ndarray) -> None:
-    if logits.ndim != 2 or labels.shape != (logits.shape[0],):
-        raise ShapeError("logits must be 2-d with one label per row")
+    if logits.ndim != 2 or labels.shape != (logits.shape[0],) or labels.size == 0:
+        raise ShapeError("logits must be 2-d with one label per row and at least one row")
     if labels.min() < 0 or labels.max() >= logits.shape[1]:
         raise DataError(f"labels must lie in [0, {logits.shape[1]})")
+
+
+def check_fits(arch: ModelArch, dataset: LabeledDataset, name: str) -> None:
+    """Raise unless the model takes dataset's features and outputs a logit
+    for each of its labels; name (e.g. "client 3") leads the message."""
+    if dataset.input_dim != arch.input_dim:
+        raise ShapeError(
+            f"{name} features have {dataset.input_dim} columns, "
+            f"architecture expects {arch.input_dim}"
+        )
+    if dataset.labels.max() >= arch.output_dim:
+        raise DataError(f"{name} labels must lie in [0, {arch.output_dim})")
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
@@ -278,17 +296,7 @@ def loss_and_grad_into(
     step allocates no second temporary of that size. The loss and the
     softmax delta share one exp(shifted).
     """
-    acts = [features]
-    act = features
-    for weight, bias in layers[:-1]:
-        act = act @ weight
-        act += bias
-        np.maximum(act, 0.0, out=act)
-        acts.append(act)
-    weight, bias = layers[-1]
-    delta = act @ weight
-    delta += bias
-
+    *acts, delta = _forward_layers(layers, features)
     n = features.shape[0]
     delta -= delta.max(axis=1, keepdims=True)
     flat = delta.ravel()  # a view: delta is a fresh C-ordered array

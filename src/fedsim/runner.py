@@ -27,7 +27,6 @@ from .config import ExperimentConfig, write_config
 from .data import (
     LabeledDataset,
     Partition,
-    ServerSet,
     SyntheticSpec,
     build_server_set,
     dirichlet_partition,
@@ -51,8 +50,6 @@ ROUND_CSV_HEADER = "round,selected,mean_local_loss,global_acc_server,global_acc_
 class Problem:
     """Everything a run needs: data splits, clients, and the initial server."""
 
-    pool: LabeledDataset
-    server_set: ServerSet
     test_set: LabeledDataset | None
     train_pool: LabeledDataset
     partition: Partition
@@ -101,8 +98,6 @@ def build_problem(cfg: ExperimentConfig, seed: int) -> Problem:
     model = init_model(arch, seed)
     server = ServerState(model, server_set)
     return Problem(
-        pool=pool,
-        server_set=server_set,
         test_set=test_set,
         train_pool=train_pool,
         partition=partition,
@@ -117,66 +112,50 @@ def _fmt(value: float | None) -> str:
     return repr(float(value))
 
 
-def _round_csv_row(rec: RoundRecord) -> str:
-    selected = ";".join(str(c) for c in rec.selected)
-    weights = ";".join(f"{cid}:{_fmt(w)}" for cid, w in rec.agg_weights.items())
-    return ",".join(
-        [
-            str(rec.round),
-            selected,
-            _fmt(rec.mean_local_loss),
-            _fmt(rec.global_acc_server),
-            _fmt(rec.global_acc_test),
-            weights,
-            ";".join(rec.flags),
-        ]
-    )
+def _write_table(path: Path, header: str, rows) -> None:
+    """A CSV file: the header line, then each row's cells joined by commas."""
+    lines = [header] + [",".join(row) for row in rows]
+    path.write_text("\n".join(lines) + "\n")
 
 
 def _write_rounds_csv(records: list[RoundRecord], path: Path) -> None:
-    lines = [ROUND_CSV_HEADER] + [_round_csv_row(rec) for rec in records]
-    path.write_text("\n".join(lines) + "\n")
+    rows = (
+        [
+            str(rec.round),
+            ";".join(str(c) for c in rec.selected),
+            *map(_fmt, (rec.mean_local_loss, rec.global_acc_server, rec.global_acc_test)),
+            ";".join(f"{cid}:{_fmt(w)}" for cid, w in rec.agg_weights.items()),
+            ";".join(rec.flags),
+        ]
+        for rec in records
+    )
+    _write_table(path, ROUND_CSV_HEADER, rows)
 
 
 def _write_diagnostics_csv(descent: list[DescentRecord], path: Path) -> None:
-    lines = ["round,global_loss,global_grad_sqnorm,global_loss_after,lambda_hat"]
-    for rec in descent:
-        lines.append(
-            ",".join(
-                [
-                    str(rec.round),
-                    _fmt(rec.loss_before),
-                    _fmt(rec.grad_sqnorm),
-                    _fmt(rec.loss_after),
-                    _fmt(rec.lambda_hat),
-                ]
-            )
-        )
-    path.write_text("\n".join(lines) + "\n")
+    rows = (
+        [str(r.round), *map(_fmt, (r.loss_before, r.grad_sqnorm, r.loss_after, r.lambda_hat))]
+        for r in descent
+    )
+    _write_table(path, "round,global_loss,global_grad_sqnorm,global_loss_after,lambda_hat", rows)
 
 
 def _write_dissimilarity_csv(
     records: list[RoundRecord], grad_ratios: list[float | None], path: Path
 ) -> None:
-    lines = ["round,grad_ratio,max_acc_ratio,acc_ratios,flags"]
+    rows = []
     for rec, grad_ratio in zip(records, grad_ratios):
         report = dissimilarity_B(rec.global_acc_server, rec.measured_accuracies, grad_ratio)
-        ratios = ";".join(
-            f"{cid}:inf" if math.isinf(r) else f"{cid}:{_fmt(r)}"
-            for cid, r in report.client_ratios.items()
+        rows.append(
+            [
+                str(rec.round),
+                _fmt(report.grad_ratio),
+                _fmt(report.max_ratio),
+                ";".join(f"{cid}:{_fmt(r)}" for cid, r in report.client_ratios.items()),
+                ";".join(report.flags),
+            ]
         )
-        lines.append(
-            ",".join(
-                [
-                    str(rec.round),
-                    _fmt(report.grad_ratio),
-                    "inf" if math.isinf(report.max_ratio) else _fmt(report.max_ratio),
-                    ratios,
-                    ";".join(report.flags),
-                ]
-            )
-        )
-    path.write_text("\n".join(lines) + "\n")
+    _write_table(path, "round,grad_ratio,max_acc_ratio,acc_ratios,flags", rows)
 
 
 def _require_fresh(run_dir: Path) -> None:
@@ -193,8 +172,9 @@ def run_experiment(cfg: ExperimentConfig, seed: int, run_dir) -> RunResult:
     into run_dir, which must be new or empty."""
     run_dir = Path(run_dir)
     _require_fresh(run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
+    # a config whose data cannot be built fails here, before any file exists
     problem = build_problem(cfg, seed)
+    run_dir.mkdir(parents=True, exist_ok=True)
     run_cfg = cfg.for_seed(seed)
 
     write_config(run_cfg, run_dir / "manifest.txt")
@@ -202,14 +182,13 @@ def run_experiment(cfg: ExperimentConfig, seed: int, run_dir) -> RunResult:
 
     server = problem.server
     datasets = [c.data for c in problem.clients]
-    sizes = [len(c.data) for c in problem.clients]
     records: list[RoundRecord] = []
     losses: list[float] = []
     grad_sqnorms: list[float] = []
     grad_ratios: list[float | None] = []
     for _t in range(cfg.rounds):
         if cfg.instrument_global_loss or cfg.emit_dissimilarity:
-            loss, grad, ratio = full_batch_pass(server.model, datasets, sizes)
+            loss, grad, ratio = full_batch_pass(server.model, datasets)
             losses.append(loss)
             grad_sqnorms.append(float(grad @ grad))
             grad_ratios.append(ratio)
@@ -221,7 +200,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int, run_dir) -> RunResult:
 
     descent = None
     if cfg.instrument_global_loss:
-        final_loss = full_batch_pass(server.model, datasets, sizes)[0]
+        final_loss = full_batch_pass(server.model, datasets)[0]
         descent = descent_check(losses, grad_sqnorms, final_loss)
         _write_diagnostics_csv(descent, run_dir / "diagnostics.csv")
     if cfg.emit_dissimilarity:
@@ -237,8 +216,6 @@ def run_sweep(cfg: ExperimentConfig) -> list[RunResult]:
     run_dirs = [root / f"{cfg.strategy}-seed{seed}" for seed in cfg.seeds_list()]
     for run_dir in run_dirs:
         _require_fresh(run_dir)
-    root.mkdir(parents=True, exist_ok=True)
-    write_config(cfg, root / "config.resolved.txt")
     results = [
         run_experiment(cfg, seed, run_dir) for seed, run_dir in zip(cfg.seeds_list(), run_dirs)
     ]
@@ -250,13 +227,14 @@ def run_sweep(cfg: ExperimentConfig) -> list[RunResult]:
             else (math.nan, math.nan)
             for r in results
         ]
-        lines = ["seed,final_acc_server,final_acc_test"]
-        lines += [f"{seed},{_fmt(s)},{_fmt(t)}" for seed, (s, t) in zip(cfg.seeds_list(), finals)]
+        rows = [[str(seed), _fmt(s), _fmt(t)] for seed, (s, t) in zip(cfg.seeds_list(), finals)]
         for name, fn in (("mean", statistics.mean), ("stdev", statistics.stdev)):
             # a statistic over a NaN is undefined: blank, like the NaN itself
             cells = [_fmt(math.nan if any(map(math.isnan, col)) else fn(col)) for col in zip(*finals)]
-            lines.append(",".join([name, *cells]))
-        (root / "sweep_summary.csv").write_text("\n".join(lines) + "\n")
+            rows.append([name, *cells])
+        _write_table(root / "sweep_summary.csv", "seed,final_acc_server,final_acc_test", rows)
+    # written last, so a sweep that fails leaves no file of its own behind
+    write_config(cfg, root / "config.resolved.txt")
     return results
 
 

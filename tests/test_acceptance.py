@@ -158,7 +158,7 @@ def test_criterion_3_reduction_equivalences():
     )
     server = engine.ServerState(model, server_set)
     stepped, _ = engine.run_round(server, clients, full_batch)
-    _, grad = global_objective(model, [c.data for c in clients], [len(c.data) for c in clients])
+    _, grad = global_objective(model, [c.data for c in clients])
     central_diff = float(np.max(np.abs(stepped.model.values - (model.values - 0.05 * grad))))
     report(
         3,
@@ -214,7 +214,7 @@ def test_criterion_6_dissimilarity_sanity():
     server = engine.ServerState(model, server_set)
     cfg = ExperimentConfig(strategy="fedpdc", local_epochs=1, batch_size=16, seed=0)
     _new, rec = engine.run_round(server, twins, cfg)
-    b_same = gradient_dissimilarity(model, [shared, shared], [len(shared)] * 2)
+    b_same = gradient_dissimilarity(model, [shared, shared])
     acc_report = dissimilarity_B(rec.global_acc_server, rec.measured_accuracies, b_same)
     ok = all(r == 1.0 for r in acc_report.client_ratios.values())
     ok &= abs(b_same - 1.0) < 1e-9
@@ -227,7 +227,7 @@ def test_criterion_6_dissimilarity_sanity():
             LabeledDataset(rng.standard_normal((12, 5)), rng.integers(0, 4, 12), 4)
             for _ in range(3)
         ]
-        ratio = gradient_dissimilarity(m, datasets, [12, 12, 12])
+        ratio = gradient_dissimilarity(m, datasets)
         ok &= ratio is None or ratio >= 1.0 - 1e-9
 
     model16 = random_model(nn.ModelArch((16, 32, 8)), seed=0)
@@ -236,7 +236,7 @@ def test_criterion_6_dissimilarity_sanity():
         pool = generate_synthetic(SyntheticSpec(8, 120, 16, 0.6, seed=seed))
         part = dirichlet_partition(pool, 10, beta, seed)
         datasets = [pool.subset(idx) for idx in part.client_indices]
-        return gradient_dissimilarity(model16, datasets, [len(d) for d in datasets])
+        return gradient_dissimilarity(model16, datasets)
 
     low_mean = float(np.mean([b_for(0.1, s) for s in range(5)]))
     high_mean = float(np.mean([b_for(1e6, s) for s in range(5)]))

@@ -71,7 +71,7 @@ class TestGradientRatio:
         rng = np.random.default_rng(1)
         data = LabeledDataset(rng.standard_normal((20, 4)), rng.integers(0, 3, 20), 3)
         model = random_model(nn.ModelArch((4, 6, 3)), seed=1)
-        ratio = gradient_dissimilarity(model, [data, data, data], [20, 20, 20])
+        ratio = gradient_dissimilarity(model, [data, data, data])
         assert abs(ratio - 1.0) < 1e-9
 
     def test_opposing_gradients_are_undefined(self):
@@ -82,7 +82,7 @@ class TestGradientRatio:
         b = LabeledDataset(features, np.ones(10, dtype=int), 2)
         arch = nn.ModelArch((3, 2))
         model = nn.ParamVector(arch, np.zeros(nn.param_count(arch)))
-        assert gradient_dissimilarity(model, [a, b], [10, 10]) is None
+        assert gradient_dissimilarity(model, [a, b]) is None
 
     def test_jensen_lower_bound(self):
         rng = np.random.default_rng(3)
@@ -93,15 +93,15 @@ class TestGradientRatio:
                 LabeledDataset(rng.standard_normal((15, 5)), rng.integers(0, 4, 15), 4)
                 for _ in range(4)
             ]
-            ratio = gradient_dissimilarity(model, datasets, [15, 15, 15, 15])
+            ratio = gradient_dissimilarity(model, datasets)
             assert ratio is None or ratio >= 1.0 - 1e-9
 
     def test_skewed_split_more_dissimilar_than_uniform(self):
         model = random_model(nn.ModelArch((16, 32, 8)), seed=0)
         ordered = 0
         for seed in range(5):
-            low = gradient_dissimilarity(model, client_datasets(0.1, seed), [1] * 10)
-            high = gradient_dissimilarity(model, client_datasets(1e6, seed), [1] * 10)
+            low = gradient_dissimilarity(model, client_datasets(0.1, seed))
+            high = gradient_dissimilarity(model, client_datasets(1e6, seed))
             ordered += low > high
         assert ordered == 5
 
@@ -116,30 +116,30 @@ class TestGradientRatio:
         g_b = nn.backward(model, nn.Batch(b.features, b.labels))
         num = math.sqrt(0.25 * float(g_a @ g_a) + 0.75 * float(g_b @ g_b))
         den = float(np.linalg.norm(0.25 * g_a + 0.75 * g_b))
-        assert gradient_dissimilarity(model, [a, b], [6, 18]) == pytest.approx(num / den, rel=1e-12)
+        assert gradient_dissimilarity(model, [a, b]) == pytest.approx(num / den, rel=1e-12)
 
 
-def reference_global_objective(model, datasets, sizes):
+def reference_global_objective(model, datasets):
     # the loop global_objective ran before the shared pass, kept as the reference
-    total = float(sum(sizes))
+    total = float(sum(len(dataset) for dataset in datasets))
     loss = 0.0
     grad = np.zeros(len(model))
-    for dataset, size in zip(datasets, sizes):
+    for dataset in datasets:
         batch = nn.Batch(dataset.features, dataset.labels)
-        weight = size / total
+        weight = len(dataset) / total
         loss += weight * nn.cross_entropy(nn.forward(model, batch), batch.labels)
         grad += weight * nn.backward(model, batch)
     return loss, grad
 
 
-def reference_gradient_dissimilarity(model, datasets, sizes):
+def reference_gradient_dissimilarity(model, datasets):
     # the loop gradient_dissimilarity ran before the shared pass
-    total = float(sum(sizes))
+    total = float(sum(len(dataset) for dataset in datasets))
     mean_sq = 0.0
     mean_grad = np.zeros(len(model))
-    for dataset, size in zip(datasets, sizes):
+    for dataset in datasets:
         g_k = nn.backward(model, nn.Batch(dataset.features, dataset.labels))
-        weight = size / total
+        weight = len(dataset) / total
         mean_sq += weight * float(g_k @ g_k)
         mean_grad += weight * g_k
     denom = float(np.linalg.norm(mean_grad))
@@ -147,16 +147,10 @@ def reference_gradient_dissimilarity(model, datasets, sizes):
 
 
 @pytest.mark.parametrize(
-    "widths, rows, weighted_by_size",
-    [
-        ((4, 3), (1, 7, 30, 3), True),
-        ((5, 8, 3), (12, 1, 2, 45, 9), True),
-        ((6, 7, 5, 4), (3, 17), True),
-        ((5, 8, 3), (12, 1, 2, 45, 9), False),
-    ],
+    "widths, rows", [((4, 3), (1, 7, 30, 3)), ((5, 8, 3), (12, 1, 2, 45, 9)), ((6, 7, 5, 4), (3, 17))]
 )
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_shared_pass_bitwise_equals_reference_loops(widths, rows, weighted_by_size, seed):
+def test_shared_pass_bitwise_equals_reference_loops(widths, rows, seed):
     rng = np.random.default_rng(seed)
     arch = nn.ModelArch(widths)
     model = random_model(arch, seed=seed)
@@ -165,15 +159,14 @@ def test_shared_pass_bitwise_equals_reference_loops(widths, rows, weighted_by_si
         LabeledDataset(rng.standard_normal((n, arch.input_dim)), rng.integers(0, classes, n), classes)
         for n in rows
     ]
-    sizes = list(rows) if weighted_by_size else [int(s) for s in rng.integers(1, 50, len(rows))]
-    want_loss, want_grad = reference_global_objective(model, datasets, sizes)
-    want_ratio = reference_gradient_dissimilarity(model, datasets, sizes)
+    want_loss, want_grad = reference_global_objective(model, datasets)
+    want_ratio = reference_gradient_dissimilarity(model, datasets)
 
-    loss, grad, ratio = full_batch_pass(model, datasets, sizes)
+    loss, grad, ratio = full_batch_pass(model, datasets)
     assert loss == want_loss and np.array_equal(grad, want_grad) and ratio == want_ratio
-    got_loss, got_grad = global_objective(model, datasets, sizes)
+    got_loss, got_grad = global_objective(model, datasets)
     assert got_loss == want_loss and np.array_equal(got_grad, want_grad)
-    assert gradient_dissimilarity(model, datasets, sizes) == want_ratio
+    assert gradient_dissimilarity(model, datasets) == want_ratio
 
 
 @pytest.mark.parametrize("diagnostic", [global_objective, gradient_dissimilarity])
@@ -187,28 +180,21 @@ class TestPassValidation:
         )
         return model, data
 
-    @pytest.mark.parametrize("sizes", [[0], [8, 0], [-1, 9], [8, -8]])
-    def test_nonpositive_size_rejected(self, diagnostic, sizes):
-        model, data = self._setup()
+    def test_no_datasets_rejected(self, diagnostic):
+        model, _data = self._setup()
         with pytest.raises(DiagnosticsError):
-            diagnostic(model, [data] * len(sizes), sizes)
-
-    @pytest.mark.parametrize("datasets, sizes", [(0, []), (2, [8])])
-    def test_empty_or_unequal_lists_rejected(self, diagnostic, datasets, sizes):
-        model, data = self._setup()
-        with pytest.raises(DiagnosticsError):
-            diagnostic(model, [data] * datasets, sizes)
+            diagnostic(model, [])
 
     def test_feature_width_mismatch_is_shape_error(self, diagnostic):
         model, data = self._setup(input_dim=5)
         with pytest.raises(ShapeError):
-            diagnostic(model, [data], [8])
+            diagnostic(model, [data])
 
     def test_labels_beyond_model_outputs_are_data_error(self, diagnostic):
         model, data = self._setup(classes=6)
         data = LabeledDataset(data.features, np.full(8, 5), 6)
         with pytest.raises(DataError):
-            diagnostic(model, [data], [8])
+            diagnostic(model, [data])
 
 
 # "error": a diverged model must surface as DivergenceError, not a numpy warning
@@ -220,7 +206,7 @@ def test_huge_finite_model_is_divergence(diagnostic):
     model = nn.ParamVector(arch, np.full(nn.param_count(arch), 1e200))
     data = LabeledDataset(rng.standard_normal((12, 4)), rng.integers(0, 3, 12), 3)
     with pytest.raises(DivergenceError):
-        diagnostic(model, [data, data], [12, 12])
+        diagnostic(model, [data, data])
 
 
 class TestDescent:
@@ -242,13 +228,12 @@ class TestDescent:
         # plain full-batch gradient descent must decrease the objective each step
         _pool, _server_set, rest, _part, clients, model = toy_problem
         datasets = [c.data for c in clients]
-        sizes = [len(c.data) for c in clients]
         opt = nn.init_optimizer(model, lr=0.05)
         records = []
         for t in range(10):
-            loss, grad = global_objective(model, datasets, sizes)
+            loss, grad = global_objective(model, datasets)
             model, opt = nn.sgd_step(model, grad, opt)
-            loss_after, _ = global_objective(model, datasets, sizes)
+            loss_after, _ = global_objective(model, datasets)
             records.append(
                 DescentRecord(
                     round=t,

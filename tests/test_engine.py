@@ -372,6 +372,11 @@ class TestAggregation:
             engine._combine(models, engine.fedpdc_weights([0.5, 1.5])[0])
         with pytest.raises(AggregationError):
             engine._combine([], engine.fedavg_weights([]))
+        # a NaN is neither a positive size nor an accuracy in [0, 1]
+        with pytest.raises(AggregationError):
+            engine.fedavg_weights([math.nan, 1])
+        with pytest.raises(AggregationError):
+            engine.fedpdc_weights([math.nan, 0.5])
 
 
 @settings(max_examples=50, deadline=None)
@@ -564,9 +569,7 @@ class TestReductionIdentities:
         )
         server = engine.ServerState(model, server_set)
         new_server, _rec = engine.run_round(server, clients, cfg)
-        _loss, grad = global_objective(
-            model, [c.data for c in clients], [len(c.data) for c in clients]
-        )
+        _loss, grad = global_objective(model, [c.data for c in clients])
         assert np.max(np.abs(new_server.model.values - (model.values - 0.05 * grad))) < 1e-9
 
     def test_literal_penalty_never_moves_the_model(self, toy_problem):

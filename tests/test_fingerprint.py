@@ -16,7 +16,7 @@ import hashlib
 import pytest
 
 from fedsim.config import ExperimentConfig
-from fedsim.runner import run_experiment
+from fedsim.runner import run_experiment, run_sweep
 
 BASE = dict(
     num_classes=3,
@@ -44,7 +44,14 @@ CASES = {
     "fedpdc_adaptive_scaled_ce": dict(strategy="fedpdc_adaptive", penalty_mode="scaled_ce"),
 }
 
-ARTIFACTS = ("rounds.csv", "final_model.bin", "diagnostics.csv", "dissimilarity.csv")
+ARTIFACTS = (
+    "rounds.csv",
+    "final_model.bin",
+    "diagnostics.csv",
+    "dissimilarity.csv",
+    "manifest.txt",
+    "partition.txt",
+)
 
 EXPECTED = {
     "fedavg": (
@@ -52,30 +59,40 @@ EXPECTED = {
         "bb54f82c69b7e90810775dff98e825cc88257e6e99acc86ceef083a80d544bb6",
         "50bd2987f84d082893965407ead5d644b2318ff6d09c076a062b5c509603ad03",
         "9a0450867d939b83fd4dd2a4b2c60c671a997d436f5f44683efaf99d64cc1e3b",
+        "d210871ce286797264d82f3f9db33bae3d3edac81d0c0cc28907ca76981902c9",
+        "119b5c3fd8a275cd07f6215dd3d812c81bf4aba1a34f8577e3bc5c4d713b0cd6",
     ),
     "fedprox": (
         "c84a153d32bdd824289057e40201b9662d9f3753c63e6414ee16f55c3a5d8be6",
         "52ce9b24af41c8da42d38ef7000ba53760fea01f8c9e866dcbe94c6a83a9074d",
         "07ed245a2daa1cd4595800bd782793cd91b08c9b614d3f114f60019a6f20404d",
         "2bfdfad4294eb214d442b3b560b7cb74179eae88ded4aa7aea59cd7d966e7d67",
+        "c1087f0303ed5ae9c43a0a40ccaea3c1bda6506001dc1f8d80955fef4db2ae72",
+        "119b5c3fd8a275cd07f6215dd3d812c81bf4aba1a34f8577e3bc5c4d713b0cd6",
     ),
     "fedpdc_literal": (
         "be129b208e5c3aa801dff7f9c36e17924e1d578ee4767e8eb1c39745ac846307",
         "dca36e3c5e5dfe78b6dc50496c74f1779309699c15fa2943b8a2f9ef4ab7af36",
         "af955fc1748eb45dc26971121d79805249c99ef5d1b69e8f79ad9fb862ceb812",
         "d3c9bdca469a1880f1810991bac00954a7673c22a30c02e912e2898d580fdbf0",
+        "2ed58ef025c83898e650e5c30efbc320380a1ac71838d9d8324a50f7adba342d",
+        "119b5c3fd8a275cd07f6215dd3d812c81bf4aba1a34f8577e3bc5c4d713b0cd6",
     ),
     "fedpdc_scaled_ce": (
         "cca10e47e20897c7a008afd583744a2398783b5bda9739e15d2a300eefe10749",
         "5d0afd4c4c663608a8e3bbf75d5bd0449f1cb3cb8f50e29db577f5b29cb54360",
         "f8f44a7c71620f2a2cb1920a81c276e019b8aa3aa16f27b41ba746de78a6c5fa",
         "67227e2c5d7cfac600bdd28854af5dd2965e18627983aab66fd48c18ed7068e4",
+        "5494b3df2872f19ce6a9e4c9f63fb62472a7ec7e48f0a8d11bcd94f82843b5bf",
+        "119b5c3fd8a275cd07f6215dd3d812c81bf4aba1a34f8577e3bc5c4d713b0cd6",
     ),
     "fedpdc_adaptive_scaled_ce": (
         "c69eda0aedf936cf61ea0dafbc1d2d01fa2384f66ebb8110cd81566b1189d54e",
         "eedf24de0a139131f808fe6285e9ad08c4f785cab3528c675e509cec9b9d312e",
         "451593a00acc1824931c3828f9e46041c9e586f8ccb81698a87930ae3030c273",
         "482d019e9817122489e3dab58ca70d3d44081efda2bdf2c4bdce0637c961a228",
+        "05d6d6cb3ac4a484aea8ee26a35ed39c4780c00f162a52b352f317cbedfc49b7",
+        "119b5c3fd8a275cd07f6215dd3d812c81bf4aba1a34f8577e3bc5c4d713b0cd6",
     ),
 }
 
@@ -85,3 +102,28 @@ def test_artifacts_match_pinned_sha256(name, tmp_path):
     run_experiment(ExperimentConfig(**BASE, **CASES[name]), 3, tmp_path)
     got = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in ARTIFACTS)
     assert dict(zip(ARTIFACTS, got)) == dict(zip(ARTIFACTS, EXPECTED[name]))
+
+
+# A 2-seed sweep of the fedpdc_literal case, with a test split and without
+# one (test_per_class = 0 leaves the test column of sweep_summary.csv blank).
+SWEEP_EXPECTED = {
+    8: (
+        "3851a89762d063cd2b167c51a955598d68a9cde4d6c2fe037407fa0c13d9bb95",
+        "ff1b7535100756777d203ce5b315ae6cbe8d2724d6ec0d98d8438c35ef52056f",
+    ),
+    0: (
+        "429595d5aeb021cc7554e9b9504abe377b8969f8cacae1b2a6593e7c9c23e453",
+        "61399a29289d31ed7ea4e0dc01c667d4c05e8082390ff245e502a6bc9ddd8637",
+    ),
+}
+
+
+@pytest.mark.parametrize("test_per_class", sorted(SWEEP_EXPECTED))
+def test_sweep_artifacts_match_pinned_sha256(test_per_class, tmp_path, monkeypatch):
+    # a relative output_dir keeps the path written to config.resolved.txt fixed
+    monkeypatch.chdir(tmp_path)
+    settings = {**BASE, **CASES["fedpdc_literal"], "test_per_class": test_per_class}
+    run_sweep(ExperimentConfig(**settings, seeds=(0, 1), output_dir="out"))
+    files = ("sweep_summary.csv", "config.resolved.txt")
+    got = tuple(hashlib.sha256((tmp_path / "out" / f).read_bytes()).hexdigest() for f in files)
+    assert dict(zip(files, got)) == dict(zip(files, SWEEP_EXPECTED[test_per_class]))

@@ -95,6 +95,10 @@ class TestCrossEntropy:
         with pytest.raises(DataError):
             nn.cross_entropy(np.zeros((2, 3)), np.array([0, 3]))
 
+    def test_zero_rows_is_shape_error(self):
+        with pytest.raises(ShapeError):
+            nn.cross_entropy(np.zeros((0, 3)), np.zeros(0, dtype=int))
+
 
 class TestBackward:
     def test_symmetric_point_output_bias_gradient(self):

@@ -37,10 +37,12 @@ def quick_cfg(**overrides):
 
 class TestBuildProblem:
     def test_splits_are_disjoint_and_balanced(self):
-        problem = build_problem(quick_cfg(), seed=0)
-        total = len(problem.server_set) + len(problem.test_set) + len(problem.train_pool)
-        assert total == len(problem.pool)
-        assert np.all(problem.server_set.data.class_histogram() == 8)
+        cfg = quick_cfg()
+        problem = build_problem(cfg, seed=0)
+        server_set = problem.server.server_set
+        total = len(server_set) + len(problem.test_set) + len(problem.train_pool)
+        assert total == cfg.num_classes * cfg.samples_per_class
+        assert np.all(server_set.data.class_histogram() == 8)
         assert sum(len(c.data) for c in problem.clients) == len(problem.train_pool)
 
     def test_strategy_does_not_affect_data_or_init(self):
@@ -211,6 +213,18 @@ class TestUsedRunDirectory:
         run_experiment(quick_cfg(rounds=1), 1, tmp_path)
         assert (tmp_path / "rounds.csv").is_file()
 
+    def test_failure_before_round_one_leaves_no_file(self, tmp_path, capsys):
+        # 6 samples per class cannot give the server set its 8 per class
+        out = tmp_path / "runs"
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(config_text(quick_cfg(samples_per_class=6, rounds=1, output_dir=str(out))))
+        assert main(["run", str(cfg)]) == 3
+        assert not out.exists() or not any(out.rglob("*"))
+        cfg.write_text(config_text(quick_cfg(rounds=1, output_dir=str(out))))
+        assert main(["run", str(cfg)]) == 0
+        assert (out / "fedavg-seed0" / "rounds.csv").is_file()
+        assert (out / "config.resolved.txt").is_file()
+
 
 class TestCli:
     def write_cfg(self, tmp_path, **overrides):
@@ -350,3 +364,4 @@ class TestCli:
         assert main(["compare", str(run_dir), str(run_dir), "--target", "2.0"]) == 0
         table = capsys.readouterr().out
         assert "\\" in table and "<1x" in table
+
