@@ -20,9 +20,15 @@ from pathlib import Path
 
 import numpy as np
 
-from . import engine, nn
+from . import diagnostics, engine, nn
 from .config import ExperimentConfig, parse_config
-from .data import SyntheticSpec, dirichlet_partition, generate_synthetic, partition_stats
+from .data import (
+    LabeledDataset,
+    SyntheticSpec,
+    dirichlet_partition,
+    generate_synthetic,
+    partition_stats,
+)
 from .diagnostics import read_history_csv, rounds_to_target, speedup
 from .errors import (
     ConfigError,
@@ -114,20 +120,33 @@ def _cmd_plotdata(args) -> int:
 
 
 def _check_gradients() -> bool:
-    """The gradient of the kernel that training and diagnostics run, against
-    central differences of its own loss."""
+    """The gradients that training and diagnostics compute, against central
+    differences of their own losses: the training kernel on one batch, and
+    the full-batch pass on datasets that span two of its row blocks."""
+    arch = nn.ModelArch((4, 6, 3))
     for seed in (0, 1, 2):
         rng = np.random.default_rng(seed)
-        arch = nn.ModelArch((4, 6, 3))
         values = nn.init_model(arch, seed).values
         features, labels = rng.standard_normal((6, 4)), rng.integers(0, 3, 6)
-        analytic = nn.loss_and_grad(arch, values, features, labels)[1]
-        numeric = nn.central_difference(
-            lambda v: nn.loss_and_grad(arch, v, features, labels)[0], values, 1e-3
-        )
-        denom = max(float(np.max(np.abs(numeric))), 1e-12)
-        if float(np.max(np.abs(analytic - numeric))) / denom >= 1e-4:
-            return False
+        datasets = [
+            LabeledDataset(rng.standard_normal((n, 4)), rng.integers(0, 3, n), 3)
+            for n in (diagnostics.BLOCK_ROWS - 1, 2, 5)
+        ]
+
+        def train_pass(v):
+            return nn.loss_and_grad(arch, v, features, labels)
+
+        def full_pass(v):
+            return diagnostics.full_batch_pass(nn.ParamVector(arch, v), datasets)[:2]
+
+        # a smaller step for the pass: among its 500-odd rows some ReLU input
+        # lies within 1e-3 of the kink, where a difference is no derivative
+        for loss_and_grad, step in ((train_pass, 1e-3), (full_pass, 1e-5)):
+            analytic = loss_and_grad(values)[1]
+            numeric = nn.central_difference(lambda v: loss_and_grad(v)[0], values, step)
+            denom = max(float(np.max(np.abs(numeric))), 1e-12)
+            if float(np.max(np.abs(analytic - numeric))) / denom >= 1e-4:
+                return False
     return True
 
 

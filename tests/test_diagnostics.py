@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_model
-from fedsim import nn
+from fedsim import diagnostics, nn
 from fedsim.data import LabeledDataset, SyntheticSpec, dirichlet_partition, generate_synthetic
 from fedsim.diagnostics import (
     GRAD_NORM_TOL,
@@ -146,6 +148,14 @@ def reference_gradient_dissimilarity(model, datasets):
     return None if denom <= GRAD_NORM_TOL else math.sqrt(mean_sq) / denom
 
 
+def random_datasets(rng, arch, rows):
+    classes = arch.output_dim
+    return [
+        LabeledDataset(rng.standard_normal((n, arch.input_dim)), rng.integers(0, classes, n), classes)
+        for n in rows
+    ]
+
+
 @pytest.mark.parametrize(
     "widths, rows", [((4, 3), (1, 7, 30, 3)), ((5, 8, 3), (12, 1, 2, 45, 9)), ((6, 7, 5, 4), (3, 17))]
 )
@@ -154,11 +164,7 @@ def test_shared_pass_bitwise_equals_reference_loops(widths, rows, seed):
     rng = np.random.default_rng(seed)
     arch = nn.ModelArch(widths)
     model = random_model(arch, seed=seed)
-    classes = arch.output_dim
-    datasets = [
-        LabeledDataset(rng.standard_normal((n, arch.input_dim)), rng.integers(0, classes, n), classes)
-        for n in rows
-    ]
+    datasets = random_datasets(rng, arch, rows)
     want_loss, want_grad = reference_global_objective(model, datasets)
     want_ratio = reference_gradient_dissimilarity(model, datasets)
 
@@ -167,6 +173,41 @@ def test_shared_pass_bitwise_equals_reference_loops(widths, rows, seed):
     got_loss, got_grad = global_objective(model, datasets)
     assert got_loss == want_loss and np.array_equal(got_grad, want_grad)
     assert gradient_dissimilarity(model, datasets) == want_ratio
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    widths=st.lists(st.integers(1, 9), min_size=3, max_size=4).map(tuple),
+    rows=st.lists(st.integers(1, 700), min_size=1, max_size=12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_pass_bitwise_equals_reference_loops(widths, rows, seed):
+    # 1-700 rows per dataset: blocks straddle BLOCK_ROWS and one dataset may
+    # fill a block by itself; 1-row datasets take numpy's gemv path
+    rng = np.random.default_rng(seed)
+    arch = nn.ModelArch(widths)
+    model = random_model(arch, seed=seed)
+    datasets = random_datasets(rng, arch, rows)
+    want_loss, want_grad = reference_global_objective(model, datasets)
+    want_ratio = reference_gradient_dissimilarity(model, datasets)
+
+    loss, grad, ratio = full_batch_pass(model, datasets)
+    assert loss == want_loss and np.array_equal(grad, want_grad) and ratio == want_ratio
+
+
+@pytest.mark.parametrize("block_rows", [1, 10**9])
+@pytest.mark.parametrize("widths", [(9, 20, 3), (16, 64, 8), (5, 7, 4, 3)])
+def test_block_size_does_not_change_the_bits(widths, block_rows, monkeypatch):
+    # on OpenBLAS 0.3.31 (x86-64) one product over a whole block gives some
+    # rows of the first two architectures other bits than their own dataset's
+    rng = np.random.default_rng(9)
+    arch = nn.ModelArch(widths)
+    model = random_model(arch, seed=9)
+    datasets = random_datasets(rng, arch, (300, 1, 211, 2, 640, 90, 37))
+    loss, grad, ratio = full_batch_pass(model, datasets)
+    monkeypatch.setattr(diagnostics, "BLOCK_ROWS", block_rows)
+    got_loss, got_grad, got_ratio = full_batch_pass(model, datasets)
+    assert got_loss == loss and got_grad.tobytes() == grad.tobytes() and got_ratio == ratio
 
 
 @pytest.mark.parametrize("diagnostic", [global_objective, gradient_dissimilarity])

@@ -12,6 +12,10 @@ them there from a known-good commit before trusting a mismatch.
 """
 
 import hashlib
+import importlib.util
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -127,3 +131,38 @@ def test_sweep_artifacts_match_pinned_sha256(test_per_class, tmp_path, monkeypat
     files = ("sweep_summary.csv", "config.resolved.txt")
     got = tuple(hashlib.sha256((tmp_path / "out" / f).read_bytes()).hexdigest() for f in files)
     assert dict(zip(files, got)) == dict(zip(files, SWEEP_EXPECTED[test_per_class]))
+
+
+# The benchmark's own trajectory hash (rounds.csv and final_model.bin of every
+# config) of each perfbench workload at seed 1, as `perfbench/run.py` prints
+# it. Configs, child process and hash are perfbench's own, imported here.
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+BENCHMARK_EXPECTED = {
+    "paper_sweep": "8bf5f630e987ae01f65a8fadf34e70b33c00a56750b7cbde0a266dcb6d63f22b",
+    "prox_small_batch": "a37f90d27e40c318c399e05b7acc627b2a12cbfd5721f528d52e4d8022f0ddf1",
+    "many_clients_diag": "c341095957849c0841b7723fd77e27e8313fe8552a266992047144e02244c760",
+}
+
+
+def _perfbench_run():
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", sorted(BENCHMARK_EXPECTED))
+def test_benchmark_trajectory_matches_pinned_sha256(workload, tmp_path):
+    run = _perfbench_run()
+    bench = run.Bench(workload, 1, tmp_path)
+    base, configs = bench.write_configs()
+    proc = subprocess.run(
+        [sys.executable, str(run.CHILD), "run", str(base / "run.json"), *map(str, configs)],
+        cwd=run.ROOT, env=bench.env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    facts = run.check_outputs(base, bench.settings(), bench.workload.acc_floor)
+    assert not isinstance(facts, str), facts
+    assert facts["hash"] == BENCHMARK_EXPECTED[workload]

@@ -258,13 +258,30 @@ class TestEvaluateAccuracy:
             nn.evaluate_accuracy(model, Empty())
 
     def test_class_count_mismatch_rejected(self):
+        # judged by nn.check_fits, as training judges client data
         from fedsim.data import LabeledDataset
 
         model = random_model(nn.ModelArch((2, 2)), seed=0)
         data = LabeledDataset(np.zeros((3, 2)), np.array([0, 1, 2]), 3)
-        with pytest.raises(EvaluationError, match="3 classes"):
+        with pytest.raises(DataError, match=r"evaluation set labels must lie in \[0, 2\)"):
             nn.evaluate_accuracy(model, data)
 
+    def test_feature_width_mismatch_names_the_set(self):
+        from fedsim.data import LabeledDataset
+
+        model = random_model(nn.ModelArch((4, 3)), seed=0)
+        data = LabeledDataset(np.zeros((3, 5)), np.array([0, 1, 2]), 3)
+        with pytest.raises(ShapeError, match="evaluation set features have 5 columns"):
+            nn.evaluate_accuracy(model, data)
+
+    def test_labels_the_model_outputs_are_scored_whatever_num_classes_says(self):
+        from fedsim.data import LabeledDataset
+
+        model = random_model(nn.ModelArch((2, 2)), seed=0)
+        data = LabeledDataset(np.eye(2), np.array([0, 1]), 4)
+        logits = nn.forward(model, nn.Batch(data.features, data.labels))
+        expected = float(np.mean(np.argmax(logits, axis=1) == data.labels))
+        assert nn.evaluate_accuracy(model, data) == expected
 
     # "error": a diverged model must surface as DivergenceError, not a numpy warning
     @pytest.mark.filterwarnings("error")

@@ -80,17 +80,18 @@ class TestRunExperiment:
         [(True, True, 5), (True, False, 5), (False, True, 4), (False, False, 0)],
     )
     def test_one_full_batch_pass_per_round(self, tmp_path, monkeypatch, instrument, dissimilarity, passes):
-        # 4 rounds: one pass per round when a diagnostic is on, one more for the final loss
+        # 4 rounds: one pass per round when a diagnostic is on, one more for
+        # the final loss; every pass visits every client row once
         rows_seen = []
 
-        def counting(arch, values, features, labels):
-            rows_seen.append(features.shape[0])
-            return nn.loss_and_grad(arch, values, features, labels)
+        def counting(layers, features, picks, row_slices):
+            rows_seen.extend(map(tuple, features))
+            return nn.stacked_deltas(layers, features, picks, row_slices)
 
-        monkeypatch.setattr(diagnostics, "loss_and_grad", counting)
+        monkeypatch.setattr(diagnostics, "stacked_deltas", counting)
         cfg = quick_cfg(instrument_global_loss=instrument, emit_dissimilarity=dissimilarity)
         run_experiment(cfg, 0, tmp_path / "r")
-        client_rows = [len(c.data) for c in build_problem(cfg, 0).clients]
+        client_rows = [tuple(row) for c in build_problem(cfg, 0).clients for row in c.data.features]
         assert sorted(rows_seen) == sorted(client_rows * passes)
 
     def test_manifest_reparses_to_the_run_config(self, tmp_path):
@@ -303,6 +304,17 @@ class TestCli:
             return ce, grad * 1.01
 
         monkeypatch.setattr(nn, "loss_and_grad", skewed)
+        assert main(["check"]) == 1
+        assert "FAIL  analytic gradient" in capsys.readouterr().out
+
+    def test_check_fails_on_a_wrong_full_batch_gradient(self, monkeypatch, capsys):
+        exact = diagnostics.full_batch_pass
+
+        def skewed(model, datasets):
+            loss, grad, ratio = exact(model, datasets)
+            return loss, grad * 1.01, ratio
+
+        monkeypatch.setattr(diagnostics, "full_batch_pass", skewed)
         assert main(["check"]) == 1
         assert "FAIL  analytic gradient" in capsys.readouterr().out
 
