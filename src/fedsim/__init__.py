@@ -48,7 +48,6 @@ from .nn import (
     backward,
     cross_entropy,
     evaluate_accuracy,
-    finite_diff_grad,
     forward,
     init_model,
     load_model,

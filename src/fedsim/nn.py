@@ -121,17 +121,6 @@ class OptimizerState:
         object.__setattr__(self, "momentum_buffer", buf)
 
 
-def init_optimizer(
-    model: ParamVector, lr: float, momentum: float = 0.0, weight_decay: float = 0.0
-) -> OptimizerState:
-    return OptimizerState(
-        momentum_buffer=np.zeros(len(model)),
-        lr=lr,
-        momentum=momentum,
-        weight_decay=weight_decay,
-    )
-
-
 def _layer_slices(arch: ModelArch):
     """Yield (weight_slice, bias_slice, in_width, out_width) per layer."""
     offset = 0
@@ -195,23 +184,17 @@ def _matmul_by_rows(a: np.ndarray, b: np.ndarray, row_slices: list[slice]) -> np
     return out
 
 
-def _forward_raw(arch: ModelArch, values: np.ndarray, features: np.ndarray) -> np.ndarray:
+def _check_width(arch: ModelArch, features: np.ndarray) -> None:
     if features.shape[1] != arch.input_dim:
         raise ShapeError(
             f"features have {features.shape[1]} columns, architecture expects {arch.input_dim}"
         )
-    return _forward_layers(unpack(arch, values), features)[-1]
 
 
 def forward(model: ParamVector, batch: Batch) -> np.ndarray:
     """Logits matrix, shape (batch_size, output_dim)."""
-    return _forward_raw(model.arch, model.values, batch.features)
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)
+    _check_width(model.arch, batch.features)
+    return _forward_layers(unpack(model.arch, model.values), batch.features)[-1]
 
 
 def _check_labels(logits: np.ndarray, labels: np.ndarray) -> None:
@@ -244,52 +227,23 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
 
 
 def backward(model: ParamVector, batch: Batch) -> np.ndarray:
-    """Analytic gradient of the mean cross-entropy w.r.t. every parameter.
-
-    Standard backprop: output delta is (softmax - onehot)/batch_size, hidden
-    deltas are masked by the ReLU pre-activation sign.
-    """
+    """Gradient of the mean cross-entropy w.r.t. every parameter: the
+    loss_and_grad kernel, after the width and label checks it leaves to
+    its caller."""
     arch = model.arch
-    layers = unpack(arch, model.values)
-    labels = batch.labels
-    if labels.max() >= arch.output_dim:
+    _check_width(arch, batch.features)
+    if batch.labels.max() >= arch.output_dim:
         raise DataError(f"labels must lie in [0, {arch.output_dim})")
-
-    activations = [batch.features]
-    pre_acts = []
-    act = batch.features
-    for weight, bias in layers[:-1]:
-        pre = act @ weight + bias
-        pre_acts.append(pre)
-        act = np.maximum(pre, 0.0)
-        activations.append(act)
-    weight, bias = layers[-1]
-    logits = act @ weight + bias
-
-    n = batch.features.shape[0]
-    delta = softmax(logits)
-    delta[np.arange(n), labels] -= 1.0
-    delta /= n
-
-    grad = np.zeros_like(model.values)
-    grad_layers = unpack(arch, grad)
-    for li in range(len(layers) - 1, -1, -1):
-        g_weight, g_bias = grad_layers[li]
-        g_weight[:] = activations[li].T @ delta
-        g_bias[:] = delta.sum(axis=0)
-        if li > 0:
-            delta = (delta @ layers[li][0].T) * (pre_acts[li - 1] > 0.0)
-    return grad
+    return loss_and_grad(arch, model.values, batch.features, batch.labels)[1]
 
 
 def loss_and_grad(
     arch: ModelArch, values: np.ndarray, features: np.ndarray, labels: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy and its gradient from one forward pass.
-
-    Bitwise equal to (cross_entropy(forward(...)), backward(...)), which stay
-    the reference. Inputs are trusted: the caller has checked the feature
-    width and that labels lie in [0, arch.output_dim).
+    """Mean cross-entropy and its gradient from one forward pass; the loss
+    is bitwise equal to cross_entropy(forward(...)). Inputs are trusted: the
+    caller has checked the feature width and that labels lie in
+    [0, arch.output_dim).
     """
     grad = np.empty(values.size)
     picks = np.arange(features.shape[0]) * arch.output_dim + labels
@@ -404,16 +358,6 @@ def central_difference(fn: Callable[[np.ndarray], float], x: np.ndarray, step: f
     return grad
 
 
-def finite_diff_grad(model: ParamVector, batch: Batch, step: float = 1e-3) -> np.ndarray:
-    """Independent numeric oracle for backward()."""
-    arch = model.arch
-
-    def loss_at(values: np.ndarray) -> float:
-        return cross_entropy(_forward_raw(arch, values, batch.features), batch.labels)
-
-    return central_difference(loss_at, model.values, step)
-
-
 def sgd_step(
     model: ParamVector, gradient: np.ndarray, opt: OptimizerState
 ) -> tuple[ParamVector, OptimizerState]:
@@ -462,13 +406,14 @@ def load_model(path) -> ParamVector:
     if not header.startswith(prefix):
         raise DataError(f"{path}: unrecognized checkpoint header {header!r}")
     try:
-        widths = tuple(int(tok) for tok in header[len(prefix) :].split(","))
-    except ValueError:
-        raise DataError(f"{path}: malformed arch in checkpoint header") from None
-    arch = ModelArch(widths)
+        arch = ModelArch(tuple(int(tok) for tok in header[len(prefix) :].split(",")))
+    except (ValueError, ConfigError):
+        raise DataError(f"{path}: malformed arch in checkpoint header {header!r}") from None
     payload = blob[newline + 1 :]
     expected = 8 * param_count(arch)
     if len(payload) != expected:
         raise DataError(f"{path}: expected {expected} payload bytes, got {len(payload)}")
-    values = np.frombuffer(payload, dtype="<f8")
-    return ParamVector(arch, values)
+    try:
+        return ParamVector(arch, np.frombuffer(payload, dtype="<f8"))
+    except StateError:
+        raise DataError(f"{path}: checkpoint parameters are not finite") from None

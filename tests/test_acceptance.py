@@ -14,6 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import reference
 from conftest import random_model
 from fedsim import engine, nn
 from fedsim.config import ExperimentConfig
@@ -81,7 +82,11 @@ def test_criterion_1_gradient_oracle():
         model = nn.init_model(arch, seed)
         batch = nn.Batch(rng.standard_normal((7, 5)), rng.integers(0, 4, 7))
         analytic = nn.backward(model, batch)
-        numeric = nn.finite_diff_grad(model, batch, step=1e-5)
+        numeric = nn.central_difference(
+            lambda v: reference.loss_and_grad(arch, v, batch.features, batch.labels)[0],
+            model.values,
+            step=1e-5,
+        )
         rel = np.max(np.abs(analytic - numeric)) / max(np.max(np.abs(numeric)), 1e-12)
         worst = max(worst, rel)
     elapsed = time.perf_counter() - start
@@ -245,14 +250,6 @@ def test_criterion_6_dissimilarity_sanity():
 
 
 def test_criterion_7_theorem_constant():
-    def reference(L, mu, mu_bar, B, K):
-        term1 = 1.0 / mu
-        term2 = (L * B / mu) / mu_bar
-        term3 = 0.5 * (L * B * B) / (mu_bar * mu_bar)
-        term4 = (2.0 * L * B * B / K) / (mu_bar * mu_bar)
-        term5 = (1.0 + (2.0 * L * B) / mu_bar) * B * math.sqrt(2.0 / K) / mu_bar
-        return term1 - term2 - term3 - term4 + term5
-
     rng = np.random.default_rng(123)
     ok = True
     for _ in range(100):
@@ -262,7 +259,7 @@ def test_criterion_7_theorem_constant():
         B = float(rng.uniform(0.0, 10.0))
         K = float(rng.uniform(1.0, 100.0))
         got = theorem_constant(TheoremConstants(L=L, mu=mu, mu_bar=mu_bar, B=B, K=K))
-        want = reference(L, mu, mu_bar, B, K)
+        want = reference.theorem_constant(L, mu, mu_bar, B, K)
         ok &= abs(got - want) <= 1e-12 * max(1.0, abs(want))
     exact = theorem_constant(TheoremConstants(L=0.0, mu=2.0, mu_bar=1.5, B=4.0, K=9.0))
     ok &= exact == 1.0 / 2.0 + math.sqrt(2.0) * 4.0 / (1.5 * math.sqrt(9.0))

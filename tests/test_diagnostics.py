@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from conftest import random_model
 from fedsim import diagnostics, nn
 from fedsim.data import LabeledDataset, SyntheticSpec, dirichlet_partition, generate_synthetic
 from fedsim.diagnostics import (
-    GRAD_NORM_TOL,
     DescentRecord,
     TheoremConstants,
     descent_check,
@@ -114,38 +114,11 @@ class TestGradientRatio:
         model = random_model(arch, seed=4)
         a = LabeledDataset(rng.standard_normal((6, 3)), rng.integers(0, 2, 6), 2)
         b = LabeledDataset(rng.standard_normal((18, 3)), rng.integers(0, 2, 18), 2)
-        g_a = nn.backward(model, nn.Batch(a.features, a.labels))
-        g_b = nn.backward(model, nn.Batch(b.features, b.labels))
+        g_a = reference.loss_and_grad(arch, model.values, a.features, a.labels)[1]
+        g_b = reference.loss_and_grad(arch, model.values, b.features, b.labels)[1]
         num = math.sqrt(0.25 * float(g_a @ g_a) + 0.75 * float(g_b @ g_b))
         den = float(np.linalg.norm(0.25 * g_a + 0.75 * g_b))
         assert gradient_dissimilarity(model, [a, b]) == pytest.approx(num / den, rel=1e-12)
-
-
-def reference_global_objective(model, datasets):
-    # the loop global_objective ran before the shared pass, kept as the reference
-    total = float(sum(len(dataset) for dataset in datasets))
-    loss = 0.0
-    grad = np.zeros(len(model))
-    for dataset in datasets:
-        batch = nn.Batch(dataset.features, dataset.labels)
-        weight = len(dataset) / total
-        loss += weight * nn.cross_entropy(nn.forward(model, batch), batch.labels)
-        grad += weight * nn.backward(model, batch)
-    return loss, grad
-
-
-def reference_gradient_dissimilarity(model, datasets):
-    # the loop gradient_dissimilarity ran before the shared pass
-    total = float(sum(len(dataset) for dataset in datasets))
-    mean_sq = 0.0
-    mean_grad = np.zeros(len(model))
-    for dataset in datasets:
-        g_k = nn.backward(model, nn.Batch(dataset.features, dataset.labels))
-        weight = len(dataset) / total
-        mean_sq += weight * float(g_k @ g_k)
-        mean_grad += weight * g_k
-    denom = float(np.linalg.norm(mean_grad))
-    return None if denom <= GRAD_NORM_TOL else math.sqrt(mean_sq) / denom
 
 
 def random_datasets(rng, arch, rows):
@@ -165,8 +138,7 @@ def test_shared_pass_bitwise_equals_reference_loops(widths, rows, seed):
     arch = nn.ModelArch(widths)
     model = random_model(arch, seed=seed)
     datasets = random_datasets(rng, arch, rows)
-    want_loss, want_grad = reference_global_objective(model, datasets)
-    want_ratio = reference_gradient_dissimilarity(model, datasets)
+    want_loss, want_grad, want_ratio = reference.full_batch(arch, model.values, datasets)
 
     loss, grad, ratio = full_batch_pass(model, datasets)
     assert loss == want_loss and np.array_equal(grad, want_grad) and ratio == want_ratio
@@ -188,8 +160,7 @@ def test_block_pass_bitwise_equals_reference_loops(widths, rows, seed):
     arch = nn.ModelArch(widths)
     model = random_model(arch, seed=seed)
     datasets = random_datasets(rng, arch, rows)
-    want_loss, want_grad = reference_global_objective(model, datasets)
-    want_ratio = reference_gradient_dissimilarity(model, datasets)
+    want_loss, want_grad, want_ratio = reference.full_batch(arch, model.values, datasets)
 
     loss, grad, ratio = full_batch_pass(model, datasets)
     assert loss == want_loss and np.array_equal(grad, want_grad) and ratio == want_ratio
@@ -269,7 +240,7 @@ class TestDescent:
         # plain full-batch gradient descent must decrease the objective each step
         _pool, _server_set, rest, _part, clients, model = toy_problem
         datasets = [c.data for c in clients]
-        opt = nn.init_optimizer(model, lr=0.05)
+        opt = nn.OptimizerState(np.zeros(len(model)), lr=0.05)
         records = []
         for t in range(10):
             loss, grad = global_objective(model, datasets)
@@ -290,16 +261,6 @@ class TestDescent:
 
 
 class TestTheoremConstant:
-    @staticmethod
-    def _reference(L, mu, mu_bar, B, K):
-        # independent arrangement: factor 1/mu_bar at the end of each term
-        term1 = 1.0 / mu
-        term2 = (L * B / mu) / mu_bar
-        term3 = 0.5 * (L * B * B) / (mu_bar * mu_bar)
-        term4 = (2.0 * L * B * B / K) / (mu_bar * mu_bar)
-        term5 = (1.0 + (2.0 * L * B) / mu_bar) * B * math.sqrt(2.0 / K) / mu_bar
-        return term1 - term2 - term3 - term4 + term5
-
     def test_matches_independent_reimplementation(self):
         rng = np.random.default_rng(99)
         for _ in range(100):
@@ -309,7 +270,7 @@ class TestTheoremConstant:
             B = rng.uniform(0.0, 10.0)
             K = rng.uniform(1.0, 100.0)
             got = theorem_constant(TheoremConstants(L=L, mu=mu, mu_bar=mu_bar, B=B, K=K))
-            want = self._reference(L, mu, mu_bar, B, K)
+            want = reference.theorem_constant(L, mu, mu_bar, B, K)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_zero_smoothness_closed_form(self):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from conftest import random_batch, random_model
 from fedsim import engine, nn
 from fedsim.config import PENALTY_MODES, STRATEGIES, ExperimentConfig
@@ -143,12 +144,12 @@ class TestLocalTrain:
             seed=9,
         )
         model, _ = engine.local_train(client, w, 1.0, cfg, 4)
-        # oracle: replicate the documented shuffle stream, then one backward+sgd_step
+        # oracle: replicate the documented shuffle stream, then one gradient step
         perm = stream(TAG_LOCAL, 9, 4).permutation(len(client.data))
-        batch = nn.Batch(client.data.features[perm], client.data.labels[perm])
-        grad = nn.backward(w, batch)
-        expected, _ = nn.sgd_step(w, grad, nn.init_optimizer(w, lr=0.05))
-        assert np.array_equal(model.values, expected.values)
+        features, labels = client.data.features[perm], client.data.labels[perm]
+        _ce, grad = reference.loss_and_grad(w.arch, w.values, features, labels)
+        expected, _buf = reference.sgd_step(w.values, np.zeros_like(w.values), grad, cfg)
+        assert np.array_equal(model.values, expected)
 
     # "error": divergence must surface as DivergenceError, not a numpy warning
     @pytest.mark.filterwarnings("error")
@@ -186,14 +187,13 @@ class TestLocalTrain:
         )
         with pytest.raises(DivergenceError, match=r"client 3 .* round 5 at step 1") as info:
             engine.local_train(client, w, 1.0, cfg, 5)
-        perm = stream(TAG_LOCAL, 0, 5).permutation(16)
-        first = nn.Batch(data.features[perm[:8]], data.labels[perm[:8]])
-        second = nn.Batch(data.features[perm[8:]], data.labels[perm[8:]])
-        opt = nn.init_optimizer(w, lr=1.0, weight_decay=1e200)
-        w1, _ = nn.sgd_step(w, nn.backward(w, first), opt)
+        first, second = np.split(stream(TAG_LOCAL, 0, 5).permutation(16), 2)
+        _ce, grad = reference.loss_and_grad(arch, w.values, data.features[first], data.labels[first])
+        w1, _buf = reference.sgd_step(w.values, np.zeros_like(w.values), grad, cfg)
         err = info.value
         assert (err.client, err.round, err.step) == (3, 5, 1)
-        assert err.last_finite_loss == nn.cross_entropy(nn.forward(w1, second), second.labels)
+        last_loss, _grad = reference.loss_and_grad(arch, w1, data.features[second], data.labels[second])
+        assert err.last_finite_loss == last_loss
 
         # a model whose logits overflow fails at step 0, before any finite loss
         deep = nn.ModelArch((4, 5, 3))
@@ -232,31 +232,6 @@ class TestLocalTrain:
         assert np.array_equal(a.values, b.values)
 
 
-def reference_local_train(client, w_global, p_in, cfg, round_index):
-    """local_train written on the per-batch Batch / forward / local_loss /
-    backward / sgd_step path; the oracle for the plain-array loop."""
-    model = w_global
-    opt = nn.init_optimizer(w_global, cfg.eta, cfg.momentum, cfg.weight_decay)
-    rng = stream(TAG_LOCAL, cfg.seed, round_index)
-    n = len(client.data)
-    losses = []
-    for _epoch in range(cfg.local_epochs):
-        perm = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = perm[start : start + cfg.batch_size]
-            batch = nn.Batch(client.data.features[idx], client.data.labels[idx])
-            logits = nn.forward(model, batch)
-            loss, rule = engine.local_loss(logits, batch.labels, cfg, p_in, model, w_global)
-            grad = nn.backward(model, batch)
-            if rule.ce_scale != 1.0:
-                grad = rule.ce_scale * grad
-            if rule.prox_weight != 0.0:
-                grad = grad + rule.prox_weight * (model.values - w_global.values)
-            model, opt = nn.sgd_step(model, grad, opt)
-            losses.append(loss)
-    return model, losses
-
-
 @pytest.mark.parametrize(
     "strategy, p_in",
     [
@@ -278,8 +253,8 @@ def test_local_train_bitwise_equals_reference_loop(strategy, p_in):
         strategy, local_epochs=3, batch_size=8, eta=0.05, momentum=0.9, weight_decay=1e-3, seed=4
     )
     model, losses = engine.local_train(client, w, p_in, cfg, 6)
-    ref_model, ref_losses = reference_local_train(client, w, p_in, cfg, 6)
-    assert np.array_equal(model.values, ref_model.values)
+    ref_values, ref_losses = reference.local_train(w.arch, data, w.values, p_in, cfg, 6)
+    assert np.array_equal(model.values, ref_values)
     assert losses == ref_losses
     assert len(losses) == 3 * 4
 
@@ -321,8 +296,8 @@ def test_local_train_bitwise_equals_reference_for_any_shape(
         seed=seed,
     )
     model, losses = engine.local_train(client, w, p_in, cfg, 3)
-    ref_model, ref_losses = reference_local_train(client, w, p_in, cfg, 3)
-    assert np.array_equal(model.values, ref_model.values)
+    ref_values, ref_losses = reference.local_train(w.arch, data, w.values, p_in, cfg, 3)
+    assert np.array_equal(model.values, ref_values)
     assert losses == ref_losses
     assert len(losses) == 2 * -(-size // batch_size)
 

@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference
 from conftest import random_batch, random_model
 from fedsim import nn
 from fedsim.errors import ConfigError, DataError, DivergenceError, EvaluationError, ShapeError
@@ -121,7 +123,11 @@ class TestBackward:
         batch = random_batch(arch, 7, seed=seed)
         analytic = nn.backward(model, batch)
         # step small enough that no relu kink falls inside the probe interval
-        numeric = nn.finite_diff_grad(model, batch, step=1e-5)
+        numeric = nn.central_difference(
+            lambda v: reference.loss_and_grad(arch, v, batch.features, batch.labels)[0],
+            model.values,
+            step=1e-5,
+        )
         rel = np.max(np.abs(analytic - numeric)) / max(np.max(np.abs(numeric)), 1e-12)
         assert rel < 1e-4
 
@@ -133,6 +139,18 @@ class TestBackward:
             np.repeat(batch.features, 2, axis=0), np.repeat(batch.labels, 2)
         )
         assert np.allclose(nn.backward(model, batch), nn.backward(model, doubled), rtol=1e-12, atol=1e-15)
+
+    def test_dimension_mismatch_is_shape_error(self):
+        # the error forward raises, not numpy's matmul ValueError
+        model = random_model(nn.ModelArch((4, 3)), seed=0)
+        bad = nn.Batch(np.ones((2, 5)), np.array([0, 1]))
+        with pytest.raises(ShapeError, match="features have 5 columns, architecture expects 4"):
+            nn.backward(model, bad)
+
+    def test_label_beyond_outputs_is_data_error(self):
+        model = random_model(nn.ModelArch((4, 3)), seed=0)
+        with pytest.raises(DataError, match=r"labels must lie in \[0, 3\)"):
+            nn.backward(model, nn.Batch(np.ones((2, 4)), np.array([0, 3])))
 
 
 class TestFiniteDiff:
@@ -150,11 +168,8 @@ class TestFiniteDiff:
         assert np.allclose(numeric, quad @ x + lin, rtol=1e-9, atol=1e-9)
 
     def test_rejects_nonpositive_step(self):
-        arch = nn.ModelArch((2, 2))
-        model = random_model(arch, seed=0)
-        batch = random_batch(arch, 2, seed=0)
         with pytest.raises(ConfigError):
-            nn.finite_diff_grad(model, batch, step=0.0)
+            nn.central_difference(lambda v: float(v @ v), np.ones(3), step=0.0)
 
 
 class TestSgdStep:
@@ -162,9 +177,12 @@ class TestSgdStep:
         arch = nn.ModelArch((1, 1))
         return nn.ParamVector(arch, np.asarray(values, dtype=float))
 
+    def _opt(self, **kwargs):
+        return nn.OptimizerState(np.zeros(2), **kwargs)
+
     def test_plain_step(self):
         model = self._model([0.0, 0.0])
-        opt = nn.init_optimizer(model, lr=0.1)
+        opt = self._opt(lr=0.1)
         new, _ = nn.sgd_step(model, np.array([1.0, 1.0]), opt)
         assert np.allclose(new.values, [-0.1, -0.1], atol=0)
 
@@ -172,27 +190,27 @@ class TestSgdStep:
         # displacement after two constant-gradient steps: -lr * (g + 1.9 g)
         model = self._model([0.3, -0.2])
         grad = np.array([0.7, -1.1])
-        opt = nn.init_optimizer(model, lr=0.05, momentum=0.9)
+        opt = self._opt(lr=0.05, momentum=0.9)
         m1, opt = nn.sgd_step(model, grad, opt)
         m2, _ = nn.sgd_step(m1, grad, opt)
         assert np.allclose(m2.values - model.values, -0.05 * (grad + 1.9 * grad), rtol=1e-15)
 
     def test_zero_lr_is_identity(self):
         model = self._model([1.0, 2.0])
-        opt = nn.init_optimizer(model, lr=0.0, momentum=0.5)
+        opt = self._opt(lr=0.0, momentum=0.5)
         new, _ = nn.sgd_step(model, np.array([5.0, -5.0]), opt)
         assert np.array_equal(new.values, model.values)
 
     def test_weight_decay_enters_buffer(self):
         model = self._model([2.0, -4.0])
-        opt = nn.init_optimizer(model, lr=0.1, weight_decay=0.01)
+        opt = self._opt(lr=0.1, weight_decay=0.01)
         new, new_opt = nn.sgd_step(model, np.zeros(2), opt)
         assert np.allclose(new_opt.momentum_buffer, 0.01 * model.values, atol=0)
         assert np.allclose(new.values, model.values * (1 - 0.1 * 0.01), rtol=1e-15)
 
     def test_length_mismatch(self):
         model = self._model([0.0, 0.0])
-        opt = nn.init_optimizer(model, lr=0.1)
+        opt = self._opt(lr=0.1)
         with pytest.raises(ShapeError):
             nn.sgd_step(model, np.array([1.0]), opt)
 
@@ -317,20 +335,26 @@ class TestCheckpoint:
         with pytest.raises(DataError):
             nn.load_model(path)
 
+    @pytest.mark.parametrize(
+        "header, payload",
+        [
+            (b"arch=4,0,3", b""),
+            (b"arch=5", b""),
+            (b"arch=1,1", np.array([np.nan, 0.0]).astype("<f8").tobytes()),
+        ],
+        ids=["zero_width", "one_width", "nan_payload"],
+    )
+    def test_malformed_checkpoint_is_data_error_naming_the_path(self, tmp_path, header, payload):
+        path = tmp_path / "model.bin"
+        path.write_bytes(b"fedsim-model v1; " + header + b"\n" + payload)
+        with pytest.raises(DataError, match=re.escape(str(path))):
+            nn.load_model(path)
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "model.bin"
         path.write_bytes(b"something else\n" + b"\x00" * 16)
         with pytest.raises(DataError):
             nn.load_model(path)
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=6), st.integers(min_value=2, max_value=5))
-def test_softmax_rows_normalized(seed, rows, cols):
-    rng = np.random.default_rng(seed)
-    logits = rng.standard_normal((rows, cols)) * rng.uniform(0.1, 50)
-    sums = nn.softmax(logits).sum(axis=1)
-    assert np.all(np.abs(sums - 1.0) < 1e-12)
 
 
 @settings(max_examples=25, deadline=None)
@@ -383,6 +407,8 @@ def test_loss_and_grad_equals_forward_cross_entropy_backward(hidden, in_dim, out
     arch = nn.ModelArch((in_dim, *hidden, out_dim))
     model = nn.ParamVector(arch, scale * random_model(arch, seed).values)
     batch = random_batch(arch, size, seed)
+    want_ce, want_grad = reference.loss_and_grad(arch, model.values, batch.features, batch.labels)
     ce, grad = nn.loss_and_grad(arch, model.values, batch.features, batch.labels)
-    assert ce == nn.cross_entropy(nn.forward(model, batch), batch.labels)
-    assert np.array_equal(grad, nn.backward(model, batch))
+    assert ce == want_ce and np.array_equal(grad, want_grad)
+    assert nn.cross_entropy(nn.forward(model, batch), batch.labels) == want_ce
+    assert np.array_equal(nn.backward(model, batch), want_grad)
