@@ -7,8 +7,8 @@ Subcommands:
   plotdata <run_dir>...     tidy long-format CSV of round metrics
   check                     fast self-test of the core invariants
 
-Exit codes: 0 success, 1 failed check/internal error, 2 config error,
-3 data error, 4 training divergence.
+Exit codes: 0 success, 1 failed check, I/O error or any other fedsim error,
+2 config error, 3 data error, 4 training divergence.
 """
 
 from __future__ import annotations
@@ -25,18 +25,13 @@ from .config import ExperimentConfig, parse_config
 from .data import (
     LabeledDataset,
     SyntheticSpec,
+    build_server_set,
     dirichlet_partition,
     generate_synthetic,
     partition_stats,
 )
 from .diagnostics import read_history_csv, rounds_to_target, speedup
-from .errors import (
-    ConfigError,
-    DataError,
-    DivergenceError,
-    FedsimError,
-    PartitionError,
-)
+from .errors import DataError, FedsimError
 from .runner import partition_report, run_sweep
 
 
@@ -169,7 +164,8 @@ def _check_aggregation() -> bool:
 
 
 def _check_reduction() -> bool:
-    data = generate_synthetic(SyntheticSpec(2, 30, 3, 0.5, seed=1))
+    pool = generate_synthetic(SyntheticSpec(2, 30, 3, 0.5, seed=1))
+    server_set, data = build_server_set(pool, 2, seed=1)
     part = dirichlet_partition(data, 2, 1.0, seed=1)
     if int(partition_stats(part, data).sum()) != len(data):
         return False
@@ -178,7 +174,7 @@ def _check_reduction() -> bool:
     fedavg = ExperimentConfig(strategy="fedavg", local_epochs=2, batch_size=8, seed=3)
     finals = []
     for cfg in (fedavg, replace(fedavg, strategy="fedprox", mu_prox=0.0)):
-        server = engine.ServerState(model, None)
+        server = engine.ServerState(model, server_set)
         for _ in range(2):
             server, _rec = engine.run_round(server, clients, cfg)
         finals.append(server.model.values)
@@ -231,18 +227,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (DataError, PartitionError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
-    except DivergenceError as exc:
-        print(f"divergence: {exc}", file=sys.stderr)
-        return 4
     except FedsimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 1

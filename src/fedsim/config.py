@@ -1,8 +1,8 @@
 """Experiment configuration: `key = value` files, defaults, strict validation.
 
 Every `ExperimentConfig` field is one key, named after the field (`lam` is
-written `lambda`), and its annotation picks how the value is parsed and
-formatted. Unknown keys are rejected and every constraint is checked at parse
+written `lambda`), and its annotation picks how the value is parsed,
+formatted and type-checked. Unknown keys are rejected and every constraint is checked at parse
 time so a run can never fail on a bad knob after compute has started. The
 resolved config can be serialized back to text and reparsed into an equal
 object. The engine reads the strategy and training settings straight from a
@@ -51,9 +51,14 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            value = getattr(self, f.name)
+            key, value = _FIELD_TO_KEY[f.name], getattr(self, f.name)
+            if not _TEXT_FORMS[f.type][2](value):
+                raise ConfigError(f"{key} must be of type {f.type}, got {value!r} (ints must fit int64)")
             if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"{_FIELD_TO_KEY[f.name]} must be finite, got {value!r}")
+                raise ConfigError(f"{key} must be finite, got {value!r}")
+            if f.type == "float":
+                # an int stands for its float; holding the float keeps the echo canonical
+                object.__setattr__(self, f.name, float(value))
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
         if self.penalty_mode not in PENALTY_MODES:
@@ -116,14 +121,24 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(tok.strip()) for tok in text.split(","))
 
 
+def _is_int(value) -> bool:
+    # a bool is an int to Python, never to a config; int64 is what numpy
+    # computes counts in, and a wider seed would alias a narrower one
+    return isinstance(value, int) and not isinstance(value, bool) and -(2**63) <= value < 2**63
+
+
 # field annotation (a string, under `from __future__ import annotations`) ->
-# (parser, formatter); each formatter is its parser's inverse
+# (parser, formatter, type check); each formatter is its parser's inverse
 _TEXT_FORMS = {
-    "str": (str, str),
-    "int": (int, str),
-    "float": (float, repr),
-    "bool": (_parse_bool, lambda value: "true" if value else "false"),
-    "tuple[int, ...]": (_parse_int_list, lambda value: ",".join(str(v) for v in value)),
+    "str": (str, str, lambda value: isinstance(value, str)),
+    "int": (int, str, _is_int),
+    "float": (float, repr, lambda value: isinstance(value, float) or _is_int(value)),
+    "bool": (_parse_bool, lambda value: "true" if value else "false", lambda value: isinstance(value, bool)),
+    "tuple[int, ...]": (
+        _parse_int_list,
+        lambda value: ",".join(str(v) for v in value),
+        lambda value: isinstance(value, tuple) and all(map(_is_int, value)),
+    ),
 }
 
 # the config key is the field name, except where the name is a Python keyword

@@ -23,17 +23,24 @@ class LabeledDataset:
     num_classes: int
 
     def __post_init__(self) -> None:
+        feats, labs = np.asarray(self.features), np.asarray(self.labels)
+        # the casts below would read numeric strings as numbers and truncate
+        # float or bool labels to ints
+        if feats.dtype.kind not in "iuf":
+            raise DataError(f"features must be numbers, got dtype {feats.dtype}")
+        if labs.dtype.kind not in "iu":
+            raise DataError(f"labels must be integers, got dtype {labs.dtype}")
         # private copies so freezing never touches the caller's arrays
-        feats = np.array(self.features, dtype=np.float64, order="C")
-        labs = np.array(self.labels, dtype=np.int64, order="C")
+        feats = np.array(feats, dtype=np.float64, order="C")
+        labs = np.array(labs, dtype=np.int64, order="C")
         if feats.ndim != 2 or feats.shape[0] < 1:
             raise DataError("features must be a nonempty 2-d matrix")
         if labs.shape != (feats.shape[0],):
             raise DataError("labels must be a vector matching the number of rows")
         if not np.all(np.isfinite(feats)):
             raise DataError("features must be finite")
-        if self.num_classes < 1:
-            raise DataError("num_classes must be >= 1")
+        if not np.issubdtype(type(self.num_classes), np.integer) or self.num_classes < 1:
+            raise DataError(f"num_classes must be an integer >= 1, got {self.num_classes!r}")
         if labs.size and (labs.min() < 0 or labs.max() >= self.num_classes):
             raise DataError("labels must lie in [0, num_classes)")
         feats.setflags(write=False)
@@ -133,13 +140,19 @@ def generate_synthetic(spec: SyntheticSpec) -> LabeledDataset:
     return LabeledDataset(np.vstack(blocks), np.concatenate(labels), spec.num_classes)
 
 
-def load_csv(path) -> LabeledDataset:
-    """Read `label,f1,f2,...` rows; labels are remapped to dense [0, C)."""
+def read_csv_rows(path, what: str) -> list[list[str]]:
+    """Every row of a UTF-8 CSV file; a file that cannot be opened, decoded
+    or parsed is a DataError "cannot read <what> <path>: ..."."""
     try:
         with open(path, newline="") as fh:
-            rows = [row for row in csv.reader(fh) if row]
+            return list(csv.reader(fh))
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise DataError(f"cannot read dataset {path}: {exc}") from None
+        raise DataError(f"cannot read {what} {path}: {exc}") from None
+
+
+def load_csv(path) -> LabeledDataset:
+    """Read `label,f1,f2,...` rows; labels are remapped to dense [0, C)."""
+    rows = [row for row in read_csv_rows(path, "dataset") if row]
     if not rows:
         raise DataError(f"{path}: file is empty")
     width = len(rows[0])

@@ -17,7 +17,6 @@ on.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from itertools import accumulate
@@ -25,7 +24,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import LabeledDataset
+from .data import LabeledDataset, read_csv_rows
 from .errors import ConfigError, DataError, DiagnosticsError, DivergenceError
 from .nn import ParamVector, check_fits, stacked_deltas, unpack
 
@@ -249,11 +248,7 @@ def theorem_constant(c: TheoremConstants) -> float:
 
 def read_history_csv(path) -> list[dict[str, str]]:
     """Rows of a per-round metrics CSV as string dicts, header-validated."""
-    try:
-        with open(path, newline="") as fh:
-            table = list(csv.reader(fh))
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise DataError(f"cannot read history {path}: {exc}") from None
+    table = read_csv_rows(path, "history")
     if not table:
         raise DataError(f"{path}: empty history file")
     header = table[0]
@@ -263,15 +258,9 @@ def read_history_csv(path) -> list[dict[str, str]]:
     return [dict(zip(header, row)) for row in table[1:]]
 
 
-def rounds_to_target(
-    history, target: float, metric: str = "global_acc_test"
-) -> int | None:
-    """Number of rounds (1-based) until the metric first reaches target.
-
-    history is a path to a round CSV or rows from read_history_csv; returns
-    None when the target is never reached.
-    """
-    rows = history if isinstance(history, list) else read_history_csv(history)
+def rounds_to_target(rows, target: float, metric: str = "global_acc_test") -> int | None:
+    """Number of rounds (1-based) until the metric first reaches target, in
+    rows from read_history_csv; None when the target is never reached."""
     for i, row in enumerate(rows):
         if metric not in row:
             raise DataError(f"history line {i + 2} lacks column {metric!r}")

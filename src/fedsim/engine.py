@@ -2,11 +2,11 @@
 
 Local training and the round loop read the strategy and SGD settings
 (lambda, mu_prox, penalty_mode, tau, eta, ...) from a validated
-ExperimentConfig. A client's p is its public-set accuracy from the
-previous round, else 1. Every strategy aggregates through one path:
-fedavg_weights or fedpdc_weights feeding _combine. A round measures no
-diagnostics; the runner takes the global objective and the gradient
-dissimilarity at the pre-round model (fedsim.diagnostics.full_batch_pass).
+ExperimentConfig. Every round scores each local model on the server's
+public set; a client's p is its score from the previous round, else 1.
+Every strategy aggregates through one path: fedavg_weights or
+fedpdc_weights feeding _combine. A round measures no diagnostics; the
+runner takes them at the pre-round model (diagnostics.full_batch_pass).
 
 Strategies:
   fedavg          size-weighted averaging of local models
@@ -31,7 +31,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .data import LabeledDataset, ServerSet
-from .errors import AggregationError, ConfigError, DivergenceError, EvaluationError, StateError
+from .errors import AggregationError, ConfigError, DivergenceError, StateError
 from .nn import (
     ParamVector,
     check_fits,
@@ -61,11 +61,13 @@ class ServerState:
     prev_accuracies trains with p = 1."""
 
     model: ParamVector
-    server_set: ServerSet | None
+    server_set: ServerSet
     round: int = 0
     prev_accuracies: dict[int, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.server_set, ServerSet):
+            raise StateError("the server needs a ServerSet to score local models on")
         if self.round < 0:
             raise StateError("round must be >= 0")
         if any(not 0.0 <= p <= 1.0 for p in self.prev_accuracies.values()):
@@ -87,15 +89,6 @@ class RoundRecord:
     flags: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class GradRule:
-    """How the strategy turns the cross-entropy gradient into the update
-    gradient: scale it, then add prox_weight * (w - w_global)."""
-
-    ce_scale: float = 1.0
-    prox_weight: float = 0.0
-
-
 def sample_clients(num_clients: int, tau: float, round_index: int, seed: int) -> tuple[int, ...]:
     """max(floor(tau*N), 1) client ids, drawn without replacement from a
     stream keyed by (seed, round) so every round is independently reproducible."""
@@ -111,30 +104,34 @@ def sample_clients(num_clients: int, tau: float, round_index: int, seed: int) ->
     return tuple(sorted(int(c) for c in picked))
 
 
-def _resolve_strategy(cfg: ExperimentConfig, p: float) -> tuple[float, GradRule]:
-    """The strategy's terms for a client with accuracy p: the constant its
-    reported loss adds to the cross-entropy, and its gradient rule."""
+def _strategy_terms(cfg: ExperimentConfig, p: float) -> tuple[float, float, float]:
+    """The strategy's terms for a client with accuracy p: (penalty,
+    ce_scale, prox_weight). The reported loss is ce_scale * ce + penalty +
+    prox_weight/2 * ||w - w_global||^2, and the update gradient is ce_scale
+    times the cross-entropy gradient plus prox_weight * (w - w_global)."""
     if not 0.0 <= p <= 1.0:
         raise StateError(f"accuracy p must lie in [0, 1], got {p}")
     if cfg.strategy == "fedavg":
-        return 0.0, GradRule()
+        return 0.0, 1.0, 0.0
     if cfg.strategy == "fedprox":
-        return 0.0, GradRule(prox_weight=cfg.mu_prox)
+        return 0.0, 1.0, cfg.mu_prox
     # fedpdc / fedpdc_adaptive
     penalty = cfg.lam * (1.0 - p)
     if cfg.penalty_mode == "literal":
         # constant in w: reported loss includes it, the gradient does not
-        return penalty, GradRule()
-    return 0.0, GradRule(ce_scale=1.0 + penalty)
+        return penalty, 1.0, 0.0
+    return 0.0, 1.0 + penalty, 0.0
 
 
-def _reported_loss(ce: float, penalty: float, rule: GradRule, diff: np.ndarray | None) -> float:
+def _reported_loss(
+    ce: float, penalty: float, ce_scale: float, prox_weight: float, diff: np.ndarray | None
+) -> float:
     """Strategy loss from the cross-entropy; diff = w - w_global is read
-    only when the rule has a prox term. ce >= +0, so a unit scale and a
-    zero penalty leave it unchanged bit for bit."""
-    loss = rule.ce_scale * ce + penalty
-    if rule.prox_weight != 0.0:
-        loss += 0.5 * rule.prox_weight * float(diff @ diff)
+    only when prox_weight is nonzero. ce >= +0, so a unit scale and a zero
+    penalty leave it unchanged bit for bit."""
+    loss = ce_scale * ce + penalty
+    if prox_weight != 0.0:
+        loss += 0.5 * prox_weight * float(diff @ diff)
     return loss
 
 
@@ -145,11 +142,13 @@ def local_loss(
     p: float,
     w: ParamVector,
     w_global: ParamVector,
-) -> tuple[float, GradRule]:
-    """Strategy loss on one batch plus the rule for building its gradient."""
-    penalty, rule = _resolve_strategy(cfg, p)
+) -> tuple[float, float, float]:
+    """(strategy loss on one batch, ce_scale, prox_weight): the loss and the
+    two numbers that turn its cross-entropy gradient into the update."""
+    penalty, ce_scale, prox_weight = _strategy_terms(cfg, p)
     ce = cross_entropy(logits, labels)
-    return _reported_loss(ce, penalty, rule, w.values - w_global.values), rule
+    diff = w.values - w_global.values
+    return _reported_loss(ce, penalty, ce_scale, prox_weight, diff), ce_scale, prox_weight
 
 
 def _diverged(
@@ -189,7 +188,7 @@ def local_train(
     arch = w_global.arch
     data = client.data
     n = len(data)
-    penalty, rule = _resolve_strategy(cfg, p_in)
+    penalty, ce_scale, prox_weight = _strategy_terms(cfg, p_in)
     check_fits(arch, data, f"client {client.id}")
     anchor = w_global.values
     values = anchor.copy()
@@ -197,7 +196,7 @@ def local_train(
     layers, grad_layers = unpack(arch, values), unpack(arch, grad)
     buf = np.zeros_like(values)
     scratch = np.empty_like(values)
-    prox = rule.prox_weight != 0.0
+    prox = prox_weight != 0.0
     diff = np.empty_like(values) if prox else None
     batch_size, eta, momentum, decay = cfg.batch_size, cfg.eta, cfg.momentum, cfg.weight_decay
     # a batch starts at a multiple of batch_size, so row i of the epoch is
@@ -216,14 +215,14 @@ def local_train(
                 ce = loss_and_grad_into(layers, grad_layers, features[rows], picks[rows])
                 if prox:
                     np.subtract(values, anchor, out=diff)
-                loss = _reported_loss(ce, penalty, rule, diff)
+                loss = _reported_loss(ce, penalty, ce_scale, prox_weight, diff)
                 if not math.isfinite(loss):
                     raise _diverged("a non-finite loss", client.id, round_index, len(losses), losses)
                 losses.append(loss)
-                if rule.ce_scale != 1.0:
-                    grad *= rule.ce_scale
+                if ce_scale != 1.0:
+                    grad *= ce_scale
                 if prox:
-                    np.multiply(rule.prox_weight, diff, out=scratch)
+                    np.multiply(prox_weight, diff, out=scratch)
                     grad += scratch
                 buf *= momentum
                 buf += grad
@@ -288,55 +287,36 @@ def run_round(
     cfg: ExperimentConfig,
     test_data: LabeledDataset | None = None,
 ) -> tuple[ServerState, RoundRecord]:
-    """One communication round: sample, train locals, score, aggregate.
+    """One communication round: sample, train locals, score them on the
+    server set, aggregate.
 
     Local models for distinct clients are independent, so training order
     cannot affect the result; everything is reduced in ascending client id.
     """
-    num_clients = len(clients)
-    if num_clients == 0:
-        raise ConfigError("need at least one client")
     if any(c.id != i for i, c in enumerate(clients)):
         raise StateError("clients must be listed in id order 0..N-1")
-    if any(not 0 <= cid < num_clients for cid in server.prev_accuracies):
+    if any(not 0 <= cid < len(clients) for cid in server.prev_accuracies):
         raise StateError("previous accuracies name a client that does not exist")
-    has_server_set = server.server_set is not None
-    scores_on_server = cfg.strategy in ("fedpdc", "fedpdc_adaptive")
-    if scores_on_server and not has_server_set:
-        raise EvaluationError(f"{cfg.strategy} requires a server set")
     if cfg.strategy == "fedpdc_adaptive":
         cfg = replace(cfg, lam=adaptive_lambda(server.round + 1))
 
-    selected = sample_clients(num_clients, cfg.tau, server.round, cfg.seed)
-    sent: dict[int, float] = {}
-    local_models: dict[int, ParamVector] = {}
-    per_client_loss: dict[int, float] = {}
-    for cid in selected:
-        p_in = server.prev_accuracies.get(cid, 1.0)
-        sent[cid] = p_in
-        model_i, batch_losses = local_train(clients[cid], server.model, p_in, cfg, server.round)
-        local_models[cid] = model_i
-        per_client_loss[cid] = _mean_or_nan(batch_losses)
+    server_data = server.server_set.data
+    selected = sample_clients(len(clients), cfg.tau, server.round, cfg.seed)
+    sent = {cid: server.prev_accuracies.get(cid, 1.0) for cid in selected}
+    trained = {
+        cid: local_train(clients[cid], server.model, sent[cid], cfg, server.round)
+        for cid in selected
+    }
+    measured = {cid: evaluate_accuracy(trained[cid][0], server_data) for cid in selected}
 
-    measured: dict[int, float] = {}
-    if has_server_set:
-        for cid in selected:
-            measured[cid] = evaluate_accuracy(local_models[cid], server.server_set.data)
-
-    flags: list[str] = []
-    models = [local_models[cid] for cid in selected]
-    if scores_on_server:
-        weights, fallback = fedpdc_weights([measured[cid] for cid in selected])
+    flags: tuple[str, ...] = ()
+    if cfg.strategy in ("fedpdc", "fedpdc_adaptive"):
+        weights, fallback = fedpdc_weights(list(measured.values()))
         if fallback:
-            flags.append("uniform_weights_zero_accuracy")
+            flags = ("uniform_weights_zero_accuracy",)
     else:
         weights = fedavg_weights([len(clients[cid].data) for cid in selected])
-    new_model = _combine(models, weights)
-
-    acc_server = (
-        evaluate_accuracy(new_model, server.server_set.data) if has_server_set else math.nan
-    )
-    acc_test = evaluate_accuracy(new_model, test_data) if test_data is not None else math.nan
+    new_model = _combine([trained[cid][0] for cid in selected], weights)
 
     record = RoundRecord(
         round=server.round,
@@ -344,10 +324,10 @@ def run_round(
         sent_accuracies=sent,
         measured_accuracies=measured,
         agg_weights={cid: float(w) for cid, w in zip(selected, weights)},
-        mean_local_loss=_mean_or_nan([per_client_loss[cid] for cid in selected]),
-        global_acc_server=acc_server,
-        global_acc_test=acc_test,
-        flags=tuple(flags),
+        mean_local_loss=_mean_or_nan([_mean_or_nan(trained[cid][1]) for cid in selected]),
+        global_acc_server=evaluate_accuracy(new_model, server_data),
+        global_acc_test=evaluate_accuracy(new_model, test_data) if test_data is not None else math.nan,
+        flags=flags,
     )
     new_server = replace(
         server, model=new_model, round=server.round + 1, prev_accuracies=dict(measured)

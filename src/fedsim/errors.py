@@ -2,11 +2,18 @@
 
 
 class FedsimError(Exception):
-    """Base class for all errors raised by fedsim."""
+    """Base class for all errors raised by fedsim. The command line exits
+    with the class's exit_code and prints its label before the message."""
+
+    exit_code = 1
+    label = "error"
 
 
 class ConfigError(FedsimError):
     """Invalid configuration: bad key, bad type, or violated constraint."""
+
+    exit_code = 2
+    label = "config error"
 
 
 class ShapeError(FedsimError):
@@ -16,8 +23,11 @@ class ShapeError(FedsimError):
 class DataError(FedsimError):
     """Malformed or inconsistent dataset input."""
 
+    exit_code = 3
+    label = "data error"
 
-class PartitionError(FedsimError):
+
+class PartitionError(DataError):
     """A client partition could not be produced under the given settings."""
 
 
@@ -40,6 +50,9 @@ class DivergenceError(FedsimError):
     step within the client's local training, and the last finite loss that
     client reported (None before its first); elsewhere these are None.
     """
+
+    exit_code = 4
+    label = "divergence"
 
     def __init__(
         self,

@@ -33,12 +33,13 @@ class ModelArch:
     layer_widths: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        widths = tuple(int(w) for w in self.layer_widths)
+        widths = tuple(self.layer_widths)
         if len(widths) < 2:
             raise ConfigError("architecture needs at least input and output widths")
-        if any(w < 1 for w in widths):
-            raise ConfigError(f"layer widths must be >= 1, got {widths}")
-        object.__setattr__(self, "layer_widths", widths)
+        # a bool or a float would pass int(); np.integer excludes both
+        if any(not np.issubdtype(type(w), np.integer) or w < 1 for w in widths):
+            raise ConfigError(f"layer widths must be integers >= 1, got {widths}")
+        object.__setattr__(self, "layer_widths", tuple(int(w) for w in widths))
 
     @property
     def input_dim(self) -> int:

@@ -84,6 +84,31 @@ class TestValidation:
         with pytest.raises(ConfigError):
             parse_config_text(line + "\n")
 
+    # each value used to get past validation: 2.5 rounds died in training
+    # after two artifacts were written, the next three wrote a manifest that
+    # reparses to another config, and a seed of 2**64 + 1 ran as seed 1
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("rounds", 2.5),
+            ("batch_size", True),
+            ("hidden", [8]),
+            ("instrument_global_loss", "no"),
+            ("seed", 2**64 + 1),
+            ("seeds", (1, 2**63)),
+            ("hidden", (8, 2.0)),
+            ("beta", True),
+        ],
+    )
+    def test_values_must_hold_the_field_type(self, key, value):
+        with pytest.raises(ConfigError, match=rf"^{key} must be of type"):
+            ExperimentConfig(**{key: value})
+
+    def test_an_int_float_value_is_held_as_a_float(self):
+        cfg = ExperimentConfig(beta=1, eta=0)
+        assert (type(cfg.beta), type(cfg.eta)) == (float, float)
+        assert config_text(cfg) == config_text(ExperimentConfig(beta=1.0, eta=0.0))
+
     @pytest.mark.parametrize("key", ["eta", "lambda"])
     def test_negative_eta_and_lambda_errors_name_the_key(self, key):
         with pytest.raises(ConfigError, match=rf"\b{key}\b.* must be >= 0"):

@@ -210,6 +210,24 @@ def test_manifest_format(tmp_path):
     assert path.read_text() == "0: 0,3\n1: 2,5\n"
 
 
+# each of these used to be cast without a word (labels [0.7, 1.9] became
+# [0, 1], bools 0/1) or to raise a raw ValueError (string features)
+@pytest.mark.parametrize(
+    "features, labels, num_classes, problem",
+    [
+        (np.ones((2, 3)), np.array([0.7, 1.9]), 2, "labels must be integers"),
+        (np.ones((2, 3)), np.array([True, False]), 2, "labels must be integers"),
+        (np.ones((2, 3)), np.array([0, 1]), 2.5, "num_classes must be an integer"),
+        (np.ones((2, 3)), np.array([0, 1]), True, "num_classes must be an integer"),
+        (np.array([["a", "b"], ["c", "d"]]), np.array([0, 1]), 2, "features must be numbers"),
+        (np.array([["1"], ["2"]]), np.array([0, 1]), 2, "features must be numbers"),
+    ],
+)
+def test_labeled_dataset_names_a_mistyped_input(features, labels, num_classes, problem):
+    with pytest.raises(DataError, match=problem):
+        LabeledDataset(features, labels, num_classes)
+
+
 def test_labeled_dataset_validation():
     with pytest.raises(DataError):
         LabeledDataset(np.zeros((2, 2)), np.array([0, 2]), 2)

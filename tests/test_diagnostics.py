@@ -312,21 +312,21 @@ class TestRoundsToTarget:
         cand = tmp_path / "cand.csv"
         write_history(base, list(np.linspace(0.0, 0.7, 100)))
         write_history(cand, list(np.linspace(0.0, 0.7, 25)))
-        baseline_rounds = rounds_to_target(base, 0.7)
-        candidate_rounds = rounds_to_target(cand, 0.7)
+        baseline_rounds = rounds_to_target(read_history_csv(base), 0.7)
+        candidate_rounds = rounds_to_target(read_history_csv(cand), 0.7)
         assert (baseline_rounds, candidate_rounds) == (100, 25)
         assert speedup(baseline_rounds, candidate_rounds) == 4.0
 
     def test_unreached_target_is_none(self, tmp_path):
         path = tmp_path / "h.csv"
         write_history(path, [0.1, 0.2, 0.3])
-        assert rounds_to_target(path, 0.9) is None
+        assert rounds_to_target(read_history_csv(path), 0.9) is None
         assert speedup(100, None) is None
 
     def test_identical_histories_unit_speedup(self, tmp_path):
         path = tmp_path / "h.csv"
         write_history(path, [0.2, 0.5, 0.8])
-        r = rounds_to_target(path, 0.75)
+        r = rounds_to_target(read_history_csv(path), 0.75)
         assert speedup(r, r) == 1.0
 
     def test_malformed_csv_names_line(self, tmp_path):
@@ -339,4 +339,4 @@ class TestRoundsToTarget:
         path = tmp_path / "h.csv"
         path.write_text("round,global_acc_test\n0,oops\n")
         with pytest.raises(DataError, match="line 2"):
-            rounds_to_target(path, 0.5)
+            rounds_to_target(read_history_csv(path), 0.5)

@@ -16,7 +16,6 @@ from fedsim.errors import (
     ConfigError,
     DataError,
     DivergenceError,
-    EvaluationError,
     ShapeError,
     StateError,
 )
@@ -63,18 +62,22 @@ class TestLocalLoss:
 
     def test_literal_penalty_arithmetic(self):
         strat = ExperimentConfig(strategy="fedpdc", lam=1.0)
-        loss, rule = engine.local_loss(self.logits, self.batch.labels, strat, 0.6, self.w, self.wg)
+        loss, *grad_terms = engine.local_loss(
+            self.logits, self.batch.labels, strat, 0.6, self.w, self.wg
+        )
         assert loss == self.ce + 1.0 * (1.0 - 0.6)
-        assert rule == engine.GradRule()
+        assert grad_terms == [1.0, 0.0]
 
     def test_fresh_client_penalty_vanishes(self):
         strat = ExperimentConfig(strategy="fedpdc", lam=5.0)
-        loss, rule = engine.local_loss(self.logits, self.batch.labels, strat, 1.0, self.w, self.wg)
+        loss, *grad_terms = engine.local_loss(
+            self.logits, self.batch.labels, strat, 1.0, self.w, self.wg
+        )
         assert loss == self.ce
-        assert rule == engine.GradRule()
+        assert grad_terms == [1.0, 0.0]
 
     def test_fedprox_zero_mu_reduces_to_fedavg(self):
-        loss_prox, rule_prox = engine.local_loss(
+        prox = engine.local_loss(
             self.logits,
             self.batch.labels,
             ExperimentConfig(strategy="fedprox", mu_prox=0.0),
@@ -82,26 +85,29 @@ class TestLocalLoss:
             self.w,
             self.wg,
         )
-        loss_avg, rule_avg = engine.local_loss(
+        avg = engine.local_loss(
             self.logits, self.batch.labels, ExperimentConfig(strategy="fedavg"), 0.5, self.w, self.wg
         )
-        assert loss_prox == loss_avg
-        assert rule_prox == rule_avg
+        assert prox == avg
 
     def test_fedprox_quadratic_anchor(self):
         mu = 0.3
         strat = ExperimentConfig(strategy="fedprox", mu_prox=mu)
-        loss, rule = engine.local_loss(self.logits, self.batch.labels, strat, 0.5, self.w, self.wg)
+        loss, ce_scale, prox_weight = engine.local_loss(
+            self.logits, self.batch.labels, strat, 0.5, self.w, self.wg
+        )
         diff = self.w.values - self.wg.values
         assert loss == self.ce + 0.5 * mu * float(diff @ diff)
-        assert rule.prox_weight == mu
+        assert (ce_scale, prox_weight) == (1.0, mu)
 
     def test_scaled_mode_scales_loss_and_gradient(self):
         strat = ExperimentConfig(strategy="fedpdc", lam=2.0, penalty_mode="scaled_ce")
-        loss, rule = engine.local_loss(self.logits, self.batch.labels, strat, 0.25, self.w, self.wg)
+        loss, ce_scale, prox_weight = engine.local_loss(
+            self.logits, self.batch.labels, strat, 0.25, self.w, self.wg
+        )
         scale = 1.0 + 2.0 * 0.75
         assert loss == scale * self.ce
-        assert rule.ce_scale == scale
+        assert (ce_scale, prox_weight) == (scale, 0.0)
 
     def test_rejects_accuracy_out_of_range(self):
         strat = ExperimentConfig(strategy="fedpdc")
@@ -475,11 +481,10 @@ class TestRunRound:
         assert "uniform_weights_zero_accuracy" in rec.flags
         assert rec.agg_weights == {0: 0.5, 1: 0.5}
 
-    def test_requires_server_set_for_accuracy_weighting(self, toy_problem):
-        _pool, _server_set, rest, _part, clients, model = toy_problem
-        server = engine.ServerState(model, None)
-        with pytest.raises(EvaluationError):
-            engine.run_round(server, clients, ExperimentConfig(strategy="fedpdc", seed=0))
+    def test_server_state_requires_a_server_set(self, toy_problem):
+        model = toy_problem[-1]
+        with pytest.raises(StateError, match="ServerSet"):
+            engine.ServerState(model, None)
 
     def test_rejects_invalid_previous_accuracies(self, toy_problem):
         _pool, server_set, rest, _part, clients, model = toy_problem

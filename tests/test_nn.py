@@ -40,6 +40,15 @@ class TestInitModel:
         with pytest.raises(ConfigError):
             nn.ModelArch((5,))
 
+    @pytest.mark.parametrize("widths", [(4, 2.7), (4, True), (4.0, 2)])
+    def test_rejects_a_width_that_is_not_an_integer(self, widths):
+        # (4, 2.7) used to become (4, 2)
+        with pytest.raises(ConfigError, match="integers"):
+            nn.ModelArch(widths)
+
+    def test_numpy_integer_widths_are_held_as_ints(self):
+        assert nn.ModelArch((np.int64(4), 2)).layer_widths == (4, 2)
+
 
 class TestForward:
     def test_zero_weights_give_zero_logits(self):

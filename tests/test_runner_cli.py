@@ -1,7 +1,10 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from fedsim import diagnostics, engine, nn
+from fedsim import cli, diagnostics, engine, errors, nn
 from fedsim.cli import main
 from fedsim.config import ExperimentConfig, config_text, parse_config
 from fedsim.diagnostics import read_history_csv
@@ -271,10 +274,19 @@ class TestCli:
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
-        for line, key in (("tau = 0", "tau"), ("seeds = 0,0", "seeds")):
-            bad.write_text(line + "\n")
+        cases = (
+            ("tau = 0", "tau"),
+            ("seeds = 0,0", "seeds"),
+            # beyond int64: the batch size overflowed in local training after
+            # two artifacts were written, and the seed ran as seed 1
+            ("batch_size = 100000000000000000000000000000", "batch_size"),
+            ("seed = 18446744073709551617", "seed"),
+        )
+        for line, key in cases:
+            bad.write_text(f"{line}\noutput_dir = {tmp_path / 'runs'}\n")
             assert main(["run", str(bad)]) == 2
             assert key in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
     def test_missing_config_exit_code(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.cfg")]) == 2
@@ -377,3 +389,46 @@ class TestCli:
         table = capsys.readouterr().out
         assert "\\" in table and "<1x" in table
 
+
+
+# the exit code and label README and the cli docstring document for each
+# error class; a subclass exits like its nearest documented ancestor
+DOCUMENTED_EXITS = {
+    errors.FedsimError: (1, "error"),
+    errors.ConfigError: (2, "config error"),
+    errors.DataError: (3, "data error"),
+    errors.DivergenceError: (4, "divergence"),
+}
+FEDSIM_ERRORS = [
+    cls
+    for cls in vars(errors).values()
+    if isinstance(cls, type) and issubclass(cls, errors.FedsimError)
+]
+
+
+@pytest.mark.parametrize("cls", FEDSIM_ERRORS, ids=lambda cls: cls.__name__)
+def test_every_fedsim_error_exits_with_its_documented_code(cls, monkeypatch, capsys):
+    code, label = next(DOCUMENTED_EXITS[base] for base in cls.__mro__ if base in DOCUMENTED_EXITS)
+    assert (cls.exit_code, cls.label) == (code, label)
+
+    def fail(_args):
+        raise cls("boom")
+
+    monkeypatch.setattr(cli, "_cmd_check", fail)
+    assert main(["check"]) == code
+    assert capsys.readouterr().err == f"{label}: boom\n"
+
+
+@pytest.mark.parametrize("source", ["README.md", "cli docstring"])
+def test_documented_exit_codes_are_exactly_the_error_codes(source):
+    if source == "README.md":
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    else:
+        text = cli.__doc__
+    sentence = re.search(r"^Exit codes: (.*?)\.\s", text, flags=re.M | re.S).group(1)
+    # "0 success, 1 failed check, I/O error or ..., 2 config error, ..."
+    meanings = dict(item.split(" ", 1) for item in re.split(r",\s*(?=\d\b)", sentence))
+    assert [int(code) for code in meanings] == sorted({0} | {c.exit_code for c in FEDSIM_ERRORS})
+    for cls in FEDSIM_ERRORS:
+        assert cls.label in meanings[str(cls.exit_code)], cls
+    assert "I/O error" in meanings["1"]
