@@ -23,7 +23,11 @@ class LabeledDataset:
     num_classes: int
 
     def __post_init__(self) -> None:
-        feats, labs = np.asarray(self.features), np.asarray(self.labels)
+        try:
+            feats = np.asarray(self.features)
+        except ValueError:  # numpy's "inhomogeneous shape": rows of unequal length
+            raise DataError("features are not a rectangular matrix") from None
+        labs = np.asarray(self.labels)
         # the casts below would read numeric strings as numbers and truncate
         # float or bool labels to ints
         if feats.dtype.kind not in "iuf":

@@ -7,12 +7,13 @@ tracks the per-round decline of the global objective relative to its squared
 gradient norm, which is an in-expectation guarantee: individual rounds may
 violate it and are reported, never failed.
 
-The global objective and the gradient ratio both come from full_batch_pass,
-the one loop that visits every client's full dataset at a model. It stacks
-consecutive clients' rows into blocks of about BLOCK_ROWS rows that share
-one forward pass and softmax, and reads each client's loss and gradient off
-its own rows. The runner calls it once per round when either diagnostic is
-on.
+The global objective and the gradient ratio both come from FullBatchPass,
+the one loop that visits every client's full dataset at a model. Built once
+over fixed datasets, it stacks consecutive clients' rows into blocks of
+about BLOCK_ROWS rows that share one forward pass and softmax, and each call
+reads every client's loss and gradient off its own rows of one reused
+workspace. The runner builds one per run; full_batch_pass is the one-shot
+form.
 """
 
 from __future__ import annotations
@@ -25,19 +26,19 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .data import LabeledDataset, read_csv_rows
-from .errors import ConfigError, DataError, DiagnosticsError, DivergenceError
-from .nn import ParamVector, check_fits, stacked_deltas, unpack
+from .errors import ConfigError, DataError, DiagnosticsError, DivergenceError, ShapeError
+from .nn import ModelArch, ParamVector, check_fits, param_count, unpack
 
 # perfbench/spans.py traces these names in this module's namespace
 from .nn import Batch, backward, cross_entropy, forward  # noqa: F401
 
 GRAD_NORM_TOL = 1e-12
-# full_batch_pass stacks consecutive datasets until a block holds at least
+# FullBatchPass stacks consecutive datasets until a block holds at least
 # this many rows. On many_clients_diag (100 clients of 13-337 rows, 16-64-8
-# MLP, one BLAS thread) a run took 1.13-1.18 s at 512 rows, 1.24 s at 256
-# and 1.12 s at 1024 (one run each), against 1.39-1.44 s one client at a
-# time. One block of all 7,424 rows was slower than one client at a time:
-# its 3.8 MB activations overflow L2.
+# MLP, one BLAS thread, 2-core Xeon) the median pass took 4.4-6.8 ms at 512
+# rows, 6.1-7.0 at 256, 4.5-6.9 at 1024 and 5.3-7.1 as one block of all
+# 7,424 rows (6 repeats each), against 6.2-10.3 ms one client at a time. One
+# block would need 3.8 MB of workspace per hidden layer, 512 rows 0.26 MB.
 BLOCK_ROWS = 512
 
 
@@ -110,60 +111,130 @@ def dissimilarity_B(
     )
 
 
+class FullBatchPass:
+    """full_batch_pass over fixed datasets, split into a plan and a call.
+
+    The constructor does all that depends only on the datasets: it checks
+    them, stacks consecutive datasets into blocks of at least BLOCK_ROWS
+    rows and binds every dataset's views into one workspace sized for the
+    tallest block. A call (plan(model) -> (f, grad f, ratio)) then writes
+    only into that workspace and allocates no block-sized array.
+
+    Per block, the matrix products run per dataset, everything else once
+    for all rows: BLAS may give a row other bits inside a taller product
+    (its kernels tile the rows, and numpy sends a single row to gemv). No
+    value of a row depends on another row, so each dataset's loss and
+    gradient, read off its own rows, are bitwise its own loss_and_grad
+    call. A call that raises DivergenceError leaves the plan usable.
+    """
+
+    def __init__(self, arch: ModelArch, datasets: Sequence[LabeledDataset]) -> None:
+        if len(datasets) == 0:
+            raise DiagnosticsError("the full-batch pass needs at least one dataset")
+        for k, dataset in enumerate(datasets):
+            check_fits(arch, dataset, f"dataset {k}")
+        self.arch, self.datasets = arch, tuple(datasets)
+        widths, total = arch.layer_widths, float(sum(map(len, datasets)))
+        blocks = list(_blocks(datasets))
+        tallest = max(sum(map(len, block)) for block in blocks)
+        # every layer's output; the delta at every hidden layer's output (the
+        # output layer's delta overwrites its logits); the ReLU masks
+        outs = [np.empty((tallest, w)) for w in widths[1:]]
+        deltas = [np.empty((tallest, w)) for w in widths[1:-1]] + outs[-1:]
+        masks = [np.empty((tallest, w), dtype=bool) for w in widths[1:-1]]
+        row_max, norm, picked, terms = np.empty((4, tallest))
+        self._g_k, self._scaled = np.empty((2, param_count(arch)))
+        grad_layers = unpack(arch, self._g_k)
+        self._plan = []
+        for block in blocks:
+            bounds = list(accumulate(map(len, block), initial=0))
+            n, spans = bounds[-1], [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+            logits, sizes = outs[-1][:n], np.diff(bounds)
+            # layer li's input and output, and the delta at its output, per dataset
+            acts = [[d.features for d in block]] + [[out[rows] for rows in spans] for out in outs]
+            dels = [[delta[rows] for rows in spans] for delta in deltas]
+            forward_steps = [(out[:n], list(zip(a, b))) for out, a, b in zip(outs, acts, acts[1:])]
+            backward_steps = [
+                (deltas[li - 1][:n], masks[li - 1][:n], outs[li - 1][:n], list(zip(dels[li], dels[li - 1])))
+                for li in range(len(deltas) - 1, 0, -1)
+            ]
+            # logits.reshape(-1) is a view: the workspace rows are contiguous
+            softmax = (logits, logits.reshape(-1), [logits[:, c : c + 1] for c in range(widths[-1])],
+                       row_max[:n, None], norm[:n, None], picked[:n], terms[:n],
+                       np.arange(n) * widths[-1] + np.concatenate([d.labels for d in block]),
+                       np.repeat(sizes.astype(np.float64), sizes)[:, None])
+            members = [
+                ([(g_w, g_b, a[k].T, d[k]) for (g_w, g_b), a, d in zip(grad_layers, acts, dels)],
+                 terms[rows], len(dataset), len(dataset) / total)
+                for k, (dataset, rows) in enumerate(zip(block, spans))
+            ]
+            self._plan.append((forward_steps, softmax, backward_steps, members))
+
+    def __call__(self, model: ParamVector) -> tuple[float, np.ndarray, float | None]:
+        if model.arch != self.arch:
+            raise ShapeError(f"model has layer widths {model.arch.layer_widths}, "
+                             f"the pass was planned for {self.arch.layer_widths}")
+        layers = unpack(self.arch, model.values)
+        g_k, scaled = self._g_k, self._scaled
+        loss, grad, mean_sq = 0.0, np.zeros(len(model)), 0.0
+        # a huge but finite model overflows here; report that as divergence
+        with np.errstate(over="ignore", invalid="ignore"):
+            for forward_steps, softmax, backward_steps, members in self._plan:
+                for li, ((weight, bias), (out, pairs)) in enumerate(zip(layers, forward_steps)):
+                    for act, act_out in pairs:
+                        np.matmul(act, weight, out=act_out)
+                    out += bias
+                    if li < len(layers) - 1:
+                        np.maximum(out, 0.0, out=out)
+                # the steps of nn._softmax_delta, into the workspace. One
+                # maximum per column is cheaper than max(axis=1) on tall
+                # arrays; only the sign of a zero maximum can differ, which
+                # changes no bit of the delta or the terms
+                logits, flat, columns, row_max, norm, picked, terms, picks, divisors = softmax
+                np.copyto(row_max, columns[0])
+                for column in columns[1:]:
+                    np.maximum(row_max, column, out=row_max)
+                logits -= row_max
+                # picks are in range; mode="raise" would stage the result in a fresh array
+                flat.take(picks, out=picked, mode="clip")
+                np.exp(logits, out=logits)
+                logits.sum(axis=1, keepdims=True, out=norm)
+                np.log(norm.ravel(), out=terms)
+                terms -= picked
+                logits /= norm
+                np.subtract.at(flat, picks, 1.0)
+                logits /= divisors
+                for (weight, _bias), (delta, mask, act, pairs) in zip(layers[:0:-1], backward_steps):
+                    weight_t = weight.T
+                    for delta_k, prev_k in pairs:
+                        np.matmul(delta_k, weight_t, out=prev_k)
+                    # act = max(pre, 0) is > 0 exactly where the pre-activation is
+                    np.greater(act, 0.0, out=mask)
+                    delta *= mask
+                for grads, terms_k, n, share in members:
+                    for g_weight, g_bias, act_t, delta in grads:
+                        np.matmul(act_t, delta, out=g_weight)
+                        delta.sum(axis=0, out=g_bias)
+                    loss += share * (float(terms_k.sum()) / n)
+                    grad += np.multiply(g_k, share, out=scaled)
+                    mean_sq += share * float(g_k @ g_k)
+        if not (math.isfinite(loss) and math.isfinite(mean_sq) and np.isfinite(grad).all()):
+            raise DivergenceError("client losses or gradients are not finite at this model: diverged")
+        denom = float(np.linalg.norm(grad))
+        return loss, grad, (math.sqrt(mean_sq) / denom if denom > GRAD_NORM_TOL else None)
+
+
 def full_batch_pass(
     model: ParamVector, datasets: Sequence[LabeledDataset]
 ) -> tuple[float, np.ndarray, float | None]:
     """(f, grad f, sqrt(E_k ||grad_k||^2) / ||grad f||) at model, where f is
     the mean of the clients' full-batch losses, client k weighted by
-    len(datasets[k]) / (total samples).
-
-    Consecutive datasets are stacked into blocks of at least BLOCK_ROWS
-    rows, and each block goes through one stacked_deltas call. Each
-    dataset's loss and gradient are then read off its own rows of the
-    block, bitwise equal to its own loss_and_grad call, and reduced in the
-    order given so results are reproducible. The ratio is None (undefined)
-    when ||grad f|| is below GRAD_NORM_TOL; by Jensen's inequality it is
-    otherwise >= 1.
-    """
-    if len(datasets) == 0:
-        raise DiagnosticsError("the full-batch pass needs at least one dataset")
-    arch = model.arch
-    for k, dataset in enumerate(datasets):
-        check_fits(arch, dataset, f"dataset {k}")
-    total = float(sum(len(dataset) for dataset in datasets))
-    layers = unpack(arch, model.values)
-    g_k = np.empty(len(model))
-    grad_layers = unpack(arch, g_k)
-    loss = 0.0
-    grad = np.zeros(len(model))
-    mean_sq = 0.0
-    # a huge but finite model overflows here; report that as divergence
-    with np.errstate(over="ignore", invalid="ignore"):
-        for block in _blocks(datasets):
-            features = np.concatenate([dataset.features for dataset in block])
-            labels = np.concatenate([dataset.labels for dataset in block])
-            picks = np.arange(labels.size) * arch.output_dim + labels
-            bounds = list(accumulate((len(dataset) for dataset in block), initial=0))
-            row_slices = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
-            acts, deltas, terms = stacked_deltas(layers, features, picks, row_slices)
-            for rows in row_slices:
-                for (g_weight, g_bias), act, delta in zip(grad_layers, acts, deltas):
-                    np.matmul(act[rows].T, delta[rows], out=g_weight)
-                    delta[rows].sum(axis=0, out=g_bias)
-                n = rows.stop - rows.start
-                weight = n / total
-                loss += weight * (float(terms[rows].sum()) / n)
-                grad += weight * g_k
-                mean_sq += weight * float(g_k @ g_k)
-            # free this block's arrays (act and delta still hold two of them)
-            # before the next block allocates; kept alive, they made glibc
-            # map fresh pages for every block (paper_sweep: ~12,000 page
-            # faults a run instead of ~300)
-            del features, acts, deltas, terms, act, delta
-    if not (math.isfinite(loss) and math.isfinite(mean_sq) and np.isfinite(grad).all()):
-        raise DivergenceError("client losses or gradients are not finite at this model: diverged")
-    denom = float(np.linalg.norm(grad))
-    return loss, grad, (math.sqrt(mean_sq) / denom if denom > GRAD_NORM_TOL else None)
+    len(datasets[k]) / (total samples), reduced in the order given so
+    results are reproducible. The ratio is None (undefined) when ||grad f||
+    is below GRAD_NORM_TOL; by Jensen's inequality it is otherwise >= 1.
+    The one-shot form of FullBatchPass, which the runner builds once per
+    run."""
+    return FullBatchPass(model.arch, datasets)(model)
 
 
 def _blocks(datasets: Sequence[LabeledDataset]):

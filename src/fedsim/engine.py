@@ -6,7 +6,7 @@ ExperimentConfig. Every round scores each local model on the server's
 public set; a client's p is its score from the previous round, else 1.
 Every strategy aggregates through one path: fedavg_weights or
 fedpdc_weights feeding _combine. A round measures no diagnostics; the
-runner takes them at the pre-round model (diagnostics.full_batch_pass).
+runner takes them at the pre-round model (diagnostics.FullBatchPass).
 
 Strategies:
   fedavg          size-weighted averaging of local models

@@ -152,37 +152,17 @@ def init_model(arch: ModelArch, seed: int) -> ParamVector:
     return ParamVector(arch, values)
 
 
-def _forward_layers(
-    layers: list[tuple[np.ndarray, np.ndarray]],
-    features: np.ndarray,
-    row_slices: list[slice] | None = None,
-) -> list[np.ndarray]:
+def _forward_layers(layers: list[tuple[np.ndarray, np.ndarray]], features: np.ndarray) -> list[np.ndarray]:
     """[features, hidden activations..., logits] through the unpack() views
-    of the parameters; hidden layers use ReLU, applied in place. Given
-    row_slices, each layer's matrix product runs slice by slice (see
-    _matmul_by_rows)."""
+    of the parameters; hidden layers use ReLU, applied in place."""
     acts = [features]
     for li, (weight, bias) in enumerate(layers):
-        if row_slices is None:
-            act = acts[-1] @ weight
-        else:
-            act = _matmul_by_rows(acts[-1], weight, row_slices)
+        act = acts[-1] @ weight
         act += bias
         if li < len(layers) - 1:
             np.maximum(act, 0.0, out=act)
         acts.append(act)
     return acts
-
-
-def _matmul_by_rows(a: np.ndarray, b: np.ndarray, row_slices: list[slice]) -> np.ndarray:
-    """a @ b as one product per slice of a's rows. BLAS may give a row
-    different bits inside a taller product (its kernels tile the rows, and
-    numpy sends a single row to gemv), so a dataset's rows of a stacked
-    array are multiplied as a product of that dataset's own height."""
-    out = np.empty((a.shape[0], b.shape[1]))
-    for rows in row_slices:
-        np.matmul(a[rows], b, out=out[rows])
-    return out
 
 
 def _check_width(arch: ModelArch, features: np.ndarray) -> None:
@@ -272,7 +252,7 @@ def loss_and_grad_into(
     *acts, delta = _forward_layers(layers, features)
     n = features.shape[0]
     # np.mean's own arithmetic (pairwise sum, then divide) without its call overhead
-    ce = float(_softmax_delta(delta, delta.max(axis=1, keepdims=True), picks, n).sum()) / n
+    ce = float(_softmax_delta(delta, picks, n).sum()) / n
 
     for li in range(len(layers) - 1, -1, -1):
         g_weight, g_bias = grad_layers[li]
@@ -285,17 +265,13 @@ def loss_and_grad_into(
     return ce
 
 
-def _softmax_delta(
-    logits: np.ndarray, row_max: np.ndarray, picks: np.ndarray, divisor: int | np.ndarray
-) -> np.ndarray:
-    """Turn logits, a fresh C-ordered array, into the cross-entropy delta
-    (softmax - onehot) / divisor in place, and return each row's loss term
-    log(sum exp(shifted)) - shifted[label], where shifted = logits - row_max
-    (the (rows, 1) column of row maxima). picks are the flat label indices
-    of loss_and_grad_into; divisor is the row count of a mean, or a
-    (rows, 1) column of each row's own count. The loss and the delta share
-    one exp(shifted)."""
-    logits -= row_max
+def _softmax_delta(logits: np.ndarray, picks: np.ndarray, n: int) -> np.ndarray:
+    """Turn logits, a fresh C-ordered array of n rows, into the cross-entropy
+    delta (softmax - onehot) / n in place, and return each row's loss term
+    log(sum exp(shifted)) - shifted[label], where shifted is logits minus
+    its row maximum. picks are the flat label indices of loss_and_grad_into.
+    The loss and the delta share one exp(shifted)."""
+    logits -= logits.max(axis=1, keepdims=True)
     flat = logits.ravel()  # a view
     picked = flat[picks]
     np.exp(logits, out=logits)
@@ -303,43 +279,8 @@ def _softmax_delta(
     terms = np.log(norm.ravel()) - picked
     logits /= norm
     flat[picks] -= 1.0
-    logits /= divisor
+    logits /= n
     return terms
-
-
-def stacked_deltas(
-    layers: list[tuple[np.ndarray, np.ndarray]],
-    features: np.ndarray,
-    picks: np.ndarray,
-    row_slices: list[slice],
-) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
-    """The row-wise part of loss_and_grad_into for several datasets whose
-    rows are stacked into features, row_slices[k] holding dataset k's rows:
-    (the input of every layer, the delta at every layer's output, each
-    row's loss term). Each dataset's delta is divided by its own size.
-
-    Matrix products run per dataset, everything else once for all rows. No
-    value of a row depends on another row, so a dataset's slice of these
-    arrays holds what its own loss_and_grad_into call computes: its loss is
-    terms[rows].sum() / size and its layer li gradient is
-    acts[li][rows].T @ deltas[li][rows] and deltas[li][rows].sum(axis=0).
-    """
-    *acts, delta = _forward_layers(layers, features, row_slices)
-    # max(axis=1) costs about 90 ns a row on a few columns; one maximum per
-    # column is cheaper on tall arrays. Only the sign of a zero maximum can
-    # differ from max(axis=1), which changes no bit of the delta or terms.
-    row_max = delta[:, :1].copy()
-    for col in range(1, delta.shape[1]):
-        np.maximum(row_max, delta[:, col : col + 1], out=row_max)
-    sizes = [rows.stop - rows.start for rows in row_slices]
-    divisors = np.repeat(np.array(sizes, dtype=np.float64), sizes)[:, None]
-    terms = _softmax_delta(delta, row_max, picks, divisors)
-    deltas = [delta]
-    for li in range(len(layers) - 1, 0, -1):
-        delta = _matmul_by_rows(delta, layers[li][0].T, row_slices)
-        delta *= acts[li] > 0.0
-        deltas.append(delta)
-    return acts, deltas[::-1], terms
 
 
 def central_difference(fn: Callable[[np.ndarray], float], x: np.ndarray, step: float) -> np.ndarray:

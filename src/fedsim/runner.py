@@ -8,9 +8,10 @@ Each run owns one directory containing:
   diagnostics.csv     per-round global loss / gradient instrumentation (optional)
   dissimilarity.csv   per-round dissimilarity measures (optional)
 
-The runner owns the diagnostics: when either is enabled it runs one
-full-batch pass over every client at the pre-round model, which yields the
-global objective, its squared gradient norm and the gradient ratio at once.
+The runner owns the diagnostics: when either is enabled it builds one
+FullBatchPass over the clients' datasets per run, and calls it once per
+round at the pre-round model, which yields the global objective, its
+squared gradient norm and the gradient ratio at once.
 The objective after round t is the one measured before round t+1, so only
 the final model needs an extra pass. Artifacts are written after the last
 round. Reruns reproduce every artifact byte for byte.
@@ -35,7 +36,7 @@ from .data import (
     partition_stats,
     write_partition_manifest,
 )
-from .diagnostics import DescentRecord, descent_check, dissimilarity_B, full_batch_pass
+from .diagnostics import DescentRecord, FullBatchPass, descent_check, dissimilarity_B
 
 # perfbench/spans.py traces this name in this module's namespace
 from .diagnostics import gradient_dissimilarity  # noqa: F401
@@ -67,15 +68,14 @@ class RunResult:
 
 def build_problem(cfg: ExperimentConfig, seed: int) -> Problem:
     if cfg.dataset == "synthetic":
-        pool = generate_synthetic(
-            SyntheticSpec(
-                num_classes=cfg.num_classes,
-                samples_per_class=cfg.samples_per_class,
-                input_dim=cfg.input_dim,
-                cluster_spread=cfg.cluster_spread,
-                seed=seed,
-            )
-        )
+        spec = SyntheticSpec(cfg.num_classes, cfg.samples_per_class, cfg.input_dim, cfg.cluster_spread, seed)
+        try:
+            pool = generate_synthetic(spec)
+        except MemoryError:
+            raise ConfigError(
+                f"samples_per_class = {cfg.samples_per_class} with input_dim = {cfg.input_dim}: "
+                "the synthetic data cannot be allocated"
+            ) from None
     else:
         pool = load_csv(cfg.dataset)
 
@@ -95,7 +95,10 @@ def build_problem(cfg: ExperimentConfig, seed: int) -> Problem:
         for cid, idxs in enumerate(partition.client_indices)
     ]
     arch = ModelArch((pool.input_dim, *cfg.hidden, pool.num_classes))
-    model = init_model(arch, seed)
+    try:
+        model = init_model(arch, seed)
+    except (ValueError, MemoryError):  # numpy: "Maximum allowed dimension exceeded"
+        raise ConfigError(f"hidden = {','.join(map(str, cfg.hidden))}: the model cannot be allocated") from None
     server = ServerState(model, server_set)
     return Problem(
         test_set=test_set,
@@ -181,14 +184,15 @@ def run_experiment(cfg: ExperimentConfig, seed: int, run_dir) -> RunResult:
     write_partition_manifest(problem.partition, run_dir / "partition.txt")
 
     server = problem.server
-    datasets = [c.data for c in problem.clients]
+    diagnose = cfg.instrument_global_loss or cfg.emit_dissimilarity
+    full_pass = FullBatchPass(server.model.arch, [c.data for c in problem.clients]) if diagnose else None
     records: list[RoundRecord] = []
     losses: list[float] = []
     grad_sqnorms: list[float] = []
     grad_ratios: list[float | None] = []
     for _t in range(cfg.rounds):
-        if cfg.instrument_global_loss or cfg.emit_dissimilarity:
-            loss, grad, ratio = full_batch_pass(server.model, datasets)
+        if full_pass is not None:
+            loss, grad, ratio = full_pass(server.model)
             losses.append(loss)
             grad_sqnorms.append(float(grad @ grad))
             grad_ratios.append(ratio)
@@ -200,7 +204,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int, run_dir) -> RunResult:
 
     descent = None
     if cfg.instrument_global_loss:
-        final_loss = full_batch_pass(server.model, datasets)[0]
+        final_loss = full_pass(server.model)[0]
         descent = descent_check(losses, grad_sqnorms, final_loss)
         _write_diagnostics_csv(descent, run_dir / "diagnostics.csv")
     if cfg.emit_dissimilarity:

@@ -211,7 +211,7 @@ def test_manifest_format(tmp_path):
 
 
 # each of these used to be cast without a word (labels [0.7, 1.9] became
-# [0, 1], bools 0/1) or to raise a raw ValueError (string features)
+# [0, 1], bools 0/1) or to raise a raw ValueError (string features, ragged rows)
 @pytest.mark.parametrize(
     "features, labels, num_classes, problem",
     [
@@ -221,6 +221,7 @@ def test_manifest_format(tmp_path):
         (np.ones((2, 3)), np.array([0, 1]), True, "num_classes must be an integer"),
         (np.array([["a", "b"], ["c", "d"]]), np.array([0, 1]), 2, "features must be numbers"),
         (np.array([["1"], ["2"]]), np.array([0, 1]), 2, "features must be numbers"),
+        ([[1.0, 2.0], [3.0]], [0, 1], 2, "features are not a rectangular matrix"),
     ],
 )
 def test_labeled_dataset_names_a_mistyped_input(features, labels, num_classes, problem):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,9 +9,11 @@ from hypothesis import strategies as st
 import reference
 from conftest import random_model
 from fedsim import diagnostics, nn
+from fedsim.config import ExperimentConfig
 from fedsim.data import LabeledDataset, SyntheticSpec, dirichlet_partition, generate_synthetic
 from fedsim.diagnostics import (
     DescentRecord,
+    FullBatchPass,
     TheoremConstants,
     descent_check,
     descent_summary,
@@ -24,6 +27,7 @@ from fedsim.diagnostics import (
     theorem_constant,
 )
 from fedsim.errors import ConfigError, DataError, DiagnosticsError, DivergenceError, ShapeError
+from fedsim.runner import build_problem
 
 
 class TestAccuracyRatio:
@@ -179,6 +183,77 @@ def test_block_size_does_not_change_the_bits(widths, block_rows, monkeypatch):
     monkeypatch.setattr(diagnostics, "BLOCK_ROWS", block_rows)
     got_loss, got_grad, got_ratio = full_batch_pass(model, datasets)
     assert got_loss == loss and got_grad.tobytes() == grad.tobytes() and got_ratio == ratio
+
+
+def overflowing_model(arch):
+    """First-layer weights 0 and every other parameter 1e200: every hidden
+    unit is 1e200 on every row, so every logit overflows to inf."""
+    values = np.full(nn.param_count(arch), 1e200)
+    nn.unpack(arch, values)[0][0][...] = 0.0
+    return nn.ParamVector(arch, values)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=50, deadline=None)
+@given(
+    widths=st.lists(st.integers(1, 9), min_size=3, max_size=4).map(tuple),
+    rows=st.lists(st.integers(1, 700), min_size=1, max_size=12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_reused_plan_leaks_nothing_between_calls(widths, rows, seed):
+    # finite models, then one that diverges, then finite ones again: every
+    # result is bitwise what a fresh pass over the same datasets gives
+    rng = np.random.default_rng(seed)
+    arch = nn.ModelArch(widths)
+    datasets = random_datasets(rng, arch, rows)
+    plan = FullBatchPass(arch, datasets)
+    models = [random_model(arch, seed=(seed + i) % 2**32) for i in range(3)]
+    for model in (*models, None, *models[::-1]):
+        if model is None:
+            with pytest.raises(DivergenceError):
+                plan(overflowing_model(arch))
+            continue
+        want_loss, want_grad, want_ratio = reference.full_batch(arch, model.values, datasets)
+        loss, grad, ratio = plan(model)
+        assert loss == want_loss and grad.tobytes() == want_grad.tobytes() and ratio == want_ratio
+
+
+def test_plan_boundary_errors():
+    rng = np.random.default_rng(4)
+    arch = nn.ModelArch((4, 5, 3))
+    (data,) = random_datasets(rng, arch, (8,))
+    with pytest.raises(ShapeError, match="planned for"):
+        FullBatchPass(arch, [data])(random_model(nn.ModelArch((4, 6, 3)), seed=4))
+    with pytest.raises(DiagnosticsError):
+        FullBatchPass(arch, [])
+    # a misfit dataset fails at construction, named by its position
+    wide = LabeledDataset(rng.standard_normal((8, 5)), rng.integers(0, 3, 8), 3)
+    with pytest.raises(ShapeError, match="^dataset 1 features"):
+        FullBatchPass(arch, [data, wide])
+    beyond = LabeledDataset(data.features, np.full(8, 5), 6)
+    with pytest.raises(DataError, match="^dataset 1 labels"):
+        FullBatchPass(arch, [data, beyond])
+
+
+def test_a_warm_plan_call_allocates_no_block_sized_array():
+    # the many_clients_diag benchmark problem at seed 1: 100 clients, 16-64-8
+    # MLP; one hidden layer of one block alone is at least 256 KiB
+    cfg = ExperimentConfig(
+        strategy="fedpdc_adaptive", penalty_mode="scaled_ce", clients=100, tau=0.1,
+        beta=0.5, samples_per_class=1000, local_epochs=1, rounds=60,
+        instrument_global_loss=True, emit_dissimilarity=True,
+    )
+    problem = build_problem(cfg, 1)
+    model = problem.server.model
+    plan = FullBatchPass(model.arch, [client.data for client in problem.clients])
+    plan(model)
+    tracemalloc.start()
+    try:
+        plan(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 1024
 
 
 @pytest.mark.parametrize("diagnostic", [global_objective, gradient_dissimilarity])

@@ -86,12 +86,13 @@ class TestRunExperiment:
         # 4 rounds: one pass per round when a diagnostic is on, one more for
         # the final loss; every pass visits every client row once
         rows_seen = []
+        call = diagnostics.FullBatchPass.__call__
 
-        def counting(layers, features, picks, row_slices):
-            rows_seen.extend(map(tuple, features))
-            return nn.stacked_deltas(layers, features, picks, row_slices)
+        def counting(plan, model):
+            rows_seen.extend(tuple(row) for dataset in plan.datasets for row in dataset.features)
+            return call(plan, model)
 
-        monkeypatch.setattr(diagnostics, "stacked_deltas", counting)
+        monkeypatch.setattr(diagnostics.FullBatchPass, "__call__", counting)
         cfg = quick_cfg(instrument_global_loss=instrument, emit_dissimilarity=dissimilarity)
         run_experiment(cfg, 0, tmp_path / "r")
         client_rows = [tuple(row) for c in build_problem(cfg, 0).clients for row in c.data.features]
@@ -281,6 +282,10 @@ class TestCli:
             # two artifacts were written, and the seed ran as seed 1
             ("batch_size = 100000000000000000000000000000", "batch_size"),
             ("seed = 18446744073709551617", "seed"),
+            # sizes beyond the address space, so numpy fails before touching
+            # memory: a raw MemoryError and "Maximum allowed dimension exceeded"
+            ("samples_per_class = 1000000000000000", "samples_per_class"),
+            ("hidden = 4611686018427387904", "hidden"),
         )
         for line, key in cases:
             bad.write_text(f"{line}\noutput_dir = {tmp_path / 'runs'}\n")
