@@ -45,6 +45,7 @@ from .nn import (
     ModelArch,
     OptimizerState,
     ParamVector,
+    TrainPlan,
     backward,
     cross_entropy,
     evaluate_accuracy,

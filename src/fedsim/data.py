@@ -14,6 +14,37 @@ from .seeding import TAG_PARTITION, TAG_SPLIT, TAG_SYNTH, stream
 _MAX_PARTITION_RETRIES = 100
 
 
+def checked_arrays(features, labels) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only float64 features and int64 labels, private copies of the
+    inputs: a nonempty rectangular matrix of finite numbers and one integer
+    label per row. Anything else is a DataError; nothing is cast silently."""
+    try:
+        feats = np.asarray(features)
+    except ValueError:  # numpy's "inhomogeneous shape": rows of unequal length
+        raise DataError("features are not a rectangular matrix") from None
+    try:
+        labs = np.asarray(labels)
+    except ValueError:
+        raise DataError("labels must be a vector matching the number of rows") from None
+    # the casts below would read numeric strings as numbers and truncate
+    # float or bool labels to ints
+    if feats.dtype.kind not in "iuf":
+        raise DataError(f"features must be numbers, got dtype {feats.dtype}")
+    if labs.dtype.kind not in "iu":
+        raise DataError(f"labels must be integers, got dtype {labs.dtype}")
+    feats = np.array(feats, dtype=np.float64, order="C")
+    labs = np.array(labs, dtype=np.int64, order="C")
+    if feats.ndim != 2 or feats.shape[0] < 1:
+        raise DataError("features must be a nonempty 2-d matrix")
+    if labs.shape != (feats.shape[0],):
+        raise DataError("labels must be a vector matching the number of rows")
+    if not np.all(np.isfinite(feats)):
+        raise DataError("features must be finite")
+    feats.setflags(write=False)
+    labs.setflags(write=False)
+    return feats, labs
+
+
 @dataclass(frozen=True)
 class LabeledDataset:
     """Feature matrix with dense integer class labels in [0, num_classes)."""
@@ -23,32 +54,11 @@ class LabeledDataset:
     num_classes: int
 
     def __post_init__(self) -> None:
-        try:
-            feats = np.asarray(self.features)
-        except ValueError:  # numpy's "inhomogeneous shape": rows of unequal length
-            raise DataError("features are not a rectangular matrix") from None
-        labs = np.asarray(self.labels)
-        # the casts below would read numeric strings as numbers and truncate
-        # float or bool labels to ints
-        if feats.dtype.kind not in "iuf":
-            raise DataError(f"features must be numbers, got dtype {feats.dtype}")
-        if labs.dtype.kind not in "iu":
-            raise DataError(f"labels must be integers, got dtype {labs.dtype}")
-        # private copies so freezing never touches the caller's arrays
-        feats = np.array(feats, dtype=np.float64, order="C")
-        labs = np.array(labs, dtype=np.int64, order="C")
-        if feats.ndim != 2 or feats.shape[0] < 1:
-            raise DataError("features must be a nonempty 2-d matrix")
-        if labs.shape != (feats.shape[0],):
-            raise DataError("labels must be a vector matching the number of rows")
-        if not np.all(np.isfinite(feats)):
-            raise DataError("features must be finite")
+        feats, labs = checked_arrays(self.features, self.labels)
         if not np.issubdtype(type(self.num_classes), np.integer) or self.num_classes < 1:
             raise DataError(f"num_classes must be an integer >= 1, got {self.num_classes!r}")
-        if labs.size and (labs.min() < 0 or labs.max() >= self.num_classes):
+        if labs.min() < 0 or labs.max() >= self.num_classes:
             raise DataError("labels must lie in [0, num_classes)")
-        feats.setflags(write=False)
-        labs.setflags(write=False)
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labs)
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .data import LabeledDataset, read_csv_rows
 from .errors import ConfigError, DataError, DiagnosticsError, DivergenceError, ShapeError
-from .nn import ModelArch, ParamVector, check_fits, param_count, unpack
+from .nn import ModelArch, ParamVector, check_fits, dot_for, param_count, unpack
 
 # perfbench/spans.py traces these names in this module's namespace
 from .nn import Batch, backward, cross_entropy, forward  # noqa: F401
@@ -153,9 +153,10 @@ class FullBatchPass:
             # layer li's input and output, and the delta at its output, per dataset
             acts = [[d.features for d in block]] + [[out[rows] for rows in spans] for out in outs]
             dels = [[delta[rows] for rows in spans] for delta in deltas]
-            forward_steps = [(out[:n], list(zip(a, b))) for out, a, b in zip(outs, acts, acts[1:])]
+            dots = [dot_for(len(dataset)) for dataset in block]
+            forward_steps = [(out[:n], list(zip(dots, a, b))) for out, a, b in zip(outs, acts, acts[1:])]
             backward_steps = [
-                (deltas[li - 1][:n], masks[li - 1][:n], outs[li - 1][:n], list(zip(dels[li], dels[li - 1])))
+                (deltas[li - 1][:n], masks[li - 1][:n], outs[li - 1][:n], list(zip(dots, dels[li], dels[li - 1])))
                 for li in range(len(deltas) - 1, 0, -1)
             ]
             # logits.reshape(-1) is a view: the workspace rows are contiguous
@@ -164,7 +165,7 @@ class FullBatchPass:
                        np.arange(n) * widths[-1] + np.concatenate([d.labels for d in block]),
                        np.repeat(sizes.astype(np.float64), sizes)[:, None])
             members = [
-                ([(g_w, g_b, a[k].T, d[k]) for (g_w, g_b), a, d in zip(grad_layers, acts, dels)],
+                ([(dots[k], g_w, g_b, a[k].T, d[k]) for (g_w, g_b), a, d in zip(grad_layers, acts, dels)],
                  terms[rows], len(dataset), len(dataset) / total)
                 for k, (dataset, rows) in enumerate(zip(block, spans))
             ]
@@ -181,12 +182,12 @@ class FullBatchPass:
         with np.errstate(over="ignore", invalid="ignore"):
             for forward_steps, softmax, backward_steps, members in self._plan:
                 for li, ((weight, bias), (out, pairs)) in enumerate(zip(layers, forward_steps)):
-                    for act, act_out in pairs:
-                        np.matmul(act, weight, out=act_out)
+                    for dot, act, act_out in pairs:
+                        dot(act, weight, act_out)
                     out += bias
                     if li < len(layers) - 1:
                         np.maximum(out, 0.0, out=out)
-                # the steps of nn._softmax_delta, into the workspace. One
+                # the softmax steps of nn.TrainPlan, into the workspace. One
                 # maximum per column is cheaper than max(axis=1) on tall
                 # arrays; only the sign of a zero maximum can differ, which
                 # changes no bit of the delta or the terms
@@ -206,14 +207,14 @@ class FullBatchPass:
                 logits /= divisors
                 for (weight, _bias), (delta, mask, act, pairs) in zip(layers[:0:-1], backward_steps):
                     weight_t = weight.T
-                    for delta_k, prev_k in pairs:
-                        np.matmul(delta_k, weight_t, out=prev_k)
+                    for dot, delta_k, prev_k in pairs:
+                        dot(delta_k, weight_t, prev_k)
                     # act = max(pre, 0) is > 0 exactly where the pre-activation is
                     np.greater(act, 0.0, out=mask)
                     delta *= mask
                 for grads, terms_k, n, share in members:
-                    for g_weight, g_bias, act_t, delta in grads:
-                        np.matmul(act_t, delta, out=g_weight)
+                    for dot, g_weight, g_bias, act_t, delta in grads:
+                        dot(act_t, delta, g_weight)
                         delta.sum(axis=0, out=g_bias)
                     loss += share * (float(terms_k.sum()) / n)
                     grad += np.multiply(g_k, share, out=scaled)

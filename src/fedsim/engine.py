@@ -5,8 +5,10 @@ Local training and the round loop read the strategy and SGD settings
 ExperimentConfig. Every round scores each local model on the server's
 public set; a client's p is its score from the previous round, else 1.
 Every strategy aggregates through one path: fedavg_weights or
-fedpdc_weights feeding _combine. A round measures no diagnostics; the
-runner takes them at the pre-round model (diagnostics.FullBatchPass).
+fedpdc_weights feeding _combine. A round builds one nn.TrainPlan, the
+workspace every selected client's local training runs in. A round
+measures no diagnostics; the runner takes them at the pre-round model
+(diagnostics.FullBatchPass).
 
 Strategies:
   fedavg          size-weighted averaging of local models
@@ -31,15 +33,8 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .data import LabeledDataset, ServerSet
-from .errors import AggregationError, ConfigError, DivergenceError, StateError
-from .nn import (
-    ParamVector,
-    check_fits,
-    cross_entropy,
-    evaluate_accuracy,
-    loss_and_grad_into,
-    unpack,
-)
+from .errors import AggregationError, ConfigError, DivergenceError, ShapeError, StateError
+from .nn import ParamVector, TrainPlan, check_fits, cross_entropy, evaluate_accuracy
 
 # perfbench/spans.py traces these names in this module's namespace
 from .diagnostics import global_objective  # noqa: F401
@@ -171,6 +166,7 @@ def local_train(
     p_in: float,
     cfg: ExperimentConfig,
     round_index: int,
+    plan: TrainPlan | None = None,
 ) -> tuple[ParamVector, list[float]]:
     """Minibatch SGD on the strategy loss for local_epochs epochs.
 
@@ -179,26 +175,37 @@ def local_train(
     local model and every batch's reported loss in order.
 
     Each step does the arithmetic of local_loss, nn.backward and nn.sgd_step,
-    in their order, on plain arrays: the layer views of the parameters and
-    of one gradient buffer are bound once, each epoch gathers the client's
-    rows in shuffled order once so a batch is a contiguous slice, and the
-    prox difference and the update run through preallocated arrays. p and
-    the client's data are checked once, before the first step.
+    in their order, on plain arrays: plan (an nn.TrainPlan for w_global's
+    architecture and at least min(batch_size, client size) rows; built here
+    when None, and shared by run_round across a round's clients) holds the
+    parameters, gradient, momentum and every temporary, and each batch's
+    step is bound once per call. Each epoch gathers the client's rows in
+    shuffled order once, so a batch is a contiguous slice. p, the client's
+    data and the plan are checked once, before the first step.
     """
     arch = w_global.arch
     data = client.data
     n = len(data)
     penalty, ce_scale, prox_weight = _strategy_terms(cfg, p_in)
     check_fits(arch, data, f"client {client.id}")
-    anchor = w_global.values
-    values = anchor.copy()
-    grad = np.empty_like(values)
-    layers, grad_layers = unpack(arch, values), unpack(arch, grad)
-    buf = np.zeros_like(values)
-    scratch = np.empty_like(values)
-    prox = prox_weight != 0.0
-    diff = np.empty_like(values) if prox else None
     batch_size, eta, momentum, decay = cfg.batch_size, cfg.eta, cfg.momentum, cfg.weight_decay
+    if plan is None:
+        plan = TrainPlan(arch, min(batch_size, n))
+    elif plan.arch != arch:
+        raise ShapeError(f"the training plan is for layer widths {plan.arch.layer_widths}, "
+                         f"the model has {arch.layer_widths}")
+    batches = [
+        (slice(start, start + batch_size), plan.step(min(batch_size, n - start)))
+        for start in range(0, n, batch_size)
+    ]
+    anchor = w_global.values
+    values, grad, buf, scratch, finite = plan.values, plan.grad, plan.buf, plan.scratch, plan.finite
+    np.copyto(values, anchor)
+    buf.fill(0.0)
+    prox = prox_weight != 0.0
+    diff = plan.diff if prox else None
+    add, subtract, multiply, isfinite = np.add, np.subtract, np.multiply, np.isfinite
+    all_true = np.logical_and.reduce
     # a batch starts at a multiple of batch_size, so row i of the epoch is
     # row i % batch_size of its batch
     batch_rows = np.arange(n) % batch_size * arch.output_dim
@@ -210,27 +217,27 @@ def local_train(
         for _epoch in range(cfg.local_epochs):
             perm = rng.permutation(n)
             features, picks = data.features[perm], batch_rows + data.labels[perm]
-            for start in range(0, n, batch_size):
-                rows = slice(start, start + batch_size)
-                ce = loss_and_grad_into(layers, grad_layers, features[rows], picks[rows])
+            for rows, step in batches:
+                ce = step(features[rows], picks[rows])
                 if prox:
-                    np.subtract(values, anchor, out=diff)
+                    subtract(values, anchor, diff)
                 loss = _reported_loss(ce, penalty, ce_scale, prox_weight, diff)
                 if not math.isfinite(loss):
                     raise _diverged("a non-finite loss", client.id, round_index, len(losses), losses)
                 losses.append(loss)
                 if ce_scale != 1.0:
-                    grad *= ce_scale
+                    multiply(grad, ce_scale, grad)
                 if prox:
-                    np.multiply(prox_weight, diff, out=scratch)
-                    grad += scratch
-                buf *= momentum
-                buf += grad
-                np.multiply(decay, values, out=scratch)
-                buf += scratch
-                np.multiply(eta, buf, out=scratch)
-                values -= scratch
-                if not np.isfinite(values).all():
+                    multiply(prox_weight, diff, scratch)
+                    add(grad, scratch, grad)
+                multiply(buf, momentum, buf)
+                add(buf, grad, buf)
+                multiply(decay, values, scratch)
+                add(buf, scratch, buf)
+                multiply(eta, buf, scratch)
+                subtract(values, scratch, values)
+                isfinite(values, finite)
+                if not all_true(finite):
                     raise _diverged(
                         "non-finite parameters", client.id, round_index, len(losses) - 1, losses
                     )
@@ -303,8 +310,12 @@ def run_round(
     server_data = server.server_set.data
     selected = sample_clients(len(clients), cfg.tau, server.round, cfg.seed)
     sent = {cid: server.prev_accuracies.get(cid, 1.0) for cid in selected}
+    # one workspace for the round; perfbench/spans.py reads local_train's
+    # client and cfg by position
+    rows = min(cfg.batch_size, max(len(clients[cid].data) for cid in selected))
+    plan = TrainPlan(server.model.arch, rows)
     trained = {
-        cid: local_train(clients[cid], server.model, sent[cid], cfg, server.round)
+        cid: local_train(clients[cid], server.model, sent[cid], cfg, server.round, plan)
         for cid in selected
     }
     measured = {cid: evaluate_accuracy(trained[cid][0], server_data) for cid in selected}

@@ -1,8 +1,10 @@
 """Minimal MLP substrate: forward, cross-entropy, analytic gradients, SGD.
 
-All math runs in float64 and every operation is a pure function of its
-inputs, so trajectories are reproducible bit for bit. Parameters live in a
-single flat vector (per layer: row-major weight matrix, then bias).
+All math runs in float64 and every result is a function of its inputs
+alone, so trajectories are reproducible bit for bit. Parameters live in a
+single flat vector (per layer: row-major weight matrix, then bias). Local
+training runs on a TrainPlan, a workspace allocated once and reused by
+every step; loss_and_grad is its one-shot form.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import LabeledDataset
+from .data import LabeledDataset, checked_arrays
 from .errors import (
     ConfigError,
     DataError,
@@ -24,6 +26,8 @@ from .errors import (
 from .seeding import TAG_INIT, stream
 
 CHECKPOINT_MAGIC = "fedsim-model v1"
+# a TrainPlan step: (features, picks) -> mean cross-entropy
+Step = Callable[[np.ndarray, np.ndarray], float]
 
 
 @dataclass(frozen=True)
@@ -79,24 +83,16 @@ class ParamVector:
 
 @dataclass(frozen=True)
 class Batch:
-    """One minibatch of features and integer labels."""
+    """One minibatch of features and nonnegative integer labels, held to
+    LabeledDataset's rules (data.checked_arrays): every failure is a DataError."""
 
     features: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self) -> None:
-        feats = np.array(self.features, dtype=np.float64, order="C")
-        labs = np.array(self.labels, dtype=np.int64, order="C")
-        if feats.ndim != 2 or feats.shape[0] < 1:
-            raise ShapeError("batch features must be a nonempty 2-d matrix")
-        if labs.shape != (feats.shape[0],):
-            raise ShapeError("batch labels must match the number of feature rows")
-        if not np.all(np.isfinite(feats)):
-            raise DataError("batch features must be finite")
+        feats, labs = checked_arrays(self.features, self.labels)
         if labs.min() < 0:
             raise DataError("batch labels must be nonnegative")
-        feats.setflags(write=False)
-        labs.setflags(write=False)
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labs)
 
@@ -152,12 +148,20 @@ def init_model(arch: ModelArch, seed: int) -> ParamVector:
     return ParamVector(arch, values)
 
 
+def dot_for(rows: int) -> Callable:
+    """The matrix product for operands with `rows` batch rows: np.dot, which
+    gives np.matmul's bits without its dispatch, unless rows is 1. Then a
+    product can be 1x1 by 1x1, which np.dot computes as a*b and np.matmul
+    as 0 + a*b; the two differ where a*b is -0."""
+    return np.dot if rows > 1 else np.matmul
+
+
 def _forward_layers(layers: list[tuple[np.ndarray, np.ndarray]], features: np.ndarray) -> list[np.ndarray]:
     """[features, hidden activations..., logits] through the unpack() views
     of the parameters; hidden layers use ReLU, applied in place."""
-    acts = [features]
+    acts, dot = [features], dot_for(features.shape[0])
     for li, (weight, bias) in enumerate(layers):
-        act = acts[-1] @ weight
+        act = dot(acts[-1], weight)
         act += bias
         if li < len(layers) - 1:
             np.maximum(act, 0.0, out=act)
@@ -224,63 +228,129 @@ def loss_and_grad(
     """Mean cross-entropy and its gradient from one forward pass; the loss
     is bitwise equal to cross_entropy(forward(...)). Inputs are trusted: the
     caller has checked the feature width and that labels lie in
-    [0, arch.output_dim).
+    [0, arch.output_dim). The one-shot form of TrainPlan.
     """
-    grad = np.empty(values.size)
-    picks = np.arange(features.shape[0]) * arch.output_dim + labels
-    ce = loss_and_grad_into(unpack(arch, values), unpack(arch, grad), features, picks)
-    return ce, grad
-
-
-def loss_and_grad_into(
-    layers: list[tuple[np.ndarray, np.ndarray]],
-    grad_layers: list[tuple[np.ndarray, np.ndarray]],
-    features: np.ndarray,
-    picks: np.ndarray,
-) -> float:
-    """The kernel of loss_and_grad: returns the mean cross-entropy and writes
-    every entry of the gradient into grad_layers, the unpack() views of a
-    caller-owned buffer; layers are the unpack() views of the parameters.
-    picks[i] = i * output_dim + label[i] is row i's label entry in the
-    flattened (rows, output_dim) logits.
-
-    Each layer's output is one array: the bias, the ReLU, the softmax and
-    the ReLU mask of the backward pass are applied to it in place, so a
-    step allocates no second temporary of that size. The loss and the
-    softmax delta share one exp(shifted).
-    """
-    *acts, delta = _forward_layers(layers, features)
     n = features.shape[0]
-    # np.mean's own arithmetic (pairwise sum, then divide) without its call overhead
-    ce = float(_softmax_delta(delta, picks, n).sum()) / n
-
-    for li in range(len(layers) - 1, -1, -1):
-        g_weight, g_bias = grad_layers[li]
-        np.matmul(acts[li].T, delta, out=g_weight)
-        delta.sum(axis=0, out=g_bias)
-        if li > 0:
-            # acts[li] = max(pre, 0) is > 0 exactly where the pre-activation is
-            delta = delta @ layers[li][0].T
-            delta *= acts[li] > 0.0
-    return ce
+    plan = TrainPlan(arch, n)
+    np.copyto(plan.values, values)
+    ce = plan.step(n)(features, np.arange(n) * arch.output_dim + labels)
+    return ce, plan.grad
 
 
-def _softmax_delta(logits: np.ndarray, picks: np.ndarray, n: int) -> np.ndarray:
-    """Turn logits, a fresh C-ordered array of n rows, into the cross-entropy
-    delta (softmax - onehot) / n in place, and return each row's loss term
-    log(sum exp(shifted)) - shifted[label], where shifted is logits minus
-    its row maximum. picks are the flat label indices of loss_and_grad_into.
-    The loss and the delta share one exp(shifted)."""
-    logits -= logits.max(axis=1, keepdims=True)
-    flat = logits.ravel()  # a view
-    picked = flat[picks]
-    np.exp(logits, out=logits)
-    norm = logits.sum(axis=1, keepdims=True)
-    terms = np.log(norm.ravel()) - picked
-    logits /= norm
-    flat[picks] -= 1.0
-    logits /= n
-    return terms
+class TrainPlan:
+    """Local training's workspace for one architecture and batches of up to
+    `rows` rows: allocated once, reused by every step of every client.
+
+    It owns the parameter, gradient, momentum, scratch and prox-difference
+    vectors (values, grad, buf, scratch, diff), a finiteness mask (finite),
+    the unpack() views of values and grad (layers, grad_layers), and for
+    `rows` rows every layer's output (which holds the delta there on the
+    way back), a tile (below), and the row max, norm, picked logit and
+    loss term.
+
+    step(r) is the kernel for r rows, bound once per r onto prefix views of
+    the workspace. step(features, picks) reads the parameters in values,
+    overwrites grad with the gradient of the mean cross-entropy and returns
+    that loss; picks[i] = i * output_dim + label[i] locates row i's label
+    in the flattened logits. Inputs are trusted: the caller has checked the
+    feature width and the labels. A step writes only into the workspace:
+    ufuncs with a positional out (np.maximum by keyword: it deprecates the
+    positional one), ufunc reduces, and the products of dot_for(r). The
+    logits become the softmax delta in place, sharing one exp(shifted) with
+    the loss. A call overwrites all it reads, so one on non-finite input
+    leaves the plan usable.
+    """
+
+    def __init__(self, arch: ModelArch, rows: int) -> None:
+        if not np.issubdtype(type(rows), np.integer) or rows < 1:
+            raise ShapeError(f"a training plan needs an integer row count >= 1, got {rows!r}")
+        self.arch, self.rows = arch, int(rows)
+        size, widths = param_count(arch), arch.layer_widths
+        self.values, self.grad, self.buf, self.scratch, self.diff = np.empty((5, size))
+        self.finite = np.empty(size, dtype=bool)
+        self.layers, self.grad_layers = unpack(arch, self.values), unpack(arch, self.grad)
+        self._outs = [np.empty((rows, w)) for w in widths[1:]]
+        self._row_vectors = np.empty((4, rows))
+        # a layer's bias or a column repeated down its rows, and on the way
+        # back its ReLU mask: an operand that broadcasts makes numpy
+        # allocate an iteration buffer as large as the output, a tile does not
+        self._tile = np.empty(rows * max(widths[1:]))
+        self._steps: dict[int, Step] = {}
+
+    def step(self, r: int) -> Step:
+        step = self._steps.get(r)
+        if step is None:
+            if not 1 <= r <= self.rows:
+                raise ShapeError(f"a step of {r} rows does not fit a plan of {self.rows} rows")
+            step = self._steps[r] = self._bind(r)
+        return step
+
+    def _bind(self, r: int) -> Step:
+        layers, grad_layers = self.layers, self.grad_layers
+        outs = [out[:r] for out in self._outs]
+        tiles = [self._tile[: out.size].reshape(out.shape) for out in outs]
+        hidden = list(zip(layers, outs, tiles))[:-1]
+        (w_last, b_last), logits, tile = layers[-1], outs[-1], tiles[-1]
+        flat = logits.reshape(-1)  # a view: the workspace rows are contiguous
+        row_max, norm, picked, terms = self._row_vectors[:, :r]
+        max_col, norm_col = row_max[:, None], norm[:, None]
+        # layer li's weight gradient, from its input (the output of layer
+        # li - 1) and the delta in its output; then the delta at its input,
+        # written over that input
+        backward = [
+            (*grad_layers[li], outs[li - 1].T, outs[li], layers[li][0].T, outs[li - 1], tiles[li - 1])
+            for li in range(len(layers) - 1, 0, -1)
+        ]
+        (g_weight0, g_bias0), delta0 = grad_layers[0], outs[0]
+        dot, copyto, add, subtract, divide = dot_for(r), np.copyto, np.add, np.subtract, np.divide
+        multiply, maximum, exp, log, sign = np.multiply, np.maximum, np.exp, np.log, np.sign
+        add_reduce, max_reduce = np.add.reduce, np.maximum.reduce
+
+        def step(features: np.ndarray, picks: np.ndarray) -> float:
+            act = features
+            for (weight, bias), out, bias_tile in hidden:
+                dot(act, weight, out)
+                copyto(bias_tile, bias)
+                add(out, bias_tile, out)
+                maximum(out, 0.0, out=out)
+                act = out
+            dot(act, w_last, logits)
+            copyto(tile, b_last)
+            add(logits, tile, logits)
+            # logits become (softmax - onehot) / r; terms[i] is row i's
+            # log(sum exp(shifted)) - shifted[label]
+            max_reduce(logits, 1, None, row_max)
+            copyto(tile, max_col)
+            subtract(logits, tile, logits)
+            # picks are in range; mode="raise" would stage the result in a fresh array
+            flat.take(picks, None, picked, "clip")
+            exp(logits, logits)
+            add_reduce(logits, 1, None, norm)
+            log(norm, terms)
+            subtract(terms, picked, terms)
+            copyto(tile, norm_col)
+            divide(logits, tile, logits)
+            # flat[picks] -= 1.0 through picked; np.subtract.at would allocate
+            flat.take(picks, None, picked, "clip")
+            subtract(picked, 1.0, picked)
+            flat.put(picks, picked, "clip")
+            divide(logits, r, logits)
+            for g_weight, g_bias, act_t, delta, weight_t, act, mask in backward:
+                dot(act_t, delta, g_weight)
+                add_reduce(delta, 0, None, g_bias)
+                # act = max(pre, 0), so sign(act) is 1.0 where the
+                # pre-activation is > 0 and +0.0 elsewhere: the mask
+                # (act > 0) as floats, without the cast buffer that
+                # multiplying by a bool mask allocates
+                sign(act, mask)
+                dot(delta, weight_t, act)
+                multiply(act, mask, act)
+            dot(features.T, delta0, g_weight0)
+            add_reduce(delta0, 0, None, g_bias0)
+            # np.mean's own arithmetic (pairwise sum, then divide)
+            return float(add_reduce(terms)) / r
+
+        return step
 
 
 def central_difference(fn: Callable[[np.ndarray], float], x: np.ndarray, step: float) -> np.ndarray:

@@ -308,6 +308,63 @@ def test_local_train_bitwise_equals_reference_for_any_shape(
     assert len(losses) == 2 * -(-size // batch_size)
 
 
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        ExperimentConfig(strategy="fedprox", mu_prox=0.3),
+        ExperimentConfig(strategy="fedpdc", lam=2.0, penalty_mode="scaled_ce"),
+    ],
+    ids=["fedprox", "fedpdc_scaled_ce"],
+)
+def test_a_shared_plan_changes_nothing(cfg):
+    # clients smaller than, equal to, ragged against and a multiple of the
+    # batch size, one of them diverging, all through one plan
+    rng = np.random.default_rng(8)
+    arch = nn.ModelArch((5, 7, 4))
+    w = random_model(arch, seed=8)
+    cfg = replace(cfg, local_epochs=2, batch_size=8, eta=0.05, momentum=0.9, weight_decay=1e-3, seed=4)
+
+    def client(cid, n, scale=1.0):
+        data = LabeledDataset(scale * rng.standard_normal((n, 5)), rng.integers(0, 4, n), 4)
+        return engine.ClientState(cid, data)
+
+    # client 3's huge features blow up within a few steps, after a finite
+    # loss; client 4 then trains on the plan client 3 left non-finite
+    clients = [client(0, 5), client(1, 8), client(2, 19), client(3, 16, scale=1e100), client(4, 16)]
+    plan, diverged = nn.TrainPlan(arch, 8), []
+    for c in clients:
+        try:
+            alone = engine.local_train(c, w, 0.5, cfg, 3)
+        except DivergenceError as err:
+            with pytest.raises(DivergenceError) as info:
+                engine.local_train(c, w, 0.5, cfg, 3, plan)
+            fields = ("client", "round", "step", "last_finite_loss")
+            assert [getattr(info.value, f) for f in fields] == [getattr(err, f) for f in fields]
+            assert str(info.value) == str(err)
+            diverged.append((c.id, err.step))
+            continue
+        shared = engine.local_train(c, w, 0.5, cfg, 3, plan)
+        assert shared[0].values.tobytes() == alone[0].values.tobytes() and shared[1] == alone[1]
+    assert len(diverged) == 1 and diverged[0][0] == 3 and diverged[0][1] > 0
+
+
+def test_a_plan_that_does_not_fit_is_rejected():
+    rng = np.random.default_rng(0)
+    data = LabeledDataset(rng.standard_normal((19, 5)), rng.integers(0, 4, 19), 4)
+    w = random_model(nn.ModelArch((5, 7, 4)), seed=0)
+    cfg = ExperimentConfig(strategy="fedavg", local_epochs=1, batch_size=8, seed=0)
+    client = engine.ClientState(0, data)
+    with pytest.raises(ShapeError, match=r"plan is for layer widths \(5, 6, 4\)"):
+        engine.local_train(client, w, 1.0, cfg, 0, nn.TrainPlan(nn.ModelArch((5, 6, 4)), 8))
+    with pytest.raises(ShapeError, match="a step of 8 rows does not fit a plan of 7 rows"):
+        engine.local_train(client, w, 1.0, cfg, 0, nn.TrainPlan(w.arch, 7))
+    # a client smaller than the batch needs only its own rows
+    small = engine.ClientState(1, data.subset(range(3)))
+    assert engine.local_train(small, w, 1.0, cfg, 0, nn.TrainPlan(w.arch, 3))[1] == (
+        engine.local_train(small, w, 1.0, cfg, 0)[1]
+    )
+
+
 class TestAggregation:
     def test_size_weighted_average(self):
         models = scalar_models(0.0, 4.0)

@@ -1,5 +1,7 @@
+import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -421,3 +423,111 @@ def test_loss_and_grad_equals_forward_cross_entropy_backward(hidden, in_dim, out
     assert ce == want_ce and np.array_equal(grad, want_grad)
     assert nn.cross_entropy(nn.forward(model, batch), batch.labels) == want_ce
     assert np.array_equal(nn.backward(model, batch), want_grad)
+
+
+# each of these used to be cast without a word (labels [0.7, 1.9] became
+# [0, 1], bools 0/1) or to raise a raw ValueError (string features)
+@pytest.mark.parametrize(
+    "features, labels, problem",
+    [
+        (np.ones((2, 3)), np.array([0.7, 1.9]), "labels must be integers"),
+        (np.ones((2, 3)), np.array([True, False]), "labels must be integers"),
+        (np.array([["a", "b"], ["c", "d"]]), np.array([0, 1]), "features must be numbers"),
+        ([[1.0, 2.0], [3.0]], [0, 1], "features are not a rectangular matrix"),
+        (np.ones(3), np.array([0, 1, 2]), "features must be a nonempty 2-d matrix"),
+        (np.ones((2, 3)), np.array([0, 1, 2]), "labels must be a vector"),
+        (np.array([[np.nan, 0.0]]), np.array([0]), "features must be finite"),
+        (np.ones((2, 3)), np.array([0, -1]), "labels must be nonnegative"),
+    ],
+)
+def test_batch_names_a_mistyped_input(features, labels, problem):
+    with pytest.raises(DataError, match=problem):
+        nn.Batch(features, labels)
+
+
+def _picks(arch, labels):
+    return np.arange(labels.size) * arch.output_dim + labels
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    # 0, 1 or 2 hidden layers
+    widths=st.lists(st.integers(1, 9) | st.just(64), min_size=2, max_size=4).map(tuple),
+    rows=st.integers(1, 70),
+    data=st.data(),
+)
+def test_plan_step_equals_reference(widths, rows, data):
+    # one plan for every call: steps of drawn sizes up to rows and of rows
+    # itself, each followed by a step on overflowing input, so whatever that
+    # leaves in the workspace must not reach the next call
+    arch = nn.ModelArch(widths)
+    plan = nn.TrainPlan(arch, rows)
+    sizes = data.draw(st.lists(st.integers(1, rows), min_size=1, max_size=4)) + [rows]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    for r in sizes:
+        values = rng.choice([0.1, 1.0, 30.0]) * rng.standard_normal(nn.param_count(arch))
+        features = rng.standard_normal((r, arch.input_dim))
+        labels = rng.integers(0, arch.output_dim, r)
+        np.copyto(plan.values, values)
+        ce = plan.step(r)(features, _picks(arch, labels))
+        want_ce, want_grad = reference.loss_and_grad(arch, values, features, labels)
+        assert ce == want_ce and plan.grad.tobytes() == want_grad.tobytes()
+        np.copyto(plan.values, 1e200)
+        with np.errstate(over="ignore", invalid="ignore"):
+            plan.step(r)(1e200 * features, _picks(arch, labels))
+
+
+def test_plan_rejects_rows_it_cannot_hold():
+    arch = nn.ModelArch((4, 5, 3))
+    for rows in (0, 2.0, True):
+        with pytest.raises(ShapeError, match="row count"):
+            nn.TrainPlan(arch, rows)
+    plan = nn.TrainPlan(arch, 6)
+    for r in (0, 7):
+        with pytest.raises(ShapeError, match=f"a step of {r} rows does not fit a plan of 6 rows"):
+            plan.step(r)
+
+
+def test_a_warm_step_allocates_no_batch_sized_array():
+    # batch 64 on 16-64-8: the hidden layer's output is 32 KiB, the logits
+    # 4 KiB and a row vector 512 bytes. A warm step allocates only numpy's
+    # per-call bookkeeping, about 1.1-1.4 KiB here at any row count
+    arch = nn.ModelArch((16, 64, 8))
+    rng = np.random.default_rng(0)
+    plan = nn.TrainPlan(arch, 64)
+    np.copyto(plan.values, random_model(arch, seed=0).values)
+    features, labels = rng.standard_normal((64, 16)), rng.integers(0, 8, 64)
+    step, picks = plan.step(64), _picks(arch, labels)
+    step(features, picks)
+    tracemalloc.start()
+    try:
+        step(features, picks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 1024
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 4, 5, 7, 8, 9, 63, 64, 65, 512])
+def test_dot_for_equals_matmul_on_the_shapes_fedsim_multiplies(rows):
+    # TrainPlan, FullBatchPass and scoring multiply with nn.dot_for, the
+    # reference with np.matmul: a numpy or BLAS change that parts them fails
+    # here by name, not only as a fingerprint mismatch. A fifth of the
+    # entries are signed zeros, where np.dot's 1x1 by 1x1 product differs
+    rng = np.random.default_rng(rows)
+    dot = nn.dot_for(rows)
+    assert dot is (np.dot if rows > 1 else np.matmul)
+
+    def draw(shape):
+        values = rng.standard_normal(shape)
+        values[rng.random(shape) < 0.2] = 0.0
+        return np.copysign(values, rng.standard_normal(shape))
+
+    for w_in, w_out in itertools.product((1, 3, 5, 8, 16, 64), repeat=2):
+        act, weight, delta = draw((rows, w_in)), draw((w_in, w_out)), draw((rows, w_out))
+        # forward, weight gradient, backward; each into rows of a taller workspace
+        for a, b in ((act, weight), (act.T, delta), (delta, weight.T)):
+            out = np.empty((a.shape[0] + 5, b.shape[1]))[2 : 2 + a.shape[0]]
+            dot(a, b, out)
+            assert out.tobytes() == np.matmul(a, b).tobytes(), (a.shape, b.shape)
+        assert dot(act, weight).tobytes() == (act @ weight).tobytes()
