@@ -115,9 +115,9 @@ def _cmd_plotdata(args) -> int:
 
 
 def _check_gradients() -> bool:
-    """The gradients that training and diagnostics compute, against central
-    differences of their own losses: the training kernel on one batch, and
-    the full-batch pass on datasets that span two of its row blocks."""
+    """The gradients of the one kernel, nn.TrainPlan, against central
+    differences of its losses: in training, on one batch; in the full-batch
+    pass, on datasets over two row blocks, one a single row (np.matmul)."""
     arch = nn.ModelArch((4, 6, 3))
     for seed in (0, 1, 2):
         rng = np.random.default_rng(seed)
@@ -125,7 +125,7 @@ def _check_gradients() -> bool:
         features, labels = rng.standard_normal((6, 4)), rng.integers(0, 3, 6)
         datasets = [
             LabeledDataset(rng.standard_normal((n, 4)), rng.integers(0, 3, n), 3)
-            for n in (diagnostics.BLOCK_ROWS - 1, 2, 5)
+            for n in (diagnostics.BLOCK_ROWS - 1, 2, 1, 5)
         ]
 
         def train_pass(v):

@@ -179,10 +179,12 @@ def load_csv(path) -> LabeledDataset:
         if len(row) != width:
             raise DataError(f"{path}: row {lineno} has {len(row)} cells, expected {width}")
         try:
-            label = float(row[0])
+            # integer text is parsed exactly; float text names one integer only below 2**53
+            label = int(row[0]) if row[0].strip().lstrip("+-").isdigit() else float(row[0])
         except ValueError:
             raise DataError(f"{path}: row {lineno} has non-numeric label {row[0]!r}") from None
-        if not (math.isfinite(label) and label == int(label) and -(2**63) <= label < 2**63):
+        exact = isinstance(label, int) or (label.is_integer() and abs(label) < 2**53)
+        if not (exact and -(2**63) <= label < 2**63):
             raise DataError(f"{path}: row {lineno} label {row[0]!r} is not a 64-bit integer")
         raw_labels[i] = int(label)
         try:

@@ -10,24 +10,23 @@ violate it and are reported, never failed.
 The global objective and the gradient ratio both come from FullBatchPass,
 the one loop that visits every client's full dataset at a model. Built once
 over fixed datasets, it stacks consecutive clients' rows into blocks of
-about BLOCK_ROWS rows that share one forward pass and softmax, and each call
-reads every client's loss and gradient off its own rows of one reused
-workspace. The runner builds one per run; full_batch_pass is the one-shot
-form.
+about BLOCK_ROWS rows, each one step of the training kernel (nn.TrainPlan)
+with a segment per client, and each call sums the clients' losses and
+gradients that those steps return. The runner builds one per run;
+full_batch_pass is the one-shot form.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .data import LabeledDataset, read_csv_rows
 from .errors import ConfigError, DataError, DiagnosticsError, DivergenceError, ShapeError
-from .nn import ModelArch, ParamVector, check_fits, dot_for, param_count, unpack
+from .nn import ModelArch, ParamVector, TrainPlan, check_fits
 
 # perfbench/spans.py traces these names in this module's namespace
 from .nn import Batch, backward, cross_entropy, forward  # noqa: F401
@@ -35,10 +34,10 @@ from .nn import Batch, backward, cross_entropy, forward  # noqa: F401
 GRAD_NORM_TOL = 1e-12
 # FullBatchPass stacks consecutive datasets until a block holds at least
 # this many rows. On many_clients_diag (100 clients of 13-337 rows, 16-64-8
-# MLP, one BLAS thread, 2-core Xeon) the median pass took 4.4-6.8 ms at 512
-# rows, 6.1-7.0 at 256, 4.5-6.9 at 1024 and 5.3-7.1 as one block of all
-# 7,424 rows (6 repeats each), against 6.2-10.3 ms one client at a time. One
-# block would need 3.8 MB of workspace per hidden layer, 512 rows 0.26 MB.
+# MLP, one BLAS thread, 2-core Xeon, 8 interleaved repeats) a pass took
+# 4.5-7.2 ms at 512 rows (median 5.7), 4.8-7.2 at 256 and at 1024 (6.2, 6.1)
+# and 5.8-8.3 as one block of all 7,424 rows, against 6.0-10.2 one client at
+# a time. One block would need 3.8 MB per hidden layer, 512 rows 0.26 MB.
 BLOCK_ROWS = 512
 
 
@@ -116,16 +115,13 @@ class FullBatchPass:
 
     The constructor does all that depends only on the datasets: it checks
     them, stacks consecutive datasets into blocks of at least BLOCK_ROWS
-    rows and binds every dataset's views into one workspace sized for the
-    tallest block. A call (plan(model) -> (f, grad f, ratio)) then writes
-    only into that workspace and allocates no block-sized array.
-
-    Per block, the matrix products run per dataset, everything else once
-    for all rows: BLAS may give a row other bits inside a taller product
-    (its kernels tile the rows, and numpy sends a single row to gemv). No
-    value of a row depends on another row, so each dataset's loss and
-    gradient, read off its own rows, are bitwise its own loss_and_grad
-    call. A call that raises DivergenceError leaves the plan usable.
+    rows and binds one nn.TrainPlan step per block, a segment per dataset.
+    A call (plan(model) -> (f, grad f, ratio)) copies the model into that
+    plan, runs each block's step and sums the datasets' losses and
+    gradients in order; it has no workspace of its own and allocates no
+    block-sized array. Each segment is bitwise its dataset's own
+    loss_and_grad call. A call that raises DivergenceError leaves the plan
+    usable.
     """
 
     def __init__(self, arch: ModelArch, datasets: Sequence[LabeledDataset]) -> None:
@@ -134,89 +130,31 @@ class FullBatchPass:
         for k, dataset in enumerate(datasets):
             check_fits(arch, dataset, f"dataset {k}")
         self.arch, self.datasets = arch, tuple(datasets)
-        widths, total = arch.layer_widths, float(sum(map(len, datasets)))
+        total = float(sum(map(len, datasets)))
         blocks = list(_blocks(datasets))
-        tallest = max(sum(map(len, block)) for block in blocks)
-        # every layer's output; the delta at every hidden layer's output (the
-        # output layer's delta overwrites its logits); the ReLU masks
-        outs = [np.empty((tallest, w)) for w in widths[1:]]
-        deltas = [np.empty((tallest, w)) for w in widths[1:-1]] + outs[-1:]
-        masks = [np.empty((tallest, w), dtype=bool) for w in widths[1:-1]]
-        row_max, norm, picked, terms = np.empty((4, tallest))
-        self._g_k, self._scaled = np.empty((2, param_count(arch)))
-        grad_layers = unpack(arch, self._g_k)
-        self._plan = []
-        for block in blocks:
-            bounds = list(accumulate(map(len, block), initial=0))
-            n, spans = bounds[-1], [slice(a, b) for a, b in zip(bounds, bounds[1:])]
-            logits, sizes = outs[-1][:n], np.diff(bounds)
-            # layer li's input and output, and the delta at its output, per dataset
-            acts = [[d.features for d in block]] + [[out[rows] for rows in spans] for out in outs]
-            dels = [[delta[rows] for rows in spans] for delta in deltas]
-            dots = [dot_for(len(dataset)) for dataset in block]
-            forward_steps = [(out[:n], list(zip(dots, a, b))) for out, a, b in zip(outs, acts, acts[1:])]
-            backward_steps = [
-                (deltas[li - 1][:n], masks[li - 1][:n], outs[li - 1][:n], list(zip(dots, dels[li], dels[li - 1])))
-                for li in range(len(deltas) - 1, 0, -1)
-            ]
-            # logits.reshape(-1) is a view: the workspace rows are contiguous
-            softmax = (logits, logits.reshape(-1), [logits[:, c : c + 1] for c in range(widths[-1])],
-                       row_max[:n, None], norm[:n, None], picked[:n], terms[:n],
-                       np.arange(n) * widths[-1] + np.concatenate([d.labels for d in block]),
-                       np.repeat(sizes.astype(np.float64), sizes)[:, None])
-            members = [
-                ([(dots[k], g_w, g_b, a[k].T, d[k]) for (g_w, g_b), a, d in zip(grad_layers, acts, dels)],
-                 terms[rows], len(dataset), len(dataset) / total)
-                for k, (dataset, rows) in enumerate(zip(block, spans))
-            ]
-            self._plan.append((forward_steps, softmax, backward_steps, members))
+        self._plan = TrainPlan(arch, max(sum(map(len, block)) for block in blocks), max(map(len, blocks)))
+        # per block: its step, each dataset's features, the picks of all its
+        # rows, and each dataset's share of all rows
+        self._blocks = [
+            (self._plan.step([len(d) for d in block]), [d.features for d in block],
+             np.arange(sum(map(len, block))) * arch.output_dim + np.concatenate([d.labels for d in block]),
+             [len(d) / total for d in block])
+            for block in blocks
+        ]
 
     def __call__(self, model: ParamVector) -> tuple[float, np.ndarray, float | None]:
         if model.arch != self.arch:
             raise ShapeError(f"model has layer widths {model.arch.layer_widths}, "
                              f"the pass was planned for {self.arch.layer_widths}")
-        layers = unpack(self.arch, model.values)
-        g_k, scaled = self._g_k, self._scaled
+        plan = self._plan
+        np.copyto(plan.values, model.values)
+        grads, scaled = plan.grads, plan.scratch
         loss, grad, mean_sq = 0.0, np.zeros(len(model)), 0.0
         # a huge but finite model overflows here; report that as divergence
         with np.errstate(over="ignore", invalid="ignore"):
-            for forward_steps, softmax, backward_steps, members in self._plan:
-                for li, ((weight, bias), (out, pairs)) in enumerate(zip(layers, forward_steps)):
-                    for dot, act, act_out in pairs:
-                        dot(act, weight, act_out)
-                    out += bias
-                    if li < len(layers) - 1:
-                        np.maximum(out, 0.0, out=out)
-                # the softmax steps of nn.TrainPlan, into the workspace. One
-                # maximum per column is cheaper than max(axis=1) on tall
-                # arrays; only the sign of a zero maximum can differ, which
-                # changes no bit of the delta or the terms
-                logits, flat, columns, row_max, norm, picked, terms, picks, divisors = softmax
-                np.copyto(row_max, columns[0])
-                for column in columns[1:]:
-                    np.maximum(row_max, column, out=row_max)
-                logits -= row_max
-                # picks are in range; mode="raise" would stage the result in a fresh array
-                flat.take(picks, out=picked, mode="clip")
-                np.exp(logits, out=logits)
-                logits.sum(axis=1, keepdims=True, out=norm)
-                np.log(norm.ravel(), out=terms)
-                terms -= picked
-                logits /= norm
-                np.subtract.at(flat, picks, 1.0)
-                logits /= divisors
-                for (weight, _bias), (delta, mask, act, pairs) in zip(layers[:0:-1], backward_steps):
-                    weight_t = weight.T
-                    for dot, delta_k, prev_k in pairs:
-                        dot(delta_k, weight_t, prev_k)
-                    # act = max(pre, 0) is > 0 exactly where the pre-activation is
-                    np.greater(act, 0.0, out=mask)
-                    delta *= mask
-                for grads, terms_k, n, share in members:
-                    for dot, g_weight, g_bias, act_t, delta in grads:
-                        dot(act_t, delta, g_weight)
-                        delta.sum(axis=0, out=g_bias)
-                    loss += share * (float(terms_k.sum()) / n)
+            for step, features, picks, shares in self._blocks:
+                for ce, share, g_k in zip(step(features, picks), shares, grads):
+                    loss += share * ce
                     grad += np.multiply(g_k, share, out=scaled)
                     mean_sq += share * float(g_k @ g_k)
         if not (math.isfinite(loss) and math.isfinite(mean_sq) and np.isfinite(grad).all()):

@@ -6,9 +6,9 @@ ExperimentConfig. Every round scores each local model on the server's
 public set; a client's p is its score from the previous round, else 1.
 Every strategy aggregates through one path: fedavg_weights or
 fedpdc_weights feeding _combine. A round builds one nn.TrainPlan, the
-workspace every selected client's local training runs in. A round
-measures no diagnostics; the runner takes them at the pre-round model
-(diagnostics.FullBatchPass).
+forward/backward kernel every selected client's local training runs in.
+A round measures no diagnostics; the runner takes them at the pre-round
+model (diagnostics.FullBatchPass, the same kernel).
 
 Strategies:
   fedavg          size-weighted averaging of local models
@@ -178,10 +178,10 @@ def local_train(
     in their order, on plain arrays: plan (an nn.TrainPlan for w_global's
     architecture and at least min(batch_size, client size) rows; built here
     when None, and shared by run_round across a round's clients) holds the
-    parameters, gradient, momentum and every temporary, and each batch's
-    step is bound once per call. Each epoch gathers the client's rows in
-    shuffled order once, so a batch is a contiguous slice. p, the client's
-    data and the plan are checked once, before the first step.
+    parameters, gradient, momentum and every temporary, and the steps of a
+    full and of a ragged last batch are looked up once per call. Each epoch gathers the
+    client's rows in shuffled order once, so a batch is a contiguous slice.
+    p, the client's data and the plan are checked once, before the first step.
     """
     arch = w_global.arch
     data = client.data
@@ -194,8 +194,9 @@ def local_train(
     elif plan.arch != arch:
         raise ShapeError(f"the training plan is for layer widths {plan.arch.layer_widths}, "
                          f"the model has {arch.layer_widths}")
+    full = plan.step(min(batch_size, n))
     batches = [
-        (slice(start, start + batch_size), plan.step(min(batch_size, n - start)))
+        (slice(start, start + batch_size), full if n - start >= batch_size else plan.step(n - start))
         for start in range(0, n, batch_size)
     ]
     anchor = w_global.values
@@ -218,7 +219,7 @@ def local_train(
             perm = rng.permutation(n)
             features, picks = data.features[perm], batch_rows + data.labels[perm]
             for rows, step in batches:
-                ce = step(features[rows], picks[rows])
+                (ce,) = step((features[rows],), picks[rows])
                 if prox:
                     subtract(values, anchor, diff)
                 loss = _reported_loss(ce, penalty, ce_scale, prox_weight, diff)

@@ -2,15 +2,17 @@
 
 All math runs in float64 and every result is a function of its inputs
 alone, so trajectories are reproducible bit for bit. Parameters live in a
-single flat vector (per layer: row-major weight matrix, then bias). Local
-training runs on a TrainPlan, a workspace allocated once and reused by
-every step; loss_and_grad is its one-shot form.
+single flat vector (per layer: row-major weight matrix, then bias).
+TrainPlan is the one forward/backward kernel, run on local training's
+batches and on the full-batch pass's blocks of datasets, a segment per
+dataset; loss_and_grad is its one-shot form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
+from itertools import accumulate
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -26,8 +28,14 @@ from .errors import (
 from .seeding import TAG_INIT, stream
 
 CHECKPOINT_MAGIC = "fedsim-model v1"
-# a TrainPlan step: (features, picks) -> mean cross-entropy
-Step = Callable[[np.ndarray, np.ndarray], float]
+# a TrainPlan step: (a feature matrix per segment, picks) -> their losses
+Step = Callable[[Sequence[np.ndarray], np.ndarray], list[float]]
+# from this many rows on, a step takes the row max a column at a time. On 8
+# logits (2-core Xeon, medians of 15) np.maximum.reduce along the rows took
+# 4.2 us at 24 rows against 6.5 for the column loop, 7.5 against 6.8 at 64 and
+# 12.9 against 6.9 at 128; whole steps of 24-64 rows timed the same either way.
+# The two differ only in the sign of a zero maximum, which changes no bit
+COLUMN_MAX_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -233,93 +241,134 @@ def loss_and_grad(
     n = features.shape[0]
     plan = TrainPlan(arch, n)
     np.copyto(plan.values, values)
-    ce = plan.step(n)(features, np.arange(n) * arch.output_dim + labels)
+    (ce,) = plan.step(n)((features,), np.arange(n) * arch.output_dim + labels)
     return ce, plan.grad
 
 
+def _is_int(n) -> bool:
+    """Whether n is an integer: a bool or an integral float is not."""
+    return type(n) is int or isinstance(n, np.integer)
+
+
 class TrainPlan:
-    """Local training's workspace for one architecture and batches of up to
-    `rows` rows: allocated once, reused by every step of every client.
+    """The one forward/backward kernel, for one architecture and steps of up
+    to `rows` rows in up to `segments` segments, on a workspace allocated
+    once: local training runs a segment per batch, diagnostics.FullBatchPass
+    a segment per dataset of a block. It owns the parameter, momentum,
+    scratch and prox-difference vectors (values, buf, scratch, diff), a
+    gradient per segment (grads; grad is grads[0]), a finiteness mask
+    (finite), the unpack() views of values (layers), and for `rows` rows
+    every layer's output (which holds the delta there on the way back), a
+    tile (below), and the row max, norm, picked logit and loss term.
 
-    It owns the parameter, gradient, momentum, scratch and prox-difference
-    vectors (values, grad, buf, scratch, diff), a finiteness mask (finite),
-    the unpack() views of values and grad (layers, grad_layers), and for
-    `rows` rows every layer's output (which holds the delta there on the
-    way back), a tile (below), and the row max, norm, picked logit and
-    loss term.
+    step(sizes) is the kernel for consecutive segments of sizes[k] rows (an
+    int is one segment), bound once per sizes onto prefix views of the
+    workspace. step(features, picks) takes a feature matrix per segment,
+    reads the parameters in values, overwrites grads[k] with the gradient of
+    segment k's mean cross-entropy and returns those losses; picks[i] =
+    i * output_dim + label[i] locates row i of the step in the flattened
+    logits. Inputs are trusted: the caller has checked the feature width and
+    the labels. The matrix products, the bias gradient reduce, the 1/n scale
+    and the loss run per segment, all else once over all rows: BLAS may give
+    a row other bits inside a taller product (numpy sends one row to gemv),
+    and no other value of a row depends on another row, so each segment's
+    loss and gradient are bitwise a step's on its rows alone.
 
-    step(r) is the kernel for r rows, bound once per r onto prefix views of
-    the workspace. step(features, picks) reads the parameters in values,
-    overwrites grad with the gradient of the mean cross-entropy and returns
-    that loss; picks[i] = i * output_dim + label[i] locates row i's label
-    in the flattened logits. Inputs are trusted: the caller has checked the
-    feature width and the labels. A step writes only into the workspace:
-    ufuncs with a positional out (np.maximum by keyword: it deprecates the
-    positional one), ufunc reduces, and the products of dot_for(r). The
-    logits become the softmax delta in place, sharing one exp(shifted) with
-    the loss. A call overwrites all it reads, so one on non-finite input
-    leaves the plan usable.
+    A step writes only into the workspace: ufuncs with a positional out
+    (np.maximum by keyword: it deprecates the positional one), reduces, and
+    the products of dot_for(segment rows). The logits become the softmax
+    delta in place, sharing one exp(shifted) with the loss. A call
+    overwrites all it reads, so one on non-finite input leaves it usable.
     """
 
-    def __init__(self, arch: ModelArch, rows: int) -> None:
-        if not np.issubdtype(type(rows), np.integer) or rows < 1:
-            raise ShapeError(f"a training plan needs an integer row count >= 1, got {rows!r}")
-        self.arch, self.rows = arch, int(rows)
+    def __init__(self, arch: ModelArch, rows: int, segments: int = 1) -> None:
+        for what, count in (("row", rows), ("segment", segments)):
+            if not _is_int(count) or count < 1:
+                raise ShapeError(f"a training plan needs an integer {what} count >= 1, got {count!r}")
+        self.arch, self.rows, self.segments = arch, int(rows), int(segments)
         size, widths = param_count(arch), arch.layer_widths
-        self.values, self.grad, self.buf, self.scratch, self.diff = np.empty((5, size))
-        self.finite = np.empty(size, dtype=bool)
-        self.layers, self.grad_layers = unpack(arch, self.values), unpack(arch, self.grad)
+        self.values, self.buf, self.scratch, self.diff = np.empty((4, size))
+        self.grads = np.empty((segments, size))
+        self.grad, self.finite = self.grads[0], np.empty(size, dtype=bool)
+        self.layers, self._grad_layers = unpack(arch, self.values), [unpack(arch, g) for g in self.grads]
         self._outs = [np.empty((rows, w)) for w in widths[1:]]
         self._row_vectors = np.empty((4, rows))
         # a layer's bias or a column repeated down its rows, and on the way
         # back its ReLU mask: an operand that broadcasts makes numpy
         # allocate an iteration buffer as large as the output, a tile does not
         self._tile = np.empty(rows * max(widths[1:]))
-        self._steps: dict[int, Step] = {}
+        self._steps: dict[tuple[int, ...], Step] = {}
 
-    def step(self, r: int) -> Step:
-        step = self._steps.get(r)
+    def step(self, sizes: int | Sequence[int]) -> Step:
+        sizes = tuple(sizes) if isinstance(sizes, (tuple, list)) else (sizes,)
+        # checked on every call: 2.0 and True would find the steps of 2 and 1
+        if not all(map(_is_int, sizes)):
+            raise ShapeError(f"segment sizes must be integers, got {sizes!r}")
+        step = self._steps.get(sizes)
         if step is None:
-            if not 1 <= r <= self.rows:
-                raise ShapeError(f"a step of {r} rows does not fit a plan of {self.rows} rows")
-            step = self._steps[r] = self._bind(r)
+            if not 1 <= len(sizes) <= self.segments or min(sizes) < 1:
+                raise ShapeError(f"a step takes 1 to {self.segments} segments of at least one row, got {sizes}")
+            if sum(sizes) > self.rows:
+                raise ShapeError(f"a step of {sum(sizes)} rows does not fit a plan of {self.rows} rows")
+            step = self._steps[sizes] = self._bind(sizes)
         return step
 
-    def _bind(self, r: int) -> Step:
-        layers, grad_layers = self.layers, self.grad_layers
+    def _bind(self, sizes: tuple[int, ...]) -> Step:
+        layers, r = self.layers, sum(sizes)
+        spans = [slice(end - n, end) for n, end in zip(sizes, accumulate(sizes))]
+        dots, grad_layers = [dot_for(n) for n in sizes], self._grad_layers
         outs = [out[:r] for out in self._outs]
         tiles = [self._tile[: out.size].reshape(out.shape) for out in outs]
-        hidden = list(zip(layers, outs, tiles))[:-1]
-        (w_last, b_last), logits, tile = layers[-1], outs[-1], tiles[-1]
+        # parts[li][k]: segment k's rows of layer li's output. The tuples below
+        # index the call's features[k]: a zip would cost one per call
+        parts = [[out[rows] for rows in spans] for out in outs]
+        first_weight = layers[0][0]
+        inputs = [(k, dots[k], part) for k, part in enumerate(parts[0])]
+        # a hidden layer's bias and ReLU, then the next layer's products
+        hidden = [
+            (layers[li][1], outs[li], tiles[li], layers[li + 1][0], list(zip(dots, parts[li], parts[li + 1])))
+            for li in range(len(layers) - 1)
+        ]
+        b_last, logits, tile = layers[-1][1], outs[-1], tiles[-1]
         flat = logits.reshape(-1)  # a view: the workspace rows are contiguous
         row_max, norm, picked, terms = self._row_vectors[:, :r]
         max_col, norm_col = row_max[:, None], norm[:, None]
-        # layer li's weight gradient, from its input (the output of layer
-        # li - 1) and the delta in its output; then the delta at its input,
-        # written over that input
+        by_column = r >= COLUMN_MAX_ROWS
+        first_column, *columns = [logits[:, c] for c in range(logits.shape[1] if by_column else 1)]
+        scale = [(logits[rows], n, terms[rows]) for rows, n in zip(spans, sizes)]
+        # layer li's ReLU mask and delta at its input (the output of layer
+        # li - 1, overwritten), and per segment its weight gradient, from
+        # that input and the delta at its output
         backward = [
-            (*grad_layers[li], outs[li - 1].T, outs[li], layers[li][0].T, outs[li - 1], tiles[li - 1])
+            (outs[li - 1], tiles[li - 1], layers[li][0].T,
+             [(dot, act.T, delta, *grad[li], act)
+              for dot, act, delta, grad in zip(dots, parts[li - 1], parts[li], grad_layers)])
             for li in range(len(layers) - 1, 0, -1)
         ]
-        (g_weight0, g_bias0), delta0 = grad_layers[0], outs[0]
-        dot, copyto, add, subtract, divide = dot_for(r), np.copyto, np.add, np.subtract, np.divide
-        multiply, maximum, exp, log, sign = np.multiply, np.maximum, np.exp, np.log, np.sign
+        first = [(k, dots[k], delta, *grad_layers[k][0]) for k, delta in enumerate(parts[0])]
+        copyto, add, subtract, divide, multiply = np.copyto, np.add, np.subtract, np.divide, np.multiply
+        maximum, exp, log, sign = np.maximum, np.exp, np.log, np.sign
         add_reduce, max_reduce = np.add.reduce, np.maximum.reduce
 
-        def step(features: np.ndarray, picks: np.ndarray) -> float:
-            act = features
-            for (weight, bias), out, bias_tile in hidden:
-                dot(act, weight, out)
+        def step(features: Sequence[np.ndarray], picks: np.ndarray) -> list[float]:
+            for k, dot, part in inputs:
+                dot(features[k], first_weight, part)
+            for bias, out, bias_tile, weight, pairs in hidden:
                 copyto(bias_tile, bias)
                 add(out, bias_tile, out)
                 maximum(out, 0.0, out=out)
-                act = out
-            dot(act, w_last, logits)
+                for dot, act, part in pairs:
+                    dot(act, weight, part)
             copyto(tile, b_last)
             add(logits, tile, logits)
-            # logits become (softmax - onehot) / r; terms[i] is row i's
+            # logits become (softmax - onehot) / n; terms[i] is row i's
             # log(sum exp(shifted)) - shifted[label]
-            max_reduce(logits, 1, None, row_max)
+            if by_column:
+                copyto(row_max, first_column)
+                for column in columns:
+                    maximum(row_max, column, out=row_max)
+            else:
+                max_reduce(logits, 1, None, row_max)
             copyto(tile, max_col)
             subtract(logits, tile, logits)
             # picks are in range; mode="raise" would stage the result in a fresh array
@@ -334,21 +383,26 @@ class TrainPlan:
             flat.take(picks, None, picked, "clip")
             subtract(picked, 1.0, picked)
             flat.put(picks, picked, "clip")
-            divide(logits, r, logits)
-            for g_weight, g_bias, act_t, delta, weight_t, act, mask in backward:
-                dot(act_t, delta, g_weight)
-                add_reduce(delta, 0, None, g_bias)
+            losses = []
+            for part, n, part_terms in scale:
+                divide(part, n, part)
+                # np.mean's own arithmetic (pairwise sum, then divide)
+                losses.append(float(add_reduce(part_terms)) / n)
+            for act, mask, weight_t, grads in backward:
                 # act = max(pre, 0), so sign(act) is 1.0 where the
                 # pre-activation is > 0 and +0.0 elsewhere: the mask
                 # (act > 0) as floats, without the cast buffer that
                 # multiplying by a bool mask allocates
                 sign(act, mask)
-                dot(delta, weight_t, act)
+                for dot, act_t, delta, g_weight, g_bias, part in grads:
+                    dot(act_t, delta, g_weight)
+                    add_reduce(delta, 0, None, g_bias)
+                    dot(delta, weight_t, part)
                 multiply(act, mask, act)
-            dot(features.T, delta0, g_weight0)
-            add_reduce(delta0, 0, None, g_bias0)
-            # np.mean's own arithmetic (pairwise sum, then divide)
-            return float(add_reduce(terms)) / r
+            for k, dot, delta, g_weight, g_bias in first:
+                dot(features[k].T, delta, g_weight)
+                add_reduce(delta, 0, None, g_bias)
+            return losses
 
         return step
 

@@ -9,9 +9,9 @@ Each run owns one directory containing:
   dissimilarity.csv   per-round dissimilarity measures (optional)
 
 The runner owns the diagnostics: when either is enabled it builds one
-FullBatchPass over the clients' datasets per run, and calls it once per
-round at the pre-round model, which yields the global objective, its
-squared gradient norm and the gradient ratio at once.
+FullBatchPass (local training's kernel, a segment per client) per run,
+and calls it once per round at the pre-round model, which yields the
+global objective, its squared gradient norm and the gradient ratio at once.
 The objective after round t is the one measured before round t+1, so only
 the final model needs an extra pass. Artifacts are written after the last
 round. Reruns reproduce every artifact byte for byte.

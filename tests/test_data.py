@@ -77,7 +77,23 @@ class TestCsv:
         with pytest.raises(DataError, match="row 1"):
             load_csv(path)
 
-    @pytest.mark.parametrize("label", ["nan", "inf", "-inf", "1e20", "1.5"])
+    def test_large_labels_stay_distinct(self, tmp_path):
+        # as floats, 2**53 + 1 and 2**53 are one number
+        path = tmp_path / "d.csv"
+        path.write_text("9007199254740993,0.5\n9007199254740992,1\n1,2\n-9223372036854775808,3\n")
+        ds = load_csv(path)
+        assert ds.num_classes == 4 and list(ds.labels) == [3, 2, 1, 0]
+        path.write_text("3.0,0.5\n-2e0,1\n9007199254740991.0,2\n9007199254740992,3\n")
+        ds = load_csv(path)
+        assert ds.num_classes == 4 and list(ds.labels) == [1, 0, 2, 3]
+
+    @pytest.mark.parametrize(
+        "label",
+        [
+            "nan", "inf", "-inf", "1e20", "1.5", "9007199254740992.0", "9007199254740993.0",
+            "9007199254740994.0", "9223372036854775808",
+        ],
+    )
     def test_label_not_an_int64_names_row(self, tmp_path, label):
         path = tmp_path / "d.csv"
         path.write_text(f"1,0.5\n{label},0.25\n")

@@ -185,6 +185,16 @@ def test_block_size_does_not_change_the_bits(widths, block_rows, monkeypatch):
     assert got_loss == loss and got_grad.tobytes() == grad.tobytes() and got_ratio == ratio
 
 
+def test_blocks_close_at_block_rows():
+    # the bits hold for any blocking, so only the layout shows a block that
+    # is closed late or never refilled (every dataset then a block of its own)
+    rng = np.random.default_rng(3)
+    datasets = random_datasets(rng, nn.ModelArch((4, 5, 3)), (300, 1, 211, 2, 640, 90, 37))
+    assert diagnostics.BLOCK_ROWS == 512
+    blocks = [[len(d) for d in block] for block in diagnostics._blocks(datasets)]
+    assert blocks == [[300, 1, 211], [2, 640], [90, 37]]
+
+
 def overflowing_model(arch):
     """First-layer weights 0 and every other parameter 1e200: every hidden
     unit is 1e200 on every row, so every logit overflows to inf."""
@@ -253,7 +263,9 @@ def test_a_warm_plan_call_allocates_no_block_sized_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 128 * 1024
+    # a warm call allocates the 12.6 KiB gradient it returns and numpy's
+    # per-call bookkeeping, about 15 KiB in all
+    assert peak < 32 * 1024
 
 
 @pytest.mark.parametrize("diagnostic", [global_objective, gradient_dissimilarity])

@@ -469,12 +469,45 @@ def test_plan_step_equals_reference(widths, rows, data):
         features = rng.standard_normal((r, arch.input_dim))
         labels = rng.integers(0, arch.output_dim, r)
         np.copyto(plan.values, values)
-        ce = plan.step(r)(features, _picks(arch, labels))
+        (ce,) = plan.step(r)((features,), _picks(arch, labels))
         want_ce, want_grad = reference.loss_and_grad(arch, values, features, labels)
         assert ce == want_ce and plan.grad.tobytes() == want_grad.tobytes()
         np.copyto(plan.values, 1e200)
         with np.errstate(over="ignore", invalid="ignore"):
-            plan.step(r)(1e200 * features, _picks(arch, labels))
+            plan.step(r)((1e200 * features,), _picks(arch, labels))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    # 0, 1 or 2 hidden layers; an output width of 1 included
+    widths=st.lists(st.integers(1, 9) | st.just(64), min_size=2, max_size=4).map(tuple),
+    # 1-row segments take np.matmul; totals of 1-120 rows lie on both
+    # sides of nn.COLUMN_MAX_ROWS (32), where the row max changes form
+    draws=st.lists(st.lists(st.just(1) | st.integers(1, 24), min_size=1, max_size=5), min_size=1, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(widths=(3, 1), draws=[[1, 1, 1], [32], [1, 29, 1], [48]], seed=0)
+@example(widths=(5, 64, 4, 1), draws=[[1], [30, 1, 30], [7]], seed=1)
+def test_plan_segments_equal_their_own_steps(widths, draws, seed):
+    # one plan for every draw, each followed by a step on overflowing input,
+    # so whatever that leaves in the workspace must not reach the next draw
+    arch = nn.ModelArch(widths)
+    plan = nn.TrainPlan(arch, max(map(sum, draws)), max(map(len, draws)))
+    rng = np.random.default_rng(seed)
+    for sizes in draws:
+        values = rng.choice([0.1, 1.0, 30.0]) * rng.standard_normal(nn.param_count(arch))
+        features = [rng.standard_normal((n, arch.input_dim)) for n in sizes]
+        labels = [rng.integers(0, arch.output_dim, n) for n in sizes]
+        picks = _picks(arch, np.concatenate(labels))
+        np.copyto(plan.values, values)
+        losses = plan.step(sizes)(features, picks)
+        assert len(losses) == len(sizes)
+        for k, (ce, feats, labs) in enumerate(zip(losses, features, labels)):
+            want_ce, want_grad = reference.loss_and_grad(arch, values, feats, labs)
+            assert ce == want_ce and plan.grads[k].tobytes() == want_grad.tobytes(), (sizes, k)
+        np.copyto(plan.values, 1e200)
+        with np.errstate(over="ignore", invalid="ignore"):
+            plan.step(sizes)([1e200 * feats for feats in features], picks)
 
 
 def test_plan_rejects_rows_it_cannot_hold():
@@ -482,10 +515,24 @@ def test_plan_rejects_rows_it_cannot_hold():
     for rows in (0, 2.0, True):
         with pytest.raises(ShapeError, match="row count"):
             nn.TrainPlan(arch, rows)
-    plan = nn.TrainPlan(arch, 6)
-    for r in (0, 7):
-        with pytest.raises(ShapeError, match=f"a step of {r} rows does not fit a plan of 6 rows"):
-            plan.step(r)
+    for segments in (0, 2.0, True):
+        with pytest.raises(ShapeError, match="segment count"):
+            nn.TrainPlan(arch, 6, segments)
+    plan = nn.TrainPlan(arch, 6, 3)
+    plan.step(2), plan.step(1), plan.step((2, 2))
+    with pytest.raises(ShapeError, match="a step of 7 rows does not fit a plan of 6 rows"):
+        plan.step(7)
+    with pytest.raises(ShapeError, match="a step of 7 rows does not fit a plan of 6 rows"):
+        plan.step((3, 3, 1))
+    with pytest.raises(ShapeError, match="a step takes 1 to 3 segments"):
+        plan.step((1, 1, 1, 1))
+    for sizes in (0, (2, 0), (3, -1), ()):
+        with pytest.raises(ShapeError):
+            plan.step(sizes)
+    # a warm plan holds the steps of 2, 1 and (2, 2), which these equal
+    for sizes in (2.0, True, 2.5, (2, 2.0), [np.float64(1.0)], "2"):
+        with pytest.raises(ShapeError, match="segment sizes must be integers"):
+            plan.step(sizes)
 
 
 def test_a_warm_step_allocates_no_batch_sized_array():
@@ -498,10 +545,10 @@ def test_a_warm_step_allocates_no_batch_sized_array():
     np.copyto(plan.values, random_model(arch, seed=0).values)
     features, labels = rng.standard_normal((64, 16)), rng.integers(0, 8, 64)
     step, picks = plan.step(64), _picks(arch, labels)
-    step(features, picks)
+    step((features,), picks)
     tracemalloc.start()
     try:
-        step(features, picks)
+        step((features,), picks)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
