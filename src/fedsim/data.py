@@ -178,9 +178,12 @@ def load_csv(path) -> LabeledDataset:
         lineno = i + 1
         if len(row) != width:
             raise DataError(f"{path}: row {lineno} has {len(row)} cells, expected {width}")
+        # int() and float() also read underscores ("1_0") and other scripts'
+        # digits ("١٠", "２"); "" stands for such a cell, which neither reads
+        cells = [cell if cell.isascii() and "_" not in cell else "" for cell in row]
         try:
             # integer text is parsed exactly; float text names one integer only below 2**53
-            label = int(row[0]) if row[0].strip().lstrip("+-").isdigit() else float(row[0])
+            label = int(cells[0]) if cells[0].strip().lstrip("+-").isdigit() else float(cells[0])
         except ValueError:
             raise DataError(f"{path}: row {lineno} has non-numeric label {row[0]!r}") from None
         exact = isinstance(label, int) or (label.is_integer() and abs(label) < 2**53)
@@ -188,7 +191,7 @@ def load_csv(path) -> LabeledDataset:
             raise DataError(f"{path}: row {lineno} label {row[0]!r} is not a 64-bit integer")
         raw_labels[i] = int(label)
         try:
-            features[i] = [float(cell) for cell in row[1:]]
+            features[i] = [float(cell) for cell in cells[1:]]
         except ValueError:
             raise DataError(f"{path}: row {lineno} has a non-numeric feature cell") from None
         if not np.isfinite(features[i]).all():

@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .data import LabeledDataset, read_csv_rows
-from .errors import ConfigError, DataError, DiagnosticsError, DivergenceError, ShapeError
+from .errors import ConfigError, DataError, DiagnosticsError, DivergenceError
 from .nn import ModelArch, ParamVector, TrainPlan, check_fits
 
 # perfbench/spans.py traces these names in this module's namespace
@@ -129,7 +129,7 @@ class FullBatchPass:
             raise DiagnosticsError("the full-batch pass needs at least one dataset")
         for k, dataset in enumerate(datasets):
             check_fits(arch, dataset, f"dataset {k}")
-        self.arch, self.datasets = arch, tuple(datasets)
+        self.datasets = tuple(datasets)
         total = float(sum(map(len, datasets)))
         blocks = list(_blocks(datasets))
         self._plan = TrainPlan(arch, max(sum(map(len, block)) for block in blocks), max(map(len, blocks)))
@@ -143,11 +143,7 @@ class FullBatchPass:
         ]
 
     def __call__(self, model: ParamVector) -> tuple[float, np.ndarray, float | None]:
-        if model.arch != self.arch:
-            raise ShapeError(f"model has layer widths {model.arch.layer_widths}, "
-                             f"the pass was planned for {self.arch.layer_widths}")
-        plan = self._plan
-        np.copyto(plan.values, model.values)
+        plan = self._plan.load(model)
         grads, scaled = plan.grads, plan.scratch
         loss, grad, mean_sq = 0.0, np.zeros(len(model)), 0.0
         # a huge but finite model overflows here; report that as divergence

@@ -5,8 +5,8 @@ Local training and the round loop read the strategy and SGD settings
 ExperimentConfig. Every round scores each local model on the server's
 public set; a client's p is its score from the previous round, else 1.
 Every strategy aggregates through one path: fedavg_weights or
-fedpdc_weights feeding _combine. A round builds one nn.TrainPlan, the
-forward/backward kernel every selected client's local training runs in.
+fedpdc_weights feeding _combine. A round's one nn.TrainPlan, the
+forward/backward kernel, runs its local training and, forward-only, its scoring.
 A round measures no diagnostics; the runner takes them at the pre-round
 model (diagnostics.FullBatchPass, the same kernel).
 
@@ -33,7 +33,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .data import LabeledDataset, ServerSet
-from .errors import AggregationError, ConfigError, DivergenceError, ShapeError, StateError
+from .errors import AggregationError, ConfigError, DivergenceError, StateError
 from .nn import ParamVector, TrainPlan, check_fits, cross_entropy, evaluate_accuracy
 
 # perfbench/spans.py traces these names in this module's namespace
@@ -189,11 +189,7 @@ def local_train(
     penalty, ce_scale, prox_weight = _strategy_terms(cfg, p_in)
     check_fits(arch, data, f"client {client.id}")
     batch_size, eta, momentum, decay = cfg.batch_size, cfg.eta, cfg.momentum, cfg.weight_decay
-    if plan is None:
-        plan = TrainPlan(arch, min(batch_size, n))
-    elif plan.arch != arch:
-        raise ShapeError(f"the training plan is for layer widths {plan.arch.layer_widths}, "
-                         f"the model has {arch.layer_widths}")
+    plan = (plan or TrainPlan(arch, min(batch_size, n))).load(w_global)
     full = plan.step(min(batch_size, n))
     batches = [
         (slice(start, start + batch_size), full if n - start >= batch_size else plan.step(n - start))
@@ -201,7 +197,6 @@ def local_train(
     ]
     anchor = w_global.values
     values, grad, buf, scratch, finite = plan.values, plan.grad, plan.buf, plan.scratch, plan.finite
-    np.copyto(values, anchor)
     buf.fill(0.0)
     prox = prox_weight != 0.0
     diff = plan.diff if prox else None
@@ -311,15 +306,15 @@ def run_round(
     server_data = server.server_set.data
     selected = sample_clients(len(clients), cfg.tau, server.round, cfg.seed)
     sent = {cid: server.prev_accuracies.get(cid, 1.0) for cid in selected}
-    # one workspace for the round; perfbench/spans.py reads local_train's
-    # client and cfg by position
+    # one workspace for the round's batches and scored sets; perfbench/spans.py
+    # reads local_train's client and cfg and evaluate_accuracy's set by position
     rows = min(cfg.batch_size, max(len(clients[cid].data) for cid in selected))
-    plan = TrainPlan(server.model.arch, rows)
+    plan = TrainPlan(server.model.arch, max(rows, len(server_data), len(test_data or ())))
     trained = {
         cid: local_train(clients[cid], server.model, sent[cid], cfg, server.round, plan)
         for cid in selected
     }
-    measured = {cid: evaluate_accuracy(trained[cid][0], server_data) for cid in selected}
+    measured = {cid: evaluate_accuracy(trained[cid][0], server_data, plan) for cid in selected}
 
     flags: tuple[str, ...] = ()
     if cfg.strategy in ("fedpdc", "fedpdc_adaptive"):
@@ -337,8 +332,8 @@ def run_round(
         measured_accuracies=measured,
         agg_weights={cid: float(w) for cid, w in zip(selected, weights)},
         mean_local_loss=_mean_or_nan([_mean_or_nan(trained[cid][1]) for cid in selected]),
-        global_acc_server=evaluate_accuracy(new_model, server_data),
-        global_acc_test=evaluate_accuracy(new_model, test_data) if test_data is not None else math.nan,
+        global_acc_server=evaluate_accuracy(new_model, server_data, plan),
+        global_acc_test=evaluate_accuracy(new_model, test_data, plan) if test_data is not None else math.nan,
         flags=flags,
     )
     new_server = replace(

@@ -3,9 +3,9 @@
 All math runs in float64 and every result is a function of its inputs
 alone, so trajectories are reproducible bit for bit. Parameters live in a
 single flat vector (per layer: row-major weight matrix, then bias).
-TrainPlan is the one forward/backward kernel, run on local training's
-batches and on the full-batch pass's blocks of datasets, a segment per
-dataset; loss_and_grad is its one-shot form.
+TrainPlan is the one forward/backward kernel: a round's one plan runs its
+local training and, forward-only, its scoring, and the full-batch pass runs
+it a segment per dataset; loss_and_grad and forward are its one-shot forms.
 """
 
 from __future__ import annotations
@@ -28,8 +28,9 @@ from .errors import (
 from .seeding import TAG_INIT, stream
 
 CHECKPOINT_MAGIC = "fedsim-model v1"
-# a TrainPlan step: (a feature matrix per segment, picks) -> their losses
-Step = Callable[[Sequence[np.ndarray], np.ndarray], list[float]]
+# a TrainPlan step: (a feature matrix per segment, picks) -> their losses,
+# or with picks None, forward only -> the logits
+Step = Callable[[Sequence[np.ndarray], np.ndarray | None], list[float] | np.ndarray]
 # from this many rows on, a step takes the row max a column at a time. On 8
 # logits (2-core Xeon, medians of 15) np.maximum.reduce along the rows took
 # 4.2 us at 24 rows against 6.5 for the column loop, 7.5 against 6.8 at 64 and
@@ -164,19 +165,6 @@ def dot_for(rows: int) -> Callable:
     return np.dot if rows > 1 else np.matmul
 
 
-def _forward_layers(layers: list[tuple[np.ndarray, np.ndarray]], features: np.ndarray) -> list[np.ndarray]:
-    """[features, hidden activations..., logits] through the unpack() views
-    of the parameters; hidden layers use ReLU, applied in place."""
-    acts, dot = [features], dot_for(features.shape[0])
-    for li, (weight, bias) in enumerate(layers):
-        act = dot(acts[-1], weight)
-        act += bias
-        if li < len(layers) - 1:
-            np.maximum(act, 0.0, out=act)
-        acts.append(act)
-    return acts
-
-
 def _check_width(arch: ModelArch, features: np.ndarray) -> None:
     if features.shape[1] != arch.input_dim:
         raise ShapeError(
@@ -185,9 +173,11 @@ def _check_width(arch: ModelArch, features: np.ndarray) -> None:
 
 
 def forward(model: ParamVector, batch: Batch) -> np.ndarray:
-    """Logits matrix, shape (batch_size, output_dim)."""
+    """Logits matrix, shape (batch_size, output_dim): the one-shot form of
+    TrainPlan's forward-only step."""
     _check_width(model.arch, batch.features)
-    return _forward_layers(unpack(model.arch, model.values), batch.features)[-1]
+    n = batch.features.shape[0]
+    return TrainPlan(model.arch, n).load(model).step(n)((batch.features,), None)
 
 
 def _check_labels(logits: np.ndarray, labels: np.ndarray) -> None:
@@ -253,8 +243,9 @@ def _is_int(n) -> bool:
 class TrainPlan:
     """The one forward/backward kernel, for one architecture and steps of up
     to `rows` rows in up to `segments` segments, on a workspace allocated
-    once: local training runs a segment per batch, diagnostics.FullBatchPass
-    a segment per dataset of a block. It owns the parameter, momentum,
+    once: local training runs a segment per batch and scoring a forward-only
+    one per set, on the round's one plan, and diagnostics.FullBatchPass a
+    segment per dataset of a block. It owns the parameter, momentum,
     scratch and prox-difference vectors (values, buf, scratch, diff), a
     gradient per segment (grads; grad is grads[0]), a finiteness mask
     (finite), the unpack() views of values (layers), and for `rows` rows
@@ -267,7 +258,9 @@ class TrainPlan:
     reads the parameters in values, overwrites grads[k] with the gradient of
     segment k's mean cross-entropy and returns those losses; picks[i] =
     i * output_dim + label[i] locates row i of the step in the flattened
-    logits. Inputs are trusted: the caller has checked the feature width and
+    logits. With picks None the step runs only the forward part and returns
+    the logits, a view of the workspace that the next call overwrites.
+    Inputs are trusted: the caller has checked the feature width and
     the labels. The matrix products, the bias gradient reduce, the 1/n scale
     and the loss run per segment, all else once over all rows: BLAS may give
     a row other bits inside a taller product (numpy sends one row to gemv),
@@ -298,6 +291,15 @@ class TrainPlan:
         # allocate an iteration buffer as large as the output, a tile does not
         self._tile = np.empty(rows * max(widths[1:]))
         self._steps: dict[tuple[int, ...], Step] = {}
+
+    def load(self, model: ParamVector) -> TrainPlan:
+        """This plan, with model's parameters copied into values; a model of
+        another architecture is a ShapeError."""
+        if model.arch != self.arch:
+            raise ShapeError(f"the plan is for layer widths {self.arch.layer_widths}, "
+                             f"the model has {model.arch.layer_widths}")
+        np.copyto(self.values, model.values)
+        return self
 
     def step(self, sizes: int | Sequence[int]) -> Step:
         sizes = tuple(sizes) if isinstance(sizes, (tuple, list)) else (sizes,)
@@ -361,6 +363,8 @@ class TrainPlan:
                     dot(act, weight, part)
             copyto(tile, b_last)
             add(logits, tile, logits)
+            if picks is None:
+                return logits
             # logits become (softmax - onehot) / n; terms[i] is row i's
             # log(sum exp(shifted)) - shifted[label]
             if by_column:
@@ -436,17 +440,19 @@ def sgd_step(
     return ParamVector(model.arch, new_values), replace(opt, momentum_buffer=buf)
 
 
-def evaluate_accuracy(model: ParamVector, dataset: LabeledDataset) -> float:
-    """Fraction of samples whose argmax logit matches the label.
+def evaluate_accuracy(model: ParamVector, dataset: LabeledDataset, plan: TrainPlan | None = None) -> float:
+    """Fraction of samples whose argmax logit matches the label, from the
+    forward-only step of plan (a one-shot plan when None).
 
     Ties resolve to the lowest class index, so accuracy is deterministic.
     """
     if len(dataset) == 0:
         raise EvaluationError("cannot evaluate accuracy on an empty dataset")
     check_fits(model.arch, dataset, "evaluation set")
+    n = len(dataset)
     # a huge but finite model overflows here; report that as divergence
     with np.errstate(over="ignore", invalid="ignore"):
-        logits = _forward_layers(unpack(model.arch, model.values), dataset.features)[-1]
+        logits = (plan or TrainPlan(model.arch, n)).load(model).step(n)((dataset.features,), None)
     if not np.isfinite(logits).all():
         raise DivergenceError("the model's logits are not finite; it has diverged")
     preds = np.argmax(logits, axis=1)

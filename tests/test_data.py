@@ -76,6 +76,20 @@ class TestCsv:
         path.write_text("x,0.5\n")
         with pytest.raises(DataError, match="row 1"):
             load_csv(path)
+        # int() and float() read "1_0" as 10 and the digits of other scripts
+        # ("١٠" Arabic-Indic, "２" fullwidth): these rows used to load as
+        # labels [1 1 1 0] with features [0.5 15.0 2.0 0.25]
+        for row in ("1_0,0.5", "10,1_5", "١٠,２"):
+            path.write_text(f"{row}\n2,0.25\n", encoding="utf-8")
+            with pytest.raises(DataError, match="row 1 has"):
+                load_csv(path)
+        for cell in ("1_5", "1.5_0", "1e1_0", "２", "١٠", "\u20031"):
+            path.write_text(f"1,0.5\n1,{cell}\n", encoding="utf-8")
+            with pytest.raises(DataError, match="row 2 has a non-numeric feature cell"):
+                load_csv(path)
+            path.write_text(f"2,0.5\n{cell},0.5\n", encoding="utf-8")
+            with pytest.raises(DataError, match="row 2 has non-numeric label"):
+                load_csv(path)
 
     def test_large_labels_stay_distinct(self, tmp_path):
         # as floats, 2**53 + 1 and 2**53 are one number
@@ -86,6 +100,10 @@ class TestCsv:
         path.write_text("3.0,0.5\n-2e0,1\n9007199254740991.0,2\n9007199254740992,3\n")
         ds = load_csv(path)
         assert ds.num_classes == 4 and list(ds.labels) == [1, 0, 2, 3]
+        # surrounding spaces, signs and exponents stay accepted
+        path.write_text(" +3 , 0.5 \n-2 ,\t-1e-1\n3.0,+.5E+2\n")
+        ds = load_csv(path)
+        assert list(ds.labels) == [1, 0, 1] and list(ds.features[:, 0]) == [0.5, -0.1, 50.0]
 
     @pytest.mark.parametrize(
         "label",

@@ -232,7 +232,7 @@ def test_plan_boundary_errors():
     rng = np.random.default_rng(4)
     arch = nn.ModelArch((4, 5, 3))
     (data,) = random_datasets(rng, arch, (8,))
-    with pytest.raises(ShapeError, match="planned for"):
+    with pytest.raises(ShapeError, match=r"plan is for layer widths \(4, 5, 3\), the model has \(4, 6, 3\)"):
         FullBatchPass(arch, [data])(random_model(nn.ModelArch((4, 6, 3)), seed=4))
     with pytest.raises(DiagnosticsError):
         FullBatchPass(arch, [])

@@ -358,6 +358,12 @@ def test_a_plan_that_does_not_fit_is_rejected():
         engine.local_train(client, w, 1.0, cfg, 0, nn.TrainPlan(nn.ModelArch((5, 6, 4)), 8))
     with pytest.raises(ShapeError, match="a step of 8 rows does not fit a plan of 7 rows"):
         engine.local_train(client, w, 1.0, cfg, 0, nn.TrainPlan(w.arch, 7))
+    # scoring takes the round's plan too: (5, 5, 4, 4) holds as many
+    # parameters as (5, 7, 4), so only the check stops a silent copy
+    with pytest.raises(ShapeError, match=r"plan is for layer widths \(5, 5, 4, 4\)"):
+        nn.evaluate_accuracy(w, data, nn.TrainPlan(nn.ModelArch((5, 5, 4, 4)), 19))
+    with pytest.raises(ShapeError, match="a step of 19 rows does not fit a plan of 18 rows"):
+        nn.evaluate_accuracy(w, data, nn.TrainPlan(w.arch, 18))
     # a client smaller than the batch needs only its own rows
     small = engine.ClientState(1, data.subset(range(3)))
     assert engine.local_train(small, w, 1.0, cfg, 0, nn.TrainPlan(w.arch, 3))[1] == (

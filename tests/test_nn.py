@@ -555,6 +555,63 @@ def test_a_warm_step_allocates_no_batch_sized_array():
     assert peak < 3 * 1024
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    # 0, 1 or 2 hidden layers; an output width of 1 included
+    widths=st.lists(st.integers(1, 9) | st.just(64), min_size=2, max_size=4).map(tuple),
+    # 1-row sets take np.matmul; one plan sized for the largest set
+    sizes=st.lists(st.just(1) | st.integers(1, 70), min_size=1, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(widths=(3, 1), sizes=[1, 40, 1], seed=0)
+@example(widths=(5, 64, 4, 1), sizes=[33, 1, 70], seed=1)
+def test_forward_step_is_the_reference_forward_and_scores_its_logits(widths, sizes, seed):
+    # the forward-only step, nn.forward and scoring all read the reference's
+    # logits; each set is then scored by an overflowing model on the same
+    # plan, and whatever that leaves in the workspace must not reach the next
+    from fedsim.data import LabeledDataset
+
+    arch = nn.ModelArch(widths)
+    plan = nn.TrainPlan(arch, max(sizes))
+    rng = np.random.default_rng(seed)
+    huge = nn.ParamVector(arch, np.full(nn.param_count(arch), 1e200))
+    for n in sizes:
+        model = nn.ParamVector(arch, rng.choice([0.1, 1.0, 30.0]) * rng.standard_normal(nn.param_count(arch)))
+        features, labels = rng.standard_normal((n, arch.input_dim)), rng.integers(0, arch.output_dim, n)
+        data = LabeledDataset(features, labels, arch.output_dim)
+        want = reference.forward(nn.unpack(arch, model.values), features)[-1]
+        assert plan.load(model).step(n)((features,), None).tobytes() == want.tobytes()
+        assert nn.forward(model, nn.Batch(features, labels)).tobytes() == want.tobytes()
+        hits = np.argmax(want, axis=1) == labels
+        assert nn.evaluate_accuracy(model, data, plan) == float(np.mean(hits))
+        overflowing = LabeledDataset(1e200 * data.features, data.labels, arch.output_dim)
+        try:
+            nn.evaluate_accuracy(huge, overflowing, plan)
+        except DivergenceError:
+            pass
+
+
+def test_a_warm_scoring_call_allocates_no_set_sized_array():
+    # 512 rows on 16-64-8: the features are 64 KiB, the hidden layer's
+    # output 256 KiB and the logits 32 KiB. A warm call on a shared plan
+    # allocates only the finiteness mask, the argmax and the hit mask of
+    # its rows (8.5 KiB here) and numpy's per-call bookkeeping
+    from fedsim.data import LabeledDataset
+
+    arch = nn.ModelArch((16, 64, 8))
+    rng = np.random.default_rng(0)
+    data = LabeledDataset(rng.standard_normal((512, 16)), rng.integers(0, 8, 512), 8)
+    model, plan = random_model(arch, seed=0), nn.TrainPlan(arch, 512)
+    want = nn.evaluate_accuracy(model, data, plan)
+    tracemalloc.start()
+    try:
+        assert nn.evaluate_accuracy(model, data, plan) == want
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 1024
+
+
 @pytest.mark.parametrize("rows", [1, 2, 3, 4, 5, 7, 8, 9, 63, 64, 65, 512])
 def test_dot_for_equals_matmul_on_the_shapes_fedsim_multiplies(rows):
     # TrainPlan, FullBatchPass and scoring multiply with nn.dot_for, the

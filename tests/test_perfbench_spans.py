@@ -32,7 +32,10 @@ def test_every_traced_name_resolves():
 def test_traced_sample_count_equals_rounds_csv(tmp_path):
     """The tracer counts local-training samples at each per-client
     engine.local_train call; perfbench/run.py --trace 1 checks that count
-    against rounds.csv and partition.txt, as this test does on a tiny run."""
+    against rounds.csv and partition.txt, as this test does on a tiny run.
+    It counts scored rows at each engine.evaluate_accuracy call: per round,
+    each selected local model and the new global model on the server set
+    (3 classes x 4 rows) and the new global model on the test set (3 x 4)."""
     out = tmp_path / "out"
     config = tmp_path / "tiny.cfg"
     config.write_text(
@@ -60,3 +63,6 @@ def test_traced_sample_count_equals_rounds_csv(tmp_path):
     selected = [int(cid) for row in rows for cid in row[1].split(";")]
     assert len(rows) == 3 and len(selected) == 3 * 3
     assert counters["engine.local_train.samples"] == sum(3 * sizes[cid] for cid in selected)
+    server_rows, test_rows = 3 * 4, 3 * 4
+    scored = sum((len(row[1].split(";")) + 1) * server_rows + test_rows for row in rows)
+    assert counters["nn.score.rows"] == scored
