@@ -31,13 +31,16 @@ from .diagnostics import (
 )
 from .engine import (
     ClientState,
+    LocalRun,
     RoundRecord,
     ServerState,
     adaptive_lambda,
     local_loss,
     local_train,
+    round_plan,
     run_round,
     sample_clients,
+    train_cohort,
 )
 from .errors import FedsimError
 from .nn import (

@@ -5,8 +5,10 @@ Local training and the round loop read the strategy and SGD settings
 ExperimentConfig. Every round scores each local model on the server's
 public set; a client's p is its score from the previous round, else 1.
 Every strategy aggregates through one path: fedavg_weights or
-fedpdc_weights feeding _combine. A round's one nn.TrainPlan, the
-forward/backward kernel, runs its local training and, forward-only, its scoring.
+fedpdc_weights feeding _combine. A round's selected clients train in
+lock-step (train_cohort), each on its own lane of one nn.TrainPlan, the
+forward/backward kernel, which also runs the round's scoring forward-only;
+the runner builds that plan once per run (round_plan).
 A round measures no diagnostics; the runner takes them at the pre-round
 model (diagnostics.FullBatchPass, the same kernel).
 
@@ -28,12 +30,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 import numpy as np
 
 from .config import ExperimentConfig
 from .data import LabeledDataset, ServerSet
-from .errors import AggregationError, ConfigError, DivergenceError, StateError
+from .errors import AggregationError, ConfigError, DivergenceError, ShapeError, StateError
 from .nn import ParamVector, TrainPlan, check_fits, cross_entropy, evaluate_accuracy
 
 # perfbench/spans.py traces these names in this module's namespace
@@ -87,16 +90,21 @@ class RoundRecord:
 def sample_clients(num_clients: int, tau: float, round_index: int, seed: int) -> tuple[int, ...]:
     """max(floor(tau*N), 1) client ids, drawn without replacement from a
     stream keyed by (seed, round) so every round is independently reproducible."""
+    count = _sample_count(num_clients, tau)
+    rng = stream(TAG_SAMPLE, seed, round_index)
+    picked = rng.choice(num_clients, size=count, replace=False)
+    return tuple(sorted(int(c) for c in picked))
+
+
+def _sample_count(num_clients: int, tau: float) -> int:
+    """How many clients sample_clients draws: max(floor(tau*N), 1)."""
     if num_clients < 1:
         raise ConfigError("num_clients must be >= 1")
     if not 0.0 < tau <= 1.0:
         raise ConfigError("tau must lie in (0, 1]")
     # epsilon guards floor() against binary representation of taus like 0.3
     count = int(math.floor(tau * num_clients + 1e-9))
-    count = min(max(count, 1), num_clients)
-    rng = stream(TAG_SAMPLE, seed, round_index)
-    picked = rng.choice(num_clients, size=count, replace=False)
-    return tuple(sorted(int(c) for c in picked))
+    return min(max(count, 1), num_clients)
 
 
 def _strategy_terms(cfg: ExperimentConfig, p: float) -> tuple[float, float, float]:
@@ -146,18 +154,28 @@ def local_loss(
     return _reported_loss(ce, penalty, ce_scale, prox_weight, diff), ce_scale, prox_weight
 
 
-def _diverged(
-    what: str, client_id: int, round_index: int, step: int, losses: list[float]
-) -> DivergenceError:
-    last = losses[-1] if losses else None
-    return DivergenceError(
-        f"client {client_id} hit {what} in round {round_index} at step {step} "
-        f"(last finite loss: {last})",
-        client=client_id,
-        round=round_index,
-        step=step,
-        last_finite_loss=last,
-    )
+@dataclass(frozen=True)
+class LocalRun:
+    """One client's local training, laid out by local_train for
+    train_cohort: the client and round a DivergenceError names, the global
+    model it starts from, its strategy terms (penalty, ce_scale,
+    prox_weight), the SGD settings (eta, momentum, weight_decay) and its
+    steps. Epoch e gathers the client's features (source) in the order
+    shuffles[e] into rows, and step s reads sizes[s] rows of them, the
+    slice features[s]. picks holds every step's picks in step order:
+    i * output_dim + label for row i of its batch."""
+
+    client: int
+    round: int
+    anchor: ParamVector
+    terms: tuple[float, float, float]
+    sgd: tuple[float, float, float]
+    source: np.ndarray
+    shuffles: np.ndarray
+    rows: np.ndarray
+    sizes: tuple[int, ...]
+    features: list[np.ndarray]
+    picks: np.ndarray
 
 
 def local_train(
@@ -166,78 +184,168 @@ def local_train(
     p_in: float,
     cfg: ExperimentConfig,
     round_index: int,
-    plan: TrainPlan | None = None,
-) -> tuple[ParamVector, list[float]]:
-    """Minibatch SGD on the strategy loss for local_epochs epochs.
+) -> LocalRun:
+    """A client's half of minibatch SGD on the strategy loss for
+    local_epochs epochs: train_cohort runs its steps, in lock-step with the
+    rest of a round's clients, and returns the final local model and every
+    batch's reported loss in order.
 
-    The per-epoch shuffle stream is keyed by (seed, round) only, so clients
-    holding identical data produce identical local models. Returns the final
-    local model and every batch's reported loss in order.
-
-    Each step does the arithmetic of local_loss, nn.backward and nn.sgd_step,
-    in their order, on plain arrays: plan (an nn.TrainPlan for w_global's
-    architecture and at least min(batch_size, client size) rows; built here
-    when None, and shared by run_round across a round's clients) holds the
-    parameters, gradient, momentum and every temporary, and the steps of a
-    full and of a ragged last batch are looked up once per call. Each epoch gathers the
-    client's rows in shuffled order once, so a batch is a contiguous slice.
-    p, the client's data and the plan are checked once, before the first step.
+    p and the client's data are checked here. Each epoch's shuffle comes
+    from a stream keyed by (seed, round) only, so clients holding identical
+    data produce identical local models. An epoch's rows are gathered in
+    shuffled order once, when its first step runs, so each batch's features
+    are a contiguous slice.
     """
     arch = w_global.arch
     data = client.data
-    n = len(data)
-    penalty, ce_scale, prox_weight = _strategy_terms(cfg, p_in)
+    n, epochs, batch_size = len(data), cfg.local_epochs, cfg.batch_size
+    terms = _strategy_terms(cfg, p_in)
     check_fits(arch, data, f"client {client.id}")
-    batch_size, eta, momentum, decay = cfg.batch_size, cfg.eta, cfg.momentum, cfg.weight_decay
-    plan = (plan or TrainPlan(arch, min(batch_size, n))).load(w_global)
-    full = plan.step(min(batch_size, n))
-    batches = [
-        (slice(start, start + batch_size), full if n - start >= batch_size else plan.step(n - start))
-        for start in range(0, n, batch_size)
-    ]
-    anchor = w_global.values
-    values, grad, buf, scratch, finite = plan.values, plan.grad, plan.buf, plan.scratch, plan.finite
-    buf.fill(0.0)
-    prox = prox_weight != 0.0
-    diff = plan.diff if prox else None
-    add, subtract, multiply, isfinite = np.add, np.subtract, np.multiply, np.isfinite
-    all_true = np.logical_and.reduce
-    # a batch starts at a multiple of batch_size, so row i of the epoch is
-    # row i % batch_size of its batch
-    batch_rows = np.arange(n) % batch_size * arch.output_dim
     rng = stream(TAG_LOCAL, cfg.seed, round_index)
-    losses: list[float] = []
+    shuffles = np.array([rng.permutation(n) for _epoch in range(epochs)], dtype=np.intp).reshape(epochs, n)
+    # a batch starts at a multiple of batch_size, so row i of an epoch is
+    # row i % batch_size of its batch
+    picks = (np.arange(n) % batch_size * arch.output_dim + data.labels[shuffles]).reshape(-1)
+    rows = np.empty_like(data.features)
+    starts = range(0, n, batch_size)
+    sizes = tuple(min(batch_size, n - start) for start in starts)
+    batches = [rows[start : start + size] for start, size in zip(starts, sizes)]
+    return LocalRun(
+        client.id, round_index, w_global, terms, (cfg.eta, cfg.momentum, cfg.weight_decay), data.features,
+        shuffles, rows, sizes * epochs, batches * epochs, picks,
+    )
+
+
+def train_cohort(
+    runs: Sequence[LocalRun], plan: TrainPlan | None = None
+) -> list[tuple[ParamVector, list[float]]]:
+    """Train local_train's runs in lock-step: (final local model, every
+    batch's reported loss) per run, in the order given, each bitwise what
+    the run gives trained alone.
+
+    At step s one call of a plan step runs step s of every run that has
+    one, a segment per run on the run's own lane of the plan's parameters,
+    momentum and gradients; the momentum-SGD update and the finiteness
+    check then run once over those lanes. Each step does the arithmetic of
+    local_loss, nn.backward and nn.sgd_step, in their order. Runs are laid
+    out longest first, so the runs with a step s are a prefix of the lanes.
+    plan needs the runs' architecture, a lane per run (or one lane for one
+    run) and the rows of their first steps together; built here when None.
+    A run that diverges trains on, unread, and the DivergenceError of the
+    lowest client id among the diverged is raised at the end: the error
+    that training the runs one by one in client-id order raises.
+    """
+    if not runs:
+        return []
+    sgd = {run.sgd + run.terms[2:] for run in runs}
+    if len(sgd) > 1:
+        raise ConfigError("a cohort's runs must share eta, momentum, weight_decay and the proximal weight")
+    (eta, momentum, decay, prox_weight), = sgd
+    order = sorted(range(len(runs)), key=lambda k: -len(runs[k].sizes))
+    lanes = [runs[k] for k in order]
+    count, arch = len(lanes), lanes[0].anchor.arch
+    rows = sum(run.sizes[0] for run in lanes if run.sizes)
+    plan = plan or TrainPlan(arch, max(rows, 1), count, count)
+    if count > plan.lanes:
+        raise ShapeError(f"a cohort of {count} runs needs a plan with {count} lanes, this one has {plan.lanes}")
+    for lane, run in enumerate(lanes):
+        plan.load(run.anchor, lane)
+    plan.buf[:count].fill(0.0)
+    # step s's picks, lane after lane, at picks[starts[s]:ends[s]]: lane k's
+    # segment begins offsets[k, s] rows into its step
+    steps = np.zeros((count, len(lanes[0].sizes)), dtype=np.intp)
+    for lane, run in enumerate(lanes):
+        steps[lane, : len(run.sizes)] = run.sizes
+    offsets = np.cumsum(steps, axis=0) - steps
+    ends = np.cumsum(steps.sum(axis=0))
+    starts = ends - steps.sum(axis=0)
+    picks = np.empty(ends[-1] if ends.size else 0, dtype=np.intp)
+    for lane, run in enumerate(lanes):
+        sizes, at = steps[lane, : len(run.sizes)], offsets[lane, : len(run.sizes)]
+        first_rows = starts[: sizes.size] + at - (np.cumsum(sizes) - sizes)
+        picks[np.repeat(first_rows, sizes) + np.arange(run.picks.size)] = run.picks + np.repeat(
+            at * arch.output_dim, sizes
+        )
+    # a run gathers each epoch's rows at the epoch's first step
+    gathers: dict[int, list] = {}
+    for run in lanes:
+        for epoch, shuffle in enumerate(run.shuffles):
+            gathers.setdefault(epoch * len(run.sizes) // len(run.shuffles), []).append(
+                (run.source, shuffle, run.rows)
+            )
+    active = [int(np.count_nonzero(column)) for column in steps.T]
+    prox = prox_weight != 0.0
+    anchors = np.stack([run.anchor.values for run in lanes]) if prox else None
+    scales = np.array([[run.terms[1]] for run in lanes])
+    scaled = bool((scales != 1.0).any())
+    # per lane: its penalty, ce_scale, prox difference and losses
+    lane_terms = [(run.terms[0], run.terms[1], plan.diff[lane], []) for lane, run in enumerate(lanes)]
+    # each active count's prefix views of the plan's lanes
+    views = {
+        k: (plan.values[:k], plan.buf[:k], plan.diff[:k], plan.grads[:k], plan.finite[:k], scales[:k],
+            anchors[:k] if prox else None)
+        for k in set(active)
+    }
+    errors: dict[int, DivergenceError] = {}
+    add, subtract, multiply, isfinite, take = np.add, np.subtract, np.multiply, np.isfinite, np.take
+    all_true = np.logical_and.reduce
     # a diverging run overflows before the finiteness checks below turn it
     # into DivergenceError; keep numpy from warning on the way there
     with np.errstate(over="ignore", invalid="ignore"):
-        for _epoch in range(cfg.local_epochs):
-            perm = rng.permutation(n)
-            features, picks = data.features[perm], batch_rows + data.labels[perm]
-            for rows, step in batches:
-                (ce,) = step((features[rows],), picks[rows])
-                if prox:
-                    subtract(values, anchor, diff)
-                loss = _reported_loss(ce, penalty, ce_scale, prox_weight, diff)
-                if not math.isfinite(loss):
-                    raise _diverged("a non-finite loss", client.id, round_index, len(losses), losses)
-                losses.append(loss)
-                if ce_scale != 1.0:
-                    multiply(grad, ce_scale, grad)
-                if prox:
-                    multiply(prox_weight, diff, scratch)
-                    add(grad, scratch, grad)
-                multiply(buf, momentum, buf)
-                add(buf, grad, buf)
-                multiply(decay, values, scratch)
-                add(buf, scratch, buf)
-                multiply(eta, buf, scratch)
-                subtract(values, scratch, values)
-                isfinite(values, finite)
-                if not all_true(finite):
-                    raise _diverged(
-                        "non-finite parameters", client.id, round_index, len(losses) - 1, losses
-                    )
-    return ParamVector(arch, values), losses
+        for s, k in enumerate(active):
+            for source, shuffle, rows in gathers.get(s, ()):
+                # the indices are in range; mode="raise" would stage the rows in a fresh array
+                take(source, shuffle, 0, rows, "clip")
+            cohort = lanes[:k]
+            ces = plan.step([run.sizes[s] for run in cohort])([run.features[s] for run in cohort],
+                                                               picks[starts[s] : ends[s]])
+            values, buf, diff, grads, finite, lane_scales, lane_anchors = views[k]
+            if prox:
+                subtract(values, lane_anchors, diff)
+            for lane, (ce, (penalty, ce_scale, lane_diff, losses)) in enumerate(zip(ces, lane_terms)):
+                if lane in errors:
+                    continue
+                loss = _reported_loss(ce, penalty, ce_scale, prox_weight, lane_diff)
+                if math.isfinite(loss):
+                    losses.append(loss)
+                else:
+                    errors[lane] = _diverged("a non-finite loss", lanes[lane], len(losses), losses)
+            if scaled:
+                multiply(grads, lane_scales, grads)
+            if prox:
+                multiply(prox_weight, diff, diff)
+                add(grads, diff, grads)
+            multiply(buf, momentum, buf)
+            add(buf, grads, buf)
+            # the gradients are spent: their rows hold the products below
+            multiply(decay, values, grads)
+            add(buf, grads, buf)
+            multiply(eta, buf, grads)
+            subtract(values, grads, values)
+            isfinite(values, finite)
+            if not all_true(finite, None):
+                for lane in np.flatnonzero(~all_true(finite, 1)).tolist():
+                    if lane not in errors:
+                        losses = lane_terms[lane][3]
+                        errors[lane] = _diverged("non-finite parameters", lanes[lane], len(losses) - 1, losses)
+    if errors:
+        raise min(errors.values(), key=lambda err: err.client)
+    trained: list = [None] * count
+    for lane, (k, terms) in enumerate(zip(order, lane_terms)):
+        trained[k] = (ParamVector(arch, plan.values[lane]), terms[3])
+    return trained
+
+
+def _diverged(what: str, run: LocalRun, step: int, losses: list[float]) -> DivergenceError:
+    last = losses[-1] if losses else None
+    return DivergenceError(
+        f"client {run.client} hit {what} in round {run.round} at step {step} "
+        f"(last finite loss: {last})",
+        client=run.client,
+        round=run.round,
+        step=step,
+        last_finite_loss=last,
+    )
 
 
 def _combine(models: list[ParamVector], weights: np.ndarray) -> ParamVector:
@@ -284,15 +392,34 @@ def _mean_or_nan(values: list[float]) -> float:
     return float(np.mean(values)) if values else math.nan
 
 
+def round_plan(
+    server: ServerState,
+    clients: list[ClientState],
+    cfg: ExperimentConfig,
+    test_data: LabeledDataset | None = None,
+) -> TrainPlan:
+    """One nn.TrainPlan for every round of cfg over clients: a lane and a
+    segment per client a round selects, and rows for the tallest first
+    lock-step any such selection takes, the server set and the test set."""
+    count = _sample_count(len(clients), cfg.tau)
+    firsts = sorted(min(cfg.batch_size, len(c.data)) for c in clients)[-count:]
+    rows = max(sum(firsts), len(server.server_set.data), len(test_data or ()))
+    return TrainPlan(server.model.arch, rows, count, count)
+
+
 def run_round(
     server: ServerState,
     clients: list[ClientState],
     cfg: ExperimentConfig,
     test_data: LabeledDataset | None = None,
+    plan: TrainPlan | None = None,
 ) -> tuple[ServerState, RoundRecord]:
     """One communication round: sample, train locals, score them on the
     server set, aggregate.
 
+    The selected clients train in lock-step (train_cohort) and every score
+    is a forward-only step, all on plan: round_plan's when None, and the
+    runner passes one per run, so each step shape is bound once per run.
     Local models for distinct clients are independent, so training order
     cannot affect the result; everything is reduced in ascending client id.
     """
@@ -306,14 +433,14 @@ def run_round(
     server_data = server.server_set.data
     selected = sample_clients(len(clients), cfg.tau, server.round, cfg.seed)
     sent = {cid: server.prev_accuracies.get(cid, 1.0) for cid in selected}
-    # one workspace for the round's batches and scored sets; perfbench/spans.py
-    # reads local_train's client and cfg and evaluate_accuracy's set by position
-    rows = min(cfg.batch_size, max(len(clients[cid].data) for cid in selected))
-    plan = TrainPlan(server.model.arch, max(rows, len(server_data), len(test_data or ())))
-    trained = {
-        cid: local_train(clients[cid], server.model, sent[cid], cfg, server.round, plan)
-        for cid in selected
-    }
+    plan = plan or round_plan(server, clients, cfg, test_data)
+    # perfbench/spans.py counts training samples at each local_train call,
+    # by position (client, cfg), and scored rows at each evaluate_accuracy
+    # call (the set). So every selected client keeps its own local_train
+    # call, which lays out its run, until the tracer counts samples at the
+    # kernel step; the training itself is train_cohort's
+    runs = [local_train(clients[cid], server.model, sent[cid], cfg, server.round) for cid in selected]
+    trained = dict(zip(selected, train_cohort(runs, plan)))
     measured = {cid: evaluate_accuracy(trained[cid][0], server_data, plan) for cid in selected}
 
     flags: tuple[str, ...] = ()

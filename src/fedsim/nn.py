@@ -3,9 +3,10 @@
 All math runs in float64 and every result is a function of its inputs
 alone, so trajectories are reproducible bit for bit. Parameters live in a
 single flat vector (per layer: row-major weight matrix, then bias).
-TrainPlan is the one forward/backward kernel: a round's one plan runs its
-local training and, forward-only, its scoring, and the full-batch pass runs
-it a segment per dataset; loss_and_grad and forward are its one-shot forms.
+TrainPlan is the one forward/backward kernel: a run's one round plan runs
+each round's local training, a lane per client, and, forward-only, its
+scoring, and the full-batch pass runs it a segment per dataset;
+loss_and_grad and forward are its one-shot forms.
 """
 
 from __future__ import annotations
@@ -37,6 +38,10 @@ Step = Callable[[Sequence[np.ndarray], np.ndarray | None], list[float] | np.ndar
 # 12.9 against 6.9 at 128; whole steps of 24-64 rows timed the same either way.
 # The two differ only in the sign of a zero maximum, which changes no bit
 COLUMN_MAX_ROWS = 32
+# a plan keeps at most this many bound steps and forgets them all when one
+# more is bound: a run that selects other clients each round binds new
+# lock-step shapes every round
+MAX_BOUND_STEPS = 32
 
 
 @dataclass(frozen=True)
@@ -243,62 +248,76 @@ def _is_int(n) -> bool:
 class TrainPlan:
     """The one forward/backward kernel, for one architecture and steps of up
     to `rows` rows in up to `segments` segments, on a workspace allocated
-    once: local training runs a segment per batch and scoring a forward-only
-    one per set, on the round's one plan, and diagnostics.FullBatchPass a
-    segment per dataset of a block. It owns the parameter, momentum,
-    scratch and prox-difference vectors (values, buf, scratch, diff), a
-    gradient per segment (grads; grad is grads[0]), a finiteness mask
-    (finite), the unpack() views of values (layers), and for `rows` rows
-    every layer's output (which holds the delta there on the way back), a
-    tile (below), and the row max, norm, picked logit and loss term.
+    once: engine.train_cohort runs a round's local training on it a segment
+    per client, scoring a forward-only step per set, and
+    diagnostics.FullBatchPass a segment per dataset of a block. Segment k
+    reads lane k's parameters when the plan has a lane per segment
+    (lanes == segments), else every segment reads lane 0's. It owns, a row
+    per lane, the parameter, momentum and prox-difference vectors (values,
+    buf, diff) and a finiteness mask (finite); a gradient per segment
+    (grads; grad is grads[0]); a scratch vector (scratch); and for `rows`
+    rows the inputs of the stacked products (below), every layer's output
+    (which holds the delta there on the way back), a tile (below), and the
+    row max, norm, picked logit and loss term.
 
     step(sizes) is the kernel for consecutive segments of sizes[k] rows (an
     int is one segment), bound once per sizes onto prefix views of the
-    workspace. step(features, picks) takes a feature matrix per segment,
-    reads the parameters in values, overwrites grads[k] with the gradient of
-    segment k's mean cross-entropy and returns those losses; picks[i] =
-    i * output_dim + label[i] locates row i of the step in the flattened
-    logits. With picks None the step runs only the forward part and returns
-    the logits, a view of the workspace that the next call overwrites.
-    Inputs are trusted: the caller has checked the feature width and
-    the labels. The matrix products, the bias gradient reduce, the 1/n scale
-    and the loss run per segment, all else once over all rows: BLAS may give
-    a row other bits inside a taller product (numpy sends one row to gemv),
-    and no other value of a row depends on another row, so each segment's
-    loss and gradient are bitwise a step's on its rows alone.
+    workspace; a plan keeps at most MAX_BOUND_STEPS of them. step(features,
+    picks) takes a feature matrix per segment, reads the parameters in
+    values, overwrites grads[k] with the gradient of segment k's mean
+    cross-entropy and returns those losses; picks[i] = i * output_dim +
+    label[i] locates row i of the step in the flattened logits. With picks
+    None the step runs only the forward part and returns the logits, a view
+    of the workspace that the next call overwrites. Inputs are trusted: the
+    caller has checked the feature width and the labels.
+
+    The matrix products, the bias gradient reduce, the 1/n scale and the
+    loss run per group, all else once over all rows. A group is one
+    segment, or on a plan with a lane per segment a run of consecutive
+    segments of equal size, whose products are one np.matmul over their
+    lanes stacked: that makes, lane by lane, the BLAS call of a 2-D product
+    on the lane's rows alone. BLAS may give a row other bits inside a
+    taller product (numpy sends one row to gemv), and no other value of a
+    row depends on another row, so each segment's loss and gradient are
+    bitwise a step's on its rows alone.
 
     A step writes only into the workspace: ufuncs with a positional out
     (np.maximum by keyword: it deprecates the positional one), reduces, and
-    the products of dot_for(segment rows). The logits become the softmax
-    delta in place, sharing one exp(shifted) with the loss. A call
-    overwrites all it reads, so one on non-finite input leaves it usable.
+    the products of dot_for(segment rows) or np.matmul. The logits become
+    the softmax delta in place, sharing one exp(shifted) with the loss. A
+    call overwrites all it reads, so one on non-finite input leaves it usable.
     """
 
-    def __init__(self, arch: ModelArch, rows: int, segments: int = 1) -> None:
-        for what, count in (("row", rows), ("segment", segments)):
+    def __init__(self, arch: ModelArch, rows: int, segments: int = 1, lanes: int = 1) -> None:
+        for what, count in (("row", rows), ("segment", segments), ("lane", lanes)):
             if not _is_int(count) or count < 1:
                 raise ShapeError(f"a training plan needs an integer {what} count >= 1, got {count!r}")
-        self.arch, self.rows, self.segments = arch, int(rows), int(segments)
+        if lanes not in (1, segments):
+            raise ShapeError(f"a plan has one lane or one per segment, got {lanes} lanes for {segments} segments")
+        self.arch, self.rows, self.segments, self.lanes = arch, int(rows), int(segments), int(lanes)
         size, widths = param_count(arch), arch.layer_widths
-        self.values, self.buf, self.scratch, self.diff = np.empty((4, size))
-        self.grads = np.empty((segments, size))
-        self.grad, self.finite = self.grads[0], np.empty(size, dtype=bool)
-        self.layers, self._grad_layers = unpack(arch, self.values), [unpack(arch, g) for g in self.grads]
+        self.values, self.buf, self.diff = np.empty((3, lanes, size))
+        self.grads, self.scratch = np.empty((segments, size)), np.empty(size)
+        self.grad, self.finite = self.grads[0], np.empty((lanes, size), dtype=bool)
+        self._layers, self._grad_layers = _stacked(arch, self.values), _stacked(arch, self.grads)
+        self._inputs = np.empty((rows, widths[0]))
         self._outs = [np.empty((rows, w)) for w in widths[1:]]
         self._row_vectors = np.empty((4, rows))
+        self._sums = np.empty(segments)
         # a layer's bias or a column repeated down its rows, and on the way
         # back its ReLU mask: an operand that broadcasts makes numpy
         # allocate an iteration buffer as large as the output, a tile does not
         self._tile = np.empty(rows * max(widths[1:]))
         self._steps: dict[tuple[int, ...], Step] = {}
+        self._param_views: dict[tuple[int, int], list[tuple[np.ndarray, ...]]] = {}
 
-    def load(self, model: ParamVector) -> TrainPlan:
-        """This plan, with model's parameters copied into values; a model of
-        another architecture is a ShapeError."""
+    def load(self, model: ParamVector, lane: int = 0) -> TrainPlan:
+        """This plan, with model's parameters copied into lane `lane` of
+        values; a model of another architecture is a ShapeError."""
         if model.arch != self.arch:
             raise ShapeError(f"the plan is for layer widths {self.arch.layer_widths}, "
                              f"the model has {model.arch.layer_widths}")
-        np.copyto(self.values, model.values)
+        np.copyto(self.values[lane], model.values)
         return self
 
     def step(self, sizes: int | Sequence[int]) -> Step:
@@ -312,56 +331,114 @@ class TrainPlan:
                 raise ShapeError(f"a step takes 1 to {self.segments} segments of at least one row, got {sizes}")
             if sum(sizes) > self.rows:
                 raise ShapeError(f"a step of {sum(sizes)} rows does not fit a plan of {self.rows} rows")
+            if len(self._steps) >= MAX_BOUND_STEPS:
+                self._steps.clear()
             step = self._steps[sizes] = self._bind(sizes)
         return step
 
+    def _params(self, a: int, g: int) -> list[tuple[np.ndarray, ...]]:
+        """Per layer, the views of segments a..a+g-1's parameters: weight,
+        bias (broadcasting down the rows), transposed weight, and the weight
+        and bias gradients; for one segment 2-D, for several stacked."""
+        views = self._param_views.get((a, g))
+        if views is None:
+            lane = a if self.lanes > 1 else 0
+            at, grad_at = (lane, a) if g == 1 else (slice(lane, lane + g), slice(a, a + g))
+            views = self._param_views[a, g] = [
+                (weight[at], bias[at] if g == 1 else bias[at, None, :], np.swapaxes(weight[at], -1, -2),
+                 g_weight[grad_at], g_bias[grad_at])
+                for (weight, bias), (g_weight, g_bias) in zip(self._layers, self._grad_layers)
+            ]
+        return views
+
     def _bind(self, sizes: tuple[int, ...]) -> Step:
-        layers, r = self.layers, sum(sizes)
-        spans = [slice(end - n, end) for n, end in zip(sizes, accumulate(sizes))]
-        dots, grad_layers = [dot_for(n) for n in sizes], self._grad_layers
+        r, lanes = sum(sizes), self.lanes
         outs = [out[:r] for out in self._outs]
         tiles = [self._tile[: out.size].reshape(out.shape) for out in outs]
-        # parts[li][k]: segment k's rows of layer li's output. The tuples below
-        # index the call's features[k]: a zip would cost one per call
-        parts = [[out[rows] for rows in spans] for out in outs]
-        first_weight = layers[0][0]
-        inputs = [(k, dots[k], part) for k, part in enumerate(parts[0])]
+        # (first segment, segment count, rows each, first row) per group
+        groups: list[tuple[int, int, int, int]] = []
+        for k, (n, end) in enumerate(zip(sizes, accumulate(sizes))):
+            if lanes > 1 and groups and groups[-1][2] == n:
+                a, g, _n, lo = groups[-1]
+                groups[-1] = (a, g + 1, n, lo)
+            else:
+                groups.append((k, 1, n, end - n))
+
+        def rows_of(array, g, n, lo):
+            """A group's rows of a workspace array: 2-D, or (g, n, width)."""
+            rows = array[lo : lo + g * n]
+            return rows if g == 1 else rows.reshape(g, n, -1)
+
+        # per group: its first segment and product, the reduce axis of its
+        # rows, its parameters, its inputs (None: a group of one reads its
+        # features[k], and several are copied into inputs) and each
+        # layer's rows. The step's tuples hold the index k of features[k]:
+        # a zip over the call's features would cost one per call
+        per_group = [
+            (a, dot_for(n) if g == 1 else np.matmul, 0 if g == 1 else 1, self._params(a, g),
+             None if g == 1 else rows_of(self._inputs, g, n, lo), [rows_of(out, g, n, lo) for out in outs])
+            for a, g, n, lo in groups
+        ]
+        # per layer, the (tile rows, bias) pairs that put its biases down its rows
+        fills = [
+            [(tile, bias)] if lanes == 1 else [
+                (rows_of(tile, g, n, lo), params[li][1])
+                for (_a, g, n, lo), (_k, _dot, _axis, params, _inputs, _parts) in zip(groups, per_group)
+            ]
+            for li, (tile, (_weight, bias, *_rest)) in enumerate(zip(tiles, self._params(0, 1)))
+        ]
+        copies = [(a + j, rows) for a, _dot, _axis, _params, inputs, _parts in per_group
+                  if inputs is not None for j, rows in enumerate(inputs)]
+        first_products = [(a, inputs, dot, params[0][0], parts[0])
+                          for a, dot, _axis, params, inputs, parts in per_group]
         # a hidden layer's bias and ReLU, then the next layer's products
         hidden = [
-            (layers[li][1], outs[li], tiles[li], layers[li + 1][0], list(zip(dots, parts[li], parts[li + 1])))
-            for li in range(len(layers) - 1)
+            (outs[li], tiles[li], fills[li],
+             [(dot, parts[li], params[li + 1][0], parts[li + 1])
+              for _a, dot, _axis, params, _inputs, parts in per_group])
+            for li in range(len(outs) - 1)
         ]
-        b_last, logits, tile = layers[-1][1], outs[-1], tiles[-1]
+        logits, tile, last_fills = outs[-1], tiles[-1], fills[-1]
         flat = logits.reshape(-1)  # a view: the workspace rows are contiguous
         row_max, norm, picked, terms = self._row_vectors[:, :r]
         max_col, norm_col = row_max[:, None], norm[:, None]
         by_column = r >= COLUMN_MAX_ROWS
         first_column, *columns = [logits[:, c] for c in range(logits.shape[1] if by_column else 1)]
-        scale = [(logits[rows], n, terms[rows]) for rows, n in zip(spans, sizes)]
+        sums = self._sums[: len(sizes)]
+        scale = [(parts[-1], n, terms[lo : lo + g * n].reshape(g, n), sums[a : a + g])
+                 for (a, g, n, lo), (*_group, parts) in zip(groups, per_group)]
         # layer li's ReLU mask and delta at its input (the output of layer
-        # li - 1, overwritten), and per segment its weight gradient, from
+        # li - 1, overwritten), and per group its weight gradient, from
         # that input and the delta at its output
         backward = [
-            (outs[li - 1], tiles[li - 1], layers[li][0].T,
-             [(dot, act.T, delta, *grad[li], act)
-              for dot, act, delta, grad in zip(dots, parts[li - 1], parts[li], grad_layers)])
-            for li in range(len(layers) - 1, 0, -1)
+            (outs[li - 1], tiles[li - 1],
+             [(dot, np.swapaxes(parts[li - 1], -1, -2), parts[li], *params[li][3:], axis, params[li][2],
+               parts[li - 1])
+              for _a, dot, axis, params, _inputs, parts in per_group])
+            for li in range(len(outs) - 1, 0, -1)
         ]
-        first = [(k, dots[k], delta, *grad_layers[k][0]) for k, delta in enumerate(parts[0])]
+        first = [
+            (a, None if inputs is None else np.swapaxes(inputs, -1, -2), dot, parts[0], *params[0][3:], axis)
+            for a, dot, axis, params, inputs, parts in per_group
+        ]
         copyto, add, subtract, divide, multiply = np.copyto, np.add, np.subtract, np.divide, np.multiply
         maximum, exp, log, sign = np.maximum, np.exp, np.log, np.sign
         add_reduce, max_reduce = np.add.reduce, np.maximum.reduce
 
         def step(features: Sequence[np.ndarray], picks: np.ndarray) -> list[float]:
-            for k, dot, part in inputs:
-                dot(features[k], first_weight, part)
-            for bias, out, bias_tile, weight, pairs in hidden:
-                copyto(bias_tile, bias)
-                add(out, bias_tile, out)
+            for k, rows in copies:
+                copyto(rows, features[k])
+            for k, inputs, dot, weight, part in first_products:
+                dot(features[k] if inputs is None else inputs, weight, part)
+            for out, out_tile, bias_fills, products in hidden:
+                for fill, bias in bias_fills:
+                    copyto(fill, bias)
+                add(out, out_tile, out)
                 maximum(out, 0.0, out=out)
-                for dot, act, part in pairs:
+                for dot, act, weight, part in products:
                     dot(act, weight, part)
-            copyto(tile, b_last)
+            for fill, bias in last_fills:
+                copyto(fill, bias)
             add(logits, tile, logits)
             if picks is None:
                 return logits
@@ -387,28 +464,36 @@ class TrainPlan:
             flat.take(picks, None, picked, "clip")
             subtract(picked, 1.0, picked)
             flat.put(picks, picked, "clip")
-            losses = []
-            for part, n, part_terms in scale:
+            for part, n, part_terms, part_sums in scale:
                 divide(part, n, part)
                 # np.mean's own arithmetic (pairwise sum, then divide)
-                losses.append(float(add_reduce(part_terms)) / n)
-            for act, mask, weight_t, grads in backward:
+                add_reduce(part_terms, 1, None, part_sums)
+            losses = [total / n for total, n in zip(sums.tolist(), sizes)]
+            for act, mask, grads in backward:
                 # act = max(pre, 0), so sign(act) is 1.0 where the
                 # pre-activation is > 0 and +0.0 elsewhere: the mask
                 # (act > 0) as floats, without the cast buffer that
                 # multiplying by a bool mask allocates
                 sign(act, mask)
-                for dot, act_t, delta, g_weight, g_bias, part in grads:
+                for dot, act_t, delta, g_weight, g_bias, axis, weight_t, part in grads:
                     dot(act_t, delta, g_weight)
-                    add_reduce(delta, 0, None, g_bias)
+                    add_reduce(delta, axis, None, g_bias)
                     dot(delta, weight_t, part)
                 multiply(act, mask, act)
-            for k, dot, delta, g_weight, g_bias in first:
-                dot(features[k].T, delta, g_weight)
-                add_reduce(delta, 0, None, g_bias)
+            for k, inputs_t, dot, delta, g_weight, g_bias, axis in first:
+                dot(features[k].T if inputs_t is None else inputs_t, delta, g_weight)
+                add_reduce(delta, axis, None, g_bias)
             return losses
 
         return step
+
+
+def _stacked(arch: ModelArch, rows: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """unpack() of a row per lane: [(W, b), ...] views, W shaped (lanes, in, out)."""
+    return [
+        (rows[:, w_sl].reshape(-1, w_in, w_out), rows[:, b_sl])
+        for w_sl, b_sl, w_in, w_out in _layer_slices(arch)
+    ]
 
 
 def central_difference(fn: Callable[[np.ndarray], float], x: np.ndarray, step: float) -> np.ndarray:

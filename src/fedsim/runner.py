@@ -40,7 +40,7 @@ from .diagnostics import DescentRecord, FullBatchPass, descent_check, dissimilar
 
 # perfbench/spans.py traces this name in this module's namespace
 from .diagnostics import gradient_dissimilarity  # noqa: F401
-from .engine import ClientState, RoundRecord, ServerState, run_round
+from .engine import ClientState, RoundRecord, ServerState, round_plan, run_round
 from .errors import ConfigError
 from .nn import ModelArch, init_model, save_model
 
@@ -186,6 +186,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int, run_dir) -> RunResult:
     server = problem.server
     diagnose = cfg.instrument_global_loss or cfg.emit_dissimilarity
     full_pass = FullBatchPass(server.model.arch, [c.data for c in problem.clients]) if diagnose else None
+    plan = round_plan(server, problem.clients, run_cfg, problem.test_set)
     records: list[RoundRecord] = []
     losses: list[float] = []
     grad_sqnorms: list[float] = []
@@ -196,7 +197,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int, run_dir) -> RunResult:
             losses.append(loss)
             grad_sqnorms.append(float(grad @ grad))
             grad_ratios.append(ratio)
-        server, rec = run_round(server, problem.clients, run_cfg, test_data=problem.test_set)
+        server, rec = run_round(server, problem.clients, run_cfg, test_data=problem.test_set, plan=plan)
         records.append(rec)
 
     _write_rounds_csv(records, run_dir / "rounds.csv")

@@ -30,3 +30,8 @@ def random_batch(arch: nn.ModelArch, size: int, seed: int) -> nn.Batch:
         rng.standard_normal((size, arch.input_dim)),
         rng.integers(0, arch.output_dim, size),
     )
+
+
+def train_alone(client, w_global, p, cfg, round_index, plan=None):
+    """One client's local training as a cohort of one: (local model, losses)."""
+    return engine.train_cohort([engine.local_train(client, w_global, p, cfg, round_index)], plan)[0]

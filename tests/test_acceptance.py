@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import reference
-from conftest import random_model
+from conftest import random_model, train_alone
 from fedsim import engine, nn
 from fedsim.config import ExperimentConfig
 from fedsim.data import LabeledDataset, SyntheticSpec, dirichlet_partition, generate_synthetic, partition_stats
@@ -177,8 +177,8 @@ def test_criterion_4_literal_penalty_neutrality():
     _server_set, clients, model = _toy_federation(seed=3)
     cfg = ExperimentConfig(strategy="fedpdc", local_epochs=3, batch_size=16, seed=7)
     p = 0.3
-    m0, losses0 = engine.local_train(clients[0], model, p, replace(cfg, lam=0.0), 1)
-    m10, losses10 = engine.local_train(clients[0], model, p, replace(cfg, lam=10.0), 1)
+    m0, losses0 = train_alone(clients[0], model, p, replace(cfg, lam=0.0), 1)
+    m10, losses10 = train_alone(clients[0], model, p, replace(cfg, lam=10.0), 1)
     shift = 10.0 * (1.0 - p)
     ok = np.array_equal(m0.values, m10.values)
     ok &= len(losses0) == len(losses10) > 0

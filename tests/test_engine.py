@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from conftest import random_batch, random_model
+from conftest import random_batch, random_model, train_alone
 from fedsim import engine, nn
 from fedsim.config import PENALTY_MODES, STRATEGIES, ExperimentConfig
 from fedsim.data import LabeledDataset, ServerSet
@@ -125,7 +125,7 @@ class TestLocalTrain:
         client = self._client()
         w = random_model(nn.ModelArch((4, 5, 3)), seed=0)
         cfg = ExperimentConfig(strategy="fedavg", local_epochs=0, seed=0)
-        model, losses = engine.local_train(client, w, 1.0, cfg, 0)
+        model, losses = train_alone(client, w, 1.0, cfg, 0)
         assert np.array_equal(model.values, w.values)
         assert losses == []
 
@@ -133,7 +133,7 @@ class TestLocalTrain:
         client = self._client()
         w = random_model(nn.ModelArch((4, 5, 3)), seed=0)
         cfg = ExperimentConfig(strategy="fedavg", local_epochs=3, batch_size=8, eta=0.0, seed=0)
-        model, losses = engine.local_train(client, w, 1.0, cfg, 0)
+        model, losses = train_alone(client, w, 1.0, cfg, 0)
         assert np.array_equal(model.values, w.values)
         assert len(losses) == 3 * 3  # 24 samples / batch 8 -> 3 batches per epoch
 
@@ -149,7 +149,7 @@ class TestLocalTrain:
             weight_decay=0.0,
             seed=9,
         )
-        model, _ = engine.local_train(client, w, 1.0, cfg, 4)
+        model, _ = train_alone(client, w, 1.0, cfg, 4)
         # oracle: replicate the documented shuffle stream, then one gradient step
         perm = stream(TAG_LOCAL, 9, 4).permutation(len(client.data))
         features, labels = client.data.features[perm], client.data.labels[perm]
@@ -166,7 +166,7 @@ class TestLocalTrain:
             strategy="fedavg", local_epochs=1, batch_size=8, eta=1e308, momentum=0.0, seed=0
         )
         with pytest.raises(DivergenceError, match="client 0"):
-            engine.local_train(client, w, 1.0, cfg, 0)
+            train_alone(client, w, 1.0, cfg, 0)
 
     @pytest.mark.filterwarnings("error")
     def test_divergence_names_client_and_round(self):
@@ -176,7 +176,7 @@ class TestLocalTrain:
             strategy="fedavg", local_epochs=5, batch_size=8, eta=1e150, momentum=0.0, seed=0
         )
         with pytest.raises(DivergenceError, match=r"client 0 .* round 2"):
-            engine.local_train(client, w, 1.0, cfg, 2)
+            train_alone(client, w, 1.0, cfg, 2)
 
     @pytest.mark.filterwarnings("error")
     def test_divergence_error_carries_client_round_step_and_last_loss(self):
@@ -192,7 +192,7 @@ class TestLocalTrain:
             strategy="fedavg", local_epochs=1, batch_size=8, eta=1.0, momentum=0.0, weight_decay=1e200, seed=0
         )
         with pytest.raises(DivergenceError, match=r"client 3 .* round 5 at step 1") as info:
-            engine.local_train(client, w, 1.0, cfg, 5)
+            train_alone(client, w, 1.0, cfg, 5)
         first, second = np.split(stream(TAG_LOCAL, 0, 5).permutation(16), 2)
         _ce, grad = reference.loss_and_grad(arch, w.values, data.features[first], data.labels[first])
         w1, _buf = reference.sgd_step(w.values, np.zeros_like(w.values), grad, cfg)
@@ -205,7 +205,7 @@ class TestLocalTrain:
         deep = nn.ModelArch((4, 5, 3))
         huge = nn.ParamVector(deep, np.full(nn.param_count(deep), 1e200))
         with pytest.raises(DivergenceError, match="non-finite loss") as info:
-            engine.local_train(client, huge, 1.0, cfg, 5)
+            train_alone(client, huge, 1.0, cfg, 5)
         assert (info.value.client, info.value.round, info.value.step) == (3, 5, 0)
         assert info.value.last_finite_loss is None
 
@@ -233,8 +233,8 @@ class TestLocalTrain:
         client = self._client(seed=3)
         w = random_model(nn.ModelArch((4, 5, 3)), seed=3)
         cfg = ExperimentConfig(strategy="fedavg", local_epochs=2, batch_size=8, seed=1)
-        a, _ = engine.local_train(client, w, 1.0, cfg, 0)
-        b, _ = engine.local_train(client, w, 1.0, cfg, 0)
+        a, _ = train_alone(client, w, 1.0, cfg, 0)
+        b, _ = train_alone(client, w, 1.0, cfg, 0)
         assert np.array_equal(a.values, b.values)
 
 
@@ -258,7 +258,7 @@ def test_local_train_bitwise_equals_reference_loop(strategy, p_in):
     cfg = replace(
         strategy, local_epochs=3, batch_size=8, eta=0.05, momentum=0.9, weight_decay=1e-3, seed=4
     )
-    model, losses = engine.local_train(client, w, p_in, cfg, 6)
+    model, losses = train_alone(client, w, p_in, cfg, 6)
     ref_values, ref_losses = reference.local_train(w.arch, data, w.values, p_in, cfg, 6)
     assert np.array_equal(model.values, ref_values)
     assert losses == ref_losses
@@ -301,7 +301,7 @@ def test_local_train_bitwise_equals_reference_for_any_shape(
         weight_decay=1e-3,
         seed=seed,
     )
-    model, losses = engine.local_train(client, w, p_in, cfg, 3)
+    model, losses = train_alone(client, w, p_in, cfg, 3)
     ref_values, ref_losses = reference.local_train(w.arch, data, w.values, p_in, cfg, 3)
     assert np.array_equal(model.values, ref_values)
     assert losses == ref_losses
@@ -334,16 +334,16 @@ def test_a_shared_plan_changes_nothing(cfg):
     plan, diverged = nn.TrainPlan(arch, 8), []
     for c in clients:
         try:
-            alone = engine.local_train(c, w, 0.5, cfg, 3)
+            alone = train_alone(c, w, 0.5, cfg, 3)
         except DivergenceError as err:
             with pytest.raises(DivergenceError) as info:
-                engine.local_train(c, w, 0.5, cfg, 3, plan)
+                train_alone(c, w, 0.5, cfg, 3, plan)
             fields = ("client", "round", "step", "last_finite_loss")
             assert [getattr(info.value, f) for f in fields] == [getattr(err, f) for f in fields]
             assert str(info.value) == str(err)
             diverged.append((c.id, err.step))
             continue
-        shared = engine.local_train(c, w, 0.5, cfg, 3, plan)
+        shared = train_alone(c, w, 0.5, cfg, 3, plan)
         assert shared[0].values.tobytes() == alone[0].values.tobytes() and shared[1] == alone[1]
     assert len(diverged) == 1 and diverged[0][0] == 3 and diverged[0][1] > 0
 
@@ -355,9 +355,9 @@ def test_a_plan_that_does_not_fit_is_rejected():
     cfg = ExperimentConfig(strategy="fedavg", local_epochs=1, batch_size=8, seed=0)
     client = engine.ClientState(0, data)
     with pytest.raises(ShapeError, match=r"plan is for layer widths \(5, 6, 4\)"):
-        engine.local_train(client, w, 1.0, cfg, 0, nn.TrainPlan(nn.ModelArch((5, 6, 4)), 8))
+        train_alone(client, w, 1.0, cfg, 0, nn.TrainPlan(nn.ModelArch((5, 6, 4)), 8))
     with pytest.raises(ShapeError, match="a step of 8 rows does not fit a plan of 7 rows"):
-        engine.local_train(client, w, 1.0, cfg, 0, nn.TrainPlan(w.arch, 7))
+        train_alone(client, w, 1.0, cfg, 0, nn.TrainPlan(w.arch, 7))
     # scoring takes the round's plan too: (5, 5, 4, 4) holds as many
     # parameters as (5, 7, 4), so only the check stops a silent copy
     with pytest.raises(ShapeError, match=r"plan is for layer widths \(5, 5, 4, 4\)"):
@@ -366,9 +366,139 @@ def test_a_plan_that_does_not_fit_is_rejected():
         nn.evaluate_accuracy(w, data, nn.TrainPlan(w.arch, 18))
     # a client smaller than the batch needs only its own rows
     small = engine.ClientState(1, data.subset(range(3)))
-    assert engine.local_train(small, w, 1.0, cfg, 0, nn.TrainPlan(w.arch, 3))[1] == (
-        engine.local_train(small, w, 1.0, cfg, 0)[1]
+    assert train_alone(small, w, 1.0, cfg, 0, nn.TrainPlan(w.arch, 3))[1] == (
+        train_alone(small, w, 1.0, cfg, 0)[1]
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    widths=st.sampled_from([(3, 4), (3, 5, 4), (3, 5, 2, 4)]),
+    strategy=st.sampled_from(STRATEGIES),
+    penalty_mode=st.sampled_from(PENALTY_MODES),
+    batch_size=st.integers(1, 6),
+    epochs=st.integers(2, 3),
+    # each client's size against the batch: below, equal, above, a
+    # multiple and ragged; a small pool, so equal sizes stack often
+    offsets=st.lists(st.sampled_from([-2, -1, 0, 1, 4, 7]), min_size=1, max_size=6),
+    accuracies=st.lists(st.sampled_from([1.0, 0.5, 0.0]), min_size=6, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_cohort_trains_each_client_as_it_trains_alone(
+    widths, strategy, penalty_mode, batch_size, epochs, offsets, accuracies, seed
+):
+    # every client's model bytes and losses from one lock-step cohort equal
+    # its cohort of one and the reference's sequential loop; clients hold
+    # their own p, so scaled_ce and literal give each lane its own terms
+    rng = np.random.default_rng(seed)
+    arch = nn.ModelArch(widths)
+    w = random_model(arch, seed)
+    cfg = ExperimentConfig(
+        strategy=strategy, penalty_mode=penalty_mode, lam=1.5, mu_prox=0.3, local_epochs=epochs,
+        batch_size=batch_size, eta=0.05, momentum=0.9, weight_decay=1e-3, seed=seed % 1000,
+    )
+    clients = []
+    for cid, offset in enumerate(offsets):
+        n = max(1, batch_size + offset)
+        data = LabeledDataset(rng.standard_normal((n, 3)), rng.integers(0, widths[-1], n), widths[-1])
+        clients.append(engine.ClientState(cid, data))
+    # a plan with a spare lane and spare rows, reused by every call below
+    rows = sum(min(batch_size, len(c.data)) for c in clients) + 3
+    plan = nn.TrainPlan(arch, rows, len(clients) + 1, len(clients) + 1)
+    runs = [engine.local_train(c, w, accuracies[c.id], cfg, 2) for c in clients]
+    cohort = engine.train_cohort(runs, plan)
+    for c, (model, losses) in zip(clients, cohort):
+        alone_model, alone_losses = train_alone(c, w, accuracies[c.id], cfg, 2, plan)
+        assert model.values.tobytes() == alone_model.values.tobytes() and repr(losses) == repr(alone_losses)
+        ref_values, ref_losses = reference.local_train(arch, c.data, w.values, accuracies[c.id], cfg, 2)
+        assert model.values.tobytes() == ref_values.tobytes() and repr(losses) == repr(ref_losses)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_diverging_cohort_raises_the_error_of_the_sequential_loop():
+    # client 3's huge features blow up at step 1, client 1's at step 4:
+    # training one by one in id order meets client 1 first, so the cohort
+    # must raise client 1's error although client 3 diverged earlier
+    rng = np.random.default_rng(8)
+    arch = nn.ModelArch((5, 7, 4))
+    w = random_model(arch, seed=8)
+    cfg = ExperimentConfig(
+        strategy="fedavg", local_epochs=3, batch_size=8, eta=0.05, momentum=0.9, weight_decay=1e-3, seed=4
+    )
+
+    def client(cid, n, scale=1.0):
+        data = LabeledDataset(scale * rng.standard_normal((n, 5)), rng.integers(0, 4, n), 4)
+        return engine.ClientState(cid, data)
+
+    fields = ("client", "round", "step", "last_finite_loss")
+    clients = [client(0, 19), client(1, 16, scale=1e40), client(2, 8), client(3, 16, scale=1e150), client(4, 5)]
+    alone = {}
+    for c in clients:
+        try:
+            train_alone(c, w, 0.5, cfg, 3)
+        except DivergenceError as err:
+            alone[c.id] = err
+    assert sorted(alone) == [1, 3] and alone[1].step == 4 and alone[3].step == 1
+    plan = nn.TrainPlan(arch, 40, 5, 5)
+    with pytest.raises(DivergenceError) as info:
+        engine.train_cohort([engine.local_train(c, w, 0.5, cfg, 3) for c in clients], plan)
+    assert [getattr(info.value, f) for f in fields] == [getattr(alone[1], f) for f in fields]
+    assert str(info.value) == str(alone[1])
+
+    # a linear model whose weight decay flips and inflates the weights to
+    # about -1e200 in step 0 overflows its update at step 1, after a finite
+    # loss: every lane's "non-finite parameters" error; the lowest id's is raised
+    linear = nn.ParamVector(nn.ModelArch((4, 3)), np.ones(15))
+    blowup = replace(cfg, local_epochs=1, eta=1.0, momentum=0.0, weight_decay=1e200)
+    uniform = [
+        engine.ClientState(cid, LabeledDataset(rng.uniform(0.0, 1.0, (16, 4)), np.arange(16) % 3, 3))
+        for cid in (5, 6)
+    ]
+    with pytest.raises(DivergenceError, match="client 5 hit non-finite parameters") as info:
+        engine.train_cohort([engine.local_train(c, linear, 0.5, blowup, 3) for c in uniform[::-1]])
+    with pytest.raises(DivergenceError) as first:
+        train_alone(uniform[0], linear, 0.5, blowup, 3)
+    assert [getattr(info.value, f) for f in fields] == [getattr(first.value, f) for f in fields]
+
+    # the plan the diverged lanes left behind trains the healthy clients as alone
+    healthy = [clients[k] for k in (0, 2, 4)]
+    cohort = engine.train_cohort([engine.local_train(c, w, 0.5, cfg, 3) for c in healthy], plan)
+    for c, (model, losses) in zip(healthy, cohort):
+        alone_model, alone_losses = train_alone(c, w, 0.5, cfg, 3)
+        assert model.values.tobytes() == alone_model.values.tobytes() and losses == alone_losses
+
+
+def test_a_cohort_needs_one_optimizer_and_a_lane_per_run():
+    rng = np.random.default_rng(3)
+    arch = nn.ModelArch((5, 7, 4))
+    w = random_model(arch, seed=3)
+    data = LabeledDataset(rng.standard_normal((12, 5)), rng.integers(0, 4, 12), 4)
+    clients = [engine.ClientState(0, data), engine.ClientState(1, data)]
+    cfg = ExperimentConfig(strategy="fedprox", mu_prox=0.3, local_epochs=1, batch_size=4, seed=0)
+    for other in (replace(cfg, eta=0.5), replace(cfg, mu_prox=0.1), replace(cfg, strategy="fedavg")):
+        runs = [engine.local_train(clients[0], w, 1.0, cfg, 0), engine.local_train(clients[1], w, 1.0, other, 0)]
+        with pytest.raises(ConfigError, match="must share"):
+            engine.train_cohort(runs)
+    runs = [engine.local_train(c, w, 1.0, cfg, 0) for c in clients]
+    with pytest.raises(ShapeError, match="a cohort of 2 runs needs a plan with 2 lanes"):
+        engine.train_cohort(runs, nn.TrainPlan(arch, 8, 2))
+    assert engine.train_cohort([]) == []
+
+
+def test_the_run_plan_binds_each_step_shape_once(toy_problem):
+    # with tau = 1 every round trains the same clients on the same step
+    # shapes, so a second round on the runner's plan binds nothing new; and
+    # a round on it equals a round on a plan of its own
+    _pool, server_set, _rest, _part, clients, model = toy_problem
+    cfg = ExperimentConfig(strategy="fedprox", mu_prox=0.1, tau=1.0, local_epochs=2, batch_size=16, seed=3)
+    server = engine.ServerState(model, server_set)
+    plan = engine.round_plan(server, clients, cfg)
+    first, _rec = engine.run_round(server, clients, cfg, plan=plan)
+    bound = dict(plan._steps)
+    second, rec = engine.run_round(first, clients, cfg, plan=plan)
+    assert plan._steps == bound
+    own, own_rec = engine.run_round(first, clients, cfg)
+    assert second.model.values.tobytes() == own.model.values.tobytes() and repr(rec) == repr(own_rec)
 
 
 class TestAggregation:
@@ -468,7 +598,7 @@ class TestRunRound:
         server = engine.ServerState(model, server_set)
         cfg = ExperimentConfig(strategy="fedpdc", local_epochs=1, batch_size=32, seed=0)
         new_server, rec = engine.run_round(server, [client], cfg)
-        local, _ = engine.local_train(client, model, 1.0, cfg, 0)
+        local, _ = train_alone(client, model, 1.0, cfg, 0)
         assert rec.agg_weights == {0: 1.0}
         assert np.array_equal(new_server.model.values, local.values)
 
@@ -479,7 +609,7 @@ class TestRunRound:
         server = engine.ServerState(model, server_set)
         cfg = ExperimentConfig(strategy="fedpdc", local_epochs=2, batch_size=16, seed=5)
         new_server, rec = engine.run_round(server, clients, cfg)
-        local, _ = engine.local_train(clients[0], model, 1.0, cfg, 0)
+        local, _ = train_alone(clients[0], model, 1.0, cfg, 0)
         assert np.array_equal(new_server.model.values, local.values)
         assert rec.measured_accuracies[0] == rec.measured_accuracies[1]
 
@@ -495,7 +625,7 @@ class TestRunRound:
 
         # oracle: the same round assembled from the public pieces
         assert engine.sample_clients(2, 1.0, 0, 7) == (0, 1)
-        locals_ = [engine.local_train(c, model, 1.0, cfg, 0)[0] for c in clients]
+        locals_ = [train_alone(c, model, 1.0, cfg, 0)[0] for c in clients]
         accs = [nn.evaluate_accuracy(m, server_set.data) for m in locals_]
         expected = engine._combine(locals_, engine.fedpdc_weights(accs)[0])
         assert np.array_equal(new_server.model.values, expected.values)
@@ -619,8 +749,8 @@ class TestReductionIdentities:
         _pool, _server_set, rest, _part, clients, model = toy_problem
         cfg = ExperimentConfig(strategy="fedpdc", local_epochs=3, batch_size=16, seed=2)
         p = 0.3
-        m0, l0 = engine.local_train(clients[0], model, p, replace(cfg, lam=0.0), 1)
-        m10, l10 = engine.local_train(clients[0], model, p, replace(cfg, lam=10.0), 1)
+        m0, l0 = train_alone(clients[0], model, p, replace(cfg, lam=0.0), 1)
+        m10, l10 = train_alone(clients[0], model, p, replace(cfg, lam=10.0), 1)
         assert np.array_equal(m0.values, m10.values)
         shift = 10.0 * (1.0 - p)
         assert all(b == a + shift for a, b in zip(l0, l10))

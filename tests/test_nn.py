@@ -635,3 +635,82 @@ def test_dot_for_equals_matmul_on_the_shapes_fedsim_multiplies(rows):
             dot(a, b, out)
             assert out.tobytes() == np.matmul(a, b).tobytes(), (a.shape, b.shape)
         assert dot(act, weight).tobytes() == (act @ weight).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    # 0, 1 or 2 hidden layers; an output width of 1 included
+    widths=st.lists(st.integers(1, 9) | st.just(64), min_size=2, max_size=4).map(tuple),
+    # a pool of sizes, so runs of equal sizes (one stacked product) are
+    # common, between 1-row and ragged segments
+    draws=st.lists(st.lists(st.sampled_from([1, 2, 5, 8, 8, 8]), min_size=1, max_size=6), min_size=1, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(widths=(3, 1), draws=[[1, 1, 1], [8, 8, 8, 8, 5, 8]], seed=0)
+@example(widths=(1, 64, 4, 1), draws=[[2, 2], [8, 1, 8, 8]], seed=1)
+def test_plan_lanes_equal_their_own_steps(widths, draws, seed):
+    # with a lane per segment, segment k reads lane k's parameters: its loss
+    # and gradient are bitwise a one-lane step's on its rows alone; then an
+    # overflowing step, whose leftovers must not reach the next draw
+    arch = nn.ModelArch(widths)
+    lanes = max(map(len, draws))
+    plan = nn.TrainPlan(arch, max(map(sum, draws)), lanes, lanes)
+    rng = np.random.default_rng(seed)
+    for sizes in draws:
+        values = [rng.choice([0.1, 1.0, 30.0]) * rng.standard_normal(nn.param_count(arch)) for _ in sizes]
+        features = [rng.standard_normal((n, arch.input_dim)) for n in sizes]
+        labels = [rng.integers(0, arch.output_dim, n) for n in sizes]
+        picks = _picks(arch, np.concatenate(labels))
+        for lane, lane_values in enumerate(values):
+            plan.load(nn.ParamVector(arch, lane_values), lane)
+        losses = plan.step(sizes)(features, picks)
+        assert len(losses) == len(sizes)
+        for k, (ce, lane_values, feats, labs) in enumerate(zip(losses, values, features, labels)):
+            want_ce, want_grad = reference.loss_and_grad(arch, lane_values, feats, labs)
+            assert ce == want_ce and plan.grads[k].tobytes() == want_grad.tobytes(), (sizes, k)
+        np.copyto(plan.values, 1e200)
+        with np.errstate(over="ignore", invalid="ignore"):
+            plan.step(sizes)([1e200 * feats for feats in features], picks)
+
+
+def test_a_plan_has_one_lane_or_one_per_segment():
+    arch = nn.ModelArch((4, 5, 3))
+    for lanes in (0, 2.0, True):
+        with pytest.raises(ShapeError, match="lane count"):
+            nn.TrainPlan(arch, 6, 1, lanes)
+    with pytest.raises(ShapeError, match="one lane or one per segment, got 2 lanes for 3 segments"):
+        nn.TrainPlan(arch, 6, 3, 2)
+    with pytest.raises(ShapeError, match=r"plan is for layer widths \(4, 5, 3\)"):
+        nn.TrainPlan(arch, 6, 2, 2).load(random_model(nn.ModelArch((4, 3)), seed=0), 1)
+
+
+def test_a_plan_forgets_its_steps_past_the_bound():
+    plan = nn.TrainPlan(nn.ModelArch((2, 3)), nn.MAX_BOUND_STEPS + 1)
+    steps = [plan.step(n) for n in range(1, nn.MAX_BOUND_STEPS + 1)]
+    assert len(plan._steps) == nn.MAX_BOUND_STEPS and plan.step(1) is steps[0]
+    plan.step(nn.MAX_BOUND_STEPS + 1)
+    assert list(plan._steps) == [(nn.MAX_BOUND_STEPS + 1,)]
+
+
+def test_a_warm_lock_step_allocates_no_batch_or_cohort_sized_array():
+    # ten clients at batch 64 on 16-64-8, seven full batches stacked into
+    # one product and three ragged ones, with a lane each: the hidden
+    # layer's output is 160 KiB, a lane's parameters 12.6 KiB and all the
+    # lanes' 126 KiB. A warm step allocates only numpy's per-call
+    # bookkeeping and the losses
+    arch = nn.ModelArch((16, 64, 8))
+    rng = np.random.default_rng(0)
+    sizes = (64, 64, 64, 64, 37, 64, 64, 64, 5, 12)
+    plan = nn.TrainPlan(arch, sum(sizes), len(sizes), len(sizes))
+    for lane in range(len(sizes)):
+        plan.load(random_model(arch, seed=lane), lane)
+    features = [rng.standard_normal((n, 16)) for n in sizes]
+    step, picks = plan.step(sizes), _picks(arch, rng.integers(0, 8, sum(sizes)))
+    step(features, picks)
+    tracemalloc.start()
+    try:
+        step(features, picks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 1024
