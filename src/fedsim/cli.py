@@ -29,6 +29,7 @@ from .data import (
     dirichlet_partition,
     generate_synthetic,
     partition_stats,
+    plain_number,
 )
 from .diagnostics import read_history_csv, rounds_to_target, speedup
 from .errors import DataError, FedsimError
@@ -70,7 +71,7 @@ def _cmd_compare(args) -> int:
             raise DataError(f"{args.run_dirs[0]}: baseline history has no rounds")
         cell = baseline[-1].get(args.metric, "")
         try:
-            target = float(cell)
+            target = float(plain_number(cell))
         except ValueError:
             raise DataError(
                 f"{args.run_dirs[0]}: baseline has no final {args.metric!r} value"

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 
+from .data import plain_number
 from .errors import ConfigError
 
 STRATEGIES = ("fedavg", "fedprox", "fedpdc", "fedpdc_adaptive")
@@ -118,7 +119,7 @@ def _parse_bool(text: str) -> bool:
 def _parse_int_list(text: str) -> tuple[int, ...]:
     if not text:
         return ()
-    return tuple(int(tok.strip()) for tok in text.split(","))
+    return tuple(int(plain_number(tok.strip())) for tok in text.split(","))
 
 
 def _is_int(value) -> bool:
@@ -128,11 +129,15 @@ def _is_int(value) -> bool:
 
 
 # field annotation (a string, under `from __future__ import annotations`) ->
-# (parser, formatter, type check); each formatter is its parser's inverse
+# (parser, formatter, type check); each formatter is its parser's inverse.
+# Numbers are read by load_csv's cell rule (data.plain_number), strings
+# (paths among them) as written
 _TEXT_FORMS = {
     "str": (str, str, lambda value: isinstance(value, str)),
-    "int": (int, str, _is_int),
-    "float": (float, repr, lambda value: isinstance(value, float) or _is_int(value)),
+    "int": (lambda text: int(plain_number(text)), str, _is_int),
+    "float": (
+        lambda text: float(plain_number(text)), repr, lambda value: isinstance(value, float) or _is_int(value)
+    ),
     "bool": (_parse_bool, lambda value: "true" if value else "false", lambda value: isinstance(value, bool)),
     "tuple[int, ...]": (
         _parse_int_list,

@@ -14,6 +14,16 @@ from .seeding import TAG_PARTITION, TAG_SPLIT, TAG_SYNTH, stream
 _MAX_PARTITION_RETRIES = 100
 
 
+def plain_number(text: str) -> str:
+    """text, if int() and float() may read it: ASCII with no underscore.
+    Both also read underscores ("0_5" is 5.0) and other scripts' digits
+    ("١٠" is 10, "２" is 2.0), which no file or config fedsim reads means;
+    such text is a ValueError for the caller to report."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"{text!r} is not a plain ASCII number")
+    return text
+
+
 def checked_arrays(features, labels) -> tuple[np.ndarray, np.ndarray]:
     """Read-only float64 features and int64 labels, private copies of the
     inputs: a nonempty rectangular matrix of finite numbers and one integer
@@ -178,12 +188,10 @@ def load_csv(path) -> LabeledDataset:
         lineno = i + 1
         if len(row) != width:
             raise DataError(f"{path}: row {lineno} has {len(row)} cells, expected {width}")
-        # int() and float() also read underscores ("1_0") and other scripts'
-        # digits ("١٠", "２"); "" stands for such a cell, which neither reads
-        cells = [cell if cell.isascii() and "_" not in cell else "" for cell in row]
         try:
             # integer text is parsed exactly; float text names one integer only below 2**53
-            label = int(cells[0]) if cells[0].strip().lstrip("+-").isdigit() else float(cells[0])
+            text = plain_number(row[0])
+            label = int(text) if text.strip().lstrip("+-").isdigit() else float(text)
         except ValueError:
             raise DataError(f"{path}: row {lineno} has non-numeric label {row[0]!r}") from None
         exact = isinstance(label, int) or (label.is_integer() and abs(label) < 2**53)
@@ -191,7 +199,7 @@ def load_csv(path) -> LabeledDataset:
             raise DataError(f"{path}: row {lineno} label {row[0]!r} is not a 64-bit integer")
         raw_labels[i] = int(label)
         try:
-            features[i] = [float(cell) for cell in cells[1:]]
+            features[i] = [float(plain_number(cell)) for cell in row[1:]]
         except ValueError:
             raise DataError(f"{path}: row {lineno} has a non-numeric feature cell") from None
         if not np.isfinite(features[i]).all():

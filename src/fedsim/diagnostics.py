@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import LabeledDataset, read_csv_rows
+from .data import LabeledDataset, plain_number, read_csv_rows
 from .errors import ConfigError, DataError, DiagnosticsError, DivergenceError
 from .nn import ModelArch, ParamVector, TrainPlan, check_fits
 
@@ -272,7 +272,7 @@ def rounds_to_target(rows, target: float, metric: str = "global_acc_test") -> in
             raise DataError(f"history line {i + 2} lacks column {metric!r}")
         cell = row[metric]
         try:
-            value = float(cell) if cell != "" else math.nan
+            value = float(plain_number(cell)) if cell != "" else math.nan
         except ValueError:
             raise DataError(f"history line {i + 2}: bad {metric} value {cell!r}") from None
         if not math.isnan(value) and value >= target:

@@ -126,15 +126,14 @@ def _strategy_terms(cfg: ExperimentConfig, p: float) -> tuple[float, float, floa
     return 0.0, 1.0 + penalty, 0.0
 
 
-def _reported_loss(
-    ce: float, penalty: float, ce_scale: float, prox_weight: float, diff: np.ndarray | None
-) -> float:
-    """Strategy loss from the cross-entropy; diff = w - w_global is read
-    only when prox_weight is nonzero. ce >= +0, so a unit scale and a zero
-    penalty leave it unchanged bit for bit."""
+def _reported_loss(ce, penalty, ce_scale, prox_weight: float, sq_dist):
+    """Strategy loss from the cross-entropy and sq_dist = ||w - w_global||^2,
+    which is read only when prox_weight is nonzero; floats or arrays of them
+    (train_cohort's tables), in one operation order. ce >= +0, so a unit
+    scale and a zero penalty leave it unchanged bit for bit."""
     loss = ce_scale * ce + penalty
     if prox_weight != 0.0:
-        loss += 0.5 * prox_weight * float(diff @ diff)
+        loss = loss + 0.5 * prox_weight * sq_dist
     return loss
 
 
@@ -151,7 +150,7 @@ def local_loss(
     penalty, ce_scale, prox_weight = _strategy_terms(cfg, p)
     ce = cross_entropy(logits, labels)
     diff = w.values - w_global.values
-    return _reported_loss(ce, penalty, ce_scale, prox_weight, diff), ce_scale, prox_weight
+    return _reported_loss(ce, penalty, ce_scale, prox_weight, float(diff @ diff)), ce_scale, prox_weight
 
 
 @dataclass(frozen=True)
@@ -184,6 +183,7 @@ def local_train(
     p_in: float,
     cfg: ExperimentConfig,
     round_index: int,
+    rng: np.random.Generator | None = None,
 ) -> LocalRun:
     """A client's half of minibatch SGD on the strategy loss for
     local_epochs epochs: train_cohort runs its steps, in lock-step with the
@@ -191,17 +191,20 @@ def local_train(
     batch's reported loss in order.
 
     p and the client's data are checked here. Each epoch's shuffle comes
-    from a stream keyed by (seed, round) only, so clients holding identical
-    data produce identical local models. An epoch's rows are gathered in
-    shuffled order once, when its first step runs, so each batch's features
-    are a contiguous slice.
+    from the stream keyed by (TAG_LOCAL, seed, round) only, so clients
+    holding identical data produce identical local models. rng, when given,
+    must be that stream at its start (run_round seeds it once a round and
+    restarts it for each client); None seeds it here. An epoch's rows are
+    gathered in shuffled order once, when its first step runs, so each
+    batch's features are a contiguous slice.
     """
     arch = w_global.arch
     data = client.data
     n, epochs, batch_size = len(data), cfg.local_epochs, cfg.batch_size
     terms = _strategy_terms(cfg, p_in)
     check_fits(arch, data, f"client {client.id}")
-    rng = stream(TAG_LOCAL, cfg.seed, round_index)
+    if rng is None:
+        rng = stream(TAG_LOCAL, cfg.seed, round_index)
     shuffles = np.array([rng.permutation(n) for _epoch in range(epochs)], dtype=np.intp).reshape(epochs, n)
     # a batch starts at a multiple of batch_size, so row i of an epoch is
     # row i % batch_size of its batch
@@ -228,12 +231,18 @@ def train_cohort(
     momentum and gradients; the momentum-SGD update and the finiteness
     check then run once over those lanes. Each step does the arithmetic of
     local_loss, nn.backward and nn.sgd_step, in their order. Runs are laid
-    out longest first, so the runs with a step s are a prefix of the lanes.
+    out longest first, so the runs with a step s are a prefix of the lanes,
+    and a run of steps with equal segment sizes shares one plan step.
     plan needs the runs' architecture, a lane per run (or one lane for one
     run) and the rows of their first steps together; built here when None.
-    A run that diverges trains on, unread, and the DivergenceError of the
-    lowest client id among the diverged is raised at the end: the error
-    that training the runs one by one in client-id order raises.
+
+    Each step writes its lanes' cross-entropies (and for a proximal term
+    ||w - w_global||^2) into a table of steps by lanes, and the reported
+    losses are formed from the tables after the last step. A diverging run
+    trains on, unread; the tables give each run its first non-finite loss
+    and its first step with non-finite parameters, and the DivergenceError
+    of the lowest client id among the diverged is raised: the error that
+    training the runs one by one in client-id order raises.
     """
     if not runs:
         return []
@@ -243,7 +252,7 @@ def train_cohort(
     (eta, momentum, decay, prox_weight), = sgd
     order = sorted(range(len(runs)), key=lambda k: -len(runs[k].sizes))
     lanes = [runs[k] for k in order]
-    count, arch = len(lanes), lanes[0].anchor.arch
+    count, arch, total = len(lanes), lanes[0].anchor.arch, len(lanes[0].sizes)
     rows = sum(run.sizes[0] for run in lanes if run.sizes)
     plan = plan or TrainPlan(arch, max(rows, 1), count, count)
     if count > plan.lanes:
@@ -253,7 +262,7 @@ def train_cohort(
     plan.buf[:count].fill(0.0)
     # step s's picks, lane after lane, at picks[starts[s]:ends[s]]: lane k's
     # segment begins offsets[k, s] rows into its step
-    steps = np.zeros((count, len(lanes[0].sizes)), dtype=np.intp)
+    steps = np.zeros((count, total), dtype=np.intp)
     for lane, run in enumerate(lanes):
         steps[lane, : len(run.sizes)] = run.sizes
     offsets = np.cumsum(steps, axis=0) - steps
@@ -273,67 +282,89 @@ def train_cohort(
             gathers.setdefault(epoch * len(run.sizes) // len(run.shuffles), []).append(
                 (run.source, shuffle, run.rows)
             )
-    active = [int(np.count_nonzero(column)) for column in steps.T]
+    active = np.count_nonzero(steps, axis=0).tolist()
+    # per step: its segments' features and its picks
+    inputs = [([run.features[s] for run in lanes[:k]], picks[starts[s] : ends[s]]) for s, k in enumerate(active)]
+    # the first step of each run of steps with equal segment sizes, then the end
+    cuts = [0, *(np.flatnonzero((steps[:, 1:] != steps[:, :-1]).any(axis=0)) + 1).tolist(), total] if total else []
     prox = prox_weight != 0.0
     anchors = np.stack([run.anchor.values for run in lanes]) if prox else None
     scales = np.array([[run.terms[1]] for run in lanes])
     scaled = bool((scales != 1.0).any())
-    # per lane: its penalty, ce_scale, prox difference and losses
-    lane_terms = [(run.terms[0], run.terms[1], plan.diff[lane], []) for lane, run in enumerate(lanes)]
-    # each active count's prefix views of the plan's lanes
+    # steps by lanes: each lane's cross-entropy and ||w - w_global||^2, the
+    # latter in blocks of (lanes, 1, 1), the stacked product's out; a lane
+    # past its last step reads 0.0 in both
+    ces, sq_dists = np.zeros((total, count)), np.zeros((total, count, 1, 1))
+    # per lane, the first step whose update left its parameters non-finite; total for none
+    blown = np.full(count, total)
+    # each active count's prefix views of the plan's lanes (values also
+    # flat: numpy reduces a 1-D array faster than a 2-D one over both axes)
     views = {
         k: (plan.values[:k], plan.buf[:k], plan.diff[:k], plan.grads[:k], plan.finite[:k], scales[:k],
-            anchors[:k] if prox else None)
+            anchors[:k] if prox else None, plan.diff[:k, None, :], plan.diff[:k, :, None],
+            plan.values[:k].reshape(-1))
         for k in set(active)
     }
-    errors: dict[int, DivergenceError] = {}
     add, subtract, multiply, isfinite, take = np.add, np.subtract, np.multiply, np.isfinite, np.take
-    all_true = np.logical_and.reduce
-    # a diverging run overflows before the finiteness checks below turn it
-    # into DivergenceError; keep numpy from warning on the way there
+    matmul, add_reduce, all_true = np.matmul, np.add.reduce, np.logical_and.reduce
+    # a diverging run overflows before the finiteness checks below catch it;
+    # keep numpy from warning on the way there
     with np.errstate(over="ignore", invalid="ignore"):
-        for s, k in enumerate(active):
-            for source, shuffle, rows in gathers.get(s, ()):
-                # the indices are in range; mode="raise" would stage the rows in a fresh array
-                take(source, shuffle, 0, rows, "clip")
-            cohort = lanes[:k]
-            ces = plan.step([run.sizes[s] for run in cohort])([run.features[s] for run in cohort],
-                                                               picks[starts[s] : ends[s]])
-            values, buf, diff, grads, finite, lane_scales, lane_anchors = views[k]
-            if prox:
-                subtract(values, lane_anchors, diff)
-            for lane, (ce, (penalty, ce_scale, lane_diff, losses)) in enumerate(zip(ces, lane_terms)):
-                if lane in errors:
-                    continue
-                loss = _reported_loss(ce, penalty, ce_scale, prox_weight, lane_diff)
-                if math.isfinite(loss):
-                    losses.append(loss)
-                else:
-                    errors[lane] = _diverged("a non-finite loss", lanes[lane], len(losses), losses)
-            if scaled:
-                multiply(grads, lane_scales, grads)
-            if prox:
-                multiply(prox_weight, diff, diff)
-                add(grads, diff, grads)
-            multiply(buf, momentum, buf)
-            add(buf, grads, buf)
-            # the gradients are spent: their rows hold the products below
-            multiply(decay, values, grads)
-            add(buf, grads, buf)
-            multiply(eta, buf, grads)
-            subtract(values, grads, values)
-            isfinite(values, finite)
-            if not all_true(finite, None):
-                for lane in np.flatnonzero(~all_true(finite, 1)).tolist():
-                    if lane not in errors:
-                        losses = lane_terms[lane][3]
-                        errors[lane] = _diverged("non-finite parameters", lanes[lane], len(losses) - 1, losses)
-    if errors:
-        raise min(errors.values(), key=lambda err: err.client)
+        for s0, s1 in zip(cuts, cuts[1:]):
+            k = active[s0]
+            step = plan.step(steps[:k, s0].tolist())
+            values, buf, diff, grads, finite, lane_scales, lane_anchors, diff_rows, diff_columns, flat = views[k]
+            for s in range(s0, s1):
+                for source, shuffle, rows in gathers.get(s, ()):
+                    # the indices are in range; mode="raise" would stage the rows in a fresh array
+                    take(source, shuffle, 0, rows, "clip")
+                ces[s, :k] = step(*inputs[s])
+                if prox:
+                    subtract(values, lane_anchors, diff)
+                    # lane by lane bitwise diff @ diff: both are one BLAS dot each
+                    matmul(diff_rows, diff_columns, out=sq_dists[s, :k])
+                if scaled:
+                    multiply(grads, lane_scales, grads)
+                if prox:
+                    multiply(prox_weight, diff, diff)
+                    add(grads, diff, grads)
+                multiply(buf, momentum, buf)
+                add(buf, grads, buf)
+                # the gradients are spent: their rows hold the products below
+                multiply(decay, values, grads)
+                add(buf, grads, buf)
+                multiply(eta, buf, grads)
+                subtract(values, grads, values)
+                # a finite sum has only finite terms; an overflowing one
+                # needs the exact check, lane by lane
+                if not math.isfinite(add_reduce(flat, None)):
+                    isfinite(values, finite)
+                    np.minimum(blown[:k], np.where(all_true(finite, 1), total, s), out=blown[:k])
+        losses = _reported_loss(ces, np.array([run.terms[0] for run in lanes]), scales[:, 0], prox_weight,
+                                sq_dists.reshape(total, count))
+    if not np.isfinite(losses).all() or (blown < total).any():
+        raise _first_divergence(lanes, losses, blown)
     trained: list = [None] * count
-    for lane, (k, terms) in enumerate(zip(order, lane_terms)):
-        trained[k] = (ParamVector(arch, plan.values[lane]), terms[3])
+    for lane, (k, run) in enumerate(zip(order, lanes)):
+        trained[k] = (ParamVector(arch, plan.values[lane]), losses[: len(run.sizes), lane].tolist())
     return trained
+
+
+def _first_divergence(lanes: list[LocalRun], losses: np.ndarray, blown: np.ndarray) -> DivergenceError:
+    """train_cohort's error for its lanes (runs), given their reported
+    losses (steps by lanes) and the step each lane's parameters first went
+    non-finite at (the step count for none): the error of the lowest client
+    id among the diverged, at its first non-finite loss or parameters."""
+    total = len(losses)
+    bad = ~np.isfinite(losses)
+    first_bad = np.where(bad.any(axis=0), bad.argmax(axis=0), total).tolist()
+    diverged = [lane for lane, firsts in enumerate(zip(first_bad, blown.tolist())) if min(firsts) < total]
+    lane = min(diverged, key=lambda lane: lanes[lane].client)
+    reported, bad_loss, bad_values = losses[:, lane].tolist(), first_bad[lane], int(blown[lane])
+    # a step's loss is checked before its update
+    if bad_loss <= bad_values:
+        return _diverged("a non-finite loss", lanes[lane], bad_loss, reported[:bad_loss])
+    return _diverged("non-finite parameters", lanes[lane], bad_values, reported[: bad_values + 1])
 
 
 def _diverged(what: str, run: LocalRun, step: int, losses: list[float]) -> DivergenceError:
@@ -438,8 +469,14 @@ def run_round(
     # by position (client, cfg), and scored rows at each evaluate_accuracy
     # call (the set). So every selected client keeps its own local_train
     # call, which lays out its run, until the tracer counts samples at the
-    # kernel step; the training itself is train_cohort's
-    runs = [local_train(clients[cid], server.model, sent[cid], cfg, server.round) for cid in selected]
+    # kernel step; the training itself is train_cohort's. Every client's
+    # shuffles come from the same stream: seeded once, restarted per client
+    rng = stream(TAG_LOCAL, cfg.seed, server.round)
+    start = rng.bit_generator.state
+    runs = []
+    for cid in selected:
+        rng.bit_generator.state = start
+        runs.append(local_train(clients[cid], server.model, sent[cid], cfg, server.round, rng=rng))
     trained = dict(zip(selected, train_cohort(runs, plan)))
     measured = {cid: evaluate_accuracy(trained[cid][0], server_data, plan) for cid in selected}
 

@@ -11,13 +11,14 @@ loss_and_grad and forward are its one-shot forms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import LabeledDataset, checked_arrays
+from .data import LabeledDataset, checked_arrays, plain_number
 from .errors import (
     ConfigError,
     DataError,
@@ -282,10 +283,13 @@ class TrainPlan:
     bitwise a step's on its rows alone.
 
     A step writes only into the workspace: ufuncs with a positional out
-    (np.maximum by keyword: it deprecates the positional one), reduces, and
-    the products of dot_for(segment rows) or np.matmul. The logits become
-    the softmax delta in place, sharing one exp(shifted) with the loss. A
-    call overwrites all it reads, so one on non-finite input leaves it usable.
+    (np.maximum and np.minimum by keyword: they deprecate the positional
+    one), reduces, and the products of dot_for(segment rows) or np.matmul.
+    The logits become the softmax delta in place, sharing one exp(shifted)
+    with the loss. On the way back the ReLU mask is ceil(min(act, 1)),
+    which is bitwise np.sign(act) because act = max(pre, 0) is never -0.0.
+    A call overwrites all it reads, so one on non-finite input leaves it
+    usable.
     """
 
     def __init__(self, arch: ModelArch, rows: int, segments: int = 1, lanes: int = 1) -> None:
@@ -422,7 +426,7 @@ class TrainPlan:
             for a, dot, axis, params, inputs, parts in per_group
         ]
         copyto, add, subtract, divide, multiply = np.copyto, np.add, np.subtract, np.divide, np.multiply
-        maximum, exp, log, sign = np.maximum, np.exp, np.log, np.sign
+        maximum, minimum, exp, log, ceil = np.maximum, np.minimum, np.exp, np.log, np.ceil
         add_reduce, max_reduce = np.add.reduce, np.maximum.reduce
 
         def step(features: Sequence[np.ndarray], picks: np.ndarray) -> list[float]:
@@ -470,11 +474,13 @@ class TrainPlan:
                 add_reduce(part_terms, 1, None, part_sums)
             losses = [total / n for total, n in zip(sums.tolist(), sizes)]
             for act, mask, grads in backward:
-                # act = max(pre, 0), so sign(act) is 1.0 where the
-                # pre-activation is > 0 and +0.0 elsewhere: the mask
-                # (act > 0) as floats, without the cast buffer that
-                # multiplying by a bool mask allocates
-                sign(act, mask)
+                # act = max(pre, 0) is never -0.0, so ceil(min(act, 1)) is
+                # 1.0 where the pre-activation is > 0 and +0.0 elsewhere:
+                # the mask (act > 0) as floats, bitwise np.sign(act), in two
+                # SIMD loops (sign has none) and without the cast buffer
+                # that multiplying by a bool mask allocates
+                minimum(act, 1.0, out=mask)
+                ceil(mask, mask)
                 for dot, act_t, delta, g_weight, g_bias, axis, weight_t, part in grads:
                     dot(act_t, delta, g_weight)
                     add_reduce(delta, axis, None, g_bias)
@@ -535,13 +541,15 @@ def evaluate_accuracy(model: ParamVector, dataset: LabeledDataset, plan: TrainPl
         raise EvaluationError("cannot evaluate accuracy on an empty dataset")
     check_fits(model.arch, dataset, "evaluation set")
     n = len(dataset)
-    # a huge but finite model overflows here; report that as divergence
+    # a huge but finite model overflows here, and so may the sum of finite
+    # logits; report non-finite logits as divergence
     with np.errstate(over="ignore", invalid="ignore"):
         logits = (plan or TrainPlan(model.arch, n)).load(model).step(n)((dataset.features,), None)
-    if not np.isfinite(logits).all():
+        # a finite sum has only finite terms; only an overflowing one needs the exact check
+        finite = math.isfinite(np.add.reduce(logits, None)) or bool(np.isfinite(logits).all())
+    if not finite:
         raise DivergenceError("the model's logits are not finite; it has diverged")
-    preds = np.argmax(logits, axis=1)
-    return float(np.mean(preds == dataset.labels))
+    return int(np.count_nonzero(np.argmax(logits, axis=1) == dataset.labels)) / n
 
 
 def save_model(model: ParamVector, path) -> None:
@@ -562,8 +570,12 @@ def load_model(path) -> ParamVector:
     prefix = f"{CHECKPOINT_MAGIC}; arch="
     if not header.startswith(prefix):
         raise DataError(f"{path}: unrecognized checkpoint header {header!r}")
+    widths = header[len(prefix) :].split(",")
     try:
-        arch = ModelArch(tuple(int(tok) for tok in header[len(prefix) :].split(",")))
+        # save_model writes each width as bare decimal digits: no space, sign or underscore
+        if not all(plain_number(tok).isdigit() for tok in widths):
+            raise ValueError("not a width")
+        arch = ModelArch(tuple(map(int, widths)))
     except (ValueError, ConfigError):
         raise DataError(f"{path}: malformed arch in checkpoint header {header!r}") from None
     payload = blob[newline + 1 :]

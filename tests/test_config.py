@@ -109,6 +109,19 @@ class TestValidation:
         assert (type(cfg.beta), type(cfg.eta)) == (float, float)
         assert config_text(cfg) == config_text(ExperimentConfig(beta=1.0, eta=0.0))
 
+    # int() and float() read each of these: eta 0_1 trained at 1.0, rounds
+    # ١٠ ran 10 rounds, hidden 6_4 built 64 units and eta ０.１ read 0.1
+    @pytest.mark.parametrize(
+        "line", ["eta = 0_1", "rounds = ١٠", "hidden = 6_4", "eta = ０.１", "seeds = 1,٢", "tau = 1e-0_1"]
+    )
+    def test_numbers_are_plain_ascii_without_underscores(self, line):
+        with pytest.raises(ConfigError, match=rf"line 1: bad value for '{line.split()[0]}'"):
+            parse_config_text(line + "\n")
+
+    def test_paths_stay_free_text(self):
+        cfg = parse_config_text("dataset = data/run_１.csv\noutput_dir = runs/é_1\n")
+        assert (cfg.dataset, cfg.output_dir) == ("data/run_１.csv", "runs/é_1")
+
     @pytest.mark.parametrize("key", ["eta", "lambda"])
     def test_negative_eta_and_lambda_errors_name_the_key(self, key):
         with pytest.raises(ConfigError, match=rf"\b{key}\b.* must be >= 0"):

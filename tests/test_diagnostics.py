@@ -423,7 +423,10 @@ class TestRoundsToTarget:
             read_history_csv(path)
 
     def test_bad_metric_value_names_line(self, tmp_path):
+        # float() reads "0_5" as 5.0, which "reached" any target up to 5,
+        # and other scripts' digits as the numbers they name
         path = tmp_path / "h.csv"
-        path.write_text("round,global_acc_test\n0,oops\n")
-        with pytest.raises(DataError, match="line 2"):
-            rounds_to_target(read_history_csv(path), 0.5)
+        for cell in ("oops", "0_5", "０.５", "٠.٥"):
+            path.write_text(f"round,global_acc_test\n0,0.25\n1,{cell}\n")
+            with pytest.raises(DataError, match="line 3"):
+                rounds_to_target(read_history_csv(path), 0.5)

@@ -19,7 +19,7 @@ from fedsim.errors import (
     ShapeError,
     StateError,
 )
-from fedsim.seeding import TAG_LOCAL, stream
+from fedsim.seeding import TAG_LOCAL, TAG_SAMPLE, stream
 
 
 def scalar_models(*values):
@@ -468,6 +468,61 @@ def test_a_diverging_cohort_raises_the_error_of_the_sequential_loop():
         assert model.values.tobytes() == alone_model.values.tobytes() and losses == alone_losses
 
 
+@pytest.mark.filterwarnings("error")
+def test_finite_parameters_whose_sum_overflows_train_on():
+    # two weights of 1e308 on an input column that is all zeros: the lane's
+    # parameter sum overflows at every step, but every parameter is finite,
+    # so the exact check clears it; eta 0 keeps the weights where they are
+    rng = np.random.default_rng(5)
+    arch = nn.ModelArch((3, 4, 2))
+    values = random_model(arch, seed=5).values.copy()
+    values[:2] = 1e308  # W1[0, 0] and W1[0, 1]: read only by input column 0
+    w = nn.ParamVector(arch, values)
+    features = rng.standard_normal((10, 3))
+    features[:, 0] = 0.0
+    clients = [
+        engine.ClientState(0, LabeledDataset(features, rng.integers(0, 2, 10), 2)),
+        engine.ClientState(1, LabeledDataset(rng.standard_normal((7, 3)), rng.integers(0, 2, 7), 2)),
+    ]
+    cfg = ExperimentConfig(strategy="fedprox", mu_prox=0.1, local_epochs=2, batch_size=4, eta=0.0, seed=2)
+    cohort = engine.train_cohort([engine.local_train(c, w, 1.0, cfg, 1) for c in clients])
+    for c, (model, losses) in zip(clients, cohort):
+        # BLAS may overflow in the padding of a product, which numpy reports
+        # after the call; fedsim runs its products under np.errstate too
+        with np.errstate(over="ignore"):
+            ref_values, ref_losses = reference.local_train(arch, c.data, w.values, 1.0, cfg, 1)
+        assert model.values.tobytes() == ref_values.tobytes() and repr(losses) == repr(ref_losses)
+    assert cohort[0][0].values[0] == 1e308
+
+
+@pytest.mark.filterwarnings("error")
+def test_one_nan_parameter_is_reported_at_the_step_it_appears():
+    # eta 0 with weight decay 1: a weight of 8e307 on an all-zero input
+    # column pushes its momentum past the float64 range at step 2 (8e307 *
+    # 2.71), and 0 * inf makes that one parameter NaN; every other stays
+    # finite. The losses of steps 0-2 are finite, step 3's reads the NaN.
+    # Client 1 trains on the same model for two steps only, so it never
+    # diverges and its lower id must not be reported
+    rng = np.random.default_rng(6)
+    arch = nn.ModelArch((3, 4, 2))
+    values = random_model(arch, seed=6).values.copy()
+    values[0] = 8e307
+    w = nn.ParamVector(arch, values)
+    features = rng.standard_normal((16, 3))
+    features[:, 0] = 0.0
+    sick = engine.ClientState(2, LabeledDataset(features[:12], rng.integers(0, 2, 12), 2))
+    healthy = engine.ClientState(1, LabeledDataset(features[12:], rng.integers(0, 2, 4), 2))
+    cfg = ExperimentConfig(local_epochs=2, batch_size=4, eta=0.0, momentum=0.9, weight_decay=1.0, seed=3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _values, ref_losses = reference.local_train(arch, sick.data, w.values, 1.0, cfg, 4)
+    assert all(map(math.isfinite, ref_losses[:3])) and math.isnan(ref_losses[3])
+    with pytest.raises(DivergenceError) as info:
+        engine.train_cohort([engine.local_train(c, w, 1.0, cfg, 4) for c in (healthy, sick)])
+    err = info.value
+    assert (err.client, err.round, err.step, err.last_finite_loss) == (2, 4, 2, ref_losses[2])
+    assert str(err) == f"client 2 hit non-finite parameters in round 4 at step 2 (last finite loss: {ref_losses[2]})"
+
+
 def test_a_cohort_needs_one_optimizer_and_a_lane_per_run():
     rng = np.random.default_rng(3)
     arch = nn.ModelArch((5, 7, 4))
@@ -499,6 +554,23 @@ def test_the_run_plan_binds_each_step_shape_once(toy_problem):
     assert plan._steps == bound
     own, own_rec = engine.run_round(first, clients, cfg)
     assert second.model.values.tobytes() == own.model.values.tobytes() and repr(rec) == repr(own_rec)
+
+
+def test_a_round_seeds_one_shuffle_stream(toy_problem, monkeypatch):
+    # every selected client's shuffles come from the (TAG_LOCAL, seed,
+    # round) stream; the round seeds it once and restarts it per client.
+    # Re-seeding it per client changes no value, so only a count shows it
+    _pool, server_set, _rest, _part, clients, model = toy_problem
+    cfg = ExperimentConfig(strategy="fedprox", tau=1.0, local_epochs=2, batch_size=16, seed=3)
+    tags = []
+
+    def counted(*key):
+        tags.append(key[0])
+        return stream(*key)
+
+    monkeypatch.setattr(engine, "stream", counted)
+    engine.run_round(engine.ServerState(model, server_set), clients, cfg)
+    assert sorted(tags) == sorted([TAG_SAMPLE, TAG_LOCAL]) and len(clients) == 4
 
 
 class TestAggregation:

@@ -324,6 +324,87 @@ class TestEvaluateAccuracy:
         with pytest.raises(DivergenceError):
             nn.evaluate_accuracy(model, data)
 
+    # scoring first sums the logits: a finite sum has only finite terms, and
+    # only a sum that is not finite sends it to the exact check
+    @pytest.mark.filterwarnings("error")
+    def test_finite_logits_whose_sum_overflows_are_scored(self):
+        from fedsim.data import LabeledDataset
+
+        # every row's logits are (1e308, 1e308): a tie, scored as class 0
+        model = nn.ParamVector(nn.ModelArch((1, 2)), np.array([1e308, 1e308, 0.0, 0.0]))
+        data = LabeledDataset(np.ones((3, 1)), np.array([0, 1, 0]), 2)
+        accuracy = nn.evaluate_accuracy(model, data, nn.TrainPlan(model.arch, 3))
+        assert type(accuracy) is float and accuracy == 2 / 3
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_single_infinite_logit_is_divergence(self):
+        from fedsim.data import LabeledDataset
+
+        # only row 1's first logit, 2 * 1e308, overflows
+        model = nn.ParamVector(nn.ModelArch((1, 2)), np.array([1e308, 1.0, 0.0, 0.0]))
+        data = LabeledDataset(np.array([[1.0], [2.0], [0.5]]), np.array([0, 1, 0]), 2)
+        with pytest.raises(DivergenceError):
+            nn.evaluate_accuracy(model, data)
+
+
+class TestReluMask:
+    """TrainPlan's backward masks the delta with ceil(min(act, 1)) where act
+    = max(pre, 0); that is np.sign(act) bit for bit only because np.maximum
+    never returns -0.0 there."""
+
+    def test_relu_of_negative_zero_is_positive_zero(self):
+        # lengths 1-64 reach the scalar loop and every SIMD tail; contiguous,
+        # strided and reversed inputs, and the in-place form the plan runs
+        for n in range(1, 65):
+            rng = np.random.default_rng(n)
+            pre = rng.choice([-0.0, 0.0, -1.5, 2.5], size=2 * n)
+            pre[rng.integers(0, 2 * n)] = -0.0
+            for x in (pre[:n], pre[::2], pre.reshape(2, n)[:, ::-1], np.full(n, -0.0)):
+                want = np.where(x > 0.0, x, 0.0)
+                inplace = x.copy()
+                np.maximum(inplace, 0.0, out=inplace)
+                for got in (np.maximum(x, 0.0), inplace):
+                    assert got.tobytes() == want.tobytes() and not np.signbit(got).any(), (n, x)
+
+    def test_the_mask_is_the_sign_of_the_activation(self):
+        tiny = np.finfo(np.float64).smallest_subnormal
+        values = [0.0, tiny, 1e3 * tiny, np.finfo(np.float64).tiny, 1e-300, 0.5, 1.0, 1.5, 1e300, np.inf, np.nan]
+        for n in range(1, 65):
+            act = np.maximum(np.random.default_rng(n).choice(values, size=n), 0.0)
+            mask = np.empty(n)
+            np.minimum(act, 1.0, out=mask)
+            np.ceil(mask, mask)
+            assert mask.tobytes() == np.sign(act).tobytes(), act
+
+    @settings(max_examples=30, deadline=None)
+    @given(widths=st.sampled_from([(3, 5, 2), (4, 6, 5, 3)]), rows=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+    def test_a_step_backpropagates_through_the_sign_of_the_activation(self, widths, rows, seed):
+        # reference.loss_and_grad with np.sign(act) for its (act > 0) mask;
+        # scaled weights put activations below, at and above 1, and zero
+        # feature rows and dead units give activations of exactly 0
+        arch = nn.ModelArch(widths)
+        rng = np.random.default_rng(seed)
+        values = rng.choice([0.3, 1.0, 3.0]) * rng.standard_normal(nn.param_count(arch))
+        features = rng.standard_normal((rows, widths[0])) * (rng.random((rows, 1)) < 0.8)
+        labels = rng.integers(0, widths[-1], rows)
+        layers = nn.unpack(arch, values)
+        *acts, logits = reference.forward(layers, features)
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        exp = np.exp(shifted)
+        delta = exp / exp.sum(axis=1, keepdims=True)
+        delta[np.arange(rows), labels] -= 1.0
+        delta /= rows
+        want = np.empty_like(values)
+        grad_layers = nn.unpack(arch, want)
+        for li in range(len(layers) - 1, -1, -1):
+            grad_layers[li][0][:] = acts[li].T @ delta
+            grad_layers[li][1][:] = delta.sum(axis=0)
+            delta = (delta @ layers[li][0].T) * np.sign(acts[li])
+        plan = nn.TrainPlan(arch, rows)
+        np.copyto(plan.values, values)
+        plan.step(rows)((features,), _picks(arch, labels))
+        assert plan.grad.tobytes() == want.tobytes()
+
 
 class TestCheckpoint:
     def test_round_trip_bitwise(self, tmp_path):
@@ -352,8 +433,13 @@ class TestCheckpoint:
             (b"arch=4,0,3", b""),
             (b"arch=5", b""),
             (b"arch=1,1", np.array([np.nan, 0.0]).astype("<f8").tobytes()),
+            # int() reads each of these widths as 2, 2 and 16, and the
+            # payload fits what it reads; save_model writes bare digits
+            (b"arch=1, 2", bytes(8 * 4)),
+            (b"arch=1,+2", bytes(8 * 4)),
+            (b"arch=1,1_6", bytes(8 * 32)),
         ],
-        ids=["zero_width", "one_width", "nan_payload"],
+        ids=["zero_width", "one_width", "nan_payload", "spaced_width", "signed_width", "underscored_width"],
     )
     def test_malformed_checkpoint_is_data_error_naming_the_path(self, tmp_path, header, payload):
         path = tmp_path / "model.bin"

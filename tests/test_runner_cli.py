@@ -381,6 +381,19 @@ class TestCli:
             assert main([command, str(run_dir)]) == 3
             assert "cannot read history" in capsys.readouterr().err
 
+    def test_compare_rejects_a_final_value_that_is_not_plain_ascii(self, tmp_path, capsys):
+        # float() read "0_5" as 5.0: a target no run reaches
+        out = tmp_path / "runs"
+        assert main(["run", str(self.write_cfg(tmp_path, output_dir=str(out)))]) == 0
+        history = out / "fedavg-seed0" / "rounds.csv"
+        header, *rows = history.read_text().splitlines()
+        cells = rows[-1].split(",")
+        cells[header.split(",").index("global_acc_test")] = "0_5"
+        history.write_text("\n".join([header, *rows[:-1], ",".join(cells)]) + "\n")
+        capsys.readouterr()
+        assert main(["compare", str(history.parent)]) == 3
+        assert "baseline has no final 'global_acc_test' value" in capsys.readouterr().err
+
     def test_compare_missing_run_dir(self, tmp_path, capsys):
         assert main(["compare", str(tmp_path / "ghost")]) == 3
 
