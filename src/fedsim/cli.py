@@ -95,6 +95,9 @@ def _cmd_plotdata(args) -> int:
         run_dir = Path(run_dir)
         rows = read_history_csv(run_dir / "rounds.csv")
         header = list(rows[0].keys()) if rows else None
+        missing = [column for column in ("round", *metrics) if header and column not in header]
+        if missing:
+            raise DataError(f"{run_dir / 'rounds.csv'}: no column {missing[0]!r}")
         if rows and expected_header is not None and header != expected_header:
             raise DataError(
                 f"{run_dir}: columns {header} do not match {expected_header}"
@@ -108,7 +111,8 @@ def _cmd_plotdata(args) -> int:
                 lines.append(f"{row['round']},{run_dir.name},{strategy},{metric},{row[metric]}")
     text = "\n".join(lines) + "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        # run names are file names: surrogateescape writes back their bytes
+        Path(args.out).write_text(text, encoding="utf-8", errors="surrogateescape")
         print(args.out)
     else:
         sys.stdout.write(text)
@@ -196,6 +200,15 @@ def _cmd_check(_args) -> int:
     return 1 if failed else 0
 
 
+def _plain_float(text: str) -> float:
+    """A number option, read by the rule config values and data cells
+    follow (data.plain_number); anything else is a usage error (exit 2)."""
+    try:
+        return float(plain_number(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a plain ASCII number") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fedsim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -210,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare", help="rounds-to-target speedups vs the first run")
     p_cmp.add_argument("run_dirs", nargs="+")
-    p_cmp.add_argument("--target", type=float, default=None)
+    p_cmp.add_argument("--target", type=_plain_float, default=None)
     p_cmp.add_argument("--metric", default="global_acc_test")
     p_cmp.set_defaults(fn=_cmd_compare)
 

@@ -12,6 +12,7 @@ validated `ExperimentConfig`.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, fields, replace
 
 from .data import plain_number
@@ -130,10 +131,16 @@ def _is_int(value) -> bool:
 
 # field annotation (a string, under `from __future__ import annotations`) ->
 # (parser, formatter, type check); each formatter is its parser's inverse.
-# Numbers are read by load_csv's cell rule (data.plain_number), strings
-# (paths among them) as written
+# Numbers are read by load_csv's cell rule (data.plain_number). Strings
+# (paths among them) are read as written, as the os module's str for the
+# name whose bytes are their UTF-8: in any locale a path value names the
+# same file (under an ASCII file system encoding, "é" is "\udcc3\udca9")
 _TEXT_FORMS = {
-    "str": (str, str, lambda value: isinstance(value, str)),
+    "str": (
+        lambda text: os.fsdecode(text.encode("utf-8")),
+        lambda value: os.fsencode(value).decode("utf-8"),
+        lambda value: isinstance(value, str),
+    ),
     "int": (lambda text: int(plain_number(text)), str, _is_int),
     "float": (
         lambda text: float(plain_number(text)), repr, lambda value: isinstance(value, float) or _is_int(value)
@@ -183,7 +190,7 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
 
 def parse_config(path) -> ExperimentConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
@@ -199,5 +206,5 @@ def config_text(cfg: ExperimentConfig) -> str:
 
 
 def write_config(cfg: ExperimentConfig, path) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(config_text(cfg))

@@ -168,7 +168,7 @@ def read_csv_rows(path, what: str) -> list[list[str]]:
     """Every row of a UTF-8 CSV file; a file that cannot be opened, decoded
     or parsed is a DataError "cannot read <what> <path>: ..."."""
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             return list(csv.reader(fh))
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read {what} {path}: {exc}") from None
@@ -211,7 +211,7 @@ def load_csv(path) -> LabeledDataset:
 
 def save_csv(dataset: LabeledDataset, path) -> None:
     """Write `label,f1,f2,...` rows with 17 significant digits (round-trip safe)."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         for label, row in zip(dataset.labels, dataset.features):
             cells = [str(int(label))] + [format(v, ".17g") for v in row]
             fh.write(",".join(cells) + "\n")
@@ -314,6 +314,6 @@ def partition_stats(partition: Partition, dataset: LabeledDataset) -> np.ndarray
 
 def write_partition_manifest(partition: Partition, path) -> None:
     """One line per client: `<client_id>: i1,i2,...` with indices sorted."""
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         for cid, idxs in enumerate(partition.client_indices):
             fh.write(f"{cid}: " + ",".join(str(i) for i in sorted(idxs)) + "\n")

@@ -12,8 +12,8 @@ the one loop that visits every client's full dataset at a model. Built once
 over fixed datasets, it stacks consecutive clients' rows into blocks of
 about BLOCK_ROWS rows, each one step of the training kernel (nn.TrainPlan)
 with a segment per client, and each call sums the clients' losses and
-gradients that those steps return. The runner builds one per run;
-full_batch_pass is the one-shot form.
+gradients that those steps return. The runner builds one per run, on the
+run's round plan; full_batch_pass is the one-shot form.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .data import LabeledDataset, plain_number, read_csv_rows
-from .errors import ConfigError, DataError, DiagnosticsError, DivergenceError
+from .errors import ConfigError, DataError, DiagnosticsError, DivergenceError, ShapeError
 from .nn import ModelArch, ParamVector, TrainPlan, check_fits
 
 # perfbench/spans.py traces these names in this module's namespace
@@ -115,35 +115,46 @@ class FullBatchPass:
 
     The constructor does all that depends only on the datasets: it checks
     them, stacks consecutive datasets into blocks of at least BLOCK_ROWS
-    rows and binds one nn.TrainPlan step per block, a segment per dataset.
-    A call (plan(model) -> (f, grad f, ratio)) copies the model into that
-    plan, runs each block's step and sums the datasets' losses and
-    gradients in order; it has no workspace of its own and allocates no
-    block-sized array. Each segment is bitwise its dataset's own
-    loss_and_grad call. A call that raises DivergenceError leaves the plan
-    usable.
+    rows and binds one step per block, a segment per dataset, on plan: an
+    nn.TrainPlan of the model's architecture and at least plan_shape(datasets)
+    rows and lanes (a ShapeError otherwise; None builds the smallest). The
+    runner passes its round plan, so a run allocates one workspace. The pass
+    holds its bound steps, so the plan forgetting them (nn.MAX_BOUND_STEPS)
+    unbinds nothing. A call (plan(model) -> (f, grad f, ratio)) copies the
+    model into the lanes the blocks read, runs each block's step and sums
+    the datasets' losses and gradients in order; it has no workspace of its
+    own and allocates no block-sized array. Each segment is bitwise its
+    dataset's own loss_and_grad call. A call that raises DivergenceError
+    leaves the plan usable.
     """
 
-    def __init__(self, arch: ModelArch, datasets: Sequence[LabeledDataset]) -> None:
+    def __init__(
+        self, arch: ModelArch, datasets: Sequence[LabeledDataset], plan: TrainPlan | None = None
+    ) -> None:
         if len(datasets) == 0:
             raise DiagnosticsError("the full-batch pass needs at least one dataset")
         for k, dataset in enumerate(datasets):
             check_fits(arch, dataset, f"dataset {k}")
         self.datasets = tuple(datasets)
         total = float(sum(map(len, datasets)))
-        blocks = list(_blocks(datasets))
-        self._plan = TrainPlan(arch, max(sum(map(len, block)) for block in blocks), max(map(len, blocks)))
+        rows, self._lanes = plan_shape(datasets)
+        if plan is None:
+            plan = TrainPlan(arch, rows, self._lanes)
+        elif plan.arch != arch:
+            raise ShapeError(f"the plan is for layer widths {plan.arch.layer_widths}, "
+                             f"the pass for {arch.layer_widths}")
+        self._plan = plan
         # per block: its step, each dataset's features, the picks of all its
         # rows, and each dataset's share of all rows
         self._blocks = [
-            (self._plan.step([len(d) for d in block]), [d.features for d in block],
+            (plan.step([len(d) for d in block]), [d.features for d in block],
              np.arange(sum(map(len, block))) * arch.output_dim + np.concatenate([d.labels for d in block]),
              [len(d) / total for d in block])
-            for block in blocks
+            for block in _blocks(datasets)
         ]
 
     def __call__(self, model: ParamVector) -> tuple[float, np.ndarray, float | None]:
-        plan = self._plan.load(model)
+        plan = self._plan.load(model, slice(self._lanes))
         grads, scaled = plan.grads, plan.scratch
         loss, grad, mean_sq = 0.0, np.zeros(len(model)), 0.0
         # a huge but finite model overflows here; report that as divergence
@@ -170,6 +181,13 @@ def full_batch_pass(
     The one-shot form of FullBatchPass, which the runner builds once per
     run."""
     return FullBatchPass(model.arch, datasets)(model)
+
+
+def plan_shape(datasets: Sequence[LabeledDataset]) -> tuple[int, int]:
+    """(rows, lanes) of the smallest nn.TrainPlan a FullBatchPass over
+    datasets runs on: its tallest block and the most datasets a block holds."""
+    blocks = list(_blocks(datasets))
+    return max(sum(map(len, block)) for block in blocks), max(map(len, blocks))
 
 
 def _blocks(datasets: Sequence[LabeledDataset]):

@@ -36,6 +36,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .data import LabeledDataset, ServerSet
+from .diagnostics import plan_shape
 from .errors import AggregationError, ConfigError, DivergenceError, ShapeError, StateError
 from .nn import ParamVector, TrainPlan, check_fits, cross_entropy, evaluate_accuracy
 
@@ -233,8 +234,8 @@ def train_cohort(
     local_loss, nn.backward and nn.sgd_step, in their order. Runs are laid
     out longest first, so the runs with a step s are a prefix of the lanes,
     and a run of steps with equal segment sizes shares one plan step.
-    plan needs the runs' architecture, a lane per run (or one lane for one
-    run) and the rows of their first steps together; built here when None.
+    plan needs the runs' architecture, a lane per run and the rows of their
+    first steps together; built here when None.
 
     Each step writes its lanes' cross-entropies (and for a proximal term
     ||w - w_global||^2) into a table of steps by lanes, and the reported
@@ -254,7 +255,7 @@ def train_cohort(
     lanes = [runs[k] for k in order]
     count, arch, total = len(lanes), lanes[0].anchor.arch, len(lanes[0].sizes)
     rows = sum(run.sizes[0] for run in lanes if run.sizes)
-    plan = plan or TrainPlan(arch, max(rows, 1), count, count)
+    plan = plan or TrainPlan(arch, max(rows, 1), count)
     if count > plan.lanes:
         raise ShapeError(f"a cohort of {count} runs needs a plan with {count} lanes, this one has {plan.lanes}")
     for lane, run in enumerate(lanes):
@@ -429,13 +430,18 @@ def round_plan(
     cfg: ExperimentConfig,
     test_data: LabeledDataset | None = None,
 ) -> TrainPlan:
-    """One nn.TrainPlan for every round of cfg over clients: a lane and a
-    segment per client a round selects, and rows for the tallest first
-    lock-step any such selection takes, the server set and the test set."""
+    """One nn.TrainPlan for every round of cfg over clients: a lane per
+    client a round selects, and rows for the tallest first lock-step any
+    such selection takes, the server set and the test set. When cfg asks
+    for a diagnostic, it also fits the full-batch pass over the clients
+    (diagnostics.plan_shape), which the runner binds on the same plan."""
     count = _sample_count(len(clients), cfg.tau)
     firsts = sorted(min(cfg.batch_size, len(c.data)) for c in clients)[-count:]
     rows = max(sum(firsts), len(server.server_set.data), len(test_data or ()))
-    return TrainPlan(server.model.arch, rows, count, count)
+    if cfg.instrument_global_loss or cfg.emit_dissimilarity:
+        pass_rows, pass_lanes = plan_shape([c.data for c in clients])
+        rows, count = max(rows, pass_rows), max(count, pass_lanes)
+    return TrainPlan(server.model.arch, rows, count)
 
 
 def run_round(

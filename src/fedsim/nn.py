@@ -3,10 +3,10 @@
 All math runs in float64 and every result is a function of its inputs
 alone, so trajectories are reproducible bit for bit. Parameters live in a
 single flat vector (per layer: row-major weight matrix, then bias).
-TrainPlan is the one forward/backward kernel: a run's one round plan runs
-each round's local training, a lane per client, and, forward-only, its
-scoring, and the full-batch pass runs it a segment per dataset;
-loss_and_grad and forward are its one-shot forms.
+TrainPlan is the one forward/backward kernel: a run's one plan runs each
+round's local training, a lane per client, its scoring, forward-only, and
+the full-batch pass, a lane per dataset; loss_and_grad and forward are its
+one-shot forms.
 """
 
 from __future__ import annotations
@@ -248,39 +248,37 @@ def _is_int(n) -> bool:
 
 class TrainPlan:
     """The one forward/backward kernel, for one architecture and steps of up
-    to `rows` rows in up to `segments` segments, on a workspace allocated
-    once: engine.train_cohort runs a round's local training on it a segment
-    per client, scoring a forward-only step per set, and
-    diagnostics.FullBatchPass a segment per dataset of a block. Segment k
-    reads lane k's parameters when the plan has a lane per segment
-    (lanes == segments), else every segment reads lane 0's. It owns, a row
-    per lane, the parameter, momentum and prox-difference vectors (values,
-    buf, diff) and a finiteness mask (finite); a gradient per segment
-    (grads; grad is grads[0]); a scratch vector (scratch); and for `rows`
-    rows the inputs of the stacked products (below), every layer's output
-    (which holds the delta there on the way back), a tile (below), and the
-    row max, norm, picked logit and loss term.
+    to `rows` rows in up to `lanes` segments, segment k on lane k, on a
+    workspace allocated once: engine.train_cohort runs a round's local
+    training on it a lane per client, scoring a forward-only step per set,
+    and diagnostics.FullBatchPass a lane per dataset of a block. It owns, a
+    row per lane, the parameter, momentum, prox-difference and gradient
+    vectors (values, buf, diff, grads; grad is grads[0]) and a finiteness
+    mask (finite); a scratch vector (scratch); and for `rows` rows the
+    inputs of the stacked products (below), every layer's output (which
+    holds the delta there on the way back), a tile (below), and the row
+    max, norm, picked logit and loss term.
 
     step(sizes) is the kernel for consecutive segments of sizes[k] rows (an
     int is one segment), bound once per sizes onto prefix views of the
     workspace; a plan keeps at most MAX_BOUND_STEPS of them. step(features,
-    picks) takes a feature matrix per segment, reads the parameters in
-    values, overwrites grads[k] with the gradient of segment k's mean
+    picks) takes a feature matrix per segment, reads segment k's parameters
+    in values[k], overwrites grads[k] with the gradient of segment k's mean
     cross-entropy and returns those losses; picks[i] = i * output_dim +
     label[i] locates row i of the step in the flattened logits. With picks
     None the step runs only the forward part and returns the logits, a view
     of the workspace that the next call overwrites. Inputs are trusted: the
     caller has checked the feature width and the labels.
 
-    The matrix products, the bias gradient reduce, the 1/n scale and the
-    loss run per group, all else once over all rows. A group is one
-    segment, or on a plan with a lane per segment a run of consecutive
-    segments of equal size, whose products are one np.matmul over their
-    lanes stacked: that makes, lane by lane, the BLAS call of a 2-D product
-    on the lane's rows alone. BLAS may give a row other bits inside a
-    taller product (numpy sends one row to gemv), and no other value of a
-    row depends on another row, so each segment's loss and gradient are
-    bitwise a step's on its rows alone.
+    The matrix products, the bias fill and gradient reduce, the 1/n scale
+    and the loss run per group, all else once over all rows. A group is a
+    run of consecutive segments of equal size, whose products are one
+    np.matmul over their lanes stacked (one segment: a 2-D product): that
+    makes, lane by lane, the BLAS call of a 2-D product on the lane's rows
+    alone. BLAS may give a row other bits inside a taller product (numpy
+    sends one row to gemv), and no other value of a row depends on another
+    row, so each segment's loss and gradient are bitwise a step's on its
+    rows alone.
 
     A step writes only into the workspace: ufuncs with a positional out
     (np.maximum and np.minimum by keyword: they deprecate the positional
@@ -292,22 +290,20 @@ class TrainPlan:
     usable.
     """
 
-    def __init__(self, arch: ModelArch, rows: int, segments: int = 1, lanes: int = 1) -> None:
-        for what, count in (("row", rows), ("segment", segments), ("lane", lanes)):
+    def __init__(self, arch: ModelArch, rows: int, lanes: int = 1) -> None:
+        for what, count in (("row", rows), ("lane", lanes)):
             if not _is_int(count) or count < 1:
                 raise ShapeError(f"a training plan needs an integer {what} count >= 1, got {count!r}")
-        if lanes not in (1, segments):
-            raise ShapeError(f"a plan has one lane or one per segment, got {lanes} lanes for {segments} segments")
-        self.arch, self.rows, self.segments, self.lanes = arch, int(rows), int(segments), int(lanes)
+        self.arch, self.rows, self.lanes = arch, int(rows), int(lanes)
         size, widths = param_count(arch), arch.layer_widths
         self.values, self.buf, self.diff = np.empty((3, lanes, size))
-        self.grads, self.scratch = np.empty((segments, size)), np.empty(size)
+        self.grads, self.scratch = np.empty((lanes, size)), np.empty(size)
         self.grad, self.finite = self.grads[0], np.empty((lanes, size), dtype=bool)
         self._layers, self._grad_layers = _stacked(arch, self.values), _stacked(arch, self.grads)
         self._inputs = np.empty((rows, widths[0]))
         self._outs = [np.empty((rows, w)) for w in widths[1:]]
         self._row_vectors = np.empty((4, rows))
-        self._sums = np.empty(segments)
+        self._sums = np.empty(lanes)
         # a layer's bias or a column repeated down its rows, and on the way
         # back its ReLU mask: an operand that broadcasts makes numpy
         # allocate an iteration buffer as large as the output, a tile does not
@@ -315,13 +311,15 @@ class TrainPlan:
         self._steps: dict[tuple[int, ...], Step] = {}
         self._param_views: dict[tuple[int, int], list[tuple[np.ndarray, ...]]] = {}
 
-    def load(self, model: ParamVector, lane: int = 0) -> TrainPlan:
-        """This plan, with model's parameters copied into lane `lane` of
-        values; a model of another architecture is a ShapeError."""
+    def load(self, model: ParamVector, lanes: int | slice = 0) -> TrainPlan:
+        """This plan, with model's parameters copied into values[lanes]: a
+        lane, or a slice of lanes that each get a copy; a model of another
+        architecture is a ShapeError."""
         if model.arch != self.arch:
             raise ShapeError(f"the plan is for layer widths {self.arch.layer_widths}, "
                              f"the model has {model.arch.layer_widths}")
-        np.copyto(self.values[lane], model.values)
+        # broadcast over a slice of lanes, without a temporary
+        np.copyto(self.values[lanes], model.values)
         return self
 
     def step(self, sizes: int | Sequence[int]) -> Step:
@@ -331,8 +329,8 @@ class TrainPlan:
             raise ShapeError(f"segment sizes must be integers, got {sizes!r}")
         step = self._steps.get(sizes)
         if step is None:
-            if not 1 <= len(sizes) <= self.segments or min(sizes) < 1:
-                raise ShapeError(f"a step takes 1 to {self.segments} segments of at least one row, got {sizes}")
+            if not 1 <= len(sizes) <= self.lanes or min(sizes) < 1:
+                raise ShapeError(f"a step takes 1 to {self.lanes} segments of at least one row, got {sizes}")
             if sum(sizes) > self.rows:
                 raise ShapeError(f"a step of {sum(sizes)} rows does not fit a plan of {self.rows} rows")
             if len(self._steps) >= MAX_BOUND_STEPS:
@@ -346,23 +344,22 @@ class TrainPlan:
         and bias gradients; for one segment 2-D, for several stacked."""
         views = self._param_views.get((a, g))
         if views is None:
-            lane = a if self.lanes > 1 else 0
-            at, grad_at = (lane, a) if g == 1 else (slice(lane, lane + g), slice(a, a + g))
+            at = a if g == 1 else slice(a, a + g)
             views = self._param_views[a, g] = [
                 (weight[at], bias[at] if g == 1 else bias[at, None, :], np.swapaxes(weight[at], -1, -2),
-                 g_weight[grad_at], g_bias[grad_at])
+                 g_weight[at], g_bias[at])
                 for (weight, bias), (g_weight, g_bias) in zip(self._layers, self._grad_layers)
             ]
         return views
 
     def _bind(self, sizes: tuple[int, ...]) -> Step:
-        r, lanes = sum(sizes), self.lanes
+        r = sum(sizes)
         outs = [out[:r] for out in self._outs]
         tiles = [self._tile[: out.size].reshape(out.shape) for out in outs]
         # (first segment, segment count, rows each, first row) per group
         groups: list[tuple[int, int, int, int]] = []
         for k, (n, end) in enumerate(zip(sizes, accumulate(sizes))):
-            if lanes > 1 and groups and groups[-1][2] == n:
+            if groups and groups[-1][2] == n:
                 a, g, _n, lo = groups[-1]
                 groups[-1] = (a, g + 1, n, lo)
             else:
@@ -385,11 +382,9 @@ class TrainPlan:
         ]
         # per layer, the (tile rows, bias) pairs that put its biases down its rows
         fills = [
-            [(tile, bias)] if lanes == 1 else [
-                (rows_of(tile, g, n, lo), params[li][1])
-                for (_a, g, n, lo), (_k, _dot, _axis, params, _inputs, _parts) in zip(groups, per_group)
-            ]
-            for li, (tile, (_weight, bias, *_rest)) in enumerate(zip(tiles, self._params(0, 1)))
+            [(rows_of(tile, g, n, lo), params[li][1])
+             for (_a, g, n, lo), (_k, _dot, _axis, params, _inputs, _parts) in zip(groups, per_group)]
+            for li, tile in enumerate(tiles)
         ]
         copies = [(a + j, rows) for a, _dot, _axis, _params, inputs, _parts in per_group
                   if inputs is not None for j, rows in enumerate(inputs)]

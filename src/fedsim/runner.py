@@ -9,12 +9,13 @@ Each run owns one directory containing:
   dissimilarity.csv   per-round dissimilarity measures (optional)
 
 The runner owns the diagnostics: when either is enabled it builds one
-FullBatchPass (local training's kernel, a segment per client) per run,
-and calls it once per round at the pre-round model, which yields the
-global objective, its squared gradient norm and the gradient ratio at once.
-The objective after round t is the one measured before round t+1, so only
-the final model needs an extra pass. Artifacts are written after the last
-round. Reruns reproduce every artifact byte for byte.
+FullBatchPass (local training's kernel, a segment per client) per run, on
+the run's one round plan, and calls it once per round at the pre-round
+model, which yields the global objective, its squared gradient norm and the
+gradient ratio at once. The objective after round t is the one measured
+before round t+1, so only the final model needs an extra pass. Artifacts
+are written after the last round. Reruns reproduce every artifact byte for
+byte.
 """
 
 from __future__ import annotations
@@ -79,22 +80,25 @@ def build_problem(cfg: ExperimentConfig, seed: int) -> Problem:
     else:
         pool = load_csv(cfg.dataset)
 
-    server_set, rest = build_server_set(pool, cfg.server_per_class, seed)
+    # each carve copies the rows it keeps, so the pool is let go of once
+    # the server set is carved, and the remainder (rebound below) once the
+    # test set is: a run never holds a client row twice
+    server_set, train_pool = build_server_set(pool, cfg.server_per_class, seed)
+    del pool
+    test_set: LabeledDataset | None = None
     if cfg.test_per_class > 0:
         # seed+1 keeps this draw apart from this seed's server carve, but it is
         # also seed+1's server-carve stream: a known collision, kept because
         # removing it changes every trajectory
-        test_holdout, train_pool = build_server_set(rest, cfg.test_per_class, seed + 1)
-        test_set: LabeledDataset | None = test_holdout.data
-    else:
-        test_set, train_pool = None, rest
+        test_holdout, train_pool = build_server_set(train_pool, cfg.test_per_class, seed + 1)
+        test_set = test_holdout.data
 
     partition = dirichlet_partition(train_pool, cfg.clients, cfg.beta, seed)
     clients = [
         ClientState(id=cid, data=train_pool.subset(idxs))
         for cid, idxs in enumerate(partition.client_indices)
     ]
-    arch = ModelArch((pool.input_dim, *cfg.hidden, pool.num_classes))
+    arch = ModelArch((train_pool.input_dim, *cfg.hidden, train_pool.num_classes))
     try:
         model = init_model(arch, seed)
     except (ValueError, MemoryError):  # numpy: "Maximum allowed dimension exceeded"
@@ -118,7 +122,7 @@ def _fmt(value: float | None) -> str:
 def _write_table(path: Path, header: str, rows) -> None:
     """A CSV file: the header line, then each row's cells joined by commas."""
     lines = [header] + [",".join(row) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _write_rounds_csv(records: list[RoundRecord], path: Path) -> None:
@@ -183,10 +187,13 @@ def run_experiment(cfg: ExperimentConfig, seed: int, run_dir) -> RunResult:
     write_config(run_cfg, run_dir / "manifest.txt")
     write_partition_manifest(problem.partition, run_dir / "partition.txt")
 
-    server = problem.server
+    # the rounds need only these: dropping the problem frees the training
+    # pool, so the run holds each client row once, in its client's data
+    server, clients, test_set = problem.server, problem.clients, problem.test_set
+    del problem
+    plan = round_plan(server, clients, run_cfg, test_set)
     diagnose = cfg.instrument_global_loss or cfg.emit_dissimilarity
-    full_pass = FullBatchPass(server.model.arch, [c.data for c in problem.clients]) if diagnose else None
-    plan = round_plan(server, problem.clients, run_cfg, problem.test_set)
+    full_pass = FullBatchPass(server.model.arch, [c.data for c in clients], plan) if diagnose else None
     records: list[RoundRecord] = []
     losses: list[float] = []
     grad_sqnorms: list[float] = []
@@ -197,7 +204,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int, run_dir) -> RunResult:
             losses.append(loss)
             grad_sqnorms.append(float(grad @ grad))
             grad_ratios.append(ratio)
-        server, rec = run_round(server, problem.clients, run_cfg, test_data=problem.test_set, plan=plan)
+        server, rec = run_round(server, clients, run_cfg, test_data=test_set, plan=plan)
         records.append(rec)
 
     _write_rounds_csv(records, run_dir / "rounds.csv")

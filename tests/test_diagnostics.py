@@ -245,6 +245,32 @@ def test_plan_boundary_errors():
         FullBatchPass(arch, [data, beyond])
 
 
+def test_a_pass_on_a_given_plan_keeps_its_steps():
+    # blocks [300, 1, 211], [2, 640] and [90, 37]: plan_shape is the
+    # tallest block's rows and the most datasets a block holds. A plan that
+    # forgets its bound steps leaves the pass's to the pass, and a pass on
+    # any plan that fits is bitwise the reference; other plans are refused
+    rng = np.random.default_rng(6)
+    arch = nn.ModelArch((5, 8, 3))
+    datasets = random_datasets(rng, arch, (300, 1, 211, 2, 640, 90, 37))
+    assert diagnostics.plan_shape(datasets) == (642, 3)
+    for plan in (nn.TrainPlan(arch, 642, 3), nn.TrainPlan(arch, 700, 10)):
+        full = FullBatchPass(arch, datasets, plan)
+        for n in range(1, nn.MAX_BOUND_STEPS + 2):
+            plan.step(n)
+        assert len(plan._steps) < nn.MAX_BOUND_STEPS
+        for seed in (0, 1):
+            model = random_model(arch, seed=seed)
+            want_loss, want_grad, want_ratio = reference.full_batch(arch, model.values, datasets)
+            loss, grad, ratio = full(model)
+            assert loss == want_loss and grad.tobytes() == want_grad.tobytes() and ratio == want_ratio
+    for small in (nn.TrainPlan(arch, 641, 3), nn.TrainPlan(arch, 642, 2)):
+        with pytest.raises(ShapeError, match="does not fit a plan|a step takes 1 to 2 segments"):
+            FullBatchPass(arch, datasets, small)
+    with pytest.raises(ShapeError, match=r"plan is for layer widths \(5, 4, 3\), the pass for \(5, 8, 3\)"):
+        FullBatchPass(arch, datasets, nn.TrainPlan(nn.ModelArch((5, 4, 3)), 642, 3))
+
+
 def test_a_warm_plan_call_allocates_no_block_sized_array():
     # the many_clients_diag benchmark problem at seed 1: 100 clients, 16-64-8
     # MLP; one hidden layer of one block alone is at least 256 KiB

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import reference
 from conftest import random_batch, random_model, train_alone
-from fedsim import engine, nn
+from fedsim import diagnostics, engine, nn
 from fedsim.config import PENALTY_MODES, STRATEGIES, ExperimentConfig
 from fedsim.data import LabeledDataset, ServerSet
 from fedsim.errors import (
@@ -404,7 +404,7 @@ def test_a_cohort_trains_each_client_as_it_trains_alone(
         clients.append(engine.ClientState(cid, data))
     # a plan with a spare lane and spare rows, reused by every call below
     rows = sum(min(batch_size, len(c.data)) for c in clients) + 3
-    plan = nn.TrainPlan(arch, rows, len(clients) + 1, len(clients) + 1)
+    plan = nn.TrainPlan(arch, rows, len(clients) + 1)
     runs = [engine.local_train(c, w, accuracies[c.id], cfg, 2) for c in clients]
     cohort = engine.train_cohort(runs, plan)
     for c, (model, losses) in zip(clients, cohort):
@@ -439,7 +439,7 @@ def test_a_diverging_cohort_raises_the_error_of_the_sequential_loop():
         except DivergenceError as err:
             alone[c.id] = err
     assert sorted(alone) == [1, 3] and alone[1].step == 4 and alone[3].step == 1
-    plan = nn.TrainPlan(arch, 40, 5, 5)
+    plan = nn.TrainPlan(arch, 40, 5)
     with pytest.raises(DivergenceError) as info:
         engine.train_cohort([engine.local_train(c, w, 0.5, cfg, 3) for c in clients], plan)
     assert [getattr(info.value, f) for f in fields] == [getattr(alone[1], f) for f in fields]
@@ -536,7 +536,7 @@ def test_a_cohort_needs_one_optimizer_and_a_lane_per_run():
             engine.train_cohort(runs)
     runs = [engine.local_train(c, w, 1.0, cfg, 0) for c in clients]
     with pytest.raises(ShapeError, match="a cohort of 2 runs needs a plan with 2 lanes"):
-        engine.train_cohort(runs, nn.TrainPlan(arch, 8, 2))
+        engine.train_cohort(runs, nn.TrainPlan(arch, 8, 1))
     assert engine.train_cohort([]) == []
 
 
@@ -554,6 +554,20 @@ def test_the_run_plan_binds_each_step_shape_once(toy_problem):
     assert plan._steps == bound
     own, own_rec = engine.run_round(first, clients, cfg)
     assert second.model.values.tobytes() == own.model.values.tobytes() and repr(rec) == repr(own_rec)
+
+
+def test_a_diagnosed_run_plan_fits_the_full_batch_pass(toy_problem):
+    # a config that asks for a diagnostic sizes the one plan for the pass
+    # too: its tallest block and the most datasets a block holds
+    _pool, server_set, _rest, _part, clients, model = toy_problem
+    cfg = ExperimentConfig(tau=0.5, batch_size=8, seed=3)
+    server = engine.ServerState(model, server_set)
+    plain = engine.round_plan(server, clients, cfg)
+    assert (plain.rows, plain.lanes) == (len(server_set), 2)
+    rows, lanes = diagnostics.plan_shape([c.data for c in clients])
+    for diagnosed in (replace(cfg, instrument_global_loss=True), replace(cfg, emit_dissimilarity=True)):
+        plan = engine.round_plan(server, clients, diagnosed)
+        assert (plan.rows, plan.lanes) == (max(plain.rows, rows), max(plain.lanes, lanes)) == (rows, lanes)
 
 
 def test_a_round_seeds_one_shuffle_stream(toy_problem, monkeypatch):

@@ -575,8 +575,10 @@ def test_plan_step_equals_reference(widths, rows, data):
 @example(widths=(3, 1), draws=[[1, 1, 1], [32], [1, 29, 1], [48]], seed=0)
 @example(widths=(5, 64, 4, 1), draws=[[1], [30, 1, 30], [7]], seed=1)
 def test_plan_segments_equal_their_own_steps(widths, draws, seed):
-    # one plan for every draw, each followed by a step on overflowing input,
-    # so whatever that leaves in the workspace must not reach the next draw
+    # every lane holds the same parameters, so each segment's loss and
+    # gradient are its rows' under one model; one plan for every draw, each
+    # followed by a step on overflowing input, so whatever that leaves in
+    # the workspace must not reach the next draw
     arch = nn.ModelArch(widths)
     plan = nn.TrainPlan(arch, max(map(sum, draws)), max(map(len, draws)))
     rng = np.random.default_rng(seed)
@@ -601,9 +603,9 @@ def test_plan_rejects_rows_it_cannot_hold():
     for rows in (0, 2.0, True):
         with pytest.raises(ShapeError, match="row count"):
             nn.TrainPlan(arch, rows)
-    for segments in (0, 2.0, True):
-        with pytest.raises(ShapeError, match="segment count"):
-            nn.TrainPlan(arch, 6, segments)
+    for lanes in (0, 2.0, True):
+        with pytest.raises(ShapeError, match="lane count"):
+            nn.TrainPlan(arch, 6, lanes)
     plan = nn.TrainPlan(arch, 6, 3)
     plan.step(2), plan.step(1), plan.step((2, 2))
     with pytest.raises(ShapeError, match="a step of 7 rows does not fit a plan of 6 rows"):
@@ -740,7 +742,7 @@ def test_plan_lanes_equal_their_own_steps(widths, draws, seed):
     # overflowing step, whose leftovers must not reach the next draw
     arch = nn.ModelArch(widths)
     lanes = max(map(len, draws))
-    plan = nn.TrainPlan(arch, max(map(sum, draws)), lanes, lanes)
+    plan = nn.TrainPlan(arch, max(map(sum, draws)), lanes)
     rng = np.random.default_rng(seed)
     for sizes in draws:
         values = [rng.choice([0.1, 1.0, 30.0]) * rng.standard_normal(nn.param_count(arch)) for _ in sizes]
@@ -759,15 +761,16 @@ def test_plan_lanes_equal_their_own_steps(widths, draws, seed):
             plan.step(sizes)([1e200 * feats for feats in features], picks)
 
 
-def test_a_plan_has_one_lane_or_one_per_segment():
+def test_a_plan_has_a_lane_per_segment():
+    # segment k reads lane k; load copies a model into a lane or into each
+    # lane of a slice
     arch = nn.ModelArch((4, 5, 3))
-    for lanes in (0, 2.0, True):
-        with pytest.raises(ShapeError, match="lane count"):
-            nn.TrainPlan(arch, 6, 1, lanes)
-    with pytest.raises(ShapeError, match="one lane or one per segment, got 2 lanes for 3 segments"):
-        nn.TrainPlan(arch, 6, 3, 2)
+    plan, a, b = nn.TrainPlan(arch, 6, 3), random_model(arch, seed=0), random_model(arch, seed=1)
+    assert plan.values.shape == plan.grads.shape == (3, nn.param_count(arch))
+    plan.load(a, slice(3)).load(b, 1)
+    assert [lane.tobytes() for lane in plan.values] == [v.tobytes() for v in (a.values, b.values, a.values)]
     with pytest.raises(ShapeError, match=r"plan is for layer widths \(4, 5, 3\)"):
-        nn.TrainPlan(arch, 6, 2, 2).load(random_model(nn.ModelArch((4, 3)), seed=0), 1)
+        plan.load(random_model(nn.ModelArch((4, 3)), seed=0), 1)
 
 
 def test_a_plan_forgets_its_steps_past_the_bound():
@@ -787,7 +790,7 @@ def test_a_warm_lock_step_allocates_no_batch_or_cohort_sized_array():
     arch = nn.ModelArch((16, 64, 8))
     rng = np.random.default_rng(0)
     sizes = (64, 64, 64, 64, 37, 64, 64, 64, 5, 12)
-    plan = nn.TrainPlan(arch, sum(sizes), len(sizes), len(sizes))
+    plan = nn.TrainPlan(arch, sum(sizes), len(sizes))
     for lane in range(len(sizes)):
         plan.load(random_model(arch, seed=lane), lane)
     features = [rng.standard_normal((n, 16)) for n in sizes]

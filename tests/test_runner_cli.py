@@ -1,10 +1,16 @@
+import gc
+import os
 import re
+import subprocess
+import sys
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fedsim import cli, diagnostics, engine, errors, nn
+from fedsim import cli, data, diagnostics, engine, errors, nn, runner
 from fedsim.cli import main
 from fedsim.config import ExperimentConfig, config_text, parse_config
 from fedsim.diagnostics import read_history_csv
@@ -36,6 +42,14 @@ QUICK = dict(
 def quick_cfg(**overrides):
     merged = {**QUICK, **overrides}
     return ExperimentConfig(**merged)
+
+
+# the many_clients_diag benchmark workload: 100 clients on 7,424 training rows
+MANY_CLIENTS_DIAG = dict(
+    strategy="fedpdc_adaptive", penalty_mode="scaled_ce", clients=100, tau=0.1, beta=0.5,
+    samples_per_class=1000, local_epochs=1, rounds=60, instrument_global_loss=True, emit_dissimilarity=True,
+)
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestBuildProblem:
@@ -98,6 +112,52 @@ class TestRunExperiment:
         client_rows = [tuple(row) for c in build_problem(cfg, 0).clients for row in c.data.features]
         assert sorted(rows_seen) == sorted(client_rows * passes)
 
+    def test_a_diagnosed_run_builds_one_plan(self, tmp_path, monkeypatch):
+        # training, scoring and the full-batch pass share one workspace
+        built = []
+        init = nn.TrainPlan.__init__
+
+        def counting(plan, *args, **kwargs):
+            built.append(args)
+            init(plan, *args, **kwargs)
+
+        monkeypatch.setattr(nn.TrainPlan, "__init__", counting)
+        run_experiment(quick_cfg(instrument_global_loss=True, emit_dissimilarity=True), 0, tmp_path / "r")
+        assert len(built) == 1
+
+    def test_the_training_pool_is_freed_before_round_one(self, tmp_path, monkeypatch):
+        # once the clients hold their rows, nothing holds the pool they came from
+        pools, freed = [], []
+
+        def building(cfg, seed):
+            problem = build_problem(cfg, seed)
+            pools.append(weakref.ref(problem.train_pool))
+            return problem
+
+        def round_(*args, **kwargs):
+            gc.collect()
+            freed.append(pools[0]() is None)
+            return engine.run_round(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "build_problem", building)
+        monkeypatch.setattr(runner, "run_round", round_)
+        run_experiment(quick_cfg(instrument_global_loss=True), 0, tmp_path / "r")
+        assert freed == [True] * 4
+
+    def test_a_diagnosed_run_peaks_below_its_bound(self, tmp_path):
+        # tracemalloc's peak over the many_clients_diag workload (seed 1, 3
+        # rounds): 6.0 MiB when the run held the training pool beside the
+        # clients' rows and the pass had a workspace of its own, 4.1 MiB with
+        # each client row held once and one workspace
+        cfg = ExperimentConfig(**{**MANY_CLIENTS_DIAG, "rounds": 3})
+        tracemalloc.start()
+        try:
+            run_experiment(cfg, 1, tmp_path / "r")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
+
     def test_manifest_reparses_to_the_run_config(self, tmp_path):
         cfg = quick_cfg(seeds=(5, 6))
         run_experiment(cfg, 5, tmp_path / "r")
@@ -148,6 +208,34 @@ def test_dissimilarity_flags_name_client_ids(tmp_path):
     assert path.read_text().splitlines()[1] == (
         "3,,inf,2:0.5;5:inf,client_5_zero_accuracy;grad_ratio_undefined"
     )
+
+
+def test_build_problem_frees_each_source_once_carved(monkeypatch):
+    # the pool is gone by the test carve, and the rest after the server
+    # carve by the partition: each carve copies the rows it keeps
+    sources, alive = {}, []
+
+    def generating(spec):
+        sources["pool"] = weakref.ref(pool := data.generate_synthetic(spec))
+        return pool
+
+    def carving(dataset, per_class, seed):
+        gc.collect()
+        alive.append(sorted(name for name, ref in sources.items() if ref() is not None))
+        server_set, rest = data.build_server_set(dataset, per_class, seed)
+        sources[f"rest{len(alive)}"] = weakref.ref(rest)
+        return server_set, rest
+
+    def partitioning(dataset, *args):
+        gc.collect()
+        alive.append(sorted(name for name, ref in sources.items() if ref() is not None))
+        return data.dirichlet_partition(dataset, *args)
+
+    monkeypatch.setattr(runner, "generate_synthetic", generating)
+    monkeypatch.setattr(runner, "build_server_set", carving)
+    monkeypatch.setattr(runner, "dirichlet_partition", partitioning)
+    build_problem(quick_cfg(), 0)
+    assert alive == [["pool"], ["rest1"], ["rest2"]]
 
 
 class TestSweep:
@@ -394,6 +482,14 @@ class TestCli:
         assert main(["compare", str(history.parent)]) == 3
         assert "baseline has no final 'global_acc_test' value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("target", ["0_5", "٠.٥", "０.５"])
+    def test_compare_rejects_a_target_that_is_not_plain_ascii(self, tmp_path, capsys, target):
+        # float() reads these as 5.0, 0.5 and 0.5; like a config value, a
+        # target is plain ASCII, and anything else is a usage error
+        with pytest.raises(SystemExit) as exited:
+            main(["compare", str(tmp_path), "--target", target])
+        assert exited.value.code == 2 and "argument --target" in capsys.readouterr().err
+
     def test_compare_missing_run_dir(self, tmp_path, capsys):
         assert main(["compare", str(tmp_path / "ghost")]) == 3
 
@@ -450,3 +546,37 @@ def test_documented_exit_codes_are_exactly_the_error_codes(source):
     for cls in FEDSIM_ERRORS:
         assert cls.label in meanings[str(cls.exit_code)], cls
     assert "I/O error" in meanings["1"]
+
+
+def child_env(**overrides):
+    """This process's environment for a child that imports fedsim from this
+    checkout's src, with overrides."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONIOENCODING"}
+    return {**env, "PYTHONPATH": str(SRC), **overrides}
+
+
+def test_python_m_fedsim_runs_the_cli(tmp_path):
+    result = subprocess.run(
+        [sys.executable, "-m", "fedsim", "check"], cwd=tmp_path, env=child_env(),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0 and result.stdout.count("PASS") == 3, result.stderr
+
+
+def test_a_utf8_config_runs_under_an_ascii_locale(tmp_path):
+    # a C locale without UTF-8 mode or locale coercion: the locale's and the
+    # file system's encoding are ASCII. The config is still read as UTF-8,
+    # and its output_dir names the directory whose name is its UTF-8 bytes
+    out = tmp_path / "résultats"
+    cfg = quick_cfg(rounds=2, output_dir=str(out))
+    path = tmp_path / "exp.cfg"
+    path.write_bytes(("# sortie : résultats\n" + config_text(cfg)).encode("utf-8"))
+    result = subprocess.run(
+        [sys.executable, "-m", "fedsim.cli", "run", str(path)], cwd=tmp_path,
+        env=child_env(LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0"),
+        capture_output=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert str(out / "fedavg-seed0").encode("utf-8") in result.stdout
+    assert parse_config(out / "fedavg-seed0" / "manifest.txt") == cfg.for_seed(0)
+    assert parse_config(out / "config.resolved.txt") == cfg
