@@ -168,17 +168,20 @@ def _check_aggregation() -> bool:
     return bool(np.max(np.abs(equal.values - stacked.mean(axis=0))) < 1e-12)
 
 
-def _check_reduction() -> bool:
+def _toy_problem():
+    """(server set, training rows, their partition over two clients, the
+    clients, an initial model): the toy problem of the round checks."""
     pool = generate_synthetic(SyntheticSpec(2, 30, 3, 0.5, seed=1))
     server_set, data = build_server_set(pool, 2, seed=1)
     part = dirichlet_partition(data, 2, 1.0, seed=1)
-    if int(partition_stats(part, data).sum()) != len(data):
-        return False
     clients = [engine.ClientState(i, data.subset(idx)) for i, idx in enumerate(part.client_indices)]
-    model = nn.init_model(nn.ModelArch((3, 5, 2)), 0)
-    fedavg = ExperimentConfig(strategy="fedavg", local_epochs=2, batch_size=8, seed=3)
+    return server_set, data, part, clients, nn.init_model(nn.ModelArch((3, 5, 2)), 0)
+
+
+def _two_rounds(server_set, clients, model, cfgs) -> bool:
+    """Whether two rounds of each config from model end on one model."""
     finals = []
-    for cfg in (fedavg, replace(fedavg, strategy="fedprox", mu_prox=0.0)):
+    for cfg in cfgs:
         server = engine.ServerState(model, server_set)
         for _ in range(2):
             server, _rec = engine.run_round(server, clients, cfg)
@@ -186,11 +189,29 @@ def _check_reduction() -> bool:
     return bool(np.array_equal(finals[0], finals[1]))
 
 
+_FEDAVG = ExperimentConfig(strategy="fedavg", local_epochs=2, batch_size=8, seed=3)
+
+
+def _check_reduction() -> bool:
+    server_set, data, part, clients, model = _toy_problem()
+    if int(partition_stats(part, data).sum()) != len(data):
+        return False
+    return _two_rounds(server_set, clients, model, (_FEDAVG, replace(_FEDAVG, strategy="fedprox", mu_prox=0.0)))
+
+
+def _check_scoring() -> bool:
+    """Scores steer fedpdc only: fedavg ends on the same model whether or
+    not dissimilarity.csv has its local models scored (and so their p set)."""
+    server_set, _data, _part, clients, model = _toy_problem()
+    return _two_rounds(server_set, clients, model, (_FEDAVG, replace(_FEDAVG, emit_dissimilarity=True)))
+
+
 def _cmd_check(_args) -> int:
     checks = [
         ("analytic gradient matches finite differences", _check_gradients),
         ("aggregation weights and identities", _check_aggregation),
         ("zero-prox reduction and partition conservation", _check_reduction),
+        ("scoring never steers fedavg", _check_scoring),
     ]
     failed = 0
     for name, fn in checks:

@@ -190,7 +190,8 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
 
 def parse_config(path) -> ExperimentConfig:
     try:
-        with open(path, encoding="utf-8") as fh:
+        # a leading byte-order mark is ignored
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None

@@ -165,10 +165,11 @@ def generate_synthetic(spec: SyntheticSpec) -> LabeledDataset:
 
 
 def read_csv_rows(path, what: str) -> list[list[str]]:
-    """Every row of a UTF-8 CSV file; a file that cannot be opened, decoded
-    or parsed is a DataError "cannot read <what> <path>: ..."."""
+    """Every row of a UTF-8 CSV file, a leading byte-order mark ignored; a
+    file that cannot be opened, decoded or parsed is a DataError "cannot
+    read <what> <path>: ..."."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             return list(csv.reader(fh))
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read {what} {path}: {exc}") from None

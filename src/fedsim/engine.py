@@ -2,8 +2,10 @@
 
 Local training and the round loop read the strategy and SGD settings
 (lambda, mu_prox, penalty_mode, tau, eta, ...) from a validated
-ExperimentConfig. Every round scores each local model on the server's
-public set; a client's p is its score from the previous round, else 1.
+ExperimentConfig. A round scores its local models on the server's public
+set only when something reads the scores (_scores_read): fedpdc's weights
+or dissimilarity.csv. A client's p is its score from the previous round,
+else 1.
 Every strategy aggregates through one path: fedavg_weights or
 fedpdc_weights feeding _combine. A round's selected clients train in
 lock-step (train_cohort), each on its own lane of one nn.TrainPlan, the
@@ -30,6 +32,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
+from itertools import zip_longest
 from typing import Sequence
 
 import numpy as np
@@ -108,6 +112,15 @@ def _sample_count(num_clients: int, tau: float) -> int:
     return min(max(count, 1), num_clients)
 
 
+def _scores_read(cfg: ExperimentConfig) -> bool:
+    """Whether a round of cfg scores its local models on the server set:
+    only when something reads the scores, fedpdc's aggregation weights (and
+    with them the next round's p) or dissimilarity.csv. fedavg and fedprox
+    only range-check p, so unscored they train with p = 1 and end bitwise
+    where they end scored."""
+    return cfg.strategy in ("fedpdc", "fedpdc_adaptive") or cfg.emit_dissimilarity
+
+
 def _strategy_terms(cfg: ExperimentConfig, p: float) -> tuple[float, float, float]:
     """The strategy's terms for a client with accuracy p: (penalty,
     ce_scale, prox_weight). The reported loss is ce_scale * ce + penalty +
@@ -162,8 +175,7 @@ class LocalRun:
     prox_weight), the SGD settings (eta, momentum, weight_decay) and its
     steps. Epoch e gathers the client's features (source) in the order
     shuffles[e] into rows, and step s reads sizes[s] rows of them, the
-    slice features[s]. picks holds every step's picks in step order:
-    i * output_dim + label for row i of its batch."""
+    slice features[s]; labels holds every step's labels in step order."""
 
     client: int
     round: int
@@ -175,7 +187,7 @@ class LocalRun:
     rows: np.ndarray
     sizes: tuple[int, ...]
     features: list[np.ndarray]
-    picks: np.ndarray
+    labels: np.ndarray
 
 
 def local_train(
@@ -188,8 +200,8 @@ def local_train(
 ) -> LocalRun:
     """A client's half of minibatch SGD on the strategy loss for
     local_epochs epochs: train_cohort runs its steps, in lock-step with the
-    rest of a round's clients, and returns the final local model and every
-    batch's reported loss in order.
+    rest of a round's clients, and returns the final local model, every
+    batch's reported loss in order and their mean.
 
     p and the client's data are checked here. Each epoch's shuffle comes
     from the stream keyed by (TAG_LOCAL, seed, round) only, so clients
@@ -207,25 +219,24 @@ def local_train(
     if rng is None:
         rng = stream(TAG_LOCAL, cfg.seed, round_index)
     shuffles = np.array([rng.permutation(n) for _epoch in range(epochs)], dtype=np.intp).reshape(epochs, n)
-    # a batch starts at a multiple of batch_size, so row i of an epoch is
-    # row i % batch_size of its batch
-    picks = (np.arange(n) % batch_size * arch.output_dim + data.labels[shuffles]).reshape(-1)
     rows = np.empty_like(data.features)
-    starts = range(0, n, batch_size)
-    sizes = tuple(min(batch_size, n - start) for start in starts)
-    batches = [rows[start : start + size] for start, size in zip(starts, sizes)]
+    full, rest = divmod(n, batch_size)
+    sizes = (batch_size,) * full + ((rest,) if rest else ())
+    # a slice past the end stops at it: the last batch holds the rest
+    batches = [rows[start : start + batch_size] for start in range(0, n, batch_size)]
     return LocalRun(
         client.id, round_index, w_global, terms, (cfg.eta, cfg.momentum, cfg.weight_decay), data.features,
-        shuffles, rows, sizes * epochs, batches * epochs, picks,
+        shuffles, rows, sizes * epochs, batches * epochs, data.labels[shuffles].reshape(-1),
     )
 
 
 def train_cohort(
     runs: Sequence[LocalRun], plan: TrainPlan | None = None
-) -> list[tuple[ParamVector, list[float]]]:
+) -> list[tuple[ParamVector, list[float], float]]:
     """Train local_train's runs in lock-step: (final local model, every
-    batch's reported loss) per run, in the order given, each bitwise what
-    the run gives trained alone.
+    batch's reported loss, their mean) per run, in the order given, each
+    bitwise what the run gives trained alone. The mean is np.mean's (NaN
+    for a run with no steps), taken from the cohort's table of losses.
 
     At step s one call of a plan step runs step s of every run that has
     one, a segment per run on the run's own lane of the plan's parameters,
@@ -254,28 +265,15 @@ def train_cohort(
     order = sorted(range(len(runs)), key=lambda k: -len(runs[k].sizes))
     lanes = [runs[k] for k in order]
     count, arch, total = len(lanes), lanes[0].anchor.arch, len(lanes[0].sizes)
-    rows = sum(run.sizes[0] for run in lanes if run.sizes)
-    plan = plan or TrainPlan(arch, max(rows, 1), count)
+    if plan is None:
+        plan = TrainPlan(arch, max(sum(run.sizes[0] for run in lanes if run.sizes), 1), count)
     if count > plan.lanes:
         raise ShapeError(f"a cohort of {count} runs needs a plan with {count} lanes, this one has {plan.lanes}")
     for lane, run in enumerate(lanes):
         plan.load(run.anchor, lane)
     plan.buf[:count].fill(0.0)
-    # step s's picks, lane after lane, at picks[starts[s]:ends[s]]: lane k's
-    # segment begins offsets[k, s] rows into its step
-    steps = np.zeros((count, total), dtype=np.intp)
-    for lane, run in enumerate(lanes):
-        steps[lane, : len(run.sizes)] = run.sizes
-    offsets = np.cumsum(steps, axis=0) - steps
-    ends = np.cumsum(steps.sum(axis=0))
-    starts = ends - steps.sum(axis=0)
-    picks = np.empty(ends[-1] if ends.size else 0, dtype=np.intp)
-    for lane, run in enumerate(lanes):
-        sizes, at = steps[lane, : len(run.sizes)], offsets[lane, : len(run.sizes)]
-        first_rows = starts[: sizes.size] + at - (np.cumsum(sizes) - sizes)
-        picks[np.repeat(first_rows, sizes) + np.arange(run.picks.size)] = run.picks + np.repeat(
-            at * arch.output_dim, sizes
-        )
+    blocks, edges, offsets, sources = _cohort_layout(tuple(run.sizes for run in lanes), arch.output_dim)
+    picks = offsets + np.concatenate([run.labels for run in lanes])[sources]
     # a run gathers each epoch's rows at the epoch's first step
     gathers: dict[int, list] = {}
     for run in lanes:
@@ -283,13 +281,12 @@ def train_cohort(
             gathers.setdefault(epoch * len(run.sizes) // len(run.shuffles), []).append(
                 (run.source, shuffle, run.rows)
             )
-    active = np.count_nonzero(steps, axis=0).tolist()
-    # per step: its segments' features and its picks
-    inputs = [([run.features[s] for run in lanes[:k]], picks[starts[s] : ends[s]]) for s, k in enumerate(active)]
-    # the first step of each run of steps with equal segment sizes, then the end
-    cuts = [0, *(np.flatnonzero((steps[:, 1:] != steps[:, :-1]).any(axis=0)) + 1).tolist(), total] if total else []
+    # per step, its segments' features: a lane past its last step reads None,
+    # which the step, taking a segment per active lane, never indexes
+    features = list(zip_longest(*(run.features for run in lanes)))
     prox = prox_weight != 0.0
-    anchors = np.stack([run.anchor.values for run in lanes]) if prox else None
+    # the lanes hold the runs' anchors until the first update
+    anchors = plan.values[:count].copy() if prox else None
     scales = np.array([[run.terms[1]] for run in lanes])
     scaled = bool((scales != 1.0).any())
     # steps by lanes: each lane's cross-entropy and ||w - w_global||^2, the
@@ -301,25 +298,25 @@ def train_cohort(
     # each active count's prefix views of the plan's lanes (values also
     # flat: numpy reduces a 1-D array faster than a 2-D one over both axes)
     views = {
-        k: (plan.values[:k], plan.buf[:k], plan.diff[:k], plan.grads[:k], plan.finite[:k], scales[:k],
+        k: (plan.values[:k], plan.buf[:k], plan.diff[:k], plan.grads[:k], scales[:k],
             anchors[:k] if prox else None, plan.diff[:k, None, :], plan.diff[:k, :, None],
             plan.values[:k].reshape(-1))
-        for k in set(active)
+        for k in {len(sizes) for _s0, _s1, sizes in blocks}
     }
     add, subtract, multiply, isfinite, take = np.add, np.subtract, np.multiply, np.isfinite, np.take
     matmul, add_reduce, all_true = np.matmul, np.add.reduce, np.logical_and.reduce
     # a diverging run overflows before the finiteness checks below catch it;
     # keep numpy from warning on the way there
     with np.errstate(over="ignore", invalid="ignore"):
-        for s0, s1 in zip(cuts, cuts[1:]):
-            k = active[s0]
-            step = plan.step(steps[:k, s0].tolist())
-            values, buf, diff, grads, finite, lane_scales, lane_anchors, diff_rows, diff_columns, flat = views[k]
+        for s0, s1, sizes in blocks:
+            k = len(sizes)
+            step = plan.step(sizes)
+            values, buf, diff, grads, lane_scales, lane_anchors, diff_rows, diff_columns, flat = views[k]
             for s in range(s0, s1):
                 for source, shuffle, rows in gathers.get(s, ()):
                     # the indices are in range; mode="raise" would stage the rows in a fresh array
                     take(source, shuffle, 0, rows, "clip")
-                ces[s, :k] = step(*inputs[s])
+                ces[s, :k] = step(features[s], picks[edges[s] : edges[s + 1]])
                 if prox:
                     subtract(values, lane_anchors, diff)
                     # lane by lane bitwise diff @ diff: both are one BLAS dot each
@@ -339,16 +336,55 @@ def train_cohort(
                 # a finite sum has only finite terms; an overflowing one
                 # needs the exact check, lane by lane
                 if not math.isfinite(add_reduce(flat, None)):
+                    finite = plan.finite[:k]
                     isfinite(values, finite)
                     np.minimum(blown[:k], np.where(all_true(finite, 1), total, s), out=blown[:k])
         losses = _reported_loss(ces, np.array([run.terms[0] for run in lanes]), scales[:, 0], prox_weight,
                                 sq_dists.reshape(total, count))
     if not np.isfinite(losses).all() or (blown < total).any():
         raise _first_divergence(lanes, losses, blown)
+    # a lane's losses contiguous, so that its sum is np.mean's pairwise one
+    by_lane = losses.T.copy()
     trained: list = [None] * count
     for lane, (k, run) in enumerate(zip(order, lanes)):
-        trained[k] = (ParamVector(arch, plan.values[lane]), losses[: len(run.sizes), lane].tolist())
+        reported = by_lane[lane, : len(run.sizes)]
+        trained[k] = (ParamVector(arch, plan.values[lane]), reported.tolist(), _mean_or_nan(reported))
     return trained
+
+
+@lru_cache(maxsize=4)
+def _cohort_layout(lane_sizes: tuple[tuple[int, ...], ...], output_dim: int):
+    """train_cohort's layout of lanes with these step sizes, longest first:
+    (blocks, edges, offsets, sources). A block (s0, s1, sizes) is a run of
+    steps s0..s1-1 with equal segment sizes, a segment per lane with a step
+    there. Step s reads picks[edges[s]:edges[s + 1]], its segments lane
+    after lane, and the pick of its row i is i * output_dim plus the row's
+    label: offsets holds the former for every step's rows in order, sources
+    where the latter lies in the lanes' labels (lane after lane, each in step
+    order). One pass over the table of steps by lanes; cached, because a
+    round that selects every client meets the same sizes each round."""
+    count, total = len(lane_sizes), len(lane_sizes[0])
+    # steps[s, k]: the rows of lane k's segment of step s, 0 past its last
+    steps = np.zeros((total, count), dtype=np.intp)
+    for lane, sizes in enumerate(lane_sizes):
+        steps[: len(sizes), lane] = sizes
+    # cell (s, k) of the table (flat, step after step) starts at[s, k] rows
+    # into the steps' layout and from_lane[s, k] rows into the lanes'
+    cells = steps.reshape(-1)
+    at = cells.cumsum() - cells
+    lane_rows = steps.sum(axis=0)
+    from_lane = (steps.cumsum(axis=0) - steps + (lane_rows.cumsum() - lane_rows)).reshape(-1)
+    edges = (*at[::count].tolist(), int(lane_rows.sum()))
+    rows_at = np.arange(edges[-1])
+    offsets = (rows_at - at[::count].repeat(steps.sum(axis=1))) * output_dim
+    sources = (from_lane - at).repeat(cells) + rows_at
+    # the first step of each block, then the end
+    cuts = [0, *(np.flatnonzero((steps[1:] != steps[:-1]).any(axis=1)) + 1).tolist(), total] if total else []
+    blocks = tuple(
+        (s0, s1, tuple(steps[s0, : np.count_nonzero(steps[s0])].tolist())) for s0, s1 in zip(cuts, cuts[1:])
+    )
+    offsets.flags.writeable = sources.flags.writeable = False
+    return blocks, edges, offsets, sources
 
 
 def _first_divergence(lanes: list[LocalRun], losses: np.ndarray, blown: np.ndarray) -> DivergenceError:
@@ -420,8 +456,10 @@ def adaptive_lambda(round_number: int) -> float:
     return 0.5 * round_number
 
 
-def _mean_or_nan(values: list[float]) -> float:
-    return float(np.mean(values)) if values else math.nan
+def _mean_or_nan(values) -> float:
+    """np.mean of a list of floats or a contiguous 1-D array (its pairwise
+    sum over the count), without np.mean's overhead; NaN when empty."""
+    return float(np.add.reduce(values) / len(values)) if len(values) else math.nan
 
 
 def round_plan(
@@ -452,13 +490,17 @@ def run_round(
     plan: TrainPlan | None = None,
 ) -> tuple[ServerState, RoundRecord]:
     """One communication round: sample, train locals, score them on the
-    server set, aggregate.
+    server set when something reads the scores (_scores_read), aggregate,
+    and score the new global model on the server and test sets.
 
-    The selected clients train in lock-step (train_cohort) and every score
-    is a forward-only step, all on plan: round_plan's when None, and the
-    runner passes one per run, so each step shape is bound once per run.
-    Local models for distinct clients are independent, so training order
-    cannot affect the result; everything is reduced in ascending client id.
+    Unscored, the record's measured_accuracies and the next state's
+    prev_accuracies are empty, and so every client trains with p = 1: its
+    sent_accuracies are all 1.0. The selected clients train in lock-step
+    (train_cohort) and every score is a forward-only step, all on plan:
+    round_plan's when None, and the runner passes one per run, so each step
+    shape is bound once per run. Local models for distinct clients are
+    independent, so training order cannot affect the result; everything is
+    reduced in ascending client id.
     """
     if any(c.id != i for i, c in enumerate(clients)):
         raise StateError("clients must be listed in id order 0..N-1")
@@ -473,18 +515,24 @@ def run_round(
     plan = plan or round_plan(server, clients, cfg, test_data)
     # perfbench/spans.py counts training samples at each local_train call,
     # by position (client, cfg), and scored rows at each evaluate_accuracy
-    # call (the set). So every selected client keeps its own local_train
-    # call, which lays out its run, until the tracer counts samples at the
-    # kernel step; the training itself is train_cohort's. Every client's
-    # shuffles come from the same stream: seeded once, restarted per client
+    # call (the set): a round scores the server set once per selected client
+    # when the scores are read, then the server set and the test set once
+    # each. So every selected client keeps its own local_train call, which
+    # lays out its run, until the tracer counts samples at the kernel step;
+    # the training itself is train_cohort's. Every client's shuffles come
+    # from the same stream: seeded once, restarted per client
     rng = stream(TAG_LOCAL, cfg.seed, server.round)
     start = rng.bit_generator.state
     runs = []
     for cid in selected:
         rng.bit_generator.state = start
         runs.append(local_train(clients[cid], server.model, sent[cid], cfg, server.round, rng=rng))
-    trained = dict(zip(selected, train_cohort(runs, plan)))
-    measured = {cid: evaluate_accuracy(trained[cid][0], server_data, plan) for cid in selected}
+    models, _losses, mean_losses = zip(*train_cohort(runs, plan))
+    measured = (
+        {cid: evaluate_accuracy(model, server_data, plan) for cid, model in zip(selected, models)}
+        if _scores_read(cfg)
+        else {}
+    )
 
     flags: tuple[str, ...] = ()
     if cfg.strategy in ("fedpdc", "fedpdc_adaptive"):
@@ -493,7 +541,7 @@ def run_round(
             flags = ("uniform_weights_zero_accuracy",)
     else:
         weights = fedavg_weights([len(clients[cid].data) for cid in selected])
-    new_model = _combine([trained[cid][0] for cid in selected], weights)
+    new_model = _combine(list(models), weights)
 
     record = RoundRecord(
         round=server.round,
@@ -501,7 +549,7 @@ def run_round(
         sent_accuracies=sent,
         measured_accuracies=measured,
         agg_weights={cid: float(w) for cid, w in zip(selected, weights)},
-        mean_local_loss=_mean_or_nan([_mean_or_nan(trained[cid][1]) for cid in selected]),
+        mean_local_loss=_mean_or_nan(mean_losses),
         global_acc_server=evaluate_accuracy(new_model, server_data, plan),
         global_acc_test=evaluate_accuracy(new_model, test_data, plan) if test_data is not None else math.nan,
         flags=flags,

@@ -2,7 +2,8 @@
 
 `reference_run(cfg, seed)` recomputes a run with arithmetic of its own: an
 MLP forward pass, softmax cross-entropy, backprop and momentum SGD, each
-selected client's local training in id order, public-set scoring, the
+selected client's local training in id order, public-set scoring (of the
+local models only when fedpdc's weights or dissimilarity.csv read it), the
 aggregation weights, the adaptive lambda schedule and the full-batch
 diagnostics, one dataset at a time. From fedsim it takes only the contracts
 that fix which numbers a run draws and where they live: the RNG streams
@@ -140,7 +141,10 @@ def reference_run(cfg, seed):
         trained = {
             cid: local_train(arch, datasets[cid], values, sent[cid], round_cfg, t) for cid in selected
         }
-        measured = {cid: accuracy(arch, trained[cid][0], server_data) for cid in selected}
+        # the local models are scored only when something reads the scores:
+        # fedpdc's weights or dissimilarity.csv; unscored, every p stays 1
+        scored = by_accuracy or cfg.emit_dissimilarity
+        measured = {cid: accuracy(arch, trained[cid][0], server_data) for cid in selected} if scored else {}
         flags = ()
         if by_accuracy:
             weights = np.array([measured[cid] for cid in selected])

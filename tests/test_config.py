@@ -181,6 +181,15 @@ class TestRoundTrip:
         assert "hidden = 64" in text
 
 
+def test_a_leading_byte_order_mark_is_ignored(tmp_path):
+    # with it the first key read "\ufeffrounds": an unknown key
+    text = config_text(ExperimentConfig(rounds=7, strategy="fedprox", hidden=(5, 3))).encode("utf-8")
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_bytes(text)
+    marked.write_bytes(b"\xef\xbb\xbf" + text)
+    assert parse_config(marked) == parse_config(plain) == ExperimentConfig(rounds=7, strategy="fedprox", hidden=(5, 3))
+
+
 def test_seeds_list_falls_back_to_seed():
     assert ExperimentConfig(seed=4).seeds_list() == (4,)
     assert ExperimentConfig(seeds=(7, 8)).seeds_list() == (7, 8)

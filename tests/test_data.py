@@ -91,6 +91,17 @@ class TestCsv:
             with pytest.raises(DataError, match="row 2 has non-numeric label"):
                 load_csv(path)
 
+    def test_a_leading_byte_order_mark_is_ignored(self, tmp_path):
+        # with it the first label read "\ufeff0": a non-numeric label in row 1
+        text = b"0,1.0\n1,2.0\n3,-0.5\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(text)
+        marked.write_bytes(b"\xef\xbb\xbf" + text)
+        want, got = load_csv(plain), load_csv(marked)
+        assert got.num_classes == want.num_classes
+        assert got.labels.tobytes() == want.labels.tobytes()
+        assert got.features.tobytes() == want.features.tobytes()
+
     def test_large_labels_stay_distinct(self, tmp_path):
         # as floats, 2**53 + 1 and 2**53 are one number
         path = tmp_path / "d.csv"

@@ -407,7 +407,7 @@ def test_a_cohort_trains_each_client_as_it_trains_alone(
     plan = nn.TrainPlan(arch, rows, len(clients) + 1)
     runs = [engine.local_train(c, w, accuracies[c.id], cfg, 2) for c in clients]
     cohort = engine.train_cohort(runs, plan)
-    for c, (model, losses) in zip(clients, cohort):
+    for c, (model, losses, _mean) in zip(clients, cohort):
         alone_model, alone_losses = train_alone(c, w, accuracies[c.id], cfg, 2, plan)
         assert model.values.tobytes() == alone_model.values.tobytes() and repr(losses) == repr(alone_losses)
         ref_values, ref_losses = reference.local_train(arch, c.data, w.values, accuracies[c.id], cfg, 2)
@@ -463,7 +463,7 @@ def test_a_diverging_cohort_raises_the_error_of_the_sequential_loop():
     # the plan the diverged lanes left behind trains the healthy clients as alone
     healthy = [clients[k] for k in (0, 2, 4)]
     cohort = engine.train_cohort([engine.local_train(c, w, 0.5, cfg, 3) for c in healthy], plan)
-    for c, (model, losses) in zip(healthy, cohort):
+    for c, (model, losses, _mean) in zip(healthy, cohort):
         alone_model, alone_losses = train_alone(c, w, 0.5, cfg, 3)
         assert model.values.tobytes() == alone_model.values.tobytes() and losses == alone_losses
 
@@ -486,7 +486,7 @@ def test_finite_parameters_whose_sum_overflows_train_on():
     ]
     cfg = ExperimentConfig(strategy="fedprox", mu_prox=0.1, local_epochs=2, batch_size=4, eta=0.0, seed=2)
     cohort = engine.train_cohort([engine.local_train(c, w, 1.0, cfg, 1) for c in clients])
-    for c, (model, losses) in zip(clients, cohort):
+    for c, (model, losses, _mean) in zip(clients, cohort):
         # BLAS may overflow in the padding of a product, which numpy reports
         # after the call; fedsim runs its products under np.errstate too
         with np.errstate(over="ignore"):
@@ -521,6 +521,25 @@ def test_one_nan_parameter_is_reported_at_the_step_it_appears():
     err = info.value
     assert (err.client, err.round, err.step, err.last_finite_loss) == (2, 4, 2, ref_losses[2])
     assert str(err) == f"client 2 hit non-finite parameters in round 4 at step 2 (last finite loss: {ref_losses[2]})"
+
+
+def test_a_cohort_mean_loss_is_np_mean_of_the_losses():
+    # np.mean sums pairwise, blockwise from 8 terms and recursively above
+    # 128: a run's mean comes from its contiguous row of the loss table
+    rng = np.random.default_rng(9)
+    arch = nn.ModelArch((3, 4, 3))
+    w = random_model(arch, seed=9)
+    cfg = ExperimentConfig(strategy="fedprox", mu_prox=0.2, local_epochs=3, batch_size=1, eta=0.05, seed=1)
+    clients = [
+        engine.ClientState(cid, LabeledDataset(rng.standard_normal((n, 3)), rng.integers(0, 3, n), 3))
+        for cid, n in enumerate((1, 3, 50, 101))
+    ]
+    cohort = engine.train_cohort([engine.local_train(c, w, 1.0, cfg, 0) for c in clients])
+    assert [len(losses) for _model, losses, _mean in cohort] == [3, 9, 150, 303]
+    for _model, losses, mean in cohort:
+        assert repr(mean) == repr(float(np.mean(losses)))
+    empty = engine.train_cohort([engine.local_train(clients[0], w, 1.0, replace(cfg, local_epochs=0), 0)])
+    assert empty[0][1] == [] and math.isnan(empty[0][2])
 
 
 def test_a_cohort_needs_one_optimizer_and_a_lane_per_run():
@@ -585,6 +604,42 @@ def test_a_round_seeds_one_shuffle_stream(toy_problem, monkeypatch):
     monkeypatch.setattr(engine, "stream", counted)
     engine.run_round(engine.ServerState(model, server_set), clients, cfg)
     assert sorted(tags) == sorted([TAG_SAMPLE, TAG_LOCAL]) and len(clients) == 4
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("dissimilarity", [False, True])
+@pytest.mark.parametrize("with_test", [False, True])
+def test_a_round_scores_local_models_only_when_the_scores_are_read(
+    toy_problem, monkeypatch, strategy, dissimilarity, with_test
+):
+    # per round: the new global model on the server set, on the test set if
+    # any, and each selected local model only when fedpdc's weights or
+    # dissimilarity.csv read the scores; unscored, no p is carried over
+    pool, server_set, _rest, _part, clients, model = toy_problem
+    cfg = ExperimentConfig(
+        strategy=strategy, tau=0.5, local_epochs=1, batch_size=16, seed=4, emit_dissimilarity=dissimilarity
+    )
+    test_data = pool.subset(np.arange(0, len(pool), 7)) if with_test else None
+    calls = []
+
+    def counted(model, dataset, plan=None):
+        calls.append(dataset)
+        return nn.evaluate_accuracy(model, dataset, plan)
+
+    monkeypatch.setattr(engine, "evaluate_accuracy", counted)
+    scored = strategy in ("fedpdc", "fedpdc_adaptive") or dissimilarity
+    server = engine.ServerState(model, server_set)
+    for _round in range(2):
+        calls.clear()
+        server, record = engine.run_round(server, clients, cfg, test_data)
+        selected = len(record.selected)
+        assert selected == 2
+        assert len(calls) == 1 + with_test + (selected if scored else 0)
+        assert sum(dataset is test_data for dataset in calls) == with_test
+        assert sorted(record.measured_accuracies) == (list(record.selected) if scored else [])
+        assert server.prev_accuracies == record.measured_accuracies
+    if not scored:
+        assert set(record.sent_accuracies.values()) == {1.0}
 
 
 class TestAggregation:

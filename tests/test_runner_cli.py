@@ -238,6 +238,22 @@ def test_build_problem_frees_each_source_once_carved(monkeypatch):
     assert alive == [["pool"], ["rest1"], ["rest2"]]
 
 
+@pytest.mark.parametrize("strategy", ["fedavg", "fedprox"])
+def test_dissimilarity_scores_never_steer_a_baseline(tmp_path, strategy):
+    # emit_dissimilarity scores every local model; fedavg and fedprox read
+    # p only to range-check it, so the scores change none of their artifacts
+    artifacts = {}
+    for dissimilarity in (False, True):
+        cfg = quick_cfg(strategy=strategy, tau=0.5, instrument_global_loss=True, emit_dissimilarity=dissimilarity)
+        run_dir = tmp_path / f"{strategy}-{dissimilarity}"
+        result = run_experiment(cfg, 3, run_dir)
+        assert all(bool(rec.measured_accuracies) == dissimilarity for rec in result.records)
+        artifacts[dissimilarity] = [
+            (run_dir / name).read_bytes() for name in ("rounds.csv", "final_model.bin", "diagnostics.csv")
+        ]
+    assert artifacts[True] == artifacts[False]
+
+
 class TestSweep:
     def test_single_seed_sweep_equals_direct_run(self, tmp_path):
         cfg = quick_cfg(seed=3, output_dir=str(tmp_path / "sweep"))
@@ -399,7 +415,7 @@ class TestCli:
     def test_check_passes(self, capsys):
         assert main(["check"]) == 0
         out = capsys.readouterr().out
-        assert "FAIL" not in out and out.count("PASS") == 3
+        assert "FAIL" not in out and out.count("PASS") == 4
 
     def test_check_fails_on_a_wrong_training_gradient(self, monkeypatch, capsys):
         exact = nn.loss_and_grad
@@ -430,6 +446,19 @@ class TestCli:
         monkeypatch.setattr(engine, "fedavg_weights", uniform)
         assert main(["check"]) == 1
         assert "FAIL  aggregation" in capsys.readouterr().out
+
+    def test_check_fails_when_scores_steer_fedavg(self, monkeypatch, capsys):
+        # p reaching fedavg's loss: scored (with dissimilarity on), a client's
+        # p below 1 scales its cross-entropy and moves the model
+        exact = engine._strategy_terms
+
+        def steered(cfg, p):
+            penalty, ce_scale, prox_weight = exact(cfg, p)
+            return penalty, ce_scale * (2.0 - p) if cfg.strategy == "fedavg" else ce_scale, prox_weight
+
+        monkeypatch.setattr(engine, "_strategy_terms", steered)
+        assert main(["check"]) == 1
+        assert "FAIL  scoring never steers fedavg" in capsys.readouterr().out
 
     @pytest.mark.parametrize("label", ["nan", "inf"])
     def test_non_finite_csv_label_exit_code(self, tmp_path, capsys, label):
@@ -489,6 +518,24 @@ class TestCli:
         with pytest.raises(SystemExit) as exited:
             main(["compare", str(tmp_path), "--target", target])
         assert exited.value.code == 2 and "argument --target" in capsys.readouterr().err
+
+    def test_compare_and_plotdata_ignore_a_leading_byte_order_mark(self, tmp_path, capsys):
+        # with it the header's first column read "\ufeffround": plotdata
+        # exited 3 with "no column 'round'"
+        out = tmp_path / "runs"
+        assert main(["run", str(self.write_cfg(tmp_path, output_dir=str(out)))]) == 0
+        run_dir = out / "fedavg-seed0"
+        history = run_dir / "rounds.csv"
+        printed = {}
+        for marked in (False, True):
+            if marked:
+                history.write_bytes(b"\xef\xbb\xbf" + history.read_bytes())
+            capsys.readouterr()
+            for command in ("compare", "plotdata"):
+                assert main([command, str(run_dir)]) == 0
+                printed[command, marked] = capsys.readouterr().out
+        for command in ("compare", "plotdata"):
+            assert printed[command, True] == printed[command, False]
 
     def test_compare_missing_run_dir(self, tmp_path, capsys):
         assert main(["compare", str(tmp_path / "ghost")]) == 3
@@ -560,7 +607,7 @@ def test_python_m_fedsim_runs_the_cli(tmp_path):
         [sys.executable, "-m", "fedsim", "check"], cwd=tmp_path, env=child_env(),
         capture_output=True, text=True, timeout=300,
     )
-    assert result.returncode == 0 and result.stdout.count("PASS") == 3, result.stderr
+    assert result.returncode == 0 and result.stdout.count("PASS") == 4, result.stderr
 
 
 def test_a_utf8_config_runs_under_an_ascii_locale(tmp_path):
