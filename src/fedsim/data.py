@@ -149,8 +149,8 @@ def generate_synthetic(spec: SyntheticSpec) -> LabeledDataset:
     radius 2; samples add isotropic Gaussian noise of scale cluster_spread.
     """
     rng = stream(TAG_SYNTH, spec.seed)
-    blocks = []
-    labels = []
+    count = spec.samples_per_class
+    features = np.empty((spec.num_classes * count, spec.input_dim))
     for cls in range(spec.num_classes):
         direction = rng.standard_normal(spec.input_dim)
         norm = float(np.linalg.norm(direction))
@@ -158,10 +158,13 @@ def generate_synthetic(spec: SyntheticSpec) -> LabeledDataset:
             direction = rng.standard_normal(spec.input_dim)
             norm = float(np.linalg.norm(direction))
         mean = 2.0 * direction / norm
-        noise = rng.standard_normal((spec.samples_per_class, spec.input_dim))
-        blocks.append(mean + spec.cluster_spread * noise)
-        labels.append(np.full(spec.samples_per_class, cls, dtype=np.int64))
-    return LabeledDataset(np.vstack(blocks), np.concatenate(labels), spec.num_classes)
+        # mean + cluster_spread * noise, in the class's own rows
+        rows = features[cls * count : (cls + 1) * count]
+        rng.standard_normal(out=rows)
+        np.multiply(spec.cluster_spread, rows, out=rows)
+        np.add(mean, rows, out=rows)
+    labels = np.arange(spec.num_classes, dtype=np.int64).repeat(count)
+    return LabeledDataset(features, labels, spec.num_classes)
 
 
 def read_csv_rows(path, what: str) -> list[list[str]]:

@@ -11,8 +11,9 @@ The global objective and the gradient ratio both come from FullBatchPass,
 the one loop that visits every client's full dataset at a model. Built once
 over fixed datasets, it stacks consecutive clients' rows into blocks of
 about BLOCK_ROWS rows, each one step of the training kernel (nn.TrainPlan)
-with a segment per client, and each call sums the clients' losses and
-gradients that those steps return. The runner builds one per run, on the
+with a segment per client, and each call copies a block's rows into the
+kernel's inputs, runs its step and sums the clients' losses and gradients
+that those steps return. The runner builds one per run, on the
 run's round plan; full_batch_pass is the one-shot form.
 """
 
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -121,9 +123,11 @@ class FullBatchPass:
     runner passes its round plan, so a run allocates one workspace. The pass
     holds its bound steps, so the plan forgetting them (nn.MAX_BOUND_STEPS)
     unbinds nothing. A call (plan(model) -> (f, grad f, ratio)) copies the
-    model into the lanes the blocks read, runs each block's step and sums
-    the datasets' losses and gradients in order; it has no workspace of its
-    own and allocates no block-sized array. Each segment is bitwise its
+    model into the lanes the blocks read and, block by block, copies each
+    dataset's features into its rows of the plan's inputs, runs the
+    block's step on the block's labels and sums the datasets' losses and
+    gradients in order; it has no workspace of its own and allocates no
+    block-sized array. Each segment is bitwise its
     dataset's own loss_and_grad call. A call that raises DivergenceError
     leaves the plan usable.
     """
@@ -144,12 +148,13 @@ class FullBatchPass:
             raise ShapeError(f"the plan is for layer widths {plan.arch.layer_widths}, "
                              f"the pass for {arch.layer_widths}")
         self._plan = plan
-        # per block: its step, each dataset's features, the picks of all its
-        # rows, and each dataset's share of all rows
+        # per block: its step, each dataset's rows of the plan's inputs and
+        # its features, the labels of all its rows, and each dataset's share
+        # of all rows
         self._blocks = [
-            (plan.step([len(d) for d in block]), [d.features for d in block],
-             np.arange(sum(map(len, block))) * arch.output_dim + np.concatenate([d.labels for d in block]),
-             [len(d) / total for d in block])
+            (plan.step([len(d) for d in block]),
+             [(plan.inputs[end - len(d) : end], d.features) for d, end in zip(block, accumulate(map(len, block)))],
+             np.concatenate([d.labels for d in block]), [len(d) / total for d in block])
             for block in _blocks(datasets)
         ]
 
@@ -159,8 +164,10 @@ class FullBatchPass:
         loss, grad, mean_sq = 0.0, np.zeros(len(model)), 0.0
         # a huge but finite model overflows here; report that as divergence
         with np.errstate(over="ignore", invalid="ignore"):
-            for step, features, picks, shares in self._blocks:
-                for ce, share, g_k in zip(step(features, picks), shares, grads):
+            for step, fills, labels, shares in self._blocks:
+                for rows, features in fills:
+                    np.copyto(rows, features)
+                for ce, share, g_k in zip(step(labels), shares, grads):
                     loss += share * ce
                     grad += np.multiply(g_k, share, out=scaled)
                     mean_sq += share * float(g_k @ g_k)

@@ -9,8 +9,10 @@ else 1.
 Every strategy aggregates through one path: fedavg_weights or
 fedpdc_weights feeding _combine. A round's selected clients train in
 lock-step (train_cohort), each on its own lane of one nn.TrainPlan, the
-forward/backward kernel, which also runs the round's scoring forward-only;
-the runner builds that plan once per run (round_plan).
+forward/backward kernel, which also runs the round's scoring forward-only.
+Every caller of the kernel fills its input rows before a step: the cohort
+gathers each lock-step's rows there from the round's rows. The runner
+builds that plan once per run (round_plan).
 A round measures no diagnostics; the runner takes them at the pre-round
 model (diagnostics.FullBatchPass, the same kernel).
 
@@ -33,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import zip_longest
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -172,22 +174,19 @@ class LocalRun:
     """One client's local training, laid out by local_train for
     train_cohort: the client and round a DivergenceError names, the global
     model it starts from, its strategy terms (penalty, ce_scale,
-    prox_weight), the SGD settings (eta, momentum, weight_decay) and its
-    steps. Epoch e gathers the client's features (source) in the order
-    shuffles[e] into rows, and step s reads sizes[s] rows of them, the
-    slice features[s]; labels holds every step's labels in step order."""
+    prox_weight), the SGD settings (eta, momentum, weight_decay), the
+    client's data and its steps: order holds every epoch's shuffle of the
+    data's rows, epoch after epoch, and step s takes the next sizes[s] rows
+    of it."""
 
     client: int
     round: int
     anchor: ParamVector
     terms: tuple[float, float, float]
     sgd: tuple[float, float, float]
-    source: np.ndarray
-    shuffles: np.ndarray
-    rows: np.ndarray
+    data: LabeledDataset
+    order: np.ndarray
     sizes: tuple[int, ...]
-    features: list[np.ndarray]
-    labels: np.ndarray
 
 
 def local_train(
@@ -207,9 +206,7 @@ def local_train(
     from the stream keyed by (TAG_LOCAL, seed, round) only, so clients
     holding identical data produce identical local models. rng, when given,
     must be that stream at its start (run_round seeds it once a round and
-    restarts it for each client); None seeds it here. An epoch's rows are
-    gathered in shuffled order once, when its first step runs, so each
-    batch's features are a contiguous slice.
+    restarts it for each client); None seeds it here.
     """
     arch = w_global.arch
     data = client.data
@@ -218,15 +215,12 @@ def local_train(
     check_fits(arch, data, f"client {client.id}")
     if rng is None:
         rng = stream(TAG_LOCAL, cfg.seed, round_index)
-    shuffles = np.array([rng.permutation(n) for _epoch in range(epochs)], dtype=np.intp).reshape(epochs, n)
-    rows = np.empty_like(data.features)
+    order = np.array([rng.permutation(n) for _epoch in range(epochs)], dtype=np.intp).reshape(-1)
     full, rest = divmod(n, batch_size)
     sizes = (batch_size,) * full + ((rest,) if rest else ())
-    # a slice past the end stops at it: the last batch holds the rest
-    batches = [rows[start : start + batch_size] for start in range(0, n, batch_size)]
     return LocalRun(
-        client.id, round_index, w_global, terms, (cfg.eta, cfg.momentum, cfg.weight_decay), data.features,
-        shuffles, rows, sizes * epochs, batches * epochs, data.labels[shuffles].reshape(-1),
+        client.id, round_index, w_global, terms, (cfg.eta, cfg.momentum, cfg.weight_decay), data, order,
+        sizes * epochs,
     )
 
 
@@ -240,7 +234,9 @@ def train_cohort(
 
     At step s one call of a plan step runs step s of every run that has
     one, a segment per run on the run's own lane of the plan's parameters,
-    momentum and gradients; the momentum-SGD update and the finiteness
+    momentum and gradients. One np.take first fills the plan's inputs with
+    the step's rows, from the round's concatenation of the runs' rows, in
+    the runs' shuffle orders. The momentum-SGD update and the finiteness
     check then run once over those lanes. Each step does the arithmetic of
     local_loss, nn.backward and nn.sgd_step, in their order. Runs are laid
     out longest first, so the runs with a step s are a prefix of the lanes,
@@ -272,18 +268,13 @@ def train_cohort(
     for lane, run in enumerate(lanes):
         plan.load(run.anchor, lane)
     plan.buf[:count].fill(0.0)
-    blocks, edges, offsets, sources = _cohort_layout(tuple(run.sizes for run in lanes), arch.output_dim)
-    picks = offsets + np.concatenate([run.labels for run in lanes])[sources]
-    # a run gathers each epoch's rows at the epoch's first step
-    gathers: dict[int, list] = {}
-    for run in lanes:
-        for epoch, shuffle in enumerate(run.shuffles):
-            gathers.setdefault(epoch * len(run.sizes) // len(run.shuffles), []).append(
-                (run.source, shuffle, run.rows)
-            )
-    # per step, its segments' features: a lane past its last step reads None,
-    # which the step, taking a segment per active lane, never indexes
-    features = list(zip_longest(*(run.features for run in lanes)))
+    blocks, sources = _cohort_layout(tuple(run.sizes for run in lanes))
+    # the cohort's rows, lane after lane; for each step row (in step order)
+    # the one of them it reads, and its label
+    pool = np.concatenate([run.data.features for run in lanes])
+    firsts = accumulate((len(run.data) for run in lanes), initial=0)
+    rows_at = np.concatenate([run.order + first for run, first in zip(lanes, firsts)])[sources]
+    labels = np.concatenate([run.data.labels for run in lanes])[rows_at]
     prox = prox_weight != 0.0
     # the lanes hold the runs' anchors until the first update
     anchors = plan.values[:count].copy() if prox else None
@@ -301,22 +292,22 @@ def train_cohort(
         k: (plan.values[:k], plan.buf[:k], plan.diff[:k], plan.grads[:k], scales[:k],
             anchors[:k] if prox else None, plan.diff[:k, None, :], plan.diff[:k, :, None],
             plan.values[:k].reshape(-1))
-        for k in {len(sizes) for _s0, _s1, sizes in blocks}
+        for k in {len(sizes) for _s0, _s1, sizes, _rows in blocks}
     }
     add, subtract, multiply, isfinite, take = np.add, np.subtract, np.multiply, np.isfinite, np.take
     matmul, add_reduce, all_true = np.matmul, np.add.reduce, np.logical_and.reduce
     # a diverging run overflows before the finiteness checks below catch it;
     # keep numpy from warning on the way there
     with np.errstate(over="ignore", invalid="ignore"):
-        for s0, s1, sizes in blocks:
+        for s0, s1, sizes, rows in blocks:
             k = len(sizes)
-            step = plan.step(sizes)
+            step, inputs = plan.step(sizes), plan.inputs[: sum(sizes)]
             values, buf, diff, grads, lane_scales, lane_anchors, diff_rows, diff_columns, flat = views[k]
-            for s in range(s0, s1):
-                for source, shuffle, rows in gathers.get(s, ()):
-                    # the indices are in range; mode="raise" would stage the rows in a fresh array
-                    take(source, shuffle, 0, rows, "clip")
-                ces[s, :k] = step(features[s], picks[edges[s] : edges[s + 1]])
+            by_step = [array[rows].reshape(s1 - s0, -1) for array in (rows_at, labels)]
+            for s, step_rows, step_labels in zip(range(s0, s1), *by_step):
+                # the indices are in range; mode="raise" would stage the rows in a fresh array
+                take(pool, step_rows, 0, inputs, "clip")
+                ces[s, :k] = step(step_labels)
                 if prox:
                     subtract(values, lane_anchors, diff)
                     # lane by lane bitwise diff @ diff: both are one BLAS dot each
@@ -353,14 +344,13 @@ def train_cohort(
 
 
 @lru_cache(maxsize=4)
-def _cohort_layout(lane_sizes: tuple[tuple[int, ...], ...], output_dim: int):
+def _cohort_layout(lane_sizes: tuple[tuple[int, ...], ...]):
     """train_cohort's layout of lanes with these step sizes, longest first:
-    (blocks, edges, offsets, sources). A block (s0, s1, sizes) is a run of
+    (blocks, sources). The steps' rows lie step after step, each step's
+    segments lane after lane. A block (s0, s1, sizes, rows) is a run of
     steps s0..s1-1 with equal segment sizes, a segment per lane with a step
-    there. Step s reads picks[edges[s]:edges[s + 1]], its segments lane
-    after lane, and the pick of its row i is i * output_dim plus the row's
-    label: offsets holds the former for every step's rows in order, sources
-    where the latter lies in the lanes' labels (lane after lane, each in step
+    there, and rows the slice of the steps' rows they hold; row i of the
+    steps is row sources[i] of the lanes' rows (lane after lane, each in step
     order). One pass over the table of steps by lanes; cached, because a
     round that selects every client meets the same sizes each round."""
     count, total = len(lane_sizes), len(lane_sizes[0])
@@ -375,16 +365,15 @@ def _cohort_layout(lane_sizes: tuple[tuple[int, ...], ...], output_dim: int):
     lane_rows = steps.sum(axis=0)
     from_lane = (steps.cumsum(axis=0) - steps + (lane_rows.cumsum() - lane_rows)).reshape(-1)
     edges = (*at[::count].tolist(), int(lane_rows.sum()))
-    rows_at = np.arange(edges[-1])
-    offsets = (rows_at - at[::count].repeat(steps.sum(axis=1))) * output_dim
-    sources = (from_lane - at).repeat(cells) + rows_at
+    sources = (from_lane - at).repeat(cells) + np.arange(edges[-1])
     # the first step of each block, then the end
     cuts = [0, *(np.flatnonzero((steps[1:] != steps[:-1]).any(axis=1)) + 1).tolist(), total] if total else []
     blocks = tuple(
-        (s0, s1, tuple(steps[s0, : np.count_nonzero(steps[s0])].tolist())) for s0, s1 in zip(cuts, cuts[1:])
+        (s0, s1, tuple(steps[s0, : np.count_nonzero(steps[s0])].tolist()), slice(edges[s0], edges[s1]))
+        for s0, s1 in zip(cuts, cuts[1:])
     )
-    offsets.flags.writeable = sources.flags.writeable = False
-    return blocks, edges, offsets, sources
+    sources.flags.writeable = False
+    return blocks, sources
 
 
 def _first_divergence(lanes: list[LocalRun], losses: np.ndarray, blown: np.ndarray) -> DivergenceError:

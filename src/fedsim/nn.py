@@ -30,9 +30,9 @@ from .errors import (
 from .seeding import TAG_INIT, stream
 
 CHECKPOINT_MAGIC = "fedsim-model v1"
-# a TrainPlan step: (a feature matrix per segment, picks) -> their losses,
-# or with picks None, forward only -> the logits
-Step = Callable[[Sequence[np.ndarray], np.ndarray | None], list[float] | np.ndarray]
+# a TrainPlan step: the labels of its rows -> its segments' losses, or with
+# None, forward only -> the logits
+Step = Callable[[np.ndarray | None], list[float] | np.ndarray]
 # from this many rows on, a step takes the row max a column at a time. On 8
 # logits (2-core Xeon, medians of 15) np.maximum.reduce along the rows took
 # 4.2 us at 24 rows against 6.5 for the column loop, 7.5 against 6.8 at 64 and
@@ -182,8 +182,16 @@ def forward(model: ParamVector, batch: Batch) -> np.ndarray:
     """Logits matrix, shape (batch_size, output_dim): the one-shot form of
     TrainPlan's forward-only step."""
     _check_width(model.arch, batch.features)
-    n = batch.features.shape[0]
-    return TrainPlan(model.arch, n).load(model).step(n)((batch.features,), None)
+    return _filled(TrainPlan(model.arch, len(batch.features)).load(model), batch.features)(None)
+
+
+def _filled(plan: TrainPlan, features: np.ndarray) -> Step:
+    """plan's step over the rows of features, one segment, with them copied
+    into its inputs: bound first, so a set the plan cannot hold is the
+    step's ShapeError."""
+    step = plan.step(len(features))
+    np.copyto(plan.inputs[: len(features)], features)
+    return step
 
 
 def _check_labels(logits: np.ndarray, labels: np.ndarray) -> None:
@@ -234,10 +242,9 @@ def loss_and_grad(
     caller has checked the feature width and that labels lie in
     [0, arch.output_dim). The one-shot form of TrainPlan.
     """
-    n = features.shape[0]
-    plan = TrainPlan(arch, n)
+    plan = TrainPlan(arch, len(features))
     np.copyto(plan.values, values)
-    (ce,) = plan.step(n)((features,), np.arange(n) * arch.output_dim + labels)
+    (ce,) = _filled(plan, features)(labels)
     return ce, plan.grad
 
 
@@ -254,21 +261,23 @@ class TrainPlan:
     and diagnostics.FullBatchPass a lane per dataset of a block. It owns, a
     row per lane, the parameter, momentum, prox-difference and gradient
     vectors (values, buf, diff, grads; grad is grads[0]) and a finiteness
-    mask (finite); a scratch vector (scratch); and for `rows` rows the
-    inputs of the stacked products (below), every layer's output (which
-    holds the delta there on the way back), a tile (below), and the row
-    max, norm, picked logit and loss term.
+    mask (finite); a scratch vector (scratch); and for `rows` rows the input
+    rows (inputs), every layer's output (which holds the delta there on the
+    way back), a tile and its bool twin (below), the picks of the labels'
+    logits and the row max, norm, picked logit and loss term.
 
     step(sizes) is the kernel for consecutive segments of sizes[k] rows (an
     int is one segment), bound once per sizes onto prefix views of the
-    workspace; a plan keeps at most MAX_BOUND_STEPS of them. step(features,
-    picks) takes a feature matrix per segment, reads segment k's parameters
-    in values[k], overwrites grads[k] with the gradient of segment k's mean
-    cross-entropy and returns those losses; picks[i] = i * output_dim +
-    label[i] locates row i of the step in the flattened logits. With picks
-    None the step runs only the forward part and returns the logits, a view
-    of the workspace that the next call overwrites. Inputs are trusted: the
-    caller has checked the feature width and the labels.
+    workspace; a plan keeps at most MAX_BOUND_STEPS of them. Its caller
+    fills inputs[:sum(sizes)], segment after segment, and calls
+    step(labels) with the labels of those rows: the step reads segment k's
+    parameters in values[k], overwrites grads[k] with the gradient of
+    segment k's mean cross-entropy and returns those losses. It reads no
+    other row of inputs, and nothing of labels once it has formed the
+    picks, i * output_dim + labels[i], of row i's label in the flattened
+    logits. step(None) runs only the forward part and returns the logits,
+    a view of the workspace that the next call overwrites. Inputs are
+    trusted: the caller has checked the feature width and the labels.
 
     The matrix products, the bias fill and gradient reduce, the 1/n scale
     and the loss run per group, all else once over all rows. A group is a
@@ -281,13 +290,14 @@ class TrainPlan:
     rows alone.
 
     A step writes only into the workspace: ufuncs with a positional out
-    (np.maximum and np.minimum by keyword: they deprecate the positional
-    one), reduces, and the products of dot_for(segment rows) or np.matmul.
-    The logits become the softmax delta in place, sharing one exp(shifted)
-    with the loss. On the way back the ReLU mask is ceil(min(act, 1)),
-    which is bitwise np.sign(act) because act = max(pre, 0) is never -0.0.
-    A call overwrites all it reads, so one on non-finite input leaves it
-    usable.
+    (np.maximum by keyword: it deprecates the positional one), reduces,
+    and the products of dot_for(segment rows) or np.matmul. The logits
+    become the softmax delta in place, sharing one exp(shifted) with the
+    loss. On the way back the ReLU mask (act > 0) goes into the bool tile
+    and is copied into the float one: numpy allocates a cast buffer as
+    large as the layer to write a comparison into floats or to multiply by
+    bools. A call overwrites all it reads, so one on non-finite input
+    leaves it usable.
     """
 
     def __init__(self, arch: ModelArch, rows: int, lanes: int = 1) -> None:
@@ -300,14 +310,16 @@ class TrainPlan:
         self.grads, self.scratch = np.empty((lanes, size)), np.empty(size)
         self.grad, self.finite = self.grads[0], np.empty((lanes, size), dtype=bool)
         self._layers, self._grad_layers = _stacked(arch, self.values), _stacked(arch, self.grads)
-        self._inputs = np.empty((rows, widths[0]))
+        self.inputs = np.empty((rows, widths[0]))
         self._outs = [np.empty((rows, w)) for w in widths[1:]]
         self._row_vectors = np.empty((4, rows))
+        self._offsets, self._picks = np.arange(rows) * arch.output_dim, np.empty(rows, dtype=np.intp)
         self._sums = np.empty(lanes)
         # a layer's bias or a column repeated down its rows, and on the way
         # back its ReLU mask: an operand that broadcasts makes numpy
         # allocate an iteration buffer as large as the output, a tile does not
         self._tile = np.empty(rows * max(widths[1:]))
+        self._bools = np.empty(self._tile.size, dtype=bool)
         self._steps: dict[tuple[int, ...], Step] = {}
         self._param_views: dict[tuple[int, int], list[tuple[np.ndarray, ...]]] = {}
 
@@ -356,6 +368,8 @@ class TrainPlan:
         r = sum(sizes)
         outs = [out[:r] for out in self._outs]
         tiles = [self._tile[: out.size].reshape(out.shape) for out in outs]
+        actives = [self._bools[: out.size].reshape(out.shape) for out in outs[:-1]]
+        offsets, picks = self._offsets[:r], self._picks[:r]
         # (first segment, segment count, rows each, first row) per group
         groups: list[tuple[int, int, int, int]] = []
         for k, (n, end) in enumerate(zip(sizes, accumulate(sizes))):
@@ -370,33 +384,26 @@ class TrainPlan:
             rows = array[lo : lo + g * n]
             return rows if g == 1 else rows.reshape(g, n, -1)
 
-        # per group: its first segment and product, the reduce axis of its
-        # rows, its parameters, its inputs (None: a group of one reads its
-        # features[k], and several are copied into inputs) and each
-        # layer's rows. The step's tuples hold the index k of features[k]:
-        # a zip over the call's features would cost one per call
+        # per group: its product, the reduce axis of its rows, its
+        # parameters, and its rows of each layer's input and of the logits
         per_group = [
-            (a, dot_for(n) if g == 1 else np.matmul, 0 if g == 1 else 1, self._params(a, g),
-             None if g == 1 else rows_of(self._inputs, g, n, lo), [rows_of(out, g, n, lo) for out in outs])
+            (dot_for(n) if g == 1 else np.matmul, 0 if g == 1 else 1, self._params(a, g),
+             [rows_of(layer, g, n, lo) for layer in (self.inputs[:r], *outs)])
             for a, g, n, lo in groups
         ]
-        # per layer, the (tile rows, bias) pairs that put its biases down its rows
+        # per layer, the (tile rows, bias) pairs that put its biases down its
+        # rows, and its products, a group at a time
         fills = [
             [(rows_of(tile, g, n, lo), params[li][1])
-             for (_a, g, n, lo), (_k, _dot, _axis, params, _inputs, _parts) in zip(groups, per_group)]
+             for (_a, g, n, lo), (_dot, _axis, params, _parts) in zip(groups, per_group)]
             for li, tile in enumerate(tiles)
         ]
-        copies = [(a + j, rows) for a, _dot, _axis, _params, inputs, _parts in per_group
-                  if inputs is not None for j, rows in enumerate(inputs)]
-        first_products = [(a, inputs, dot, params[0][0], parts[0])
-                          for a, dot, _axis, params, inputs, parts in per_group]
-        # a hidden layer's bias and ReLU, then the next layer's products
-        hidden = [
-            (outs[li], tiles[li], fills[li],
-             [(dot, parts[li], params[li + 1][0], parts[li + 1])
-              for _a, dot, _axis, params, _inputs, parts in per_group])
-            for li in range(len(outs) - 1)
+        products = [
+            [(dot, parts[li], params[li][0], parts[li + 1]) for dot, _axis, params, parts in per_group]
+            for li in range(len(outs))
         ]
+        # a hidden layer's bias and ReLU, then the next layer's products
+        hidden = [(outs[li], tiles[li], fills[li], products[li + 1]) for li in range(len(outs) - 1)]
         logits, tile, last_fills = outs[-1], tiles[-1], fills[-1]
         flat = logits.reshape(-1)  # a view: the workspace rows are contiguous
         row_max, norm, picked, terms = self._row_vectors[:, :r]
@@ -406,41 +413,37 @@ class TrainPlan:
         sums = self._sums[: len(sizes)]
         scale = [(parts[-1], n, terms[lo : lo + g * n].reshape(g, n), sums[a : a + g])
                  for (a, g, n, lo), (*_group, parts) in zip(groups, per_group)]
-        # layer li's ReLU mask and delta at its input (the output of layer
-        # li - 1, overwritten), and per group its weight gradient, from
-        # that input and the delta at its output
-        backward = [
-            (outs[li - 1], tiles[li - 1],
-             [(dot, np.swapaxes(parts[li - 1], -1, -2), parts[li], *params[li][3:], axis, params[li][2],
-               parts[li - 1])
-              for _a, dot, axis, params, _inputs, parts in per_group])
-            for li in range(len(outs) - 1, 0, -1)
+        # per group, layer li's weight and bias gradients, from its input
+        # and the delta at its output, and for li > 0 the delta at its
+        # input (layer li - 1's output, overwritten), which its ReLU mask
+        # then masks
+        gradients = [
+            [(dot, np.swapaxes(parts[li], -1, -2), parts[li + 1], *params[li][3:], axis, params[li][2], parts[li])
+             for dot, axis, params, parts in per_group]
+            for li in range(len(outs))
         ]
-        first = [
-            (a, None if inputs is None else np.swapaxes(inputs, -1, -2), dot, parts[0], *params[0][3:], axis)
-            for a, dot, axis, params, inputs, parts in per_group
-        ]
+        backward = [(outs[li - 1], actives[li - 1], tiles[li - 1], gradients[li])
+                    for li in range(len(outs) - 1, 0, -1)]
         copyto, add, subtract, divide, multiply = np.copyto, np.add, np.subtract, np.divide, np.multiply
-        maximum, minimum, exp, log, ceil = np.maximum, np.minimum, np.exp, np.log, np.ceil
+        maximum, greater, exp, log = np.maximum, np.greater, np.exp, np.log
         add_reduce, max_reduce = np.add.reduce, np.maximum.reduce
 
-        def step(features: Sequence[np.ndarray], picks: np.ndarray) -> list[float]:
-            for k, rows in copies:
-                copyto(rows, features[k])
-            for k, inputs, dot, weight, part in first_products:
-                dot(features[k] if inputs is None else inputs, weight, part)
-            for out, out_tile, bias_fills, products in hidden:
+        def step(labels: np.ndarray | None) -> list[float] | np.ndarray:
+            for dot, inputs, weight, part in products[0]:
+                dot(inputs, weight, part)
+            for out, out_tile, bias_fills, next_products in hidden:
                 for fill, bias in bias_fills:
                     copyto(fill, bias)
                 add(out, out_tile, out)
                 maximum(out, 0.0, out=out)
-                for dot, act, weight, part in products:
+                for dot, act, weight, part in next_products:
                     dot(act, weight, part)
             for fill, bias in last_fills:
                 copyto(fill, bias)
             add(logits, tile, logits)
-            if picks is None:
+            if labels is None:
                 return logits
+            add(offsets, labels, picks)
             # logits become (softmax - onehot) / n; terms[i] is row i's
             # log(sum exp(shifted)) - shifted[label]
             if by_column:
@@ -468,21 +471,16 @@ class TrainPlan:
                 # np.mean's own arithmetic (pairwise sum, then divide)
                 add_reduce(part_terms, 1, None, part_sums)
             losses = [total / n for total, n in zip(sums.tolist(), sizes)]
-            for act, mask, grads in backward:
-                # act = max(pre, 0) is never -0.0, so ceil(min(act, 1)) is
-                # 1.0 where the pre-activation is > 0 and +0.0 elsewhere:
-                # the mask (act > 0) as floats, bitwise np.sign(act), in two
-                # SIMD loops (sign has none) and without the cast buffer
-                # that multiplying by a bool mask allocates
-                minimum(act, 1.0, out=mask)
-                ceil(mask, mask)
+            for act, is_active, mask, grads in backward:
+                greater(act, 0.0, is_active)
+                copyto(mask, is_active)
                 for dot, act_t, delta, g_weight, g_bias, axis, weight_t, part in grads:
                     dot(act_t, delta, g_weight)
                     add_reduce(delta, axis, None, g_bias)
                     dot(delta, weight_t, part)
                 multiply(act, mask, act)
-            for k, inputs_t, dot, delta, g_weight, g_bias, axis in first:
-                dot(features[k].T if inputs_t is None else inputs_t, delta, g_weight)
+            for dot, inputs_t, delta, g_weight, g_bias, axis, _weight_t, _inputs in gradients[0]:
+                dot(inputs_t, delta, g_weight)
                 add_reduce(delta, axis, None, g_bias)
             return losses
 
@@ -539,7 +537,7 @@ def evaluate_accuracy(model: ParamVector, dataset: LabeledDataset, plan: TrainPl
     # a huge but finite model overflows here, and so may the sum of finite
     # logits; report non-finite logits as divergence
     with np.errstate(over="ignore", invalid="ignore"):
-        logits = (plan or TrainPlan(model.arch, n)).load(model).step(n)((dataset.features,), None)
+        logits = _filled((plan or TrainPlan(model.arch, n)).load(model), dataset.features)(None)
         # a finite sum has only finite terms; only an overflowing one needs the exact check
         finite = math.isfinite(np.add.reduce(logits, None)) or bool(np.isfinite(logits).all())
     if not finite:

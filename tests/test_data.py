@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from fedsim.data import (
     write_partition_manifest,
 )
 from fedsim.errors import DataError, PartitionError
+from fedsim.seeding import TAG_SYNTH, stream
 
 
 def small_pool(seed=0, classes=8, per_class=120, dim=4):
@@ -45,6 +48,37 @@ class TestSynthetic:
         a, b = generate_synthetic(spec), generate_synthetic(spec)
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.labels, b.labels)
+
+    @pytest.mark.parametrize("spec", [SyntheticSpec(1, 1, 1, 0.5, 0), SyntheticSpec(3, 7, 5, 0.0, 1),
+                                      SyntheticSpec(10, 1000, 16, 1.0, 2)])
+    def test_equals_the_per_class_blocks_stacked(self, spec):
+        # the classes' rows drawn a block at a time and stacked, as the
+        # generator once built them
+        rng = stream(TAG_SYNTH, spec.seed)
+        blocks = []
+        for _cls in range(spec.num_classes):
+            direction = rng.standard_normal(spec.input_dim)
+            while np.linalg.norm(direction) < 1e-12:
+                direction = rng.standard_normal(spec.input_dim)
+            mean = 2.0 * direction / float(np.linalg.norm(direction))
+            blocks.append(mean + spec.cluster_spread * rng.standard_normal((spec.samples_per_class, spec.input_dim)))
+        ds = generate_synthetic(spec)
+        assert ds.features.tobytes() == np.vstack(blocks).tobytes()
+        assert ds.labels.tolist() == [c for c in range(spec.num_classes) for _ in range(spec.samples_per_class)]
+
+    def test_peak_memory_is_about_two_feature_matrices(self):
+        # the many_clients_diag data set (10 classes of 1000 rows, 16
+        # features): the matrix drawn in place and LabeledDataset's private
+        # copy. Drawing per-class blocks and stacking them peaked at 3.4 times
+        spec = SyntheticSpec(10, 1000, 16, 1.0, seed=1)
+        generate_synthetic(spec)
+        tracemalloc.start()
+        try:
+            ds = generate_synthetic(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * ds.features.nbytes
 
     def test_invalid_spec(self):
         with pytest.raises(DataError):

@@ -348,9 +348,9 @@ class TestEvaluateAccuracy:
 
 
 class TestReluMask:
-    """TrainPlan's backward masks the delta with ceil(min(act, 1)) where act
-    = max(pre, 0); that is np.sign(act) bit for bit only because np.maximum
-    never returns -0.0 there."""
+    """TrainPlan's backward masks the delta with (act > 0) as floats, where
+    act = max(pre, 0): the reference's mask, and np.sign(act) bit for bit on
+    every number because np.maximum never returns -0.0 there."""
 
     def test_relu_of_negative_zero_is_positive_zero(self):
         # lengths 1-64 reach the scalar loop and every SIMD tail; contiguous,
@@ -371,10 +371,12 @@ class TestReluMask:
         values = [0.0, tiny, 1e3 * tiny, np.finfo(np.float64).tiny, 1e-300, 0.5, 1.0, 1.5, 1e300, np.inf, np.nan]
         for n in range(1, 65):
             act = np.maximum(np.random.default_rng(n).choice(values, size=n), 0.0)
-            mask = np.empty(n)
-            np.minimum(act, 1.0, out=mask)
-            np.ceil(mask, mask)
-            assert mask.tobytes() == np.sign(act).tobytes(), act
+            is_active, mask = np.empty(n, dtype=bool), np.empty(n)
+            np.greater(act, 0.0, is_active)
+            np.copyto(mask, is_active)
+            number = ~np.isnan(act)
+            assert mask[number].tobytes() == np.sign(act[number]).tobytes(), act
+            assert mask.tobytes() == (act > 0.0).astype(np.float64).tobytes(), act
 
     @settings(max_examples=30, deadline=None)
     @given(widths=st.sampled_from([(3, 5, 2), (4, 6, 5, 3)]), rows=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
@@ -402,7 +404,8 @@ class TestReluMask:
             delta = (delta @ layers[li][0].T) * np.sign(acts[li])
         plan = nn.TrainPlan(arch, rows)
         np.copyto(plan.values, values)
-        plan.step(rows)((features,), _picks(arch, labels))
+        _fill(plan, features)
+        plan.step(rows)(labels)
         assert plan.grad.tobytes() == want.tobytes()
 
 
@@ -531,8 +534,11 @@ def test_batch_names_a_mistyped_input(features, labels, problem):
         nn.Batch(features, labels)
 
 
-def _picks(arch, labels):
-    return np.arange(labels.size) * arch.output_dim + labels
+def _fill(plan, *features):
+    """plan's inputs, row after row, filled with the rows of each feature
+    matrix in turn, as a step's caller fills them."""
+    rows = np.concatenate(features)
+    plan.inputs[: len(rows)] = rows
 
 
 @settings(max_examples=60, deadline=None)
@@ -555,12 +561,14 @@ def test_plan_step_equals_reference(widths, rows, data):
         features = rng.standard_normal((r, arch.input_dim))
         labels = rng.integers(0, arch.output_dim, r)
         np.copyto(plan.values, values)
-        (ce,) = plan.step(r)((features,), _picks(arch, labels))
+        _fill(plan, features)
+        (ce,) = plan.step(r)(labels)
         want_ce, want_grad = reference.loss_and_grad(arch, values, features, labels)
         assert ce == want_ce and plan.grad.tobytes() == want_grad.tobytes()
         np.copyto(plan.values, 1e200)
+        _fill(plan, 1e200 * features)
         with np.errstate(over="ignore", invalid="ignore"):
-            plan.step(r)((1e200 * features,), _picks(arch, labels))
+            plan.step(r)(labels)
 
 
 @settings(max_examples=80, deadline=None)
@@ -586,16 +594,50 @@ def test_plan_segments_equal_their_own_steps(widths, draws, seed):
         values = rng.choice([0.1, 1.0, 30.0]) * rng.standard_normal(nn.param_count(arch))
         features = [rng.standard_normal((n, arch.input_dim)) for n in sizes]
         labels = [rng.integers(0, arch.output_dim, n) for n in sizes]
-        picks = _picks(arch, np.concatenate(labels))
+        all_labels = np.concatenate(labels)
         np.copyto(plan.values, values)
-        losses = plan.step(sizes)(features, picks)
+        _fill(plan, *features)
+        losses = plan.step(sizes)(all_labels)
         assert len(losses) == len(sizes)
         for k, (ce, feats, labs) in enumerate(zip(losses, features, labels)):
             want_ce, want_grad = reference.loss_and_grad(arch, values, feats, labs)
             assert ce == want_ce and plan.grads[k].tobytes() == want_grad.tobytes(), (sizes, k)
         np.copyto(plan.values, 1e200)
+        _fill(plan, *(1e200 * feats for feats in features))
         with np.errstate(over="ignore", invalid="ignore"):
-            plan.step(sizes)([1e200 * feats for feats in features], picks)
+            plan.step(sizes)(all_labels)
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [(1,), (6, 6, 6), (4, 1, 7, 2), (1, 5, 5, 3)],
+    ids=["one_row", "stacked", "ragged", "mixed"],
+)
+def test_a_step_reads_only_its_input_rows_and_labels(sizes):
+    # the input rows past the step's and the lane past its segments hold
+    # NaN, and the caller's features turn NaN once they are copied in: the
+    # logits, losses and gradients are still bitwise the reference's
+    arch = nn.ModelArch((5, 9, 6, 4))
+    rng = np.random.default_rng(len(sizes))
+    r, count = sum(sizes), len(sizes)
+    plan = nn.TrainPlan(arch, r + 5, count + 1)
+    values = rng.standard_normal((count, nn.param_count(arch)))
+    features = rng.standard_normal((r, arch.input_dim))
+    labels = rng.integers(0, arch.output_dim, r)
+    segments = [slice(end - n, end) for n, end in zip(sizes, itertools.accumulate(sizes))]
+    want = [reference.loss_and_grad(arch, v, features[rows], labels[rows]) for v, rows in zip(values, segments)]
+    want_logits = np.concatenate(
+        [reference.forward(nn.unpack(arch, v), features[rows])[-1] for v, rows in zip(values, segments)]
+    )
+    step = plan.step(sizes)
+    plan.values[:count], plan.values[count] = values, np.nan
+    plan.inputs.fill(np.nan)
+    _fill(plan, features)
+    features.fill(np.nan)
+    assert step(None).tobytes() == want_logits.tobytes()
+    losses = step(labels)
+    for k, (want_ce, want_grad) in enumerate(want):
+        assert losses[k] == want_ce and plan.grads[k].tobytes() == want_grad.tobytes(), (sizes, k)
 
 
 def test_plan_rejects_rows_it_cannot_hold():
@@ -632,11 +674,12 @@ def test_a_warm_step_allocates_no_batch_sized_array():
     plan = nn.TrainPlan(arch, 64)
     np.copyto(plan.values, random_model(arch, seed=0).values)
     features, labels = rng.standard_normal((64, 16)), rng.integers(0, 8, 64)
-    step, picks = plan.step(64), _picks(arch, labels)
-    step((features,), picks)
+    step = plan.step(64)
+    _fill(plan, features)
+    step(labels)
     tracemalloc.start()
     try:
-        step((features,), picks)
+        step(labels)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -668,7 +711,8 @@ def test_forward_step_is_the_reference_forward_and_scores_its_logits(widths, siz
         features, labels = rng.standard_normal((n, arch.input_dim)), rng.integers(0, arch.output_dim, n)
         data = LabeledDataset(features, labels, arch.output_dim)
         want = reference.forward(nn.unpack(arch, model.values), features)[-1]
-        assert plan.load(model).step(n)((features,), None).tobytes() == want.tobytes()
+        _fill(plan, features)
+        assert plan.load(model).step(n)(None).tobytes() == want.tobytes()
         assert nn.forward(model, nn.Batch(features, labels)).tobytes() == want.tobytes()
         hits = np.argmax(want, axis=1) == labels
         assert nn.evaluate_accuracy(model, data, plan) == float(np.mean(hits))
@@ -748,17 +792,19 @@ def test_plan_lanes_equal_their_own_steps(widths, draws, seed):
         values = [rng.choice([0.1, 1.0, 30.0]) * rng.standard_normal(nn.param_count(arch)) for _ in sizes]
         features = [rng.standard_normal((n, arch.input_dim)) for n in sizes]
         labels = [rng.integers(0, arch.output_dim, n) for n in sizes]
-        picks = _picks(arch, np.concatenate(labels))
+        all_labels = np.concatenate(labels)
         for lane, lane_values in enumerate(values):
             plan.load(nn.ParamVector(arch, lane_values), lane)
-        losses = plan.step(sizes)(features, picks)
+        _fill(plan, *features)
+        losses = plan.step(sizes)(all_labels)
         assert len(losses) == len(sizes)
         for k, (ce, lane_values, feats, labs) in enumerate(zip(losses, values, features, labels)):
             want_ce, want_grad = reference.loss_and_grad(arch, lane_values, feats, labs)
             assert ce == want_ce and plan.grads[k].tobytes() == want_grad.tobytes(), (sizes, k)
         np.copyto(plan.values, 1e200)
+        _fill(plan, *(1e200 * feats for feats in features))
         with np.errstate(over="ignore", invalid="ignore"):
-            plan.step(sizes)([1e200 * feats for feats in features], picks)
+            plan.step(sizes)(all_labels)
 
 
 def test_a_plan_has_a_lane_per_segment():
@@ -794,11 +840,12 @@ def test_a_warm_lock_step_allocates_no_batch_or_cohort_sized_array():
     for lane in range(len(sizes)):
         plan.load(random_model(arch, seed=lane), lane)
     features = [rng.standard_normal((n, 16)) for n in sizes]
-    step, picks = plan.step(sizes), _picks(arch, rng.integers(0, 8, sum(sizes)))
-    step(features, picks)
+    step, labels = plan.step(sizes), rng.integers(0, 8, sum(sizes))
+    _fill(plan, *features)
+    step(labels)
     tracemalloc.start()
     try:
-        step(features, picks)
+        step(labels)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
