@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 failed check, I/O error or any other fedsim error,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -69,10 +70,9 @@ def _cmd_compare(args) -> int:
     else:
         if not baseline:
             raise DataError(f"{args.run_dirs[0]}: baseline history has no rounds")
-        cell = baseline[-1].get(args.metric, "")
         try:
-            target = float(plain_number(cell))
-        except ValueError:
+            target = _plain_float(baseline[-1].get(args.metric, ""))
+        except argparse.ArgumentTypeError:
             raise DataError(
                 f"{args.run_dirs[0]}: baseline has no final {args.metric!r} value"
             ) from None
@@ -222,12 +222,16 @@ def _cmd_check(_args) -> int:
 
 
 def _plain_float(text: str) -> float:
-    """A number option, read by the rule config values and data cells
-    follow (data.plain_number); anything else is a usage error (exit 2)."""
+    """A finite number, read by the rule config values and data cells follow
+    (data.plain_number); as an option anything else is a usage error (exit
+    2). A target of nan is never reached, and one of -inf by every run at once."""
     try:
-        return float(plain_number(text))
+        value = float(plain_number(text))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a plain ASCII number") from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite plain ASCII number")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -123,13 +122,13 @@ class FullBatchPass:
     runner passes its round plan, so a run allocates one workspace. The pass
     holds its bound steps, so the plan forgetting them (nn.MAX_BOUND_STEPS)
     unbinds nothing. A call (plan(model) -> (f, grad f, ratio)) copies the
-    model into the lanes the blocks read and, block by block, copies each
-    dataset's features into its rows of the plan's inputs, runs the
-    block's step on the block's labels and sums the datasets' losses and
-    gradients in order; it has no workspace of its own and allocates no
-    block-sized array. Each segment is bitwise its
-    dataset's own loss_and_grad call. A call that raises DivergenceError
-    leaves the plan usable.
+    model into the lanes the blocks read and, block by block, fills the
+    block's rows of the plan's inputs with one concatenate of its datasets'
+    features, runs the block's step on the block's labels and sums the
+    datasets' losses and gradients in order, each gradient scaled into the
+    pass's one parameter-sized vector; it allocates no block-sized array.
+    Each segment is bitwise its dataset's own loss_and_grad call. A call
+    that raises DivergenceError leaves the plan usable.
     """
 
     def __init__(
@@ -147,26 +146,24 @@ class FullBatchPass:
         elif plan.arch != arch:
             raise ShapeError(f"the plan is for layer widths {plan.arch.layer_widths}, "
                              f"the pass for {arch.layer_widths}")
-        self._plan = plan
-        # per block: its step, each dataset's rows of the plan's inputs and
-        # its features, the labels of all its rows, and each dataset's share
-        # of all rows
+        self._plan, self._scaled = plan, np.empty(plan.values.shape[1])
+        # per block: its step, its rows of the plan's inputs, its datasets'
+        # features, the labels of all its rows, and each dataset's share of
+        # all rows
         self._blocks = [
-            (plan.step([len(d) for d in block]),
-             [(plan.inputs[end - len(d) : end], d.features) for d, end in zip(block, accumulate(map(len, block)))],
-             np.concatenate([d.labels for d in block]), [len(d) / total for d in block])
+            (plan.step([len(d) for d in block]), plan.inputs[: sum(map(len, block))],
+             [d.features for d in block], np.concatenate([d.labels for d in block]),
+             [len(d) / total for d in block])
             for block in _blocks(datasets)
         ]
 
     def __call__(self, model: ParamVector) -> tuple[float, np.ndarray, float | None]:
-        plan = self._plan.load(model, slice(self._lanes))
-        grads, scaled = plan.grads, plan.scratch
+        grads, scaled = self._plan.load(model, slice(self._lanes)).grads, self._scaled
         loss, grad, mean_sq = 0.0, np.zeros(len(model)), 0.0
         # a huge but finite model overflows here; report that as divergence
         with np.errstate(over="ignore", invalid="ignore"):
-            for step, fills, labels, shares in self._blocks:
-                for rows, features in fills:
-                    np.copyto(rows, features)
+            for step, inputs, features, labels, shares in self._blocks:
+                np.concatenate(features, out=inputs)
                 for ce, share, g_k in zip(step(labels), shares, grads):
                     loss += share * ce
                     grad += np.multiply(g_k, share, out=scaled)

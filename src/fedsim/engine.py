@@ -233,16 +233,17 @@ def train_cohort(
     for a run with no steps), taken from the cohort's table of losses.
 
     At step s one call of a plan step runs step s of every run that has
-    one, a segment per run on the run's own lane of the plan's parameters,
-    momentum and gradients. One np.take first fills the plan's inputs with
-    the step's rows, from the round's concatenation of the runs' rows, in
-    the runs' shuffle orders. The momentum-SGD update and the finiteness
-    check then run once over those lanes. Each step does the arithmetic of
-    local_loss, nn.backward and nn.sgd_step, in their order. Runs are laid
-    out longest first, so the runs with a step s are a prefix of the lanes,
-    and a run of steps with equal segment sizes shares one plan step.
-    plan needs the runs' architecture, a lane per run and the rows of their
-    first steps together; built here when None.
+    one, a segment per run on the run's own lane of the plan's parameters
+    and gradients. One take first fills the plan's inputs with the step's
+    rows, from the round's concatenation of the runs' rows, in the runs'
+    shuffle orders. The momentum-SGD update and the finiteness check then
+    run once over those lanes and the cohort's own momentum and
+    prox-difference lanes, which it zeroes first. Each step does the
+    arithmetic of local_loss, nn.backward and nn.sgd_step, in their order.
+    Runs are laid out longest first, so the runs with a step s are a prefix
+    of the lanes, and a run of steps with equal segment sizes shares one
+    plan step. plan needs the runs' architecture, a lane per run and the
+    rows of their first steps together; built here when None.
 
     Each step writes its lanes' cross-entropies (and for a proximal term
     ||w - w_global||^2) into a table of steps by lanes, and the reported
@@ -267,7 +268,9 @@ def train_cohort(
         raise ShapeError(f"a cohort of {count} runs needs a plan with {count} lanes, this one has {plan.lanes}")
     for lane, run in enumerate(lanes):
         plan.load(run.anchor, lane)
-    plan.buf[:count].fill(0.0)
+    # beside the plan's lanes, each lane's momentum and w - w_global (then
+    # prox_weight times it, for a proximal term)
+    momenta, diffs = np.zeros((2, count, plan.values.shape[1]))
     blocks, sources = _cohort_layout(tuple(run.sizes for run in lanes))
     # the cohort's rows, lane after lane; for each step row (in step order)
     # the one of them it reads, and its label
@@ -289,13 +292,12 @@ def train_cohort(
     # each active count's prefix views of the plan's lanes (values also
     # flat: numpy reduces a 1-D array faster than a 2-D one over both axes)
     views = {
-        k: (plan.values[:k], plan.buf[:k], plan.diff[:k], plan.grads[:k], scales[:k],
-            anchors[:k] if prox else None, plan.diff[:k, None, :], plan.diff[:k, :, None],
+        k: (plan.values[:k], momenta[:k], diffs[:k], plan.grads[:k], scales[:k],
+            anchors[:k] if prox else None, diffs[:k, None, :], diffs[:k, :, None],
             plan.values[:k].reshape(-1))
         for k in {len(sizes) for _s0, _s1, sizes, _rows in blocks}
     }
-    add, subtract, multiply, isfinite, take = np.add, np.subtract, np.multiply, np.isfinite, np.take
-    matmul, add_reduce, all_true = np.matmul, np.add.reduce, np.logical_and.reduce
+    add, subtract, multiply, matmul, add_reduce = np.add, np.subtract, np.multiply, np.matmul, np.add.reduce
     # a diverging run overflows before the finiteness checks below catch it;
     # keep numpy from warning on the way there
     with np.errstate(over="ignore", invalid="ignore"):
@@ -306,7 +308,7 @@ def train_cohort(
             by_step = [array[rows].reshape(s1 - s0, -1) for array in (rows_at, labels)]
             for s, step_rows, step_labels in zip(range(s0, s1), *by_step):
                 # the indices are in range; mode="raise" would stage the rows in a fresh array
-                take(pool, step_rows, 0, inputs, "clip")
+                pool.take(step_rows, 0, inputs, "clip")
                 ces[s, :k] = step(step_labels)
                 if prox:
                     subtract(values, lane_anchors, diff)
@@ -327,9 +329,7 @@ def train_cohort(
                 # a finite sum has only finite terms; an overflowing one
                 # needs the exact check, lane by lane
                 if not math.isfinite(add_reduce(flat, None)):
-                    finite = plan.finite[:k]
-                    isfinite(values, finite)
-                    np.minimum(blown[:k], np.where(all_true(finite, 1), total, s), out=blown[:k])
+                    np.minimum(blown[:k], np.where(np.isfinite(values).all(1), total, s), out=blown[:k])
         losses = _reported_loss(ces, np.array([run.terms[0] for run in lanes]), scales[:, 0], prox_weight,
                                 sq_dists.reshape(total, count))
     if not np.isfinite(losses).all() or (blown < total).any():

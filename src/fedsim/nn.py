@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import accumulate
 from typing import Callable, Sequence
 
@@ -36,7 +37,8 @@ Step = Callable[[np.ndarray | None], list[float] | np.ndarray]
 # from this many rows on, a step takes the row max a column at a time. On 8
 # logits (2-core Xeon, medians of 15) np.maximum.reduce along the rows took
 # 4.2 us at 24 rows against 6.5 for the column loop, 7.5 against 6.8 at 64 and
-# 12.9 against 6.9 at 128; whole steps of 24-64 rows timed the same either way.
+# 12.9 against 6.9 at 128; whole steps of 24-64 rows timed the same either way,
+# and the column loop at every height read 4.7% more prox_small_batch wall time.
 # The two differ only in the sign of a zero maximum, which changes no bit
 COLUMN_MAX_ROWS = 32
 # a plan keeps at most this many bound steps and forgets them all when one
@@ -167,7 +169,9 @@ def dot_for(rows: int) -> Callable:
     """The matrix product for operands with `rows` batch rows: np.dot, which
     gives np.matmul's bits without its dispatch, unless rows is 1. Then a
     product can be 1x1 by 1x1, which np.dot computes as a*b and np.matmul
-    as 0 + a*b; the two differ where a*b is -0."""
+    as 0 + a*b; the two differ where a*b is -0. np.matmul for every group
+    read 21% more wall time on many_clients_diag and 14% on
+    prox_small_batch (10 runs each, one BLAS thread, 2-core Xeon)."""
     return np.dot if rows > 1 else np.matmul
 
 
@@ -245,7 +249,7 @@ def loss_and_grad(
     plan = TrainPlan(arch, len(features))
     np.copyto(plan.values, values)
     (ce,) = _filled(plan, features)(labels)
-    return ce, plan.grad
+    return ce, plan.grads[0]
 
 
 def _is_int(n) -> bool:
@@ -258,13 +262,12 @@ class TrainPlan:
     to `rows` rows in up to `lanes` segments, segment k on lane k, on a
     workspace allocated once: engine.train_cohort runs a round's local
     training on it a lane per client, scoring a forward-only step per set,
-    and diagnostics.FullBatchPass a lane per dataset of a block. It owns, a
-    row per lane, the parameter, momentum, prox-difference and gradient
-    vectors (values, buf, diff, grads; grad is grads[0]) and a finiteness
-    mask (finite); a scratch vector (scratch); and for `rows` rows the input
-    rows (inputs), every layer's output (which holds the delta there on the
-    way back), a tile and its bool twin (below), the picks of the labels'
-    logits and the row max, norm, picked logit and loss term.
+    and diagnostics.FullBatchPass a lane per dataset of a block. Callers
+    use, a row per lane, the parameters and gradients (values, grads) and
+    for `rows` rows the input rows (inputs), and own any other lane state
+    (momentum, a scaled gradient). The rest is private: every layer's output
+    (holding the delta there on the way back), a tile and its bool twin
+    (below), the picks and the row max, norm, picked logit and loss term.
 
     step(sizes) is the kernel for consecutive segments of sizes[k] rows (an
     int is one segment), bound once per sizes onto prefix views of the
@@ -279,25 +282,29 @@ class TrainPlan:
     a view of the workspace that the next call overwrites. Inputs are
     trusted: the caller has checked the feature width and the labels.
 
+    A bound step is three lists of (call, args), numpy calls that write
+    into the workspace: forward (per layer the products, the bias fills,
+    the add and a hidden layer's ReLU), loss (the row max, the softmax, the
+    picked logits, the one-hot subtraction, and per group the 1/n scale and
+    the loss sum) and backward (per layer from the last: the ReLU mask above
+    the first layer, and per group the weight gradient, bias gradient and
+    delta). The step runs forward and, given labels, forms the picks, runs
+    loss, forms the losses and runs backward. The logits become the softmax
+    delta in place, sharing one exp(shifted) with the loss. The ReLU mask
+    (act > 0) goes into the bool tile and is copied into the float one:
+    numpy allocates a cast buffer as large as the layer to write a
+    comparison into floats or to multiply by bools. A call overwrites all
+    it reads, so one on non-finite input leaves it usable.
+
     The matrix products, the bias fill and gradient reduce, the 1/n scale
-    and the loss run per group, all else once over all rows. A group is a
-    run of consecutive segments of equal size, whose products are one
+    and the loss sum run per group, all else once over all rows. A group is
+    a run of consecutive segments of equal size, whose products are one
     np.matmul over their lanes stacked (one segment: a 2-D product): that
     makes, lane by lane, the BLAS call of a 2-D product on the lane's rows
     alone. BLAS may give a row other bits inside a taller product (numpy
     sends one row to gemv), and no other value of a row depends on another
     row, so each segment's loss and gradient are bitwise a step's on its
     rows alone.
-
-    A step writes only into the workspace: ufuncs with a positional out
-    (np.maximum by keyword: it deprecates the positional one), reduces,
-    and the products of dot_for(segment rows) or np.matmul. The logits
-    become the softmax delta in place, sharing one exp(shifted) with the
-    loss. On the way back the ReLU mask (act > 0) goes into the bool tile
-    and is copied into the float one: numpy allocates a cast buffer as
-    large as the layer to write a comparison into floats or to multiply by
-    bools. A call overwrites all it reads, so one on non-finite input
-    leaves it usable.
     """
 
     def __init__(self, arch: ModelArch, rows: int, lanes: int = 1) -> None:
@@ -306,18 +313,17 @@ class TrainPlan:
                 raise ShapeError(f"a training plan needs an integer {what} count >= 1, got {count!r}")
         self.arch, self.rows, self.lanes = arch, int(rows), int(lanes)
         size, widths = param_count(arch), arch.layer_widths
-        self.values, self.buf, self.diff = np.empty((3, lanes, size))
-        self.grads, self.scratch = np.empty((lanes, size)), np.empty(size)
-        self.grad, self.finite = self.grads[0], np.empty((lanes, size), dtype=bool)
+        self.values, self.grads = np.empty((lanes, size)), np.empty((lanes, size))
         self._layers, self._grad_layers = _stacked(arch, self.values), _stacked(arch, self.grads)
         self.inputs = np.empty((rows, widths[0]))
         self._outs = [np.empty((rows, w)) for w in widths[1:]]
-        self._row_vectors = np.empty((4, rows))
+        self._row_vectors, self._sums = np.empty((4, rows)), np.empty(lanes)
         self._offsets, self._picks = np.arange(rows) * arch.output_dim, np.empty(rows, dtype=np.intp)
-        self._sums = np.empty(lanes)
         # a layer's bias or a column repeated down its rows, and on the way
-        # back its ReLU mask: an operand that broadcasts makes numpy
-        # allocate an iteration buffer as large as the output, a tile does not
+        # back its ReLU mask. An operand that broadcasts makes numpy allocate
+        # an iteration buffer as large as the output (66,640 B traced for a
+        # (512, 64) add, which the warm-step allocation tests reject); a tile
+        # does not
         self._tile = np.empty(rows * max(widths[1:]))
         self._bools = np.empty(self._tile.size, dtype=bool)
         self._steps: dict[tuple[int, ...], Step] = {}
@@ -368,8 +374,7 @@ class TrainPlan:
         r = sum(sizes)
         outs = [out[:r] for out in self._outs]
         tiles = [self._tile[: out.size].reshape(out.shape) for out in outs]
-        actives = [self._bools[: out.size].reshape(out.shape) for out in outs[:-1]]
-        offsets, picks = self._offsets[:r], self._picks[:r]
+        offsets, picks, add = self._offsets[:r], self._picks[:r], np.add
         # (first segment, segment count, rows each, first row) per group
         groups: list[tuple[int, int, int, int]] = []
         for k, (n, end) in enumerate(zip(sizes, accumulate(sizes))):
@@ -384,104 +389,77 @@ class TrainPlan:
             rows = array[lo : lo + g * n]
             return rows if g == 1 else rows.reshape(g, n, -1)
 
-        # per group: its product, the reduce axis of its rows, its
-        # parameters, and its rows of each layer's input and of the logits
+        # per group: its product, the reduce axis of its rows, its parameters,
+        # its rows of each layer's input and of the logits, and of each tile
         per_group = [
             (dot_for(n) if g == 1 else np.matmul, 0 if g == 1 else 1, self._params(a, g),
-             [rows_of(layer, g, n, lo) for layer in (self.inputs[:r], *outs)])
+             [rows_of(layer, g, n, lo) for layer in (self.inputs[:r], *outs)],
+             [rows_of(tile, g, n, lo) for tile in tiles])
             for a, g, n, lo in groups
         ]
-        # per layer, the (tile rows, bias) pairs that put its biases down its
-        # rows, and its products, a group at a time
-        fills = [
-            [(rows_of(tile, g, n, lo), params[li][1])
-             for (_a, g, n, lo), (_dot, _axis, params, _parts) in zip(groups, per_group)]
-            for li, tile in enumerate(tiles)
-        ]
-        products = [
-            [(dot, parts[li], params[li][0], parts[li + 1]) for dot, _axis, params, parts in per_group]
-            for li in range(len(outs))
-        ]
-        # a hidden layer's bias and ReLU, then the next layer's products
-        hidden = [(outs[li], tiles[li], fills[li], products[li + 1]) for li in range(len(outs) - 1)]
-        logits, tile, last_fills = outs[-1], tiles[-1], fills[-1]
+        forward: list[tuple[Callable, tuple]] = []
+        for li, (out, tile) in enumerate(zip(outs, tiles)):
+            forward += [(dot, (parts[li], params[li][0], parts[li + 1]))
+                        for dot, _axis, params, parts, _fills in per_group]
+            forward += [(np.copyto, (fills[li], params[li][1])) for *_group, params, _parts, fills in per_group]
+            forward.append((np.add, (out, tile, out)))
+            if li < len(outs) - 1:
+                forward.append((partial(np.maximum, out=out), (out, 0.0)))
+        logits, tile = outs[-1], tiles[-1]
         flat = logits.reshape(-1)  # a view: the workspace rows are contiguous
         row_max, norm, picked, terms = self._row_vectors[:, :r]
-        max_col, norm_col = row_max[:, None], norm[:, None]
-        by_column = r >= COLUMN_MAX_ROWS
-        first_column, *columns = [logits[:, c] for c in range(logits.shape[1] if by_column else 1)]
         sums = self._sums[: len(sizes)]
-        scale = [(parts[-1], n, terms[lo : lo + g * n].reshape(g, n), sums[a : a + g])
-                 for (a, g, n, lo), (*_group, parts) in zip(groups, per_group)]
-        # per group, layer li's weight and bias gradients, from its input
-        # and the delta at its output, and for li > 0 the delta at its
-        # input (layer li - 1's output, overwritten), which its ReLU mask
-        # then masks
-        gradients = [
-            [(dot, np.swapaxes(parts[li], -1, -2), parts[li + 1], *params[li][3:], axis, params[li][2], parts[li])
-             for dot, axis, params, parts in per_group]
-            for li in range(len(outs))
+        # logits become (softmax - onehot) / n; terms[i] is row i's
+        # log(sum exp(shifted)) - shifted[label]
+        if r >= COLUMN_MAX_ROWS:
+            column_max = partial(np.maximum, out=row_max)
+            loss = [(np.copyto, (row_max, logits[:, 0]))]
+            loss += [(column_max, (row_max, logits[:, c])) for c in range(1, logits.shape[1])]
+        else:
+            loss = [(np.maximum.reduce, (logits, 1, None, row_max))]
+        loss += [
+            (np.copyto, (tile, row_max[:, None])), (np.subtract, (logits, tile, logits)),
+            # picks are in range; mode="raise" would stage the result in a fresh array
+            (flat.take, (picks, None, picked, "clip")), (np.exp, (logits, logits)),
+            (np.add.reduce, (logits, 1, None, norm)), (np.log, (norm, terms)),
+            (np.subtract, (terms, picked, terms)), (np.copyto, (tile, norm[:, None])),
+            (np.divide, (logits, tile, logits)),
+            # flat[picks] -= 1.0 through picked; np.subtract.at would allocate
+            (flat.take, (picks, None, picked, "clip")), (np.subtract, (picked, 1.0, picked)),
+            (flat.put, (picks, picked, "clip")),
         ]
-        backward = [(outs[li - 1], actives[li - 1], tiles[li - 1], gradients[li])
-                    for li in range(len(outs) - 1, 0, -1)]
-        copyto, add, subtract, divide, multiply = np.copyto, np.add, np.subtract, np.divide, np.multiply
-        maximum, greater, exp, log = np.maximum, np.greater, np.exp, np.log
-        add_reduce, max_reduce = np.add.reduce, np.maximum.reduce
+        for (a, g, n, lo), (*_group, parts, _t) in zip(groups, per_group):
+            # np.mean's own arithmetic (pairwise sum, then divide)
+            loss += [(np.divide, (parts[-1], n, parts[-1])),
+                     (np.add.reduce, (terms[lo : lo + g * n].reshape(g, n), 1, None, sums[a : a + g]))]
+        # per layer from the last: its weight and bias gradients, from its
+        # input and the delta at its output, and above the first layer the
+        # delta at its input (layer li - 1's output, overwritten), which
+        # that layer's ReLU mask then masks
+        backward: list[tuple[Callable, tuple]] = []
+        for li in range(len(outs) - 1, -1, -1):
+            if li:
+                act, mask = outs[li - 1], tiles[li - 1]
+                is_active = self._bools[: act.size].reshape(act.shape)
+                backward += [(np.greater, (act, 0.0, is_active)), (np.copyto, (mask, is_active))]
+            for dot, axis, params, parts, _t in per_group:
+                _weight, _bias, weight_t, g_weight, g_bias = params[li]
+                backward += [(dot, (np.swapaxes(parts[li], -1, -2), parts[li + 1], g_weight)),
+                             (np.add.reduce, (parts[li + 1], axis, None, g_bias))]
+                backward += [(dot, (parts[li + 1], weight_t, parts[li]))] if li else []
+            backward += [(np.multiply, (act, mask, act))] if li else []
 
         def step(labels: np.ndarray | None) -> list[float] | np.ndarray:
-            for dot, inputs, weight, part in products[0]:
-                dot(inputs, weight, part)
-            for out, out_tile, bias_fills, next_products in hidden:
-                for fill, bias in bias_fills:
-                    copyto(fill, bias)
-                add(out, out_tile, out)
-                maximum(out, 0.0, out=out)
-                for dot, act, weight, part in next_products:
-                    dot(act, weight, part)
-            for fill, bias in last_fills:
-                copyto(fill, bias)
-            add(logits, tile, logits)
+            for call, args in forward:
+                call(*args)
             if labels is None:
                 return logits
             add(offsets, labels, picks)
-            # logits become (softmax - onehot) / n; terms[i] is row i's
-            # log(sum exp(shifted)) - shifted[label]
-            if by_column:
-                copyto(row_max, first_column)
-                for column in columns:
-                    maximum(row_max, column, out=row_max)
-            else:
-                max_reduce(logits, 1, None, row_max)
-            copyto(tile, max_col)
-            subtract(logits, tile, logits)
-            # picks are in range; mode="raise" would stage the result in a fresh array
-            flat.take(picks, None, picked, "clip")
-            exp(logits, logits)
-            add_reduce(logits, 1, None, norm)
-            log(norm, terms)
-            subtract(terms, picked, terms)
-            copyto(tile, norm_col)
-            divide(logits, tile, logits)
-            # flat[picks] -= 1.0 through picked; np.subtract.at would allocate
-            flat.take(picks, None, picked, "clip")
-            subtract(picked, 1.0, picked)
-            flat.put(picks, picked, "clip")
-            for part, n, part_terms, part_sums in scale:
-                divide(part, n, part)
-                # np.mean's own arithmetic (pairwise sum, then divide)
-                add_reduce(part_terms, 1, None, part_sums)
+            for call, args in loss:
+                call(*args)
             losses = [total / n for total, n in zip(sums.tolist(), sizes)]
-            for act, is_active, mask, grads in backward:
-                greater(act, 0.0, is_active)
-                copyto(mask, is_active)
-                for dot, act_t, delta, g_weight, g_bias, axis, weight_t, part in grads:
-                    dot(act_t, delta, g_weight)
-                    add_reduce(delta, axis, None, g_bias)
-                    dot(delta, weight_t, part)
-                multiply(act, mask, act)
-            for dot, inputs_t, delta, g_weight, g_bias, axis, _weight_t, _inputs in gradients[0]:
-                dot(inputs_t, delta, g_weight)
-                add_reduce(delta, axis, None, g_bias)
+            for call, args in backward:
+                call(*args)
             return losses
 
         return step

@@ -589,6 +589,46 @@ def test_a_diagnosed_run_plan_fits_the_full_batch_pass(toy_problem):
         assert (plan.rows, plan.lanes) == (max(plain.rows, rows), max(plain.lanes, lanes)) == (rows, lanes)
 
 
+def test_no_caller_reads_what_another_left_in_the_plan(toy_problem):
+    # the run's one plan serves every caller in turn, so each must write all
+    # it reads: on a plan whose lanes, inputs and layer workspace hold NaN,
+    # two cohorts, a score and a full-batch pass give bitwise what they give
+    # on a fresh plan. A cohort's momentum and prox-difference lanes are its
+    # own, not the plan's, so it must start them itself
+    _pool, server_set, _rest, _part, clients, model = toy_problem
+    datasets = [c.data for c in clients]
+    shared = dict(tau=1.0, local_epochs=2, batch_size=8, eta=0.05, momentum=0.9, weight_decay=1e-3, seed=3)
+    prox = ExperimentConfig(strategy="fedprox", mu_prox=0.3, instrument_global_loss=True, **shared)
+    scaled = ExperimentConfig(strategy="fedpdc", lam=2.0, penalty_mode="scaled_ce", **shared)
+    server = engine.ServerState(model, server_set)
+
+    def cohort(cfg, accuracies):
+        def train(plan):
+            runs = [engine.local_train(c, model, p, cfg, 1) for c, p in zip(clients, accuracies)]
+            trained = engine.train_cohort(runs, plan)
+            return [(m.values.tobytes(), repr(losses), repr(mean)) for m, losses, mean in trained]
+        return train
+
+    def full_pass(plan):
+        loss, grad, ratio = diagnostics.FullBatchPass(model.arch, datasets, plan)(model)
+        return repr(loss), grad.tobytes(), repr(ratio)
+
+    callers = {
+        "fedprox cohort": cohort(prox, [1.0] * len(clients)),
+        "scaled_ce cohort": cohort(scaled, [0.25, 0.5, 0.75, 1.0]),
+        "score": lambda plan: repr(nn.evaluate_accuracy(model, server_set.data, plan)),
+        "full-batch pass": full_pass,
+    }
+    for name, call in callers.items():
+        plan = engine.round_plan(server, clients, prox)
+        for array in (plan.values, plan.grads, plan.inputs):
+            array.fill(np.nan)
+        # one step over all rows carries the NaN through every layer's output and the tiles
+        with np.errstate(all="ignore"):
+            plan.step(plan.rows)(np.zeros(plan.rows, dtype=np.intp))
+        assert call(plan) == call(engine.round_plan(server, clients, prox)), name
+
+
 def test_a_round_seeds_one_shuffle_stream(toy_problem, monkeypatch):
     # every selected client's shuffles come from the (TAG_LOCAL, seed,
     # round) stream; the round seeds it once and restarts it per client.

@@ -406,7 +406,7 @@ class TestReluMask:
         np.copyto(plan.values, values)
         _fill(plan, features)
         plan.step(rows)(labels)
-        assert plan.grad.tobytes() == want.tobytes()
+        assert plan.grads[0].tobytes() == want.tobytes()
 
 
 class TestCheckpoint:
@@ -564,7 +564,7 @@ def test_plan_step_equals_reference(widths, rows, data):
         _fill(plan, features)
         (ce,) = plan.step(r)(labels)
         want_ce, want_grad = reference.loss_and_grad(arch, values, features, labels)
-        assert ce == want_ce and plan.grad.tobytes() == want_grad.tobytes()
+        assert ce == want_ce and plan.grads[0].tobytes() == want_grad.tobytes()
         np.copyto(plan.values, 1e200)
         _fill(plan, 1e200 * features)
         with np.errstate(over="ignore", invalid="ignore"):

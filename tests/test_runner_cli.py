@@ -519,6 +519,27 @@ class TestCli:
             main(["compare", str(tmp_path), "--target", target])
         assert exited.value.code == 2 and "argument --target" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("target", ["--target=nan", "--target=inf", "--target=-inf"])
+    def test_compare_rejects_a_target_that_is_not_finite(self, tmp_path, capsys, target):
+        # nan and inf printed rows no run reaches and exited 0; -inf read
+        # every run as reaching the target in round 1
+        with pytest.raises(SystemExit) as exited:
+            main(["compare", str(tmp_path), target])
+        assert exited.value.code == 2 and "not a finite plain ASCII number" in capsys.readouterr().err
+
+    def test_compare_rejects_a_final_value_that_is_not_finite(self, tmp_path, capsys):
+        # a baseline ending in nan behaved like --target nan and exited 0
+        out = tmp_path / "runs"
+        assert main(["run", str(self.write_cfg(tmp_path, output_dir=str(out)))]) == 0
+        history = out / "fedavg-seed0" / "rounds.csv"
+        header, *rows = history.read_text().splitlines()
+        cells = rows[-1].split(",")
+        cells[header.split(",").index("global_acc_test")] = "nan"
+        history.write_text("\n".join([header, *rows[:-1], ",".join(cells)]) + "\n")
+        capsys.readouterr()
+        assert main(["compare", str(history.parent)]) == 3
+        assert "baseline has no final 'global_acc_test' value" in capsys.readouterr().err
+
     def test_compare_and_plotdata_ignore_a_leading_byte_order_mark(self, tmp_path, capsys):
         # with it the header's first column read "\ufeffround": plotdata
         # exited 3 with "no column 'round'"
