@@ -155,17 +155,16 @@ def _check_aggregation() -> bool:
     sum of the models, and equal accuracies weigh the models equally."""
     rng = np.random.default_rng(7)
     arch = nn.ModelArch((3, 4, 2))
-    models = [nn.ParamVector(arch, rng.standard_normal(nn.param_count(arch))) for _ in range(4)]
+    models = rng.standard_normal((4, nn.param_count(arch)))
     shares = [0.1, 0.2, 0.3, 0.4]
     weights = engine.fedavg_weights([10, 20, 30, 40])
     if not np.allclose(weights, shares, rtol=0, atol=1e-15):
         return False
-    loop_sum = sum(share * model.values for share, model in zip(shares, models))
-    if not np.allclose(engine._combine(models, weights).values, loop_sum, rtol=0, atol=1e-12):
+    loop_sum = sum(share * model for share, model in zip(shares, models))
+    if not np.allclose(engine._combine(arch, models, weights).values, loop_sum, rtol=0, atol=1e-12):
         return False
-    stacked = np.stack([m.values for m in models])
-    equal = engine._combine(models, engine.fedpdc_weights([0.5, 0.5, 0.5, 0.5])[0])
-    return bool(np.max(np.abs(equal.values - stacked.mean(axis=0))) < 1e-12)
+    equal = engine._combine(arch, models, engine.fedpdc_weights([0.5, 0.5, 0.5, 0.5])[0])
+    return bool(np.max(np.abs(equal.values - models.mean(axis=0))) < 1e-12)
 
 
 def _toy_problem():

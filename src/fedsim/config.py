@@ -15,7 +15,7 @@ import math
 import os
 from dataclasses import dataclass, fields, replace
 
-from .data import plain_number
+from .data import is_int, plain_number
 from .errors import ConfigError
 
 STRATEGIES = ("fedavg", "fedprox", "fedpdc", "fedpdc_adaptive")
@@ -58,9 +58,9 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} must be of type {f.type}, got {value!r} (ints must fit int64)")
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{key} must be finite, got {value!r}")
-            if f.type == "float":
-                # an int stands for its float; holding the float keeps the echo canonical
-                object.__setattr__(self, f.name, float(value))
+            if f.type in _CANONICAL:
+                # an int stands for its float, a numpy integer for its int: the echo stays canonical
+                object.__setattr__(self, f.name, _CANONICAL[f.type](value))
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
         if self.penalty_mode not in PENALTY_MODES:
@@ -123,10 +123,9 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(plain_number(tok.strip())) for tok in text.split(","))
 
 
-def _is_int(value) -> bool:
-    # a bool is an int to Python, never to a config; int64 is what numpy
-    # computes counts in, and a wider seed would alias a narrower one
-    return isinstance(value, int) and not isinstance(value, bool) and -(2**63) <= value < 2**63
+def _is_int64(value) -> bool:
+    # int64 is what numpy computes counts in, and a wider seed would alias a narrower one
+    return is_int(value) and -(2**63) <= value < 2**63
 
 
 # field annotation (a string, under `from __future__ import annotations`) ->
@@ -141,17 +140,19 @@ _TEXT_FORMS = {
         lambda value: os.fsencode(value).decode("utf-8"),
         lambda value: isinstance(value, str),
     ),
-    "int": (lambda text: int(plain_number(text)), str, _is_int),
+    "int": (lambda text: int(plain_number(text)), str, _is_int64),
     "float": (
-        lambda text: float(plain_number(text)), repr, lambda value: isinstance(value, float) or _is_int(value)
+        lambda text: float(plain_number(text)), repr, lambda value: isinstance(value, float) or _is_int64(value)
     ),
     "bool": (_parse_bool, lambda value: "true" if value else "false", lambda value: isinstance(value, bool)),
     "tuple[int, ...]": (
         _parse_int_list,
         lambda value: ",".join(str(v) for v in value),
-        lambda value: isinstance(value, tuple) and all(map(_is_int, value)),
+        lambda value: isinstance(value, tuple) and all(map(_is_int64, value)),
     ),
 }
+
+_CANONICAL = {"int": int, "float": float, "tuple[int, ...]": lambda value: tuple(map(int, value))}
 
 # the config key is the field name, except where the name is a Python keyword
 _FIELD_TO_KEY = {f.name: "lambda" if f.name == "lam" else f.name for f in fields(ExperimentConfig)}

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +21,12 @@ def plain_number(text: str) -> str:
     if not text.isascii() or "_" in text:
         raise ValueError(f"{text!r} is not a plain ASCII number")
     return text
+
+
+def is_int(value) -> bool:
+    """Whether value is an integer (Python's or numpy's), the rule of every
+    count fedsim takes: a bool, np.bool_, a float or a string is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def checked_arrays(features, labels) -> tuple[np.ndarray, np.ndarray]:
@@ -65,7 +70,7 @@ class LabeledDataset:
 
     def __post_init__(self) -> None:
         feats, labs = checked_arrays(self.features, self.labels)
-        if not np.issubdtype(type(self.num_classes), np.integer) or self.num_classes < 1:
+        if not is_int(self.num_classes) or self.num_classes < 1:
             raise DataError(f"num_classes must be an integer >= 1, got {self.num_classes!r}")
         if labs.min() < 0 or labs.max() >= self.num_classes:
             raise DataError("labels must lie in [0, num_classes)")

@@ -25,6 +25,8 @@ import statistics
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .config import ExperimentConfig, write_config
 from .data import (
     LabeledDataset,
@@ -34,7 +36,6 @@ from .data import (
     dirichlet_partition,
     generate_synthetic,
     load_csv,
-    partition_stats,
     write_partition_manifest,
 )
 from .diagnostics import DescentRecord, FullBatchPass, descent_check, dissimilarity_B
@@ -53,7 +54,6 @@ class Problem:
     """Everything a run needs: data splits, clients, and the initial server."""
 
     test_set: LabeledDataset | None
-    train_pool: LabeledDataset
     partition: Partition
     clients: list[ClientState]
     server: ServerState
@@ -81,8 +81,9 @@ def build_problem(cfg: ExperimentConfig, seed: int) -> Problem:
         pool = load_csv(cfg.dataset)
 
     # each carve copies the rows it keeps, so the pool is let go of once
-    # the server set is carved, and the remainder (rebound below) once the
-    # test set is: a run never holds a client row twice
+    # the server set is carved, the remainder (rebound below) once the test
+    # set is, and the training rows (the clients hold copies) on return: a
+    # run never holds a client row twice
     server_set, train_pool = build_server_set(pool, cfg.server_per_class, seed)
     del pool
     test_set: LabeledDataset | None = None
@@ -103,14 +104,7 @@ def build_problem(cfg: ExperimentConfig, seed: int) -> Problem:
         model = init_model(arch, seed)
     except (ValueError, MemoryError):  # numpy: "Maximum allowed dimension exceeded"
         raise ConfigError(f"hidden = {','.join(map(str, cfg.hidden))}: the model cannot be allocated") from None
-    server = ServerState(model, server_set)
-    return Problem(
-        test_set=test_set,
-        train_pool=train_pool,
-        partition=partition,
-        clients=clients,
-        server=server,
-    )
+    return Problem(test_set=test_set, partition=partition, clients=clients, server=ServerState(model, server_set))
 
 
 def _fmt(value: float | None) -> str:
@@ -187,10 +181,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int, run_dir) -> RunResult:
     write_config(run_cfg, run_dir / "manifest.txt")
     write_partition_manifest(problem.partition, run_dir / "partition.txt")
 
-    # the rounds need only these: dropping the problem frees the training
-    # pool, so the run holds each client row once, in its client's data
     server, clients, test_set = problem.server, problem.clients, problem.test_set
-    del problem
     plan = round_plan(server, clients, run_cfg, test_set)
     diagnose = cfg.instrument_global_loss or cfg.emit_dissimilarity
     full_pass = FullBatchPass(server.model.arch, [c.data for c in clients], plan) if diagnose else None
@@ -251,13 +242,10 @@ def run_sweep(cfg: ExperimentConfig) -> list[RunResult]:
 
 
 def partition_report(cfg: ExperimentConfig, seed: int) -> str:
-    """Text table of per-client class counts for the configured partition."""
-    problem = build_problem(cfg, seed)
-    counts = partition_stats(problem.partition, problem.train_pool)
-    header = "client," + ",".join(f"class{c}" for c in range(counts.shape[1]))
-    lines = [header]
-    for cid, row in enumerate(counts):
-        lines.append(f"{cid}," + ",".join(str(int(v)) for v in row))
-    totals = counts.sum(axis=0)
-    lines.append("total," + ",".join(str(int(v)) for v in totals))
+    """Text table of per-client class counts for the configured partition,
+    each counted from its client's own data."""
+    counts = np.array([client.data.class_histogram() for client in build_problem(cfg, seed).clients])
+    lines = ["client," + ",".join(f"class{c}" for c in range(counts.shape[1]))]
+    lines += [f"{cid}," + ",".join(map(str, row)) for cid, row in enumerate(counts.tolist())]
+    lines.append("total," + ",".join(map(str, counts.sum(axis=0).tolist())))
     return "\n".join(lines) + "\n"

@@ -34,4 +34,6 @@ def random_batch(arch: nn.ModelArch, size: int, seed: int) -> nn.Batch:
 
 def train_alone(client, w_global, p, cfg, round_index, plan=None):
     """One client's local training as a cohort of one: (local model, losses)."""
-    return engine.train_cohort([engine.local_train(client, w_global, p, cfg, round_index)], plan)[0][:2]
+    run = engine.local_train(client, w_global, p, cfg, round_index)
+    models, losses, _means = engine.train_cohort([run], plan)
+    return nn.ParamVector(w_global.arch, models[0]), losses[0]

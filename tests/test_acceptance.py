@@ -110,16 +110,13 @@ def test_criterion_2_aggregation_identities():
         w_pdc, _ = engine.fedpdc_weights(accs)
         ok &= abs(float(w_avg.sum()) - 1.0) < 1e-12
         ok &= abs(float(w_pdc.sum()) - 1.0) < 1e-12
-        models = [
-            nn.ParamVector(arch, rng.standard_normal(nn.param_count(arch))) for _ in range(k)
-        ]
-        stacked = np.stack([m.values for m in models])
-        combined = engine._combine(models, engine.fedavg_weights(sizes))
+        stacked = rng.standard_normal((k, nn.param_count(arch)))
+        combined = engine._combine(arch, stacked, engine.fedavg_weights(sizes))
         ok &= bool(np.all(combined.values >= stacked.min(axis=0) - 1e-12))
         ok &= bool(np.all(combined.values <= stacked.max(axis=0) + 1e-12))
-    models = [nn.ParamVector(arch, rng.standard_normal(nn.param_count(arch))) for _ in range(5)]
-    equal = engine._combine(models, engine.fedpdc_weights([0.6] * 5)[0])
-    mean = np.mean(np.stack([m.values for m in models]), axis=0)
+    models = rng.standard_normal((5, nn.param_count(arch)))
+    equal = engine._combine(arch, models, engine.fedpdc_weights([0.6] * 5)[0])
+    mean = np.mean(models, axis=0)
     ok &= bool(np.max(np.abs(equal.values - mean)) < 1e-12)
     report(2, "aggregation identities", ok)
 

@@ -3,6 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fedsim import nn
+from fedsim.config import ExperimentConfig, config_text
 from fedsim.data import (
     LabeledDataset,
     Partition,
@@ -15,7 +17,7 @@ from fedsim.data import (
     save_csv,
     write_partition_manifest,
 )
-from fedsim.errors import DataError, PartitionError
+from fedsim.errors import ConfigError, DataError, PartitionError, ShapeError
 from fedsim.seeding import TAG_SYNTH, stream
 
 
@@ -315,3 +317,32 @@ def test_labeled_dataset_validation():
         LabeledDataset(np.array([[np.inf, 0.0]]), np.array([0]), 1)
     with pytest.raises(DataError):
         LabeledDataset(np.zeros((0, 2)), np.zeros(0, dtype=int), 1)
+
+
+# every boundary that takes a count, as (build with count n, its error, its message)
+INTEGER_BOUNDARIES = {
+    "config": (lambda n: ExperimentConfig(rounds=n), ConfigError, "rounds must be of type int"),
+    "ModelArch": (lambda n: nn.ModelArch((2, n)), ConfigError, "layer widths must be integers"),
+    "LabeledDataset": (lambda n: LabeledDataset(np.zeros((1, 2)), [0], n), DataError, "num_classes must be an integer"),
+    "TrainPlan": (lambda n: nn.TrainPlan(nn.ModelArch((2, 3)), n), ShapeError, "an integer row count"),
+}
+
+
+@pytest.mark.parametrize("boundary", INTEGER_BOUNDARIES)
+def test_every_boundary_takes_the_same_integers(boundary):
+    # data.is_int is the one rule: a Python or numpy integer, never a bool,
+    # a float or a string, though int() reads each
+    build, error, message = INTEGER_BOUNDARIES[boundary]
+    for value in (3, np.int64(3)):
+        build(value)
+    for value in (True, np.bool_(True), 3.0, "3"):
+        with pytest.raises(error, match=message):
+            build(value)
+
+
+def test_a_config_of_numpy_integers_is_the_config_of_ints():
+    ints = dict(rounds=3, hidden=(8, 4), seeds=(1, 2), lam=2, clients=5)
+    numpy_ints = {key: np.int64(v) if isinstance(v, int) else tuple(map(np.int64, v)) for key, v in ints.items()}
+    plain, from_numpy = ExperimentConfig(**ints), ExperimentConfig(**numpy_ints)
+    assert from_numpy == plain and config_text(from_numpy) == config_text(plain)
+    assert all(type(getattr(from_numpy, key)) is type(getattr(plain, key)) for key in ints)

@@ -22,9 +22,12 @@ from fedsim.errors import (
 from fedsim.seeding import TAG_LOCAL, TAG_SAMPLE, stream
 
 
+SCALAR = nn.ModelArch((1, 1))
+
+
 def scalar_models(*values):
-    arch = nn.ModelArch((1, 1))
-    return [nn.ParamVector(arch, np.full(2, v, dtype=float)) for v in values]
+    """Local models of SCALAR, a row each, with every parameter one value."""
+    return np.repeat(np.array(values, dtype=float)[:, None], 2, axis=1)
 
 
 class TestSampleClients:
@@ -406,12 +409,12 @@ def test_a_cohort_trains_each_client_as_it_trains_alone(
     rows = sum(min(batch_size, len(c.data)) for c in clients) + 3
     plan = nn.TrainPlan(arch, rows, len(clients) + 1)
     runs = [engine.local_train(c, w, accuracies[c.id], cfg, 2) for c in clients]
-    cohort = engine.train_cohort(runs, plan)
-    for c, (model, losses, _mean) in zip(clients, cohort):
+    models, cohort_losses, _means = engine.train_cohort(runs, plan)
+    for c, model, losses in zip(clients, models, cohort_losses):
         alone_model, alone_losses = train_alone(c, w, accuracies[c.id], cfg, 2, plan)
-        assert model.values.tobytes() == alone_model.values.tobytes() and repr(losses) == repr(alone_losses)
+        assert model.tobytes() == alone_model.values.tobytes() and repr(losses) == repr(alone_losses)
         ref_values, ref_losses = reference.local_train(arch, c.data, w.values, accuracies[c.id], cfg, 2)
-        assert model.values.tobytes() == ref_values.tobytes() and repr(losses) == repr(ref_losses)
+        assert model.tobytes() == ref_values.tobytes() and repr(losses) == repr(ref_losses)
 
 
 @pytest.mark.filterwarnings("error")
@@ -462,10 +465,11 @@ def test_a_diverging_cohort_raises_the_error_of_the_sequential_loop():
 
     # the plan the diverged lanes left behind trains the healthy clients as alone
     healthy = [clients[k] for k in (0, 2, 4)]
-    cohort = engine.train_cohort([engine.local_train(c, w, 0.5, cfg, 3) for c in healthy], plan)
-    for c, (model, losses, _mean) in zip(healthy, cohort):
+    runs = [engine.local_train(c, w, 0.5, cfg, 3) for c in healthy]
+    models, cohort_losses, _means = engine.train_cohort(runs, plan)
+    for c, model, losses in zip(healthy, models, cohort_losses):
         alone_model, alone_losses = train_alone(c, w, 0.5, cfg, 3)
-        assert model.values.tobytes() == alone_model.values.tobytes() and losses == alone_losses
+        assert model.tobytes() == alone_model.values.tobytes() and losses == alone_losses
 
 
 @pytest.mark.filterwarnings("error")
@@ -485,14 +489,14 @@ def test_finite_parameters_whose_sum_overflows_train_on():
         engine.ClientState(1, LabeledDataset(rng.standard_normal((7, 3)), rng.integers(0, 2, 7), 2)),
     ]
     cfg = ExperimentConfig(strategy="fedprox", mu_prox=0.1, local_epochs=2, batch_size=4, eta=0.0, seed=2)
-    cohort = engine.train_cohort([engine.local_train(c, w, 1.0, cfg, 1) for c in clients])
-    for c, (model, losses, _mean) in zip(clients, cohort):
+    models, cohort_losses, _means = engine.train_cohort([engine.local_train(c, w, 1.0, cfg, 1) for c in clients])
+    for c, model, losses in zip(clients, models, cohort_losses):
         # BLAS may overflow in the padding of a product, which numpy reports
         # after the call; fedsim runs its products under np.errstate too
         with np.errstate(over="ignore"):
             ref_values, ref_losses = reference.local_train(arch, c.data, w.values, 1.0, cfg, 1)
-        assert model.values.tobytes() == ref_values.tobytes() and repr(losses) == repr(ref_losses)
-    assert cohort[0][0].values[0] == 1e308
+        assert model.tobytes() == ref_values.tobytes() and repr(losses) == repr(ref_losses)
+    assert models[0, 0] == 1e308
 
 
 @pytest.mark.filterwarnings("error")
@@ -534,12 +538,13 @@ def test_a_cohort_mean_loss_is_np_mean_of_the_losses():
         engine.ClientState(cid, LabeledDataset(rng.standard_normal((n, 3)), rng.integers(0, 3, n), 3))
         for cid, n in enumerate((1, 3, 50, 101))
     ]
-    cohort = engine.train_cohort([engine.local_train(c, w, 1.0, cfg, 0) for c in clients])
-    assert [len(losses) for _model, losses, _mean in cohort] == [3, 9, 150, 303]
-    for _model, losses, mean in cohort:
+    _models, cohort_losses, means = engine.train_cohort([engine.local_train(c, w, 1.0, cfg, 0) for c in clients])
+    assert [len(losses) for losses in cohort_losses] == [3, 9, 150, 303]
+    for losses, mean in zip(cohort_losses, means):
         assert repr(mean) == repr(float(np.mean(losses)))
-    empty = engine.train_cohort([engine.local_train(clients[0], w, 1.0, replace(cfg, local_epochs=0), 0)])
-    assert empty[0][1] == [] and math.isnan(empty[0][2])
+    run = engine.local_train(clients[0], w, 1.0, replace(cfg, local_epochs=0), 0)
+    _models, losses, means = engine.train_cohort([run])
+    assert losses[0] == [] and math.isnan(means[0])
 
 
 def test_a_cohort_needs_one_optimizer_and_a_lane_per_run():
@@ -556,7 +561,8 @@ def test_a_cohort_needs_one_optimizer_and_a_lane_per_run():
     runs = [engine.local_train(c, w, 1.0, cfg, 0) for c in clients]
     with pytest.raises(ShapeError, match="a cohort of 2 runs needs a plan with 2 lanes"):
         engine.train_cohort(runs, nn.TrainPlan(arch, 8, 1))
-    assert engine.train_cohort([]) == []
+    models, losses, means = engine.train_cohort([])
+    assert len(models) == 0 and losses == means == []
 
 
 def test_the_run_plan_binds_each_step_shape_once(toy_problem):
@@ -605,8 +611,8 @@ def test_no_caller_reads_what_another_left_in_the_plan(toy_problem):
     def cohort(cfg, accuracies):
         def train(plan):
             runs = [engine.local_train(c, model, p, cfg, 1) for c, p in zip(clients, accuracies)]
-            trained = engine.train_cohort(runs, plan)
-            return [(m.values.tobytes(), repr(losses), repr(mean)) for m, losses, mean in trained]
+            models, losses, means = engine.train_cohort(runs, plan)
+            return models.tobytes(), repr(losses), repr(means)
         return train
 
     def full_pass(plan):
@@ -682,51 +688,109 @@ def test_a_round_scores_local_models_only_when_the_scores_are_read(
         assert set(record.sent_accuracies.values()) == {1.0}
 
 
+def counting_param_vectors(monkeypatch) -> list:
+    """A list that gets every ParamVector built from here on."""
+    built, post_init = [], nn.ParamVector.__post_init__
+
+    def counting(vector):
+        built.append(vector)
+        post_init(vector)
+
+    monkeypatch.setattr(nn.ParamVector, "__post_init__", counting)
+    return built
+
+
+@pytest.mark.parametrize(
+    "strategy, tau, scored", [("fedavg", 1.0, False), ("fedprox", 1.0, False), ("fedpdc", 0.5, True)]
+)
+def test_a_round_builds_a_param_vector_only_where_a_model_leaves_it(toy_problem, monkeypatch, strategy, tau, scored):
+    # the local models stay one array from the cohort to the aggregate: a
+    # round builds a ParamVector for each local model it scores and one for
+    # the new global model, which it also scores on the test set
+    pool, server_set, _rest, _part, clients, model = toy_problem
+    cfg = ExperimentConfig(strategy=strategy, tau=tau, local_epochs=1, batch_size=16, seed=4)
+    test_data = pool.subset(np.arange(0, len(pool), 7))
+    server = engine.ServerState(model, server_set)
+    built = counting_param_vectors(monkeypatch)
+    for _round in range(2):
+        built.clear()
+        server, record = engine.run_round(server, clients, cfg, test_data)
+        assert len(built) == (len(record.selected) if scored else 0) + 1
+        assert built[-1] is server.model and len(record.selected) == 4 * tau
+
+
+def test_a_cohort_returns_each_run_its_row_as_trained_alone(monkeypatch):
+    # lanes run longest first, so the cohort reorders these runs; each run's
+    # row of the models, losses and mean come back in the order given,
+    # bitwise what the run gives alone, and a run of no steps (local_epochs
+    # = 0) among runs with steps keeps its anchor. No ParamVector is built
+    rng = np.random.default_rng(11)
+    arch = nn.ModelArch((3, 5, 3))
+    w = random_model(arch, seed=11)
+    cfg = ExperimentConfig(strategy="fedprox", mu_prox=0.2, batch_size=4, eta=0.05, momentum=0.9, seed=2)
+    sizes, epochs = (3, 17, 6, 17, 9, 1), (2, 2, 0, 1, 2, 0)
+    runs = [
+        engine.local_train(
+            engine.ClientState(cid, LabeledDataset(rng.standard_normal((n, 3)), rng.integers(0, 3, n), 3)),
+            w, 1.0, replace(cfg, local_epochs=e), 0,
+        )
+        for cid, (n, e) in enumerate(zip(sizes, epochs))
+    ]
+    assert [len(run.sizes) for run in runs] == [2, 10, 0, 5, 6, 0]
+    built = counting_param_vectors(monkeypatch)
+    models, losses, means = engine.train_cohort(runs)
+    assert built == []
+    assert models.shape == (len(runs), nn.param_count(arch)) and not models.flags.writeable
+    for k, run in enumerate(runs):
+        alone, alone_losses, alone_means = engine.train_cohort([run])
+        assert models[k].tobytes() == alone[0].tobytes() and losses[k] == alone_losses[0]
+        assert repr(means[k]) == repr(alone_means[0])
+    for k in (2, 5):
+        assert models[k].tobytes() == w.values.tobytes() and losses[k] == [] and math.isnan(means[k])
+
+
 class TestAggregation:
     def test_size_weighted_average(self):
         models = scalar_models(0.0, 4.0)
-        out = engine._combine(models, engine.fedavg_weights([100, 300]))
+        out = engine._combine(SCALAR, models, engine.fedavg_weights([100, 300]))
         assert np.allclose(out.values, 3.0, atol=0)
 
     def test_equal_sizes_give_arithmetic_mean(self):
         models = scalar_models(1.0, 2.0, 4.0)
-        out = engine._combine(models, engine.fedavg_weights([5, 5, 5]))
+        out = engine._combine(SCALAR, models, engine.fedavg_weights([5, 5, 5]))
         assert np.max(np.abs(out.values - 7.0 / 3.0)) < 1e-12
 
     def test_single_model_unchanged(self):
-        (model,) = scalar_models(1.234)
-        out = engine._combine([model], engine.fedavg_weights([17]))
-        assert np.array_equal(out.values, model.values)
+        models = scalar_models(1.234)
+        out = engine._combine(SCALAR, models, engine.fedavg_weights([17]))
+        assert np.array_equal(out.values, models[0])
 
     def test_accuracy_weighted_average(self):
-        arch = nn.ModelArch((1, 1))
-        e1 = nn.ParamVector(arch, np.array([1.0, 0.0]))
-        e2 = nn.ParamVector(arch, np.array([0.0, 1.0]))
-        out = engine._combine([e1, e2], engine.fedpdc_weights([0.8, 0.2])[0])
+        out = engine._combine(SCALAR, np.eye(2), engine.fedpdc_weights([0.8, 0.2])[0])
         assert np.allclose(out.values, [0.8, 0.2], atol=1e-15)
 
     def test_equal_accuracies_give_mean(self):
         models = scalar_models(1.0, 3.0)
-        out = engine._combine(models, engine.fedpdc_weights([0.4, 0.4])[0])
+        out = engine._combine(SCALAR, models, engine.fedpdc_weights([0.4, 0.4])[0])
         assert np.max(np.abs(out.values - 2.0)) < 1e-12
 
     def test_zero_accuracies_fall_back_to_uniform(self):
         weights, flagged = engine.fedpdc_weights([0.0, 0.0, 0.0])
         assert flagged
         assert np.array_equal(weights, np.full(3, 1.0 / 3.0))
-        out = engine._combine(scalar_models(3.0, 6.0, 0.0), weights)
+        out = engine._combine(SCALAR, scalar_models(3.0, 6.0, 0.0), weights)
         assert np.allclose(out.values, 3.0, atol=1e-15)
 
     def test_input_validation(self):
         models = scalar_models(1.0, 2.0)
         with pytest.raises(AggregationError):
-            engine._combine(models, engine.fedavg_weights([5]))
+            engine._combine(SCALAR, models, engine.fedavg_weights([5]))
         with pytest.raises(AggregationError):
-            engine._combine(models, engine.fedavg_weights([5, 0]))
+            engine._combine(SCALAR, models, engine.fedavg_weights([5, 0]))
         with pytest.raises(AggregationError):
-            engine._combine(models, engine.fedpdc_weights([0.5, 1.5])[0])
+            engine._combine(SCALAR, models, engine.fedpdc_weights([0.5, 1.5])[0])
         with pytest.raises(AggregationError):
-            engine._combine([], engine.fedavg_weights([]))
+            engine._combine(SCALAR, models[:0], engine.fedavg_weights([]))
         # a NaN is neither a positive size nor an accuracy in [0, 1]
         with pytest.raises(AggregationError):
             engine.fedavg_weights([math.nan, 1])
@@ -745,9 +809,8 @@ def test_aggregation_weights_normalized_and_convex(k, seed):
     assert abs(w_avg.sum() - 1.0) < 1e-12
     assert abs(w_pdc.sum() - 1.0) < 1e-12
     arch = nn.ModelArch((2, 2))
-    models = [nn.ParamVector(arch, rng.standard_normal(nn.param_count(arch))) for _ in range(k)]
-    stacked = np.stack([m.values for m in models])
-    combined = engine._combine(models, engine.fedavg_weights(sizes))
+    stacked = rng.standard_normal((k, nn.param_count(arch)))
+    combined = engine._combine(arch, stacked, engine.fedavg_weights(sizes))
     tol = 1e-12
     assert np.all(combined.values >= stacked.min(axis=0) - tol)
     assert np.all(combined.values <= stacked.max(axis=0) + tol)
@@ -808,7 +871,8 @@ class TestRunRound:
         assert engine.sample_clients(2, 1.0, 0, 7) == (0, 1)
         locals_ = [train_alone(c, model, 1.0, cfg, 0)[0] for c in clients]
         accs = [nn.evaluate_accuracy(m, server_set.data) for m in locals_]
-        expected = engine._combine(locals_, engine.fedpdc_weights(accs)[0])
+        stacked = np.stack([m.values for m in locals_])
+        expected = engine._combine(model.arch, stacked, engine.fedpdc_weights(accs)[0])
         assert np.array_equal(new_server.model.values, expected.values)
         assert rec.measured_accuracies == {0: accs[0], 1: accs[1]}
         assert new_server.prev_accuracies == {0: accs[0], 1: accs[1]}

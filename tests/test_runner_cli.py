@@ -57,10 +57,9 @@ class TestBuildProblem:
         cfg = quick_cfg()
         problem = build_problem(cfg, seed=0)
         server_set = problem.server.server_set
-        total = len(server_set) + len(problem.test_set) + len(problem.train_pool)
+        total = len(server_set) + len(problem.test_set) + sum(len(c.data) for c in problem.clients)
         assert total == cfg.num_classes * cfg.samples_per_class
         assert np.all(server_set.data.class_histogram() == 8)
-        assert sum(len(c.data) for c in problem.clients) == len(problem.train_pool)
 
     def test_strategy_does_not_affect_data_or_init(self):
         a = build_problem(quick_cfg(strategy="fedavg"), seed=3)
@@ -129,17 +128,16 @@ class TestRunExperiment:
         # once the clients hold their rows, nothing holds the pool they came from
         pools, freed = [], []
 
-        def building(cfg, seed):
-            problem = build_problem(cfg, seed)
-            pools.append(weakref.ref(problem.train_pool))
-            return problem
+        def partitioning(dataset, *args):
+            pools.append(weakref.ref(dataset))
+            return data.dirichlet_partition(dataset, *args)
 
         def round_(*args, **kwargs):
             gc.collect()
             freed.append(pools[0]() is None)
             return engine.run_round(*args, **kwargs)
 
-        monkeypatch.setattr(runner, "build_problem", building)
+        monkeypatch.setattr(runner, "dirichlet_partition", partitioning)
         monkeypatch.setattr(runner, "run_round", round_)
         run_experiment(quick_cfg(instrument_global_loss=True), 0, tmp_path / "r")
         assert freed == [True] * 4
