@@ -117,12 +117,12 @@ class FullBatchPass:
     The constructor does all that depends only on the datasets: it checks
     them, stacks consecutive datasets into blocks of at least BLOCK_ROWS
     rows and binds one step per block, a segment per dataset, on plan: an
-    nn.TrainPlan of the model's architecture and at least plan_shape(datasets)
-    rows and lanes (a ShapeError otherwise; None builds the smallest). The
-    runner passes its round plan, so a run allocates one workspace. The pass
-    holds its bound steps, so the plan forgetting them (nn.MAX_BOUND_STEPS)
-    unbinds nothing. A call (plan(model) -> (f, grad f, ratio)) copies the
-    model into the lanes the blocks read and, block by block, fills the
+    nn.TrainPlan of the model's architecture and at least
+    plan_shape(datasets) rows and lanes (a ShapeError otherwise; None builds
+    the smallest). The runner passes its round plan, so a run allocates one
+    workspace. The pass holds its bound steps, so the plan letting go of
+    them unbinds nothing. A call (plan(model) -> (f, grad f, ratio)) copies
+    the model into the lanes the blocks read and, block by block, fills the
     block's rows of the plan's inputs with one concatenate of its datasets'
     features, runs the block's step on the block's labels and sums the
     datasets' losses and gradients in order, each gradient scaled into the

@@ -2,20 +2,16 @@
 
 Local training and the round loop read the strategy and SGD settings
 (lambda, mu_prox, penalty_mode, tau, eta, ...) from a validated
-ExperimentConfig. A round scores its local models on the server's public
-set only when something reads the scores (_scores_read): fedpdc's weights
-or dissimilarity.csv. A client's p is its score from the previous round,
-else 1.
-Every strategy aggregates through one path: fedavg_weights or
-fedpdc_weights feeding _combine, one product over the array of local
-models that train_cohort returns. A round's selected clients train in
-lock-step (train_cohort), each on its own lane of one nn.TrainPlan, the
-forward/backward kernel, which also runs the round's scoring forward-only.
-Every caller of the kernel fills its input rows before a step: the cohort
-gathers each lock-step's rows there from the round's rows. The runner
-builds that plan once per run (round_plan).
-A round measures no diagnostics; the runner takes them at the pre-round
-model (diagnostics.FullBatchPass, the same kernel).
+ExperimentConfig. A round scores its local models on the server's public set
+only when something reads the scores (_scores_read): fedpdc's weights or
+dissimilarity.csv. A client's p is its score from the previous round, else
+1. Every strategy aggregates through one path: fedavg_weights or
+fedpdc_weights feeding _combine, one product over the array of local models
+that train_cohort returns. A round's selected clients train in lock-step
+(train_cohort), each on its own lane of the run's one nn.TrainPlan
+(round_plan), which also runs the round's scoring forward-only. A round
+measures no diagnostics; the runner takes them at the pre-round model
+(diagnostics.FullBatchPass, the same kernel).
 
 Strategies:
   fedavg          size-weighted averaging of local models
@@ -216,7 +212,7 @@ def local_train(
     check_fits(arch, data, f"client {client.id}")
     if rng is None:
         rng = stream(TAG_LOCAL, cfg.seed, round_index)
-    order = np.array([rng.permutation(n) for _epoch in range(epochs)], dtype=np.intp).reshape(-1)
+    order = rng.permuted(np.tile(np.arange(n, dtype=np.intp), (epochs, 1)), axis=1).reshape(-1)
     full, rest = divmod(n, batch_size)
     sizes = (batch_size,) * full + ((rest,) if rest else ())
     return LocalRun(
@@ -234,18 +230,19 @@ def train_cohort(
     lanes, each run's reported batch losses, and their means (np.mean's,
     NaN for no steps, from the cohort's table of losses).
 
-    At step s one call of a plan step runs step s of every run that has
-    one, a segment per run on the run's own lane of the plan's parameters
-    and gradients. One take first fills the plan's inputs with the step's
-    rows, from the round's concatenation of the runs' rows, in the runs'
-    shuffle orders. The momentum-SGD update and the finiteness check then
-    run once over those lanes and the cohort's own momentum and
-    prox-difference lanes, which it zeroes first. Each step does the
-    arithmetic of local_loss, nn.backward and nn.sgd_step, in their order.
-    Runs are laid out longest first, so the runs with a step s are a prefix
-    of the lanes, and a run of steps with equal segment sizes shares one
-    plan step. plan needs the runs' architecture, a lane per run and the
-    rows of their first steps together; built here when None.
+    At step s one call of a plan step runs step s of every run that has one,
+    a segment per run on the run's own lane of the plan's parameters and
+    gradients. One take first fills the plan's inputs with the step's rows,
+    from the round's concatenation of the runs' rows, in the runs' shuffle
+    orders. The momentum-SGD update and the finiteness check then run once
+    over those lanes and the cohort's own momentum and prox-difference
+    lanes, which it zeroes first. Each step does the arithmetic of
+    local_loss, nn.backward and nn.sgd_step, in their order. Runs are laid
+    out longest first, so the runs with a step s are a prefix of the lanes,
+    and a run of steps with equal segment sizes shares one plan step. plan
+    needs the runs' architecture, a lane per run and the rows of their first
+    steps together; built here when None. A call starts a generation of the
+    plan's bound steps (nn.TrainPlan).
 
     Each step writes its lanes' cross-entropies (and for a proximal term
     ||w - w_global||^2) into a table of steps by lanes, and the reported
@@ -268,6 +265,7 @@ def train_cohort(
         plan = TrainPlan(arch, max(sum(run.sizes[0] for run in lanes if run.sizes), 1), count)
     if count > plan.lanes:
         raise ShapeError(f"a cohort of {count} runs needs a plan with {count} lanes, this one has {plan.lanes}")
+    plan.new_generation()
     for lane, run in enumerate(lanes):
         plan.load(run.anchor, lane)
     # beside the plan's lanes, each lane's momentum and w - w_global (then
@@ -489,10 +487,10 @@ def run_round(
     prev_accuracies are empty, and so every client trains with p = 1: its
     sent_accuracies are all 1.0. The selected clients train in lock-step
     (train_cohort) and every score is a forward-only step, all on plan:
-    round_plan's when None, and the runner passes one per run, so each step
-    shape is bound once per run. Local models for distinct clients are
-    independent, so training order cannot affect the result; everything is
-    reduced in ascending client id.
+    round_plan's when None, and the runner passes one per run, so a step
+    shape that consecutive rounds meet is bound once. Local models for
+    distinct clients are independent, so training order cannot affect the
+    result; everything is reduced in ascending client id.
     """
     if any(c.id != i for i, c in enumerate(clients)):
         raise StateError("clients must be listed in id order 0..N-1")

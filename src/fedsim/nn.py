@@ -3,10 +3,8 @@
 All math runs in float64 and every result is a function of its inputs
 alone, so trajectories are reproducible bit for bit. Parameters live in a
 single flat vector (per layer: row-major weight matrix, then bias).
-TrainPlan is the one forward/backward kernel: a run's one plan runs each
-round's local training, a lane per client, its scoring, forward-only, and
-the full-batch pass, a lane per dataset; loss_and_grad and forward are its
-one-shot forms.
+TrainPlan is the one forward/backward kernel, of training, scoring and the
+full-batch pass; loss_and_grad and forward are its one-shot forms.
 """
 
 from __future__ import annotations
@@ -41,12 +39,8 @@ Step = Callable[[np.ndarray | None], list[float] | np.ndarray]
 # and the column loop at every height read 4.7% more prox_small_batch wall time.
 # The two differ only in the sign of a zero maximum, which changes no bit
 COLUMN_MAX_ROWS = 32
-# a plan keeps at most this many bound steps and forgets them all when one
-# more is bound: a run that selects other clients each round binds new
-# lock-step shapes every round. At seed 1 a run binds 25 distinct shapes on
-# prox_small_batch and 21 on paper_sweep, so each is bound once; on
-# many_clients_diag it makes 179 binds of 149 distinct shapes, 9 of them
-# bound more than once, so a larger cap saves few binds and holds more steps
+# a generation of bound steps (TrainPlan.new_generation) also ends at this many,
+# so a plan that starts none holds at most twice as many; no workload reaches it
 MAX_BOUND_STEPS = 32
 
 
@@ -268,16 +262,16 @@ class TrainPlan:
 
     step(sizes) is the kernel for consecutive segments of sizes[k] rows (an
     int is one segment), bound once per sizes onto prefix views of the
-    workspace; a plan keeps at most MAX_BOUND_STEPS of them. Its caller
-    fills inputs[:sum(sizes)], segment after segment, and calls
-    step(labels) with the labels of those rows: the step reads segment k's
-    parameters in values[k], overwrites grads[k] with the gradient of
-    segment k's mean cross-entropy and returns those losses. It reads no
-    other row of inputs, and nothing of labels once it has formed the
-    picks, i * output_dim + labels[i], of row i's label in the flattened
-    logits. step(None) runs only the forward part and returns the logits,
-    a view of the workspace that the next call overwrites. Inputs are
-    trusted: the caller has checked the feature width and the labels.
+    workspace and held while this generation or the last uses it
+    (new_generation). Its caller fills inputs[:sum(sizes)], segment after
+    segment, and calls step(labels) with the labels of those rows: the step
+    reads segment k's parameters in values[k], overwrites grads[k] with the
+    gradient of segment k's mean cross-entropy and returns those losses. It
+    reads no other row of inputs, and nothing of labels once it has formed
+    the picks, i * output_dim + labels[i], of row i's label in the flattened
+    logits. step(None) runs only the forward part and returns the logits, a
+    view of the workspace that the next call overwrites. Inputs are trusted:
+    the caller has checked the feature width and the labels.
 
     A bound step is three lists of (call, args), numpy calls that write
     into the workspace: forward (per layer the products, the bias fills,
@@ -324,6 +318,7 @@ class TrainPlan:
         self._tile = np.empty(rows * max(widths[1:]))
         self._bools = np.empty(self._tile.size, dtype=bool)
         self._steps: dict[tuple[int, ...], Step] = {}
+        self._previous: dict[tuple[int, ...], Step] = {}
         self._param_views: dict[tuple[int, int], list[tuple[np.ndarray, ...]]] = {}
 
     def load(self, model: ParamVector, lanes: int | slice = 0) -> TrainPlan:
@@ -344,14 +339,16 @@ class TrainPlan:
             raise ShapeError(f"segment sizes must be integers, got {sizes!r}")
         step = self._steps.get(sizes)
         if step is None:
-            if not 1 <= len(sizes) <= self.lanes or min(sizes) < 1:
-                raise ShapeError(f"a step takes 1 to {self.lanes} segments of at least one row, got {sizes}")
-            if sum(sizes) > self.rows:
-                raise ShapeError(f"a step of {sum(sizes)} rows does not fit a plan of {self.rows} rows")
+            step = self._previous.pop(sizes, None) or self._bind(sizes)
             if len(self._steps) >= MAX_BOUND_STEPS:
-                self._steps.clear()
-            step = self._steps[sizes] = self._bind(sizes)
+                self.new_generation()
+            self._steps[sizes] = step
         return step
+
+    def new_generation(self) -> None:
+        """Start a generation of bound steps, as train_cohort does each round:
+        the steps bound or used in this one are held through the next, no other."""
+        self._previous, self._steps = self._steps, {}
 
     def _params(self, a: int, g: int) -> list[tuple[np.ndarray, ...]]:
         """Per layer, the views of segments a..a+g-1's parameters: weight,
@@ -368,7 +365,11 @@ class TrainPlan:
         return views
 
     def _bind(self, sizes: tuple[int, ...]) -> Step:
+        if not 1 <= len(sizes) <= self.lanes or min(sizes) < 1:
+            raise ShapeError(f"a step takes 1 to {self.lanes} segments of at least one row, got {sizes}")
         r = sum(sizes)
+        if r > self.rows:
+            raise ShapeError(f"a step of {r} rows does not fit a plan of {self.rows} rows")
         outs = [out[:r] for out in self._outs]
         tiles = [self._tile[: out.size].reshape(out.shape) for out in outs]
         offsets, picks, add = self._offsets[:r], self._picks[:r], np.add

@@ -182,6 +182,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int, run_dir) -> RunResult:
     write_partition_manifest(problem.partition, run_dir / "partition.txt")
 
     server, clients, test_set = problem.server, problem.clients, problem.test_set
+    del problem  # nothing reads the partition once it is written
     plan = round_plan(server, clients, run_cfg, test_set)
     diagnose = cfg.instrument_global_loss or cfg.emit_dissimilarity
     full_pass = FullBatchPass(server.model.arch, [c.data for c in clients], plan) if diagnose else None

@@ -248,17 +248,22 @@ def test_plan_boundary_errors():
 def test_a_pass_on_a_given_plan_keeps_its_steps():
     # blocks [300, 1, 211], [2, 640] and [90, 37]: plan_shape is the
     # tallest block's rows and the most datasets a block holds. A plan that
-    # forgets its bound steps leaves the pass's to the pass, and a pass on
-    # any plan that fits is bitwise the reference; other plans are refused
+    # lets go of its bound steps (two generations on, or two past its
+    # backstop) leaves the pass's to the pass, whose calls bind nothing, and
+    # a pass on any plan that fits is bitwise the reference; other plans are
+    # refused
     rng = np.random.default_rng(6)
     arch = nn.ModelArch((5, 8, 3))
     datasets = random_datasets(rng, arch, (300, 1, 211, 2, 640, 90, 37))
     assert diagnostics.plan_shape(datasets) == (642, 3)
-    for plan in (nn.TrainPlan(arch, 642, 3), nn.TrainPlan(arch, 700, 10)):
+    for plan, generations in ((nn.TrainPlan(arch, 642, 3), 2), (nn.TrainPlan(arch, 700, 10), 0)):
         full = FullBatchPass(arch, datasets, plan)
-        for n in range(1, nn.MAX_BOUND_STEPS + 2):
+        for _generation in range(generations):
+            plan.new_generation()
+        for n in range(1, 2 * nn.MAX_BOUND_STEPS + 1):
             plan.step(n)
-        assert len(plan._steps) < nn.MAX_BOUND_STEPS
+        assert {(300, 1, 211), (2, 640), (90, 37)}.isdisjoint({*plan._steps, *plan._previous})
+        plan._bind = None
         for seed in (0, 1):
             model = random_model(arch, seed=seed)
             want_loss, want_grad, want_ratio = reference.full_batch(arch, model.values, datasets)

@@ -232,6 +232,20 @@ class TestLocalTrain:
         with pytest.raises(ShapeError):
             engine.local_train(self._client(dim=4), w, 1.0, cfg, 0)
 
+    @pytest.mark.parametrize(
+        "n, epochs", [(7, 10), (100, 10), (600, 10), (1000, 2), (13, 1), (5, 0), (1, 3), (1, 0), (3, 1)]
+    )
+    def test_a_run_shuffles_each_epoch_as_one_permutation_call_would(self, n, epochs):
+        # the order is every epoch's rng.permutation(n), epoch after epoch,
+        # and leaves the stream where those calls leave it
+        w = random_model(nn.ModelArch((4, 5, 3)), seed=0)
+        cfg = ExperimentConfig(strategy="fedavg", local_epochs=epochs, batch_size=4, seed=6)
+        rng, want_rng = stream(TAG_LOCAL, 6, 2), stream(TAG_LOCAL, 6, 2)
+        run = engine.local_train(self._client(n=n), w, 1.0, cfg, 2, rng=rng)
+        want = [want_rng.permutation(n) for _epoch in range(epochs)]
+        assert run.order.dtype == np.intp and run.order.tolist() == np.concatenate([[], *want]).tolist()
+        assert rng.random() == want_rng.random()
+
     def test_identical_inputs_identical_output(self):
         client = self._client(seed=3)
         w = random_model(nn.ModelArch((4, 5, 3)), seed=3)

@@ -2,6 +2,7 @@ import itertools
 import math
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -819,12 +820,55 @@ def test_a_plan_has_a_lane_per_segment():
         plan.load(random_model(nn.ModelArch((4, 3)), seed=0), 1)
 
 
-def test_a_plan_forgets_its_steps_past_the_bound():
-    plan = nn.TrainPlan(nn.ModelArch((2, 3)), nn.MAX_BOUND_STEPS + 1)
-    steps = [plan.step(n) for n in range(1, nn.MAX_BOUND_STEPS + 1)]
-    assert len(plan._steps) == nn.MAX_BOUND_STEPS and plan.step(1) is steps[0]
-    plan.step(nn.MAX_BOUND_STEPS + 1)
-    assert list(plan._steps) == [(nn.MAX_BOUND_STEPS + 1,)]
+def counting_binds(plan: nn.TrainPlan) -> list:
+    """The sizes of each step plan binds from now on, in order."""
+    bound, bind = [], plan._bind
+
+    def counted(sizes):
+        bound.append(sizes)
+        return bind(sizes)
+
+    plan._bind = counted
+    return bound
+
+
+def test_a_plan_holds_a_step_while_consecutive_generations_use_it():
+    # a step bound or used in one generation is held through the next; one
+    # that a whole generation leaves unused is let go of and bound anew
+    plan = nn.TrainPlan(nn.ModelArch((2, 3)), 8, 2)
+    bound = counting_binds(plan)
+    every = plan.step(3)
+    for _generation in range(5):
+        plan.new_generation()
+        assert plan.step(3) is every and plan.step([3]) is every
+    pair = plan.step((1, 2))
+    plan.new_generation()
+    assert plan.step((1, 2)) is pair and plan.step(3) is every and bound == [(3,), (1, 2)]
+    gone = weakref.ref(pair)
+    del pair
+    plan.new_generation()
+    assert plan.step(3) is every and gone() is not None
+    plan.new_generation()
+    assert gone() is None
+    plan.step((1, 2))
+    assert bound == [(3,), (1, 2), (1, 2)]
+
+
+def test_a_plan_that_starts_no_generation_holds_at_most_two_of_the_bound():
+    # a generation also ends at MAX_BOUND_STEPS steps, so a plan that only
+    # scores holds its last two generations: at most twice the bound, and
+    # it rebinds none of the steps it holds
+    cap = nn.MAX_BOUND_STEPS
+    plan = nn.TrainPlan(nn.ModelArch((2, 3)), 3 * cap)
+    bound = counting_binds(plan)
+    steps, most = {}, 0
+    for n in range(1, 3 * cap + 1):
+        steps[n] = weakref.ref(plan.step(n))
+        most = max(most, sum(ref() is not None for ref in steps.values()))
+    held = [n for n, ref in steps.items() if ref() is not None]
+    assert most == 2 * cap and held == list(range(cap + 1, 3 * cap + 1))
+    assert plan.step(cap + 1) is steps[cap + 1]()
+    assert all(plan.step(n) is steps[n]() for n in held[cap:]) and len(bound) == 3 * cap
 
 
 def test_a_warm_lock_step_allocates_no_batch_or_cohort_sized_array():

@@ -142,6 +142,28 @@ class TestRunExperiment:
         run_experiment(quick_cfg(instrument_global_loss=True), 0, tmp_path / "r")
         assert freed == [True] * 4
 
+    def test_the_partition_is_freed_once_written(self, tmp_path, monkeypatch):
+        # partition.txt is the partition's only reader: a run holds no index
+        # tuple of it from round one on, and writes the file it always wrote
+        partitions, freed, build = [], [], runner.build_problem
+
+        def building(*args):
+            problem = build(*args)
+            partitions.append(weakref.ref(problem.partition))
+            data.write_partition_manifest(problem.partition, tmp_path / "partition.txt")
+            return problem
+
+        def round_(*args, **kwargs):
+            gc.collect()
+            freed.append(partitions[0]() is None)
+            return engine.run_round(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "build_problem", building)
+        monkeypatch.setattr(runner, "run_round", round_)
+        run_experiment(quick_cfg(instrument_global_loss=True), 0, tmp_path / "r")
+        assert freed == [True] * 4
+        assert (tmp_path / "r" / "partition.txt").read_bytes() == (tmp_path / "partition.txt").read_bytes()
+
     def test_a_diagnosed_run_peaks_below_its_bound(self, tmp_path):
         # tracemalloc's peak over the many_clients_diag workload (seed 1, 3
         # rounds): 6.0 MiB when the run held the training pool beside the
