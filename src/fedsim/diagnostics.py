@@ -115,20 +115,22 @@ class FullBatchPass:
     """full_batch_pass over fixed datasets, split into a plan and a call.
 
     The constructor does all that depends only on the datasets: it checks
-    them, stacks consecutive datasets into blocks of at least BLOCK_ROWS
-    rows and binds one step per block, a segment per dataset, on plan: an
-    nn.TrainPlan of the model's architecture and at least
-    plan_shape(datasets) rows and lanes (a ShapeError otherwise; None builds
-    the smallest). The runner passes its round plan, so a run allocates one
-    workspace. The pass holds its bound steps, so the plan letting go of
-    them unbinds nothing. A call (plan(model) -> (f, grad f, ratio)) copies
+    them (none is a DiagnosticsError, and one the model does not fit is
+    check_fits's error, named "dataset k"), stacks consecutive datasets
+    into blocks of at least BLOCK_ROWS rows and binds one step per block, a
+    segment per dataset, on plan: an nn.TrainPlan of the model's
+    architecture and at least plan_shape(datasets) rows and lanes (a
+    ShapeError otherwise; None builds the smallest). The runner passes its
+    round plan, so a run allocates one workspace. The pass holds its bound
+    steps, so the plan letting go of them unbinds nothing. A call (plan(model) -> (f, grad f, ratio)) copies
     the model into the lanes the blocks read and, block by block, fills the
     block's rows of the plan's inputs with one concatenate of its datasets'
     features, runs the block's step on the block's labels and sums the
     datasets' losses and gradients in order, each gradient scaled into the
     pass's one parameter-sized vector; it allocates no block-sized array.
-    Each segment is bitwise its dataset's own loss_and_grad call. A call
-    that raises DivergenceError leaves the plan usable.
+    Each segment is bitwise its dataset's own loss_and_grad call. A model of
+    another architecture is a ShapeError, and a call that raises
+    DivergenceError leaves the plan usable.
     """
 
     def __init__(

@@ -4,7 +4,10 @@ All math runs in float64 and every result is a function of its inputs
 alone, so trajectories are reproducible bit for bit. Parameters live in a
 single flat vector (per layer: row-major weight matrix, then bias).
 TrainPlan is the one forward/backward kernel, of training, scoring and the
-full-batch pass; loss_and_grad and forward are its one-shot forms.
+full-batch pass; loss_and_grad and forward are its one-shot forms. Batch,
+OptimizerState, forward, cross_entropy, backward and sgd_step, like
+engine.local_loss and diagnostics.global_objective and gradient_dissimilarity,
+stay for the benchmark tracer (perfbench/spans.py), which wraps them by name.
 """
 
 from __future__ import annotations
@@ -285,7 +288,10 @@ class TrainPlan:
     (act > 0) goes into the bool tile and is copied into the float one:
     numpy allocates a cast buffer as large as the layer to write a
     comparison into floats or to multiply by bools. A call overwrites all
-    it reads, so one on non-finite input leaves it usable.
+    it reads, so one on non-finite input leaves it usable. Every call takes
+    its arguments positionally, except np.maximum's out, bound by keyword
+    through functools.partial (numpy deprecates a positional one), and a warm
+    step allocates no array of step size.
 
     The matrix products, the bias fill and gradient reduce, the 1/n scale
     and the loss sum run per group, all else once over all rows. A group is
@@ -295,7 +301,8 @@ class TrainPlan:
     alone. BLAS may give a row other bits inside a taller product (numpy
     sends one row to gemv), and no other value of a row depends on another
     row, so each segment's loss and gradient are bitwise a step's on its
-    rows alone.
+    rows alone. More rows or segments than the plan holds, a segment of no
+    rows and a size that is not an integer are each a ShapeError.
     """
 
     def __init__(self, arch: ModelArch, rows: int, lanes: int = 1) -> None:

@@ -652,18 +652,27 @@ def test_no_caller_reads_what_another_left_in_the_plan(toy_problem):
 def test_a_round_seeds_one_shuffle_stream(toy_problem, monkeypatch):
     # every selected client's shuffles come from the (TAG_LOCAL, seed,
     # round) stream; the round seeds it once and restarts it per client.
-    # Re-seeding it per client changes no value, so only a count shows it
+    # Re-seeding it per client changes no value, so only the count shows the
+    # restart; the orders show that a restarted stream draws what a fresh one does
     _pool, server_set, _rest, _part, clients, model = toy_problem
     cfg = ExperimentConfig(strategy="fedprox", tau=1.0, local_epochs=2, batch_size=16, seed=3)
-    tags = []
+    tags, runs, local_train = [], [], engine.local_train
 
     def counted(*key):
         tags.append(key[0])
         return stream(*key)
 
+    def laid_out(*args, **kwargs):
+        runs.append(local_train(*args, **kwargs))
+        return runs[-1]
+
     monkeypatch.setattr(engine, "stream", counted)
+    monkeypatch.setattr(engine, "local_train", laid_out)
     engine.run_round(engine.ServerState(model, server_set), clients, cfg)
     assert sorted(tags) == sorted([TAG_SAMPLE, TAG_LOCAL]) and len(clients) == 4
+    assert [run.client for run in runs] == [0, 1, 2, 3]
+    for run, client in zip(runs, clients):
+        assert run.order.tobytes() == local_train(client, model, 1.0, cfg, 0).order.tobytes()
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)

@@ -3,8 +3,8 @@
 The one exception is a name the benchmark tracer wraps in a module's
 namespace, which only the tracer reads: its import line ends in
 `# noqa: F401` and sits under a `# perfbench/spans.py traces ...` comment,
-with only such marked imports in between. `fedsim/__init__.py` re-exports
-what it imports and is not checked.
+with only such marked imports in between. `fedsim/__init__.py` imports
+exactly the names of its `__all__`, each once.
 """
 
 import ast
@@ -49,6 +49,23 @@ def unused_imports(source: str) -> list[str]:
 @pytest.mark.parametrize("module", MODULES)
 def test_every_import_is_used(module):
     assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def test_the_package_imports_exactly_its_exports():
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    (exports,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [target.id for target in node.targets] == ["__all__"]
+    ]
+    assert len(set(imported)) == len(imported) and len(set(exports)) == len(exports)
+    assert sorted(imported) == sorted(exports)
 
 
 def test_the_gate_exempts_only_marked_tracer_imports():
