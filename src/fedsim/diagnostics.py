@@ -13,8 +13,9 @@ over fixed datasets, it stacks consecutive clients' rows into blocks of
 about BLOCK_ROWS rows, each one step of the training kernel (nn.TrainPlan)
 with a segment per client, and each call copies a block's rows into the
 kernel's inputs, runs its step and sums the clients' losses and gradients
-that those steps return. The runner builds one per run, on the
-run's round plan; full_batch_pass is the one-shot form.
+that those steps return. A pass takes its architecture from the plan it
+is built on: the runner builds one per run, on the run's round plan, and
+full_batch_pass, the one-shot form, on the smallest plan (plan_shape).
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .data import LabeledDataset, plain_number, read_csv_rows
-from .errors import ConfigError, DataError, DiagnosticsError, DivergenceError, ShapeError
-from .nn import ModelArch, ParamVector, TrainPlan, check_fits
+from .errors import ConfigError, DataError, DiagnosticsError, DivergenceError
+from .nn import ParamVector, TrainPlan, check_fits
 
 # perfbench/spans.py traces these names in this module's namespace
 from .nn import Batch, backward, cross_entropy, forward  # noqa: F401
@@ -115,39 +116,31 @@ class FullBatchPass:
     """full_batch_pass over fixed datasets, split into a plan and a call.
 
     The constructor does all that depends only on the datasets: it checks
-    them (none is a DiagnosticsError, and one the model does not fit is
-    check_fits's error, named "dataset k"), stacks consecutive datasets
-    into blocks of at least BLOCK_ROWS rows and binds one step per block, a
-    segment per dataset, on plan: an nn.TrainPlan of the model's
-    architecture and at least plan_shape(datasets) rows and lanes (a
-    ShapeError otherwise; None builds the smallest). The runner passes its
-    round plan, so a run allocates one workspace. The pass holds its bound
-    steps, so the plan letting go of them unbinds nothing. A call (plan(model) -> (f, grad f, ratio)) copies
-    the model into the lanes the blocks read and, block by block, fills the
-    block's rows of the plan's inputs with one concatenate of its datasets'
-    features, runs the block's step on the block's labels and sums the
-    datasets' losses and gradients in order, each gradient scaled into the
-    pass's one parameter-sized vector; it allocates no block-sized array.
-    Each segment is bitwise its dataset's own loss_and_grad call. A model of
-    another architecture is a ShapeError, and a call that raises
-    DivergenceError leaves the plan usable.
+    them (none is plan_shape's DiagnosticsError, and one that plan's
+    architecture does not fit is check_fits's error, named "dataset k"),
+    stacks consecutive datasets into blocks of at least BLOCK_ROWS rows and
+    binds one step per block, a segment per dataset, on plan: an
+    nn.TrainPlan of at least plan_shape(datasets) rows and lanes (a
+    ShapeError otherwise), whose architecture is the pass's. The runner
+    passes its round plan, so a run allocates one workspace. The pass holds
+    its bound steps, so the plan letting go of them unbinds nothing. A call
+    on a model, returning (f, grad f, ratio), copies it into the lanes the
+    blocks read and, block by block, fills the block's rows of the plan's
+    inputs with one concatenate of its datasets' features, runs the block's
+    step on the block's labels and sums the datasets' losses and gradients
+    in order, each gradient scaled into the pass's one parameter-sized
+    vector; it allocates no block-sized array. Each segment is bitwise its
+    dataset's own loss_and_grad call. A model of another architecture is
+    TrainPlan.load's ShapeError, and a call that raises DivergenceError
+    leaves the plan usable.
     """
 
-    def __init__(
-        self, arch: ModelArch, datasets: Sequence[LabeledDataset], plan: TrainPlan | None = None
-    ) -> None:
-        if len(datasets) == 0:
-            raise DiagnosticsError("the full-batch pass needs at least one dataset")
+    def __init__(self, plan: TrainPlan, datasets: Sequence[LabeledDataset]) -> None:
+        _rows, self._lanes = plan_shape(datasets)
         for k, dataset in enumerate(datasets):
-            check_fits(arch, dataset, f"dataset {k}")
+            check_fits(plan.arch, dataset, f"dataset {k}")
         self.datasets = tuple(datasets)
         total = float(sum(map(len, datasets)))
-        rows, self._lanes = plan_shape(datasets)
-        if plan is None:
-            plan = TrainPlan(arch, rows, self._lanes)
-        elif plan.arch != arch:
-            raise ShapeError(f"the plan is for layer widths {plan.arch.layer_widths}, "
-                             f"the pass for {arch.layer_widths}")
         self._plan, self._scaled = plan, np.empty(plan.values.shape[1])
         # per block: its step, its rows of the plan's inputs, its datasets'
         # features, the labels of all its rows, and each dataset's share of
@@ -184,14 +177,17 @@ def full_batch_pass(
     len(datasets[k]) / (total samples), reduced in the order given so
     results are reproducible. The ratio is None (undefined) when ||grad f||
     is below GRAD_NORM_TOL; by Jensen's inequality it is otherwise >= 1.
-    The one-shot form of FullBatchPass, which the runner builds once per
-    run."""
-    return FullBatchPass(model.arch, datasets)(model)
+    The one-shot form of FullBatchPass, on the smallest plan for datasets;
+    the runner builds a pass once per run, on its round plan."""
+    return FullBatchPass(TrainPlan(model.arch, *plan_shape(datasets)), datasets)(model)
 
 
 def plan_shape(datasets: Sequence[LabeledDataset]) -> tuple[int, int]:
     """(rows, lanes) of the smallest nn.TrainPlan a FullBatchPass over
-    datasets runs on: its tallest block and the most datasets a block holds."""
+    datasets runs on: its tallest block and the most datasets a block holds.
+    No datasets is a DiagnosticsError."""
+    if len(datasets) == 0:
+        raise DiagnosticsError("the full-batch pass needs at least one dataset")
     blocks = list(_blocks(datasets))
     return max(sum(map(len, block)) for block in blocks), max(map(len, blocks))
 

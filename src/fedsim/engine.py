@@ -9,9 +9,10 @@ dissimilarity.csv. A client's p is its score from the previous round, else
 fedpdc_weights feeding _combine, one product over the array of local models
 that train_cohort returns. A round's selected clients train in lock-step
 (train_cohort), each on its own lane of the run's one nn.TrainPlan
-(round_plan), which also runs the round's scoring forward-only. A round
-measures no diagnostics; the runner takes them at the pre-round model
-(diagnostics.FullBatchPass, the same kernel).
+(round_plan), which also runs the round's scoring forward-only; the
+global model, round and SGD settings they share are train_cohort's
+arguments, given once. A round measures no diagnostics; the runner takes
+them at the pre-round model (diagnostics.FullBatchPass, the same kernel).
 
 Strategies:
   fedavg          size-weighted averaging of local models
@@ -170,18 +171,13 @@ def local_loss(
 @dataclass(frozen=True)
 class LocalRun:
     """One client's local training, laid out by local_train for
-    train_cohort: the client and round a DivergenceError names, the global
-    model it starts from, its strategy terms (penalty, ce_scale,
-    prox_weight), the SGD settings (eta, momentum, weight_decay), the
-    client's data and its steps: order holds every epoch's shuffle of the
-    data's rows, epoch after epoch, and step s takes the next sizes[s] rows
-    of it."""
+    train_cohort: the client a DivergenceError names, its strategy terms
+    (penalty, ce_scale), its data and its steps: order holds every epoch's
+    shuffle of the data's rows, epoch after epoch, and step s takes the
+    next sizes[s] rows of it. What a round's runs share is train_cohort's."""
 
     client: int
-    round: int
-    anchor: ParamVector
-    terms: tuple[float, float, float]
-    sgd: tuple[float, float, float]
+    terms: tuple[float, float]
     data: LabeledDataset
     order: np.ndarray
     sizes: tuple[int, ...]
@@ -196,55 +192,59 @@ def local_train(
     rng: np.random.Generator | None = None,
 ) -> LocalRun:
     """A client's half of minibatch SGD on the strategy loss for
-    local_epochs epochs: train_cohort runs its steps, in lock-step with the
-    rest of a round's clients, and returns the final local model, every
-    batch's reported loss in order and their mean.
+    local_epochs epochs, starting from w_global: train_cohort(w_global,
+    runs, cfg, round_index) runs its steps, in lock-step with the rest of a
+    round's clients, and returns the final local model, every batch's
+    reported loss in order and their mean.
 
-    p and the client's data are checked here. Each epoch's shuffle comes
-    from the stream keyed by (TAG_LOCAL, seed, round) only, so clients
-    holding identical data produce identical local models. rng, when given,
-    must be that stream at its start (run_round seeds it once a round and
-    restarts it for each client: about 3 us, against 20 us to seed it, on a
-    2-core host); None seeds it here. One rng.permuted call, a row per
-    epoch, draws what a permutation call per epoch draws.
+    p and the client's data (for w_global's architecture) are checked here.
+    Each epoch's shuffle comes from the stream keyed by (TAG_LOCAL, seed,
+    round) only, so clients holding identical data produce identical local
+    models. rng, when given, must be that stream at its start (run_round
+    seeds it once a round and restarts it for each client: about 3 us,
+    against 20 us to seed it, on a 2-core host); None seeds it here. One
+    rng.permuted call, a row per epoch, draws what a permutation call per
+    epoch draws.
     """
-    arch = w_global.arch
     data = client.data
     n, epochs, batch_size = len(data), cfg.local_epochs, cfg.batch_size
-    terms = _strategy_terms(cfg, p_in)
-    check_fits(arch, data, f"client {client.id}")
+    terms = _strategy_terms(cfg, p_in)[:2]
+    check_fits(w_global.arch, data, f"client {client.id}")
     if rng is None:
         rng = stream(TAG_LOCAL, cfg.seed, round_index)
     order = rng.permuted(np.tile(np.arange(n, dtype=np.intp), (epochs, 1)), axis=1).reshape(-1)
     full, rest = divmod(n, batch_size)
     sizes = (batch_size,) * full + ((rest,) if rest else ())
-    return LocalRun(
-        client.id, round_index, w_global, terms, (cfg.eta, cfg.momentum, cfg.weight_decay), data, order,
-        sizes * epochs,
-    )
+    return LocalRun(client.id, terms, data, order, sizes * epochs)
 
 
 def train_cohort(
-    runs: Sequence[LocalRun], plan: TrainPlan | None = None
+    model: ParamVector,
+    runs: Sequence[LocalRun],
+    cfg: ExperimentConfig,
+    round_index: int,
+    plan: TrainPlan | None = None,
 ) -> tuple[np.ndarray, list[list[float]], list[float]]:
-    """Train local_train's runs in lock-step: (models, losses, means) by run
-    in the order given, each bitwise what a run gives alone: the final local
-    models as one read-only (runs, params) array copied out of the plan's
-    lanes, each run's reported batch losses, and their means (np.mean's,
-    NaN for no steps, from the cohort's table of losses).
+    """Train local_train's runs of round round_index in lock-step from
+    model, under cfg's eta, momentum, weight_decay and proximal weight:
+    (models, losses, means) by run in the order given, each bitwise what a
+    run gives alone: the final local models as one read-only (runs, params)
+    array copied out of the plan's lanes, each run's reported batch losses,
+    and their means (np.mean's, NaN for no steps, from the loss table).
 
-    At step s one call of a plan step runs step s of every run that has one,
-    a segment per run on the run's own lane of the plan's parameters and
-    gradients. One take first fills the plan's inputs with the step's rows,
-    from the round's concatenation of the runs' rows, in the runs' shuffle
-    orders. The momentum-SGD update and the finiteness check then run once
-    over those lanes and the cohort's own momentum and prox-difference
-    lanes, which it zeroes first. Each step does the arithmetic of
-    local_loss, nn.backward and nn.sgd_step, in their order. Runs are laid
-    out longest first, so the runs with a step s are a prefix of the lanes,
-    and a run of steps with equal segment sizes shares one plan step. plan
-    needs the runs' architecture, a lane per run and the rows of their first
-    steps together; built here when None. A call starts a generation of the
+    One broadcast load copies model into every lane. At step s one call of
+    a plan step runs step s of every run that has one, a segment per run
+    on the run's own lane of the plan's parameters and gradients. One take
+    first fills the plan's inputs with the step's rows, from the round's
+    concatenation of the runs' rows, in the runs' shuffle orders. The
+    momentum-SGD update and the finiteness check then run once over those
+    lanes and the cohort's own momentum and prox-difference lanes, which it
+    zeroes first. Each step does the arithmetic of local_loss, nn.backward
+    and nn.sgd_step, in their order. Runs are laid out longest first, so
+    the runs with a step s are a prefix of the lanes, and a run of steps
+    with equal segment sizes shares one plan step. plan needs model's
+    architecture, a lane per run and the rows of their first steps
+    together; built here when None. A call starts a generation of the
     plan's bound steps (nn.TrainPlan).
 
     Each step writes its lanes' cross-entropies (and for a proximal term
@@ -257,20 +257,17 @@ def train_cohort(
     """
     if not runs:
         return np.empty((0, 0)), [], []
-    sgd = {run.sgd + run.terms[2:] for run in runs}
-    if len(sgd) > 1:
-        raise ConfigError("a cohort's runs must share eta, momentum, weight_decay and the proximal weight")
-    (eta, momentum, decay, prox_weight), = sgd
+    eta, momentum, decay = cfg.eta, cfg.momentum, cfg.weight_decay
+    prox_weight = _strategy_terms(cfg, 1.0)[2]
     order = sorted(range(len(runs)), key=lambda k: -len(runs[k].sizes))
     lanes = [runs[k] for k in order]
-    count, arch, total = len(lanes), lanes[0].anchor.arch, len(lanes[0].sizes)
+    count, total = len(lanes), len(lanes[0].sizes)
     if plan is None:
-        plan = TrainPlan(arch, max(sum(run.sizes[0] for run in lanes if run.sizes), 1), count)
+        plan = TrainPlan(model.arch, max(sum(run.sizes[0] for run in lanes if run.sizes), 1), count)
     if count > plan.lanes:
         raise ShapeError(f"a cohort of {count} runs needs a plan with {count} lanes, this one has {plan.lanes}")
     plan.new_generation()
-    for lane, run in enumerate(lanes):
-        plan.load(run.anchor, lane)
+    plan.load(model, slice(count))
     # beside the plan's lanes, each lane's momentum and w - w_global (then
     # prox_weight times it, for a proximal term)
     momenta, diffs = np.zeros((2, count, plan.values.shape[1]))
@@ -282,7 +279,8 @@ def train_cohort(
     rows_at = np.concatenate([run.order + first for run, first in zip(lanes, firsts)])[sources]
     labels = np.concatenate([run.data.labels for run in lanes])[rows_at]
     prox = prox_weight != 0.0
-    # the lanes hold the runs' anchors until the first update
+    # the lanes hold the model until the first update; a lane apiece, since
+    # subtracting one row broadcast over the lanes stages it in a buffer
     anchors = plan.values[:count].copy() if prox else None
     scales = np.array([[run.terms[1]] for run in lanes])
     scaled = bool((scales != 1.0).any())
@@ -336,7 +334,7 @@ def train_cohort(
         losses = _reported_loss(ces, np.array([run.terms[0] for run in lanes]), scales[:, 0], prox_weight,
                                 sq_dists.reshape(total, count))
     if not np.isfinite(losses).all() or (blown < total).any():
-        raise _first_divergence(lanes, losses, blown)
+        raise _first_divergence(lanes, round_index, losses, blown)
     # each run's lane (order inverted), and a lane's losses contiguous, so
     # that its sum is np.mean's pairwise one
     lane_of, by_lane = np.argsort(order), losses.T.copy()
@@ -383,30 +381,31 @@ def _cohort_layout(lane_sizes: tuple[tuple[int, ...], ...]):
     return blocks, sources
 
 
-def _first_divergence(lanes: list[LocalRun], losses: np.ndarray, blown: np.ndarray) -> DivergenceError:
-    """train_cohort's error for its lanes (runs), given their reported
-    losses (steps by lanes) and the step each lane's parameters first went
-    non-finite at (the step count for none): the error of the lowest client
-    id among the diverged, at its first non-finite loss or parameters."""
+def _first_divergence(
+    lanes: list[LocalRun], round_index: int, losses: np.ndarray, blown: np.ndarray
+) -> DivergenceError:
+    """train_cohort's error for its lanes (runs) of round round_index, given
+    their reported losses (steps by lanes) and the step each lane's
+    parameters first went non-finite at (the step count for none): the
+    error of the lowest client id among the diverged, at its first
+    non-finite loss or parameters."""
     total = len(losses)
     bad = ~np.isfinite(losses)
     first_bad = np.where(bad.any(axis=0), bad.argmax(axis=0), total).tolist()
     diverged = [lane for lane, firsts in enumerate(zip(first_bad, blown.tolist())) if min(firsts) < total]
     lane = min(diverged, key=lambda lane: lanes[lane].client)
-    reported, bad_loss, bad_values = losses[:, lane].tolist(), first_bad[lane], int(blown[lane])
+    client, reported = lanes[lane].client, losses[:, lane].tolist()
+    bad_loss, bad_values = first_bad[lane], int(blown[lane])
     # a step's loss is checked before its update
     if bad_loss <= bad_values:
-        return _diverged("a non-finite loss", lanes[lane], bad_loss, reported[:bad_loss])
-    return _diverged("non-finite parameters", lanes[lane], bad_values, reported[: bad_values + 1])
-
-
-def _diverged(what: str, run: LocalRun, step: int, losses: list[float]) -> DivergenceError:
-    last = losses[-1] if losses else None
+        what, step, finite = "a non-finite loss", bad_loss, reported[:bad_loss]
+    else:
+        what, step, finite = "non-finite parameters", bad_values, reported[: bad_values + 1]
+    last = finite[-1] if finite else None
     return DivergenceError(
-        f"client {run.client} hit {what} in round {run.round} at step {step} "
-        f"(last finite loss: {last})",
-        client=run.client,
-        round=run.round,
+        f"client {client} hit {what} in round {round_index} at step {step} (last finite loss: {last})",
+        client=client,
+        round=round_index,
         step=step,
         last_finite_loss=last,
     )
@@ -489,11 +488,12 @@ def run_round(
     Unscored, the record's measured_accuracies and the next state's
     prev_accuracies are empty, and so every client trains with p = 1: its
     sent_accuracies are all 1.0. The selected clients train in lock-step
-    (train_cohort) and every score is a forward-only step, all on plan:
-    round_plan's when None, and the runner passes one per run, so a step
-    shape that consecutive rounds meet is bound once. Local models for
-    distinct clients are independent, so training order cannot affect the
-    result; everything is reduced in ascending client id.
+    (train_cohort, given the global model, cfg and the round once) and
+    every score is a forward-only step, all on plan: round_plan's when
+    None, and the runner passes one per run, so a step shape that
+    consecutive rounds meet is bound once. Local models for distinct
+    clients are independent, so training order cannot affect the result;
+    everything is reduced in ascending client id.
     """
     if any(c.id != i for i, c in enumerate(clients)):
         raise StateError("clients must be listed in id order 0..N-1")
@@ -521,7 +521,7 @@ def run_round(
         rng.bit_generator.state = start
         runs.append(local_train(clients[cid], server.model, sent[cid], cfg, server.round, rng=rng))
     # the local models stay one array; a row becomes a ParamVector only to be scored
-    models, _losses, mean_losses = train_cohort(runs, plan)
+    models, _losses, mean_losses = train_cohort(server.model, runs, cfg, server.round, plan)
     arch = server.model.arch
     measured = (
         {cid: evaluate_accuracy(ParamVector(arch, row), server_data, plan) for cid, row in zip(selected, models)}

@@ -10,12 +10,12 @@ Each run owns one directory containing:
 
 The runner owns the diagnostics: when either is enabled it builds one
 FullBatchPass (local training's kernel, a segment per client) per run, on
-the run's one round plan, and calls it once per round at the pre-round
-model, which yields the global objective, its squared gradient norm and the
-gradient ratio at once. The objective after round t is the one measured
-before round t+1, so only the final model needs an extra pass. Artifacts
-are written after the last round. Reruns reproduce every artifact byte for
-byte.
+the run's one round plan, whose architecture the pass takes, and calls it
+once per round at the pre-round model, which yields the global objective,
+its squared gradient norm and the gradient ratio at once. The objective
+after round t is the one measured before round t+1, so only the final
+model needs an extra pass. Artifacts are written after the last round.
+Reruns reproduce every artifact byte for byte.
 """
 
 from __future__ import annotations
@@ -185,7 +185,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int, run_dir) -> RunResult:
     del problem  # nothing reads the partition once it is written
     plan = round_plan(server, clients, run_cfg, test_set)
     diagnose = cfg.instrument_global_loss or cfg.emit_dissimilarity
-    full_pass = FullBatchPass(server.model.arch, [c.data for c in clients], plan) if diagnose else None
+    full_pass = FullBatchPass(plan, [c.data for c in clients]) if diagnose else None
     records: list[RoundRecord] = []
     losses: list[float] = []
     grad_sqnorms: list[float] = []

@@ -35,5 +35,5 @@ def random_batch(arch: nn.ModelArch, size: int, seed: int) -> nn.Batch:
 def train_alone(client, w_global, p, cfg, round_index, plan=None):
     """One client's local training as a cohort of one: (local model, losses)."""
     run = engine.local_train(client, w_global, p, cfg, round_index)
-    models, losses, _means = engine.train_cohort([run], plan)
+    models, losses, _means = engine.train_cohort(w_global, [run], cfg, round_index, plan)
     return nn.ParamVector(w_global.arch, models[0]), losses[0]

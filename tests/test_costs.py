@@ -17,6 +17,7 @@ pass diagnostics.FullBatchPass, scoring nn.evaluate_accuracy):
 - steps: calls of a bound step;
 - numpy: numpy calls those steps ran, each the length of the step's forward
   call list, plus its loss and backward lists when given labels;
+- loads: nn.TrainPlan.load calls, each copying a model into the plan's lanes;
 
 and over the run:
 
@@ -24,20 +25,30 @@ and over the run:
 - vectors: nn.ParamVector constructions;
 - streams: seeding.stream calls by tag.
 
+Apart from those counts, one run of each configuration stops after its
+warm round WARM_ROUND and reads the tracemalloc peak of that round alone,
+taken through a wrapper of runner.run_round, with nothing else wrapped,
+all in one fresh interpreter (about 0.5 s more).
+
 The counts repeat exactly from run to run. A change that raises one edits
 this table and says why; one that lowers one states the saving exactly.
 """
 
+import gc
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
 import sys
+import tracemalloc
 import weakref
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from fedsim import data, engine, nn, seeding
+from fedsim import data, engine, nn, runner, seeding
 from fedsim.config import parse_config_text
 from fedsim.runner import run_experiment
 
@@ -75,6 +86,22 @@ WORK = {
          {"synth": 1, "split": 2, "partition": 1, "init": 1, "sample": 60, "local": 60}),
     ],
 }
+# per workload, per configuration: plan loads by caller. A round's cohort
+# loads the global model into all its lanes at once, a pass loads each model
+# it measures (every round's and the final one), and a score loads its model
+LOADS = {
+    "paper_sweep": [{"cohort": 25, "pass": 26, "score": 50}, {"cohort": 25, "pass": 26, "score": 300}],
+    "prox_small_batch": [{"cohort": 50, "score": 100}],
+    "many_clients_diag": [{"cohort": 60, "pass": 61, "score": 720}],
+}
+# per workload, per configuration: the tracemalloc peak in bytes of round
+# WARM_ROUND (0-based), in one fresh interpreter (measured_peaks)
+WARM_ROUND = 3
+WARM_PEAK = {
+    "paper_sweep": [817847, 818087],
+    "prox_small_batch": [766239],
+    "many_clients_diag": [597048],
+}
 
 
 def _workloads() -> dict:
@@ -86,14 +113,16 @@ def _workloads() -> dict:
     return module.WORKLOADS
 
 
-def _counted_run(cfg, run_dir) -> tuple[tuple, tuple]:
-    """The step-cache entries and the work entries of one run of cfg at seed 1."""
+def _counted_run(cfg, run_dir) -> tuple[tuple, tuple, dict]:
+    """The step-cache entries, the work entries and the plan loads of one
+    run of cfg at seed 1."""
     bound: list[tuple[int, ...]] = []
     steps: list[weakref.ref] = []
     most = {"held": 0, "alive": 0}
-    calls, numpy_calls, tags = Counter(), Counter(), Counter()
+    calls, numpy_calls, loads, tags = Counter(), Counter(), Counter(), Counter()
     scores, vectors = [0], [0]
-    bind, step, post_init = nn.TrainPlan._bind, nn.TrainPlan.step, nn.ParamVector.__post_init__
+    bind, step, load = nn.TrainPlan._bind, nn.TrainPlan.step, nn.TrainPlan.load
+    post_init = nn.ParamVector.__post_init__
     evaluate, stream = engine.evaluate_accuracy, seeding.stream
 
     def binding(plan, sizes):
@@ -117,6 +146,10 @@ def _counted_run(cfg, run_dir) -> tuple[tuple, tuple]:
         most["held"] = max(most["held"], len(plan._steps) + len(plan._previous))
         return found
 
+    def loading(plan, *args):
+        loads[CALLERS[sys._getframe(1).f_code.co_qualname]] += 1
+        return load(plan, *args)
+
     def scoring(*args):
         scores[0] += 1
         return evaluate(*args)
@@ -132,13 +165,57 @@ def _counted_run(cfg, run_dir) -> tuple[tuple, tuple]:
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(nn.TrainPlan, "_bind", binding)
         patch.setattr(nn.TrainPlan, "step", stepping)
+        patch.setattr(nn.TrainPlan, "load", loading)
         patch.setattr(nn.ParamVector, "__post_init__", building)
         patch.setattr(engine, "evaluate_accuracy", scoring)
         for module in (data, engine, nn):
             patch.setattr(module, "stream", drawing)
         run_experiment(cfg, 1, run_dir)
     cache = (len(bound), len(set(bound)), most["held"], most["alive"])
-    return cache, (dict(calls), dict(numpy_calls), scores[0], vectors[0], dict(tags))
+    return cache, (dict(calls), dict(numpy_calls), scores[0], vectors[0], dict(tags)), dict(loads)
+
+
+class _Stop(Exception):
+    """Ends a run once its warm round is measured."""
+
+
+def _warm_peak(cfg, run_dir) -> int:
+    """The tracemalloc peak of round WARM_ROUND of a run of cfg at seed 1."""
+    rounds, peak, run_round = [0], [0], runner.run_round
+
+    def measured(*args, **kwargs):
+        if rounds[0] < WARM_ROUND:
+            rounds[0] += 1
+            return run_round(*args, **kwargs)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            run_round(*args, **kwargs)
+            peak[0] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        raise _Stop
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(runner, "run_round", measured)
+        with pytest.raises(_Stop):
+            run_experiment(cfg, 1, run_dir)
+    return peak[0]
+
+
+def _configs(workload: str) -> list:
+    """The workload's configurations, as perfbench/run.py merges them."""
+    bench = _workloads()[workload]
+    settings = [{**bench.shared, **variant} for variant in bench.variants]
+    return [parse_config_text("".join(f"{key} = {value}\n" for key, value in s.items())) for s in settings]
+
+
+def warm_peaks(root) -> dict:
+    """WARM_PEAK as measured, every configuration in turn under root."""
+    return {
+        workload: [_warm_peak(cfg, Path(root) / f"{workload}-{k}") for k, cfg in enumerate(_configs(workload))]
+        for workload in sorted(WARM_PEAK)
+    }
 
 
 @pytest.fixture(scope="module")
@@ -148,22 +225,44 @@ def ledger(tmp_path_factory):
 
     def counted(workload: str) -> list:
         if workload not in runs:
-            bench = _workloads()[workload]
-            runs[workload] = []
-            for variant in bench.variants:
-                settings = {**bench.shared, **variant}
-                cfg = parse_config_text("".join(f"{key} = {value}\n" for key, value in settings.items()))
-                runs[workload].append(_counted_run(cfg, tmp_path_factory.mktemp(workload)))
+            runs[workload] = [_counted_run(cfg, tmp_path_factory.mktemp(workload)) for cfg in _configs(workload)]
         return runs[workload]
 
     return counted
 
 
+@pytest.fixture(scope="module")
+def measured_peaks(tmp_path_factory) -> dict:
+    """warm_peaks in a fresh interpreter: numpy keeps freed small buffers and
+    shape arrays for reuse, so in a process that ran other work first the
+    same round reads a few hundred bytes apart (256 B after test_diagnostics)."""
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here), str(here.parent / "src")])
+    code = "import json, sys, test_costs; print(json.dumps(test_costs.warm_peaks(sys.argv[1])))"
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path_factory.mktemp("peaks"))],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout)
+
+
 @pytest.mark.parametrize("workload", sorted(LEDGER))
 def test_a_workload_binds_and_holds_the_steps_of_its_ledger(workload, ledger):
-    assert [cache for cache, _work in ledger(workload)] == LEDGER[workload]
+    assert [cache for cache, _work, _loads in ledger(workload)] == LEDGER[workload]
 
 
 @pytest.mark.parametrize("workload", sorted(WORK))
 def test_a_workload_does_the_work_of_its_ledger(workload, ledger):
-    assert [work for _cache, work in ledger(workload)] == WORK[workload]
+    assert [work for _cache, work, _loads in ledger(workload)] == WORK[workload]
+
+
+@pytest.mark.parametrize("workload", sorted(LOADS))
+def test_a_workload_loads_its_plan_as_its_ledger(workload, ledger):
+    assert [loads for _cache, _work, loads in ledger(workload)] == LOADS[workload]
+
+
+@pytest.mark.parametrize("workload", sorted(WARM_PEAK))
+def test_a_warm_round_allocates_its_ledger_peak(workload, measured_peaks):
+    assert measured_peaks[workload] == WARM_PEAK[workload]

@@ -216,7 +216,7 @@ def test_a_reused_plan_leaks_nothing_between_calls(widths, rows, seed):
     rng = np.random.default_rng(seed)
     arch = nn.ModelArch(widths)
     datasets = random_datasets(rng, arch, rows)
-    plan = FullBatchPass(arch, datasets)
+    plan = FullBatchPass(nn.TrainPlan(arch, *diagnostics.plan_shape(datasets)), datasets)
     models = [random_model(arch, seed=(seed + i) % 2**32) for i in range(3)]
     for model in (*models, None, *models[::-1]):
         if model is None:
@@ -232,17 +232,20 @@ def test_plan_boundary_errors():
     rng = np.random.default_rng(4)
     arch = nn.ModelArch((4, 5, 3))
     (data,) = random_datasets(rng, arch, (8,))
+    plan = nn.TrainPlan(arch, 16, 2)
     with pytest.raises(ShapeError, match=r"plan is for layer widths \(4, 5, 3\), the model has \(4, 6, 3\)"):
-        FullBatchPass(arch, [data])(random_model(nn.ModelArch((4, 6, 3)), seed=4))
-    with pytest.raises(DiagnosticsError):
-        FullBatchPass(arch, [])
+        FullBatchPass(plan, [data])(random_model(nn.ModelArch((4, 6, 3)), seed=4))
+    # no datasets has no plan shape
+    for no_datasets in (lambda: diagnostics.plan_shape([]), lambda: FullBatchPass(plan, [])):
+        with pytest.raises(DiagnosticsError, match="needs at least one dataset"):
+            no_datasets()
     # a misfit dataset fails at construction, named by its position
     wide = LabeledDataset(rng.standard_normal((8, 5)), rng.integers(0, 3, 8), 3)
     with pytest.raises(ShapeError, match="^dataset 1 features"):
-        FullBatchPass(arch, [data, wide])
+        FullBatchPass(plan, [data, wide])
     beyond = LabeledDataset(data.features, np.full(8, 5), 6)
     with pytest.raises(DataError, match="^dataset 1 labels"):
-        FullBatchPass(arch, [data, beyond])
+        FullBatchPass(plan, [data, beyond])
 
 
 def test_a_pass_on_a_given_plan_keeps_its_steps():
@@ -250,14 +253,14 @@ def test_a_pass_on_a_given_plan_keeps_its_steps():
     # tallest block's rows and the most datasets a block holds. A plan that
     # lets go of its bound steps (two generations on, or two past its
     # backstop) leaves the pass's to the pass, whose calls bind nothing, and
-    # a pass on any plan that fits is bitwise the reference; other plans are
-    # refused
+    # a pass on any plan that fits is bitwise the reference; smaller plans
+    # are refused
     rng = np.random.default_rng(6)
     arch = nn.ModelArch((5, 8, 3))
     datasets = random_datasets(rng, arch, (300, 1, 211, 2, 640, 90, 37))
     assert diagnostics.plan_shape(datasets) == (642, 3)
     for plan, generations in ((nn.TrainPlan(arch, 642, 3), 2), (nn.TrainPlan(arch, 700, 10), 0)):
-        full = FullBatchPass(arch, datasets, plan)
+        full = FullBatchPass(plan, datasets)
         for _generation in range(generations):
             plan.new_generation()
         for n in range(1, 2 * nn.MAX_BOUND_STEPS + 1):
@@ -271,9 +274,7 @@ def test_a_pass_on_a_given_plan_keeps_its_steps():
             assert loss == want_loss and grad.tobytes() == want_grad.tobytes() and ratio == want_ratio
     for small in (nn.TrainPlan(arch, 641, 3), nn.TrainPlan(arch, 642, 2)):
         with pytest.raises(ShapeError, match="does not fit a plan|a step takes 1 to 2 segments"):
-            FullBatchPass(arch, datasets, small)
-    with pytest.raises(ShapeError, match=r"plan is for layer widths \(5, 4, 3\), the pass for \(5, 8, 3\)"):
-        FullBatchPass(arch, datasets, nn.TrainPlan(nn.ModelArch((5, 4, 3)), 642, 3))
+            FullBatchPass(small, datasets)
 
 
 def test_a_warm_plan_call_allocates_no_block_sized_array():
@@ -286,7 +287,8 @@ def test_a_warm_plan_call_allocates_no_block_sized_array():
     )
     problem = build_problem(cfg, 1)
     model = problem.server.model
-    plan = FullBatchPass(model.arch, [client.data for client in problem.clients])
+    datasets = [client.data for client in problem.clients]
+    plan = FullBatchPass(nn.TrainPlan(model.arch, *diagnostics.plan_shape(datasets)), datasets)
     plan(model)
     tracemalloc.start()
     try:
@@ -299,7 +301,7 @@ def test_a_warm_plan_call_allocates_no_block_sized_array():
     assert peak < 32 * 1024
 
 
-@pytest.mark.parametrize("diagnostic", [global_objective, gradient_dissimilarity])
+@pytest.mark.parametrize("diagnostic", [full_batch_pass, global_objective, gradient_dissimilarity])
 class TestPassValidation:
     @staticmethod
     def _setup(input_dim=4, classes=3):

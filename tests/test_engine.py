@@ -423,7 +423,7 @@ def test_a_cohort_trains_each_client_as_it_trains_alone(
     rows = sum(min(batch_size, len(c.data)) for c in clients) + 3
     plan = nn.TrainPlan(arch, rows, len(clients) + 1)
     runs = [engine.local_train(c, w, accuracies[c.id], cfg, 2) for c in clients]
-    models, cohort_losses, _means = engine.train_cohort(runs, plan)
+    models, cohort_losses, _means = engine.train_cohort(w, runs, cfg, 2, plan)
     for c, model, losses in zip(clients, models, cohort_losses):
         alone_model, alone_losses = train_alone(c, w, accuracies[c.id], cfg, 2, plan)
         assert model.tobytes() == alone_model.values.tobytes() and repr(losses) == repr(alone_losses)
@@ -458,7 +458,7 @@ def test_a_diverging_cohort_raises_the_error_of_the_sequential_loop():
     assert sorted(alone) == [1, 3] and alone[1].step == 4 and alone[3].step == 1
     plan = nn.TrainPlan(arch, 40, 5)
     with pytest.raises(DivergenceError) as info:
-        engine.train_cohort([engine.local_train(c, w, 0.5, cfg, 3) for c in clients], plan)
+        engine.train_cohort(w, [engine.local_train(c, w, 0.5, cfg, 3) for c in clients], cfg, 3, plan)
     assert [getattr(info.value, f) for f in fields] == [getattr(alone[1], f) for f in fields]
     assert str(info.value) == str(alone[1])
 
@@ -471,8 +471,9 @@ def test_a_diverging_cohort_raises_the_error_of_the_sequential_loop():
         engine.ClientState(cid, LabeledDataset(rng.uniform(0.0, 1.0, (16, 4)), np.arange(16) % 3, 3))
         for cid in (5, 6)
     ]
+    runs = [engine.local_train(c, linear, 0.5, blowup, 3) for c in uniform[::-1]]
     with pytest.raises(DivergenceError, match="client 5 hit non-finite parameters") as info:
-        engine.train_cohort([engine.local_train(c, linear, 0.5, blowup, 3) for c in uniform[::-1]])
+        engine.train_cohort(linear, runs, blowup, 3)
     with pytest.raises(DivergenceError) as first:
         train_alone(uniform[0], linear, 0.5, blowup, 3)
     assert [getattr(info.value, f) for f in fields] == [getattr(first.value, f) for f in fields]
@@ -480,7 +481,7 @@ def test_a_diverging_cohort_raises_the_error_of_the_sequential_loop():
     # the plan the diverged lanes left behind trains the healthy clients as alone
     healthy = [clients[k] for k in (0, 2, 4)]
     runs = [engine.local_train(c, w, 0.5, cfg, 3) for c in healthy]
-    models, cohort_losses, _means = engine.train_cohort(runs, plan)
+    models, cohort_losses, _means = engine.train_cohort(w, runs, cfg, 3, plan)
     for c, model, losses in zip(healthy, models, cohort_losses):
         alone_model, alone_losses = train_alone(c, w, 0.5, cfg, 3)
         assert model.tobytes() == alone_model.values.tobytes() and losses == alone_losses
@@ -503,7 +504,8 @@ def test_finite_parameters_whose_sum_overflows_train_on():
         engine.ClientState(1, LabeledDataset(rng.standard_normal((7, 3)), rng.integers(0, 2, 7), 2)),
     ]
     cfg = ExperimentConfig(strategy="fedprox", mu_prox=0.1, local_epochs=2, batch_size=4, eta=0.0, seed=2)
-    models, cohort_losses, _means = engine.train_cohort([engine.local_train(c, w, 1.0, cfg, 1) for c in clients])
+    runs = [engine.local_train(c, w, 1.0, cfg, 1) for c in clients]
+    models, cohort_losses, _means = engine.train_cohort(w, runs, cfg, 1)
     for c, model, losses in zip(clients, models, cohort_losses):
         # BLAS may overflow in the padding of a product, which numpy reports
         # after the call; fedsim runs its products under np.errstate too
@@ -535,7 +537,7 @@ def test_one_nan_parameter_is_reported_at_the_step_it_appears():
         _values, ref_losses = reference.local_train(arch, sick.data, w.values, 1.0, cfg, 4)
     assert all(map(math.isfinite, ref_losses[:3])) and math.isnan(ref_losses[3])
     with pytest.raises(DivergenceError) as info:
-        engine.train_cohort([engine.local_train(c, w, 1.0, cfg, 4) for c in (healthy, sick)])
+        engine.train_cohort(w, [engine.local_train(c, w, 1.0, cfg, 4) for c in (healthy, sick)], cfg, 4)
     err = info.value
     assert (err.client, err.round, err.step, err.last_finite_loss) == (2, 4, 2, ref_losses[2])
     assert str(err) == f"client 2 hit non-finite parameters in round 4 at step 2 (last finite loss: {ref_losses[2]})"
@@ -552,12 +554,13 @@ def test_a_cohort_mean_loss_is_np_mean_of_the_losses():
         engine.ClientState(cid, LabeledDataset(rng.standard_normal((n, 3)), rng.integers(0, 3, n), 3))
         for cid, n in enumerate((1, 3, 50, 101))
     ]
-    _models, cohort_losses, means = engine.train_cohort([engine.local_train(c, w, 1.0, cfg, 0) for c in clients])
+    runs = [engine.local_train(c, w, 1.0, cfg, 0) for c in clients]
+    _models, cohort_losses, means = engine.train_cohort(w, runs, cfg, 0)
     assert [len(losses) for losses in cohort_losses] == [3, 9, 150, 303]
     for losses, mean in zip(cohort_losses, means):
         assert repr(mean) == repr(float(np.mean(losses)))
     run = engine.local_train(clients[0], w, 1.0, replace(cfg, local_epochs=0), 0)
-    _models, losses, means = engine.train_cohort([run])
+    _models, losses, means = engine.train_cohort(w, [run], cfg, 0)
     assert losses[0] == [] and math.isnan(means[0])
 
 
@@ -568,14 +571,10 @@ def test_a_cohort_needs_one_optimizer_and_a_lane_per_run():
     data = LabeledDataset(rng.standard_normal((12, 5)), rng.integers(0, 4, 12), 4)
     clients = [engine.ClientState(0, data), engine.ClientState(1, data)]
     cfg = ExperimentConfig(strategy="fedprox", mu_prox=0.3, local_epochs=1, batch_size=4, seed=0)
-    for other in (replace(cfg, eta=0.5), replace(cfg, mu_prox=0.1), replace(cfg, strategy="fedavg")):
-        runs = [engine.local_train(clients[0], w, 1.0, cfg, 0), engine.local_train(clients[1], w, 1.0, other, 0)]
-        with pytest.raises(ConfigError, match="must share"):
-            engine.train_cohort(runs)
     runs = [engine.local_train(c, w, 1.0, cfg, 0) for c in clients]
     with pytest.raises(ShapeError, match="a cohort of 2 runs needs a plan with 2 lanes"):
-        engine.train_cohort(runs, nn.TrainPlan(arch, 8, 1))
-    models, losses, means = engine.train_cohort([])
+        engine.train_cohort(w, runs, cfg, 0, nn.TrainPlan(arch, 8, 1))
+    models, losses, means = engine.train_cohort(w, [], cfg, 0)
     assert len(models) == 0 and losses == means == []
 
 
@@ -625,12 +624,12 @@ def test_no_caller_reads_what_another_left_in_the_plan(toy_problem):
     def cohort(cfg, accuracies):
         def train(plan):
             runs = [engine.local_train(c, model, p, cfg, 1) for c, p in zip(clients, accuracies)]
-            models, losses, means = engine.train_cohort(runs, plan)
+            models, losses, means = engine.train_cohort(model, runs, cfg, 1, plan)
             return models.tobytes(), repr(losses), repr(means)
         return train
 
     def full_pass(plan):
-        loss, grad, ratio = diagnostics.FullBatchPass(model.arch, datasets, plan)(model)
+        loss, grad, ratio = diagnostics.FullBatchPass(plan, datasets)(model)
         return repr(loss), grad.tobytes(), repr(ratio)
 
     callers = {
@@ -761,11 +760,11 @@ def test_a_cohort_returns_each_run_its_row_as_trained_alone(monkeypatch):
     ]
     assert [len(run.sizes) for run in runs] == [2, 10, 0, 5, 6, 0]
     built = counting_param_vectors(monkeypatch)
-    models, losses, means = engine.train_cohort(runs)
+    models, losses, means = engine.train_cohort(w, runs, cfg, 0)
     assert built == []
     assert models.shape == (len(runs), nn.param_count(arch)) and not models.flags.writeable
     for k, run in enumerate(runs):
-        alone, alone_losses, alone_means = engine.train_cohort([run])
+        alone, alone_losses, alone_means = engine.train_cohort(w, [run], cfg, 0)
         assert models[k].tobytes() == alone[0].tobytes() and losses[k] == alone_losses[0]
         assert repr(means[k]) == repr(alone_means[0])
     for k in (2, 5):

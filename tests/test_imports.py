@@ -3,8 +3,10 @@
 The one exception is a name the benchmark tracer wraps in a module's
 namespace, which only the tracer reads: its import line ends in
 `# noqa: F401` and sits under a `# perfbench/spans.py traces ...` comment,
-with only such marked imports in between. `fedsim/__init__.py` imports
-exactly the names of its `__all__`, each once.
+with only such marked imports in between, and the tracer's SPANS (read from
+perfbench/spans.py) wraps that name in that module. So a marked import
+goes stale, and fails here, as soon as the tracer stops wrapping it.
+`fedsim/__init__.py` imports exactly the names of its `__all__`, each once.
 """
 
 import ast
@@ -13,6 +15,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "fedsim"
+SPANS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 MODULES = sorted(path.name for path in SRC.glob("*.py") if path.name != "__init__.py")
 TRACER_COMMENT = "# perfbench/spans.py traces"
 MARK = "# noqa: F401"
@@ -29,9 +32,23 @@ def _traced(lines: list[str], lineno: int) -> bool:
     return line >= 0 and lines[line].startswith(TRACER_COMMENT)
 
 
-def unused_imports(source: str) -> list[str]:
-    """The names source imports at module level and never reads, tracer
-    imports aside, in import order."""
+def traced_names() -> dict[str, set[str]]:
+    """The names perfbench/spans.py's SPANS wraps, by fedsim module file."""
+    tree = ast.parse(SPANS_PY.read_text(encoding="utf-8"))
+    (spans,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [target.id for target in node.targets] == ["SPANS"]
+    ]
+    names: dict[str, set[str]] = {}
+    for module, attr, _span in spans:
+        names.setdefault(module.rpartition(".")[2] + ".py", set()).add(attr)
+    return names
+
+
+def unused_imports(source: str, traced: set[str]) -> list[str]:
+    """The names source imports at module level and never reads, in import
+    order, but for marked tracer imports of names in traced."""
     tree = ast.parse(source)
     lines = source.splitlines()
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
@@ -41,14 +58,14 @@ def unused_imports(source: str) -> list[str]:
             continue
         for alias in node.names:
             name = (alias.asname or alias.name).split(".")[0]
-            if name not in read and not _traced(lines, node.lineno):
+            if name not in read and not (name in traced and _traced(lines, node.lineno)):
                 unused.append(name)
     return unused
 
 
 @pytest.mark.parametrize("module", MODULES)
 def test_every_import_is_used(module):
-    assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []
+    assert unused_imports((SRC / module).read_text(encoding="utf-8"), traced_names().get(module, set())) == []
 
 
 def test_the_package_imports_exactly_its_exports():
@@ -82,4 +99,18 @@ def test_the_gate_exempts_only_marked_tracer_imports():
         "def f(x: arr) -> None:\n"
         "    return os.path.join(x)\n"
     )
-    assert unused_imports(source) == ["math", "zeros", "sgd_step", "plain_number"]
+    traced = {"forward", "backward", "sgd_step", "plain_number"}
+    assert unused_imports(source, traced) == ["math", "zeros", "sgd_step", "plain_number"]
+
+
+def test_the_gate_exempts_only_imports_the_tracer_wraps():
+    # a marked import of a name that SPANS does not wrap in this module is
+    # a stale keep-alive; the real SPANS wraps local_train in engine only
+    source = (
+        "# perfbench/spans.py traces these names in this module's namespace\n"
+        "from .nn import forward  # noqa: F401\n"
+        "from .nn import Batch  # noqa: F401\n"
+    )
+    assert unused_imports(source, {"forward"}) == ["Batch"]
+    names = traced_names()
+    assert "local_train" in names["engine.py"] and "local_train" not in names["runner.py"]
