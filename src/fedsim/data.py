@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -176,6 +175,9 @@ def read_csv_rows(path, what: str) -> list[list[str]]:
     """Every row of a UTF-8 CSV file, a leading byte-order mark ignored; a
     file that cannot be opened, decoded or parsed is a DataError "cannot
     read <what> <path>: ..."."""
+    # imported here: only a CSV dataset or a history file is read as CSV
+    import csv
+
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             return list(csv.reader(fh))

@@ -95,8 +95,12 @@ class RoundRecord:
 
 def sample_clients(num_clients: int, tau: float, round_index: int, seed: int) -> tuple[int, ...]:
     """max(floor(tau*N), 1) client ids, drawn without replacement from a
-    stream keyed by (seed, round) so every round is independently reproducible."""
+    stream keyed by (seed, round) so every round is independently
+    reproducible; all N ids, with no stream seeded, when that is every client
+    (no other draw reads the stream)."""
     count = _sample_count(num_clients, tau)
+    if count == num_clients:
+        return tuple(range(num_clients))
     rng = stream(TAG_SAMPLE, seed, round_index)
     picked = rng.choice(num_clients, size=count, replace=False)
     return tuple(sorted(int(c) for c in picked))
@@ -238,8 +242,9 @@ def train_cohort(
     first fills the plan's inputs with the step's rows, from the round's
     concatenation of the runs' rows, in the runs' shuffle orders. The
     momentum-SGD update and the finiteness check then run once over those
-    lanes and the cohort's own momentum and prox-difference lanes, which it
-    zeroes first. Each step does the arithmetic of local_loss, nn.backward
+    lanes and the cohort's own momentum lanes, which it zeroes first, and
+    for a proximal term its difference lanes, w - w_global; without one it
+    allocates none. Each step does the arithmetic of local_loss, nn.backward
     and nn.sgd_step, in their order. Runs are laid out longest first, so
     the runs with a step s are a prefix of the lanes, and a run of steps
     with equal segment sizes shares one plan step. plan needs model's
@@ -268,9 +273,11 @@ def train_cohort(
         raise ShapeError(f"a cohort of {count} runs needs a plan with {count} lanes, this one has {plan.lanes}")
     plan.new_generation()
     plan.load(model, slice(count))
-    # beside the plan's lanes, each lane's momentum and w - w_global (then
-    # prox_weight times it, for a proximal term)
-    momenta, diffs = np.zeros((2, count, plan.values.shape[1]))
+    prox = prox_weight != 0.0
+    # beside the plan's lanes, each lane's momentum, and for a proximal term
+    # its w - w_global, then prox_weight times it
+    momenta = np.zeros((count, plan.values.shape[1]))
+    diffs = np.empty_like(momenta) if prox else None
     blocks, sources = _cohort_layout(tuple(run.sizes for run in lanes))
     # the cohort's rows, lane after lane; for each step row (in step order)
     # the one of them it reads, and its label
@@ -278,7 +285,6 @@ def train_cohort(
     firsts = accumulate((len(run.data) for run in lanes), initial=0)
     rows_at = np.concatenate([run.order + first for run, first in zip(lanes, firsts)])[sources]
     labels = np.concatenate([run.data.labels for run in lanes])[rows_at]
-    prox = prox_weight != 0.0
     # the lanes hold the model until the first update; a lane apiece, since
     # subtracting one row broadcast over the lanes stages it in a buffer
     anchors = plan.values[:count].copy() if prox else None
@@ -291,11 +297,11 @@ def train_cohort(
     # per lane, the first step whose update left its parameters non-finite; total for none
     blown = np.full(count, total)
     # each active count's prefix views of the plan's lanes (values also
-    # flat: numpy reduces a 1-D array faster than a 2-D one over both axes)
+    # flat: numpy reduces a 1-D array faster than a 2-D one over both axes),
+    # and for a proximal term of the anchors and differences
     views = {
-        k: (plan.values[:k], momenta[:k], diffs[:k], plan.grads[:k], scales[:k],
-            anchors[:k] if prox else None, diffs[:k, None, :], diffs[:k, :, None],
-            plan.values[:k].reshape(-1))
+        k: (plan.values[:k], momenta[:k], plan.grads[:k], scales[:k], plan.values[:k].reshape(-1),
+            *((anchors[:k], diffs[:k], diffs[:k, None, :], diffs[:k, :, None]) if prox else (None,) * 4))
         for k in {len(sizes) for _s0, _s1, sizes, _rows in blocks}
     }
     add, subtract, multiply, matmul, add_reduce = np.add, np.subtract, np.multiply, np.matmul, np.add.reduce
@@ -305,7 +311,7 @@ def train_cohort(
         for s0, s1, sizes, rows in blocks:
             k = len(sizes)
             step, inputs = plan.step(sizes), plan.inputs[: sum(sizes)]
-            values, buf, diff, grads, lane_scales, lane_anchors, diff_rows, diff_columns, flat = views[k]
+            values, buf, grads, lane_scales, flat, lane_anchors, diff, diff_rows, diff_columns = views[k]
             by_step = [array[rows].reshape(s1 - s0, -1) for array in (rows_at, labels)]
             for s, step_rows, step_labels in zip(range(s0, s1), *by_step):
                 # the indices are in range; mode="raise" would stage the rows in a fresh array

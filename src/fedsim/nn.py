@@ -323,6 +323,10 @@ class TrainPlan:
         # (512, 64) add, which the warm-step allocation tests reject); a tile
         # does not
         self._tile = np.empty(rows * max(widths[1:]))
+        # np.sign(act) would write the mask with no bool twin and no copy,
+        # but its float64 loop is slower: 33 us against 17 for greater and
+        # copyto on 640 x 64 (medians of 15, 2-core Xeon), 4% more
+        # paper_sweep wall time to save this twin's 37 KB
         self._bools = np.empty(self._tile.size, dtype=bool)
         self._steps: dict[tuple[int, ...], Step] = {}
         self._previous: dict[tuple[int, ...], Step] = {}

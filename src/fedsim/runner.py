@@ -21,7 +21,6 @@ Reruns reproduce every artifact byte for byte.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -224,6 +223,10 @@ def run_sweep(cfg: ExperimentConfig) -> list[RunResult]:
         run_experiment(cfg, seed, run_dir) for seed, run_dir in zip(cfg.seeds_list(), run_dirs)
     ]
     if len(results) > 1:
+        # imported here: with decimal and fractions it adds 0.3-0.4 MiB to a
+        # process, and only a multi-seed summary reads it
+        import statistics
+
         # (server, test) accuracy after the last round; NaN when never measured
         finals = [
             (r.records[-1].global_acc_server, r.records[-1].global_acc_test)

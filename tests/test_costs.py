@@ -69,17 +69,18 @@ LEDGER = {
 # scores, vectors and streams by tag. A round scores the new global model on
 # the server and test sets, and fedpdc each local model first; it builds a
 # vector for the new global model and one per scored local model. seed 1
-# retries its partition (ROADMAP item 4) on the ten-client workloads
+# retries its partition (ROADMAP item 4) on the ten-client workloads. A round
+# that selects every client (tau = 1) draws no sample stream
 WORK = {
     "paper_sweep": [
         ({"cohort": 1250, "pass": 52, "score": 50}, {"cohort": 72050, "pass": 4212, "score": 350}, 50, 26,
-         {"synth": 1, "split": 2, "partition": 2, "init": 1, "sample": 25, "local": 25}),
+         {"synth": 1, "split": 2, "partition": 2, "init": 1, "local": 25}),
         ({"cohort": 1250, "pass": 52, "score": 300}, {"cohort": 72050, "pass": 4212, "score": 2100}, 300, 276,
-         {"synth": 1, "split": 2, "partition": 2, "init": 1, "sample": 25, "local": 25}),
+         {"synth": 1, "split": 2, "partition": 2, "init": 1, "local": 25}),
     ],
     "prox_small_batch": [
         ({"cohort": 3300, "score": 100}, {"cohort": 120950, "score": 700}, 100, 51,
-         {"synth": 1, "split": 2, "partition": 2, "init": 1, "sample": 50, "local": 50}),
+         {"synth": 1, "split": 2, "partition": 2, "init": 1, "local": 50}),
     ],
     "many_clients_diag": [
         ({"cohort": 176, "pass": 854, "score": 720}, {"cohort": 12263, "pass": 88633, "score": 5040}, 720, 661,
@@ -95,12 +96,14 @@ LOADS = {
     "many_clients_diag": [{"cohort": 60, "pass": 61, "score": 720}],
 }
 # per workload, per configuration: the tracemalloc peak in bytes of round
-# WARM_ROUND (0-based), in one fresh interpreter (measured_peaks)
+# WARM_ROUND (0-based), in one fresh interpreter (measured_peaks). A cohort
+# without a proximal term allocates no difference lanes (128,640 B at 10
+# lanes of 1,608 parameters)
 WARM_ROUND = 3
 WARM_PEAK = {
-    "paper_sweep": [817847, 818087],
-    "prox_small_batch": [766239],
-    "many_clients_diag": [597048],
+    "paper_sweep": [687551, 687791],
+    "prox_small_batch": [766095],
+    "many_clients_diag": [466888],
 }
 
 

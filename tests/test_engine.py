@@ -652,9 +652,9 @@ def test_a_round_seeds_one_shuffle_stream(toy_problem, monkeypatch):
     # every selected client's shuffles come from the (TAG_LOCAL, seed,
     # round) stream; the round seeds it once and restarts it per client.
     # Re-seeding it per client changes no value, so only the count shows the
-    # restart; the orders show that a restarted stream draws what a fresh one does
+    # restart; the orders show that a restarted stream draws what a fresh one
+    # does. A sample stream is seeded only when tau leaves clients out
     _pool, server_set, _rest, _part, clients, model = toy_problem
-    cfg = ExperimentConfig(strategy="fedprox", tau=1.0, local_epochs=2, batch_size=16, seed=3)
     tags, runs, local_train = [], [], engine.local_train
 
     def counted(*key):
@@ -667,11 +667,17 @@ def test_a_round_seeds_one_shuffle_stream(toy_problem, monkeypatch):
 
     monkeypatch.setattr(engine, "stream", counted)
     monkeypatch.setattr(engine, "local_train", laid_out)
-    engine.run_round(engine.ServerState(model, server_set), clients, cfg)
-    assert sorted(tags) == sorted([TAG_SAMPLE, TAG_LOCAL]) and len(clients) == 4
-    assert [run.client for run in runs] == [0, 1, 2, 3]
-    for run, client in zip(runs, clients):
-        assert run.order.tobytes() == local_train(client, model, 1.0, cfg, 0).order.tobytes()
+    assert len(clients) == 4
+    for tau, drawn in ((1.0, [TAG_LOCAL]), (0.5, [TAG_SAMPLE, TAG_LOCAL])):
+        cfg = ExperimentConfig(strategy="fedprox", tau=tau, local_epochs=2, batch_size=16, seed=3)
+        selected = engine.sample_clients(len(clients), tau, 0, cfg.seed)
+        tags.clear()
+        runs.clear()
+        engine.run_round(engine.ServerState(model, server_set), clients, cfg)
+        assert sorted(tags) == sorted(drawn)
+        assert [run.client for run in runs] == list(selected) and len(selected) == 4 * tau
+        for run in runs:
+            assert run.order.tobytes() == local_train(clients[run.client], model, 1.0, cfg, 0).order.tobytes()
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)

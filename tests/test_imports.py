@@ -7,9 +7,17 @@ with only such marked imports in between, and the tracer's SPANS (read from
 perfbench/spans.py) wraps that name in that module. So a marked import
 goes stale, and fails here, as soon as the tracer stops wrapping it.
 `fedsim/__init__.py` imports exactly the names of its `__all__`, each once.
+
+A single-seed synthetic `fedsim run` loads none of the modules that only a
+multi-seed summary or a CSV file reads (DEFERRED): each costs resident
+memory in every run.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,6 +27,9 @@ SPANS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 MODULES = sorted(path.name for path in SRC.glob("*.py") if path.name != "__init__.py")
 TRACER_COMMENT = "# perfbench/spans.py traces"
 MARK = "# noqa: F401"
+# statistics, with the decimal and fractions it imports, only for
+# sweep_summary.csv; csv only for a CSV dataset or a history file
+DEFERRED = ("statistics", "decimal", "fractions", "csv")
 
 
 def _traced(lines: list[str], lineno: int) -> bool:
@@ -114,3 +125,33 @@ def test_the_gate_exempts_only_imports_the_tracer_wraps():
     assert unused_imports(source, {"forward"}) == ["Batch"]
     names = traced_names()
     assert "local_train" in names["engine.py"] and "local_train" not in names["runner.py"]
+
+
+def test_a_single_seed_run_loads_only_what_it_reads(tmp_path):
+    # a fresh interpreter that imports only fedsim, as perfbench/child.py
+    # does: pytest's own process already holds these modules
+    shared = "".join(
+        f"{key} = {value}\n"
+        for key, value in (("num_classes", 3), ("samples_per_class", 40), ("input_dim", 4), ("hidden", 8),
+                           ("server_per_class", 8), ("test_per_class", 8), ("clients", 3),
+                           ("local_epochs", 1), ("rounds", 2))
+    )
+    for name, seeds in (("one", "seed = 1"), ("two", "seeds = 0,1")):
+        (tmp_path / f"{name}.txt").write_text(f"{shared}{seeds}\noutput_dir = {tmp_path / name}\n")
+    code = (
+        "import json, sys\n"
+        "from fedsim import cli\n"
+        "codes = [cli.main(['run', sys.argv[1]])]\n"
+        "loaded = [name for name in sys.argv[3:] if name in sys.modules]\n"
+        "codes.append(cli.main(['run', sys.argv[2]]))\n"
+        "print(json.dumps([codes, loaded, 'statistics' in sys.modules]))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "one.txt"), str(tmp_path / "two.txt"), *DEFERRED],
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)}, capture_output=True, text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    codes, loaded, summarized = json.loads(out.stdout.splitlines()[-1])
+    assert codes == [0, 0] and loaded == []
+    # a multi-seed sweep then loads statistics for its summary and writes it
+    assert summarized and (tmp_path / "two" / "sweep_summary.csv").is_file()

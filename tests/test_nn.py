@@ -547,18 +547,30 @@ def _fill(plan, *features):
     # 0, 1 or 2 hidden layers
     widths=st.lists(st.integers(1, 9) | st.just(64), min_size=2, max_size=4).map(tuple),
     rows=st.integers(1, 70),
-    data=st.data(),
+    sizes=st.lists(st.integers(1, 70), min_size=1, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+    zero=st.sampled_from([None, 0.0, -0.0]),
 )
-def test_plan_step_equals_reference(widths, rows, data):
-    # one plan for every call: steps of drawn sizes up to rows and of rows
-    # itself, each followed by a step on overflowing input, so whatever that
-    # leaves in the workspace must not reach the next call
+# a hidden unit with a zero weight column and a zero bias, of either sign:
+# its pre-activation is a zero on every row, where the reference's ReLU mask
+# (acts > 0.0) is False and a mask that is 1 at zero changes the gradient
+@example(widths=(3, 4, 2), rows=6, sizes=[2, 5], seed=0, zero=0.0)
+@example(widths=(5, 64, 4, 3), rows=40, sizes=[1, 33], seed=1, zero=-0.0)
+@example(widths=(1, 2, 2), rows=3, sizes=[3], seed=2, zero=-0.0)
+def test_plan_step_equals_reference(widths, rows, sizes, seed, zero):
+    # one plan for every call: steps of the drawn sizes (capped at rows) and
+    # of rows itself, each followed by a step on overflowing input, so
+    # whatever that leaves in the workspace must not reach the next call.
+    # Given zero, every hidden layer's first unit has a weight column and a
+    # bias of that zero
     arch = nn.ModelArch(widths)
     plan = nn.TrainPlan(arch, rows)
-    sizes = data.draw(st.lists(st.integers(1, rows), min_size=1, max_size=4)) + [rows]
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    for r in sizes:
+    rng = np.random.default_rng(seed)
+    for r in [min(size, rows) for size in sizes] + [rows]:
         values = rng.choice([0.1, 1.0, 30.0]) * rng.standard_normal(nn.param_count(arch))
+        if zero is not None:
+            for weight, bias in nn.unpack(arch, values)[:-1]:
+                weight[:, 0], bias[0] = zero, zero
         features = rng.standard_normal((r, arch.input_dim))
         labels = rng.integers(0, arch.output_dim, r)
         np.copyto(plan.values, values)
