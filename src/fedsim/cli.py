@@ -122,7 +122,8 @@ def _cmd_plotdata(args) -> int:
 def _check_gradients() -> bool:
     """The gradients of the one kernel, nn.TrainPlan, against central
     differences of its losses: in training, on one batch; in the full-batch
-    pass, on datasets over two row blocks, one a single row (np.matmul)."""
+    pass, on datasets over two row blocks (its plan is as tall as the first,
+    which takes a block alone), one a single row (np.matmul)."""
     arch = nn.ModelArch((4, 6, 3))
     for seed in (0, 1, 2):
         rng = np.random.default_rng(seed)
@@ -130,7 +131,7 @@ def _check_gradients() -> bool:
         features, labels = rng.standard_normal((6, 4)), rng.integers(0, 3, 6)
         datasets = [
             LabeledDataset(rng.standard_normal((n, 4)), rng.integers(0, 3, n), 3)
-            for n in (diagnostics.BLOCK_ROWS - 1, 2, 1, 5)
+            for n in (511, 2, 1, 5)
         ]
 
         def train_pass(v):

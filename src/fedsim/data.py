@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -135,7 +135,6 @@ class ServerSet:
 
     data: LabeledDataset
     per_class: int
-    source_indices: tuple[int, ...] = field(repr=False)
 
     def __post_init__(self) -> None:
         counts = self.data.class_histogram()
@@ -301,11 +300,7 @@ def build_server_set(
         picked = rng.choice(idx_c, size=per_class, replace=False)
         chosen.append(np.sort(picked))
     chosen_all = np.concatenate(chosen)
-    server = ServerSet(
-        data=dataset.subset(chosen_all),
-        per_class=per_class,
-        source_indices=tuple(int(i) for i in chosen_all),
-    )
+    server = ServerSet(data=dataset.subset(chosen_all), per_class=per_class)
     keep = np.setdiff1d(np.arange(len(dataset)), chosen_all, assume_unique=True)
     if keep.size == 0:
         raise DataError("server set consumed the entire dataset")

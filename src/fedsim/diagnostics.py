@@ -9,13 +9,14 @@ violate it and are reported, never failed.
 
 The global objective and the gradient ratio both come from FullBatchPass,
 the one loop that visits every client's full dataset at a model. Built once
-over fixed datasets, it stacks consecutive clients' rows into blocks of
-about BLOCK_ROWS rows, each one step of the training kernel (nn.TrainPlan)
-with a segment per client, and each call copies a block's rows into the
-kernel's inputs, runs its step and sums the clients' losses and gradients
-that those steps return. A pass takes its architecture from the plan it
-is built on: the runner builds one per run, on the run's round plan, and
-full_batch_pass, the one-shot form, on the smallest plan (plan_shape).
+over fixed datasets on a plan (nn.TrainPlan) that its caller sizes, it packs
+consecutive clients into blocks that fit that plan, each one step of the
+training kernel with a segment per client, and each call copies a block's
+rows into the kernel's inputs, runs its step and sums the clients' losses
+and gradients that those steps return. A pass takes its architecture from
+its plan: the runner builds one per run, on the run's round plan, and
+full_batch_pass, the one-shot form, on a plan as tall as its largest
+dataset with a lane per dataset.
 """
 
 from __future__ import annotations
@@ -34,13 +35,6 @@ from .nn import ParamVector, TrainPlan, check_fits
 from .nn import Batch, backward, cross_entropy, forward  # noqa: F401
 
 GRAD_NORM_TOL = 1e-12
-# FullBatchPass stacks consecutive datasets until a block holds at least
-# this many rows. On many_clients_diag (100 clients of 13-337 rows, 16-64-8
-# MLP, one BLAS thread, 2-core Xeon, 8 interleaved repeats) a pass took
-# 4.5-7.2 ms at 512 rows (median 5.7), 4.8-7.2 at 256 and at 1024 (6.2, 6.1)
-# and 5.8-8.3 as one block of all 7,424 rows, against 6.0-10.2 one client at
-# a time. One block would need 3.8 MB per hidden layer, 512 rows 0.26 MB.
-BLOCK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -116,30 +110,34 @@ class FullBatchPass:
     """full_batch_pass over fixed datasets, split into a plan and a call.
 
     The constructor does all that depends only on the datasets: it checks
-    them (none is plan_shape's DiagnosticsError, and one that plan's
-    architecture does not fit is check_fits's error, named "dataset k"),
-    stacks consecutive datasets into blocks of at least BLOCK_ROWS rows and
-    binds one step per block, a segment per dataset, on plan: an
-    nn.TrainPlan of at least plan_shape(datasets) rows and lanes (a
-    ShapeError otherwise), whose architecture is the pass's. The runner
-    passes its round plan, so a run allocates one workspace. The pass holds
-    its bound steps, so the plan letting go of them unbinds nothing. A call
-    on a model, returning (f, grad f, ratio), copies it into the lanes the
-    blocks read and, block by block, fills the block's rows of the plan's
-    inputs with one concatenate of its datasets' features, runs the block's
-    step on the block's labels and sums the datasets' losses and gradients
-    in order, each gradient scaled into the pass's one parameter-sized
-    vector; it allocates no block-sized array. Each segment is bitwise its
-    dataset's own loss_and_grad call. A model of another architecture is
-    TrainPlan.load's ShapeError, and a call that raises DivergenceError
-    leaves the plan usable.
+    them (none is a DiagnosticsError, and one that plan's architecture does
+    not fit is check_fits's error, named "dataset k"), packs consecutive
+    datasets into blocks that fit plan, an nn.TrainPlan whose architecture
+    is the pass's (a block takes the next dataset while its rows stay within
+    plan.rows and its datasets within plan.lanes), and binds one step per
+    block, a segment per dataset, on plan; a dataset taller than plan is
+    that step's ShapeError. The runner passes its round plan, so a run
+    allocates one workspace, and a smaller plan only packs more blocks. The
+    pass holds its bound steps, so the plan letting go of them unbinds
+    nothing. A call on a model, returning (f, grad f, ratio), copies it into
+    the lanes the blocks read and, block by block, fills the block's rows of
+    the plan's inputs with one concatenate of its datasets' features, runs
+    the block's step on the block's labels and sums the datasets' losses and
+    gradients in order, each gradient scaled into the pass's one
+    parameter-sized vector; it allocates no block-sized array. Each segment
+    is bitwise its dataset's own loss_and_grad call. A model of another
+    architecture is TrainPlan.load's ShapeError, and a call that raises
+    DivergenceError leaves the plan usable.
     """
 
     def __init__(self, plan: TrainPlan, datasets: Sequence[LabeledDataset]) -> None:
-        _rows, self._lanes = plan_shape(datasets)
+        if len(datasets) == 0:
+            raise DiagnosticsError("the full-batch pass needs at least one dataset")
         for k, dataset in enumerate(datasets):
             check_fits(plan.arch, dataset, f"dataset {k}")
         self.datasets = tuple(datasets)
+        blocks = _blocks(datasets, plan.rows, plan.lanes)
+        self._lanes = max(map(len, blocks))
         total = float(sum(map(len, datasets)))
         self._plan, self._scaled = plan, np.empty(plan.values.shape[1])
         # per block: its step, its rows of the plan's inputs, its datasets'
@@ -149,7 +147,7 @@ class FullBatchPass:
             (plan.step([len(d) for d in block]), plan.inputs[: sum(map(len, block))],
              [d.features for d in block], np.concatenate([d.labels for d in block]),
              [len(d) / total for d in block])
-            for block in _blocks(datasets)
+            for block in blocks
         ]
 
     def __call__(self, model: ParamVector) -> tuple[float, np.ndarray, float | None]:
@@ -177,34 +175,28 @@ def full_batch_pass(
     len(datasets[k]) / (total samples), reduced in the order given so
     results are reproducible. The ratio is None (undefined) when ||grad f||
     is below GRAD_NORM_TOL; by Jensen's inequality it is otherwise >= 1.
-    The one-shot form of FullBatchPass, on the smallest plan for datasets;
-    the runner builds a pass once per run, on its round plan."""
-    return FullBatchPass(TrainPlan(model.arch, *plan_shape(datasets)), datasets)(model)
-
-
-def plan_shape(datasets: Sequence[LabeledDataset]) -> tuple[int, int]:
-    """(rows, lanes) of the smallest nn.TrainPlan a FullBatchPass over
-    datasets runs on: its tallest block and the most datasets a block holds.
-    No datasets is a DiagnosticsError."""
+    The one-shot form of FullBatchPass, on a plan as tall as the largest
+    dataset with a lane per dataset; the runner builds a pass once per run,
+    on its round plan. No datasets is a DiagnosticsError."""
     if len(datasets) == 0:
         raise DiagnosticsError("the full-batch pass needs at least one dataset")
-    blocks = list(_blocks(datasets))
-    return max(sum(map(len, block)) for block in blocks), max(map(len, blocks))
+    plan = TrainPlan(model.arch, max(map(len, datasets)), len(datasets))
+    return FullBatchPass(plan, datasets)(model)
 
 
-def _blocks(datasets: Sequence[LabeledDataset]):
-    """Runs of consecutive datasets, each closed as soon as it holds at least
-    BLOCK_ROWS rows (the last run may hold fewer)."""
-    block: list[LabeledDataset] = []
-    rows = 0
+def _blocks(datasets: Sequence[LabeledDataset], rows: int, lanes: int) -> list[list[LabeledDataset]]:
+    """Runs of consecutive datasets, each taking the next dataset while its
+    rows stay within rows and its datasets within lanes; a dataset taller
+    than rows is a run of its own."""
+    blocks: list[list[LabeledDataset]] = []
+    filled = 0
     for dataset in datasets:
-        block.append(dataset)
-        rows += len(dataset)
-        if rows >= BLOCK_ROWS:
-            yield block
-            block, rows = [], 0
-    if block:
-        yield block
+        if not blocks or filled + len(dataset) > rows or len(blocks[-1]) == lanes:
+            blocks.append([])
+            filled = 0
+        blocks[-1].append(dataset)
+        filled += len(dataset)
+    return blocks
 
 
 def global_objective(

@@ -40,7 +40,6 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .data import LabeledDataset, ServerSet
-from .diagnostics import plan_shape
 from .errors import AggregationError, ConfigError, DivergenceError, ShapeError, StateError
 from .nn import ModelArch, ParamVector, TrainPlan, check_fits, cross_entropy, evaluate_accuracy
 
@@ -469,14 +468,14 @@ def round_plan(
     """One nn.TrainPlan for every round of cfg over clients: a lane per
     client a round selects, and rows for the tallest first lock-step any
     such selection takes, the server set and the test set. When cfg asks
-    for a diagnostic, it also fits the full-batch pass over the clients
-    (diagnostics.plan_shape), which the runner binds on the same plan."""
+    for a diagnostic, its rows also hold the largest client, so that the
+    runner's diagnostics.FullBatchPass, which packs its blocks into this
+    plan, fits; the pass adds no lanes."""
     count = _sample_count(len(clients), cfg.tau)
     firsts = sorted(min(cfg.batch_size, len(c.data)) for c in clients)[-count:]
     rows = max(sum(firsts), len(server.server_set.data), len(test_data or ()))
     if cfg.instrument_global_loss or cfg.emit_dissimilarity:
-        pass_rows, pass_lanes = plan_shape([c.data for c in clients])
-        rows, count = max(rows, pass_rows), max(count, pass_lanes)
+        rows = max(rows, max(len(c.data) for c in clients))
     return TrainPlan(server.model.arch, rows, count)
 
 

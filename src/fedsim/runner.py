@@ -10,12 +10,14 @@ Each run owns one directory containing:
 
 The runner owns the diagnostics: when either is enabled it builds one
 FullBatchPass (local training's kernel, a segment per client) per run, on
-the run's one round plan, whose architecture the pass takes, and calls it
-once per round at the pre-round model, which yields the global objective,
-its squared gradient norm and the gradient ratio at once. The objective
-after round t is the one measured before round t+1, so only the final
-model needs an extra pass. Artifacts are written after the last round.
-Reruns reproduce every artifact byte for byte.
+the run's one round plan, whose architecture the pass takes. round_plan
+sizes that plan from the round's cohort and scored sets, and as tall as
+the largest client, and the pass packs its blocks into it. The runner
+calls the pass once per round at the pre-round model, which yields the
+global objective, its squared gradient norm and the gradient ratio at
+once. The objective after round t is the one measured before round t+1,
+so only the final model needs an extra pass. Artifacts are written after
+the last round. Reruns reproduce every artifact byte for byte.
 """
 
 from __future__ import annotations

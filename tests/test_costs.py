@@ -63,7 +63,7 @@ TAGS = {value: name[4:].lower() for name, value in vars(seeding).items() if name
 LEDGER = {
     "paper_sweep": [(21, 21, 21, 21), (21, 21, 21, 21)],
     "prox_small_batch": [(25, 25, 25, 25)],
-    "many_clients_diag": [(183, 149, 18, 24)],
+    "many_clients_diag": [(182, 148, 17, 23)],
 }
 # per workload, per configuration: steps and numpy calls by caller, then
 # scores, vectors and streams by tag. A round scores the new global model on
@@ -83,7 +83,7 @@ WORK = {
          {"synth": 1, "split": 2, "partition": 2, "init": 1, "local": 50}),
     ],
     "many_clients_diag": [
-        ({"cohort": 176, "pass": 854, "score": 720}, {"cohort": 12263, "pass": 88633, "score": 5040}, 720, 661,
+        ({"cohort": 176, "pass": 793, "score": 720}, {"cohort": 12263, "pass": 87047, "score": 5040}, 720, 661,
          {"synth": 1, "split": 2, "partition": 1, "init": 1, "sample": 60, "local": 60}),
     ],
 }

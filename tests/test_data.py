@@ -239,8 +239,10 @@ class TestServerSet:
     def test_split_is_a_disjoint_cover(self):
         ds = small_pool(classes=4, per_class=25)
         server, rest = build_server_set(ds, 7, seed=9)
-        src = set(server.source_indices)
-        assert len(src) == len(server)
+        # the pool's rows are distinct, so each server row names its source row
+        rows = {row.tobytes(): i for i, row in enumerate(ds.features)}
+        src = {rows[row.tobytes()] for row in server.data.features}
+        assert len(rows) == len(ds) and len(src) == len(server)
         # remainder holds exactly the complement, in original order
         complement = [i for i in range(len(ds)) if i not in src]
         assert np.array_equal(rest.features, ds.features[complement])

@@ -27,6 +27,7 @@ from fedsim.diagnostics import (
     theorem_constant,
 )
 from fedsim.errors import ConfigError, DataError, DiagnosticsError, DivergenceError, ShapeError
+from fedsim.engine import round_plan
 from fedsim.runner import build_problem
 
 
@@ -158,8 +159,8 @@ def test_shared_pass_bitwise_equals_reference_loops(widths, rows, seed):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_block_pass_bitwise_equals_reference_loops(widths, rows, seed):
-    # 1-700 rows per dataset: blocks straddle BLOCK_ROWS and one dataset may
-    # fill a block by itself; 1-row datasets take numpy's gemv path
+    # 1-700 rows per dataset on a plan as tall as the largest: a block may
+    # hold one dataset or several; 1-row datasets take numpy's gemv path
     rng = np.random.default_rng(seed)
     arch = nn.ModelArch(widths)
     model = random_model(arch, seed=seed)
@@ -170,9 +171,11 @@ def test_block_pass_bitwise_equals_reference_loops(widths, rows, seed):
     assert loss == want_loss and np.array_equal(grad, want_grad) and ratio == want_ratio
 
 
-@pytest.mark.parametrize("block_rows", [1, 10**9])
+# plans of the tallest dataset with one lane (a block per dataset), of all
+# rows with a lane each (one block) and of 642 rows and 3 lanes (three blocks)
+@pytest.mark.parametrize("rows, lanes", [(640, 1), (1281, 7), (642, 3)])
 @pytest.mark.parametrize("widths", [(9, 20, 3), (16, 64, 8), (5, 7, 4, 3)])
-def test_block_size_does_not_change_the_bits(widths, block_rows, monkeypatch):
+def test_block_size_does_not_change_the_bits(widths, rows, lanes):
     # on OpenBLAS 0.3.31 (x86-64) one product over a whole block gives some
     # rows of the first two architectures other bits than their own dataset's
     rng = np.random.default_rng(9)
@@ -180,19 +183,22 @@ def test_block_size_does_not_change_the_bits(widths, block_rows, monkeypatch):
     model = random_model(arch, seed=9)
     datasets = random_datasets(rng, arch, (300, 1, 211, 2, 640, 90, 37))
     loss, grad, ratio = full_batch_pass(model, datasets)
-    monkeypatch.setattr(diagnostics, "BLOCK_ROWS", block_rows)
-    got_loss, got_grad, got_ratio = full_batch_pass(model, datasets)
+    got_loss, got_grad, got_ratio = FullBatchPass(nn.TrainPlan(arch, rows, lanes), datasets)(model)
     assert got_loss == loss and got_grad.tobytes() == grad.tobytes() and got_ratio == ratio
 
 
 def test_blocks_close_at_block_rows():
     # the bits hold for any blocking, so only the layout shows a block that
-    # is closed late or never refilled (every dataset then a block of its own)
+    # is closed late or early: a block takes the next dataset while its rows
+    # stay within the plan's and its datasets within the plan's lanes
     rng = np.random.default_rng(3)
     datasets = random_datasets(rng, nn.ModelArch((4, 5, 3)), (300, 1, 211, 2, 640, 90, 37))
-    assert diagnostics.BLOCK_ROWS == 512
-    blocks = [[len(d) for d in block] for block in diagnostics._blocks(datasets)]
-    assert blocks == [[300, 1, 211], [2, 640], [90, 37]]
+
+    def layout(rows, lanes):
+        return [[len(d) for d in block] for block in diagnostics._blocks(datasets, rows, lanes)]
+
+    assert layout(642, 3) == [[300, 1, 211], [2, 640], [90, 37]]
+    assert layout(640, 2) == [[300, 1], [211, 2], [640], [90, 37]]
 
 
 def overflowing_model(arch):
@@ -203,20 +209,20 @@ def overflowing_model(arch):
     return nn.ParamVector(arch, values)
 
 
-@pytest.mark.filterwarnings("error")
 @settings(max_examples=50, deadline=None)
 @given(
     widths=st.lists(st.integers(1, 9), min_size=3, max_size=4).map(tuple),
     rows=st.lists(st.integers(1, 700), min_size=1, max_size=12),
+    lanes=st.integers(1, 4),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_a_reused_plan_leaks_nothing_between_calls(widths, rows, seed):
+def test_a_reused_plan_leaks_nothing_between_calls(widths, rows, lanes, seed):
     # finite models, then one that diverges, then finite ones again: every
     # result is bitwise what a fresh pass over the same datasets gives
     rng = np.random.default_rng(seed)
     arch = nn.ModelArch(widths)
     datasets = random_datasets(rng, arch, rows)
-    plan = FullBatchPass(nn.TrainPlan(arch, *diagnostics.plan_shape(datasets)), datasets)
+    plan = FullBatchPass(nn.TrainPlan(arch, max(rows), lanes), datasets)
     models = [random_model(arch, seed=(seed + i) % 2**32) for i in range(3)]
     for model in (*models, None, *models[::-1]):
         if model is None:
@@ -235,8 +241,9 @@ def test_plan_boundary_errors():
     plan = nn.TrainPlan(arch, 16, 2)
     with pytest.raises(ShapeError, match=r"plan is for layer widths \(4, 5, 3\), the model has \(4, 6, 3\)"):
         FullBatchPass(plan, [data])(random_model(nn.ModelArch((4, 6, 3)), seed=4))
-    # no datasets has no plan shape
-    for no_datasets in (lambda: diagnostics.plan_shape([]), lambda: FullBatchPass(plan, [])):
+    # no datasets is no pass, on a given plan or the one-shot form's
+    model = random_model(arch, seed=4)
+    for no_datasets in (lambda: FullBatchPass(plan, []), lambda: full_batch_pass(model, [])):
         with pytest.raises(DiagnosticsError, match="needs at least one dataset"):
             no_datasets()
     # a misfit dataset fails at construction, named by its position
@@ -249,37 +256,38 @@ def test_plan_boundary_errors():
 
 
 def test_a_pass_on_a_given_plan_keeps_its_steps():
-    # blocks [300, 1, 211], [2, 640] and [90, 37]: plan_shape is the
-    # tallest block's rows and the most datasets a block holds. A plan that
-    # lets go of its bound steps (two generations on, or two past its
-    # backstop) leaves the pass's to the pass, whose calls bind nothing, and
-    # a pass on any plan that fits is bitwise the reference; smaller plans
-    # are refused
+    # a pass packs its blocks into the plan it is given: [300, 1, 211],
+    # [2, 640] and [90, 37] on 642 rows and 3 lanes, more blocks on a smaller
+    # plan. A plan that lets go of its bound steps (two generations on, or
+    # two past its backstop) leaves the pass's to the pass, whose calls bind
+    # nothing, and a pass on any plan as tall as its tallest dataset is
+    # bitwise the reference; a shorter plan is refused
     rng = np.random.default_rng(6)
     arch = nn.ModelArch((5, 8, 3))
     datasets = random_datasets(rng, arch, (300, 1, 211, 2, 640, 90, 37))
-    assert diagnostics.plan_shape(datasets) == (642, 3)
-    for plan, generations in ((nn.TrainPlan(arch, 642, 3), 2), (nn.TrainPlan(arch, 700, 10), 0)):
+    for rows, lanes, generations in ((642, 3, 2), (700, 10, 0), (640, 2, 1)):
+        plan = nn.TrainPlan(arch, rows, lanes)
         full = FullBatchPass(plan, datasets)
+        blocks = {tuple(map(len, block)) for block in diagnostics._blocks(datasets, rows, lanes)}
+        assert len(blocks) == len(full._blocks) >= 3
         for _generation in range(generations):
             plan.new_generation()
         for n in range(1, 2 * nn.MAX_BOUND_STEPS + 1):
             plan.step(n)
-        assert {(300, 1, 211), (2, 640), (90, 37)}.isdisjoint({*plan._steps, *plan._previous})
+        assert blocks.isdisjoint({*plan._steps, *plan._previous})
         plan._bind = None
         for seed in (0, 1):
             model = random_model(arch, seed=seed)
             want_loss, want_grad, want_ratio = reference.full_batch(arch, model.values, datasets)
             loss, grad, ratio = full(model)
             assert loss == want_loss and grad.tobytes() == want_grad.tobytes() and ratio == want_ratio
-    for small in (nn.TrainPlan(arch, 641, 3), nn.TrainPlan(arch, 642, 2)):
-        with pytest.raises(ShapeError, match="does not fit a plan|a step takes 1 to 2 segments"):
-            FullBatchPass(small, datasets)
+    with pytest.raises(ShapeError, match="a step of 640 rows does not fit a plan of 639 rows"):
+        FullBatchPass(nn.TrainPlan(arch, 639, 7), datasets)
 
 
 def test_a_warm_plan_call_allocates_no_block_sized_array():
     # the many_clients_diag benchmark problem at seed 1: 100 clients, 16-64-8
-    # MLP; one hidden layer of one block alone is at least 256 KiB
+    # MLP, on the run's plan; one hidden layer of one block is 152-318 KiB
     cfg = ExperimentConfig(
         strategy="fedpdc_adaptive", penalty_mode="scaled_ce", clients=100, tau=0.1,
         beta=0.5, samples_per_class=1000, local_epochs=1, rounds=60,
@@ -288,7 +296,8 @@ def test_a_warm_plan_call_allocates_no_block_sized_array():
     problem = build_problem(cfg, 1)
     model = problem.server.model
     datasets = [client.data for client in problem.clients]
-    plan = FullBatchPass(nn.TrainPlan(model.arch, *diagnostics.plan_shape(datasets)), datasets)
+    run_plan = round_plan(problem.server, problem.clients, cfg, problem.test_set)
+    plan = FullBatchPass(run_plan, datasets)
     plan(model)
     tracemalloc.start()
     try:
@@ -329,8 +338,8 @@ class TestPassValidation:
             diagnostic(model, [data])
 
 
-# "error": a diverged model must surface as DivergenceError, not a numpy warning
-@pytest.mark.filterwarnings("error")
+# pyproject's "error" filter fails any numpy warning: a diverged model
+# must surface as DivergenceError
 @pytest.mark.parametrize("diagnostic", [global_objective, gradient_dissimilarity])
 def test_huge_finite_model_is_divergence(diagnostic):
     rng = np.random.default_rng(5)

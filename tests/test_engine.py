@@ -19,6 +19,7 @@ from fedsim.errors import (
     ShapeError,
     StateError,
 )
+from fedsim.runner import build_problem
 from fedsim.seeding import TAG_LOCAL, TAG_SAMPLE, stream
 
 
@@ -160,8 +161,8 @@ class TestLocalTrain:
         expected, _buf = reference.sgd_step(w.values, np.zeros_like(w.values), grad, cfg)
         assert np.array_equal(model.values, expected)
 
-    # "error": divergence must surface as DivergenceError, not a numpy warning
-    @pytest.mark.filterwarnings("error")
+    # pyproject's "error" filter fails any numpy warning: divergence must
+    # surface as DivergenceError
     def test_update_overflow_is_divergence(self):
         client = self._client()
         w = random_model(nn.ModelArch((4, 5, 3)), seed=0)
@@ -171,7 +172,6 @@ class TestLocalTrain:
         with pytest.raises(DivergenceError, match="client 0"):
             train_alone(client, w, 1.0, cfg, 0)
 
-    @pytest.mark.filterwarnings("error")
     def test_divergence_names_client_and_round(self):
         client = self._client()
         w = random_model(nn.ModelArch((4, 5, 3)), seed=0)
@@ -181,7 +181,6 @@ class TestLocalTrain:
         with pytest.raises(DivergenceError, match=r"client 0 .* round 2"):
             train_alone(client, w, 1.0, cfg, 2)
 
-    @pytest.mark.filterwarnings("error")
     def test_divergence_error_carries_client_round_step_and_last_loss(self):
         # linear model; weight decay 1e200 at lr 1 flips and inflates the
         # weights to about -1e200 in step 0, so step 1 still has a finite
@@ -431,7 +430,6 @@ def test_a_cohort_trains_each_client_as_it_trains_alone(
         assert model.tobytes() == ref_values.tobytes() and repr(losses) == repr(ref_losses)
 
 
-@pytest.mark.filterwarnings("error")
 def test_a_diverging_cohort_raises_the_error_of_the_sequential_loop():
     # client 3's huge features blow up at step 1, client 1's at step 4:
     # training one by one in id order meets client 1 first, so the cohort
@@ -487,7 +485,6 @@ def test_a_diverging_cohort_raises_the_error_of_the_sequential_loop():
         assert model.tobytes() == alone_model.values.tobytes() and losses == alone_losses
 
 
-@pytest.mark.filterwarnings("error")
 def test_finite_parameters_whose_sum_overflows_train_on():
     # two weights of 1e308 on an input column that is all zeros: the lane's
     # parameter sum overflows at every step, but every parameter is finite,
@@ -515,7 +512,6 @@ def test_finite_parameters_whose_sum_overflows_train_on():
     assert models[0, 0] == 1e308
 
 
-@pytest.mark.filterwarnings("error")
 def test_one_nan_parameter_is_reported_at_the_step_it_appears():
     # eta 0 with weight decay 1: a weight of 8e307 on an all-zero input
     # column pushes its momentum past the float64 range at step 2 (8e307 *
@@ -595,17 +591,33 @@ def test_the_run_plan_binds_each_step_shape_once(toy_problem):
 
 
 def test_a_diagnosed_run_plan_fits_the_full_batch_pass(toy_problem):
-    # a config that asks for a diagnostic sizes the one plan for the pass
-    # too: its tallest block and the most datasets a block holds
+    # a config that asks for a diagnostic makes the one plan as tall as the
+    # largest client too, and no wider: the pass packs its blocks into it
     _pool, server_set, _rest, _part, clients, model = toy_problem
     cfg = ExperimentConfig(tau=0.5, batch_size=8, seed=3)
     server = engine.ServerState(model, server_set)
     plain = engine.round_plan(server, clients, cfg)
     assert (plain.rows, plain.lanes) == (len(server_set), 2)
-    rows, lanes = diagnostics.plan_shape([c.data for c in clients])
+    datasets = [c.data for c in clients]
+    largest = max(map(len, datasets))
+    assert largest > plain.rows
     for diagnosed in (replace(cfg, instrument_global_loss=True), replace(cfg, emit_dissimilarity=True)):
         plan = engine.round_plan(server, clients, diagnosed)
-        assert (plan.rows, plan.lanes) == (max(plain.rows, rows), max(plain.lanes, lanes)) == (rows, lanes)
+        assert (plan.rows, plan.lanes) == (largest, plain.lanes)
+        diagnostics.FullBatchPass(plan, datasets)
+
+
+def test_a_diagnosed_100_client_plan_keeps_the_cohort_lanes():
+    # fedpdc over 100 clients at tau 0.1 with both diagnostics: the plan has
+    # the cohort's 10 lanes, and rows for the largest client
+    cfg = ExperimentConfig(
+        strategy="fedpdc", clients=100, tau=0.1, rounds=30,
+        instrument_global_loss=True, emit_dissimilarity=True,
+    )
+    problem = build_problem(cfg, 3)
+    plan = engine.round_plan(problem.server, problem.clients, cfg, problem.test_set)
+    assert (plan.rows, plan.lanes) == (320, 10)
+    assert plan.rows >= max(len(c.data) for c in problem.clients)
 
 
 def test_no_caller_reads_what_another_left_in_the_plan(toy_problem):
@@ -859,8 +871,7 @@ class TestAdaptiveLambda:
 
 
 def make_server_set(features, labels, num_classes, per_class):
-    data = LabeledDataset(features, labels, num_classes)
-    return ServerSet(data=data, per_class=per_class, source_indices=tuple(range(len(data))))
+    return ServerSet(data=LabeledDataset(features, labels, num_classes), per_class=per_class)
 
 
 class TestRunRound:

@@ -427,7 +427,6 @@ class TestCli:
         code = main(["run", str(cfg)])
         assert code == 3
 
-    @pytest.mark.filterwarnings("error")
     def test_divergence_exit_code(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path, eta=1e150, momentum=0.0, output_dir=str(tmp_path / "runs"))
         assert main(["run", str(cfg)]) == 4
