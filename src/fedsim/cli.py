@@ -23,18 +23,10 @@ import numpy as np
 
 from . import diagnostics, engine, nn
 from .config import ExperimentConfig, parse_config
-from .data import (
-    LabeledDataset,
-    SyntheticSpec,
-    build_server_set,
-    dirichlet_partition,
-    generate_synthetic,
-    partition_stats,
-    plain_number,
-)
+from .data import LabeledDataset, plain_number
 from .diagnostics import read_history_csv, rounds_to_target, speedup
 from .errors import DataError, FedsimError
-from .runner import partition_report, run_sweep
+from .runner import build_problem, partition_report, run_sweep
 
 
 def _cmd_run(args) -> int:
@@ -168,42 +160,42 @@ def _check_aggregation() -> bool:
     return bool(np.max(np.abs(equal.values - models.mean(axis=0))) < 1e-12)
 
 
-def _toy_problem():
-    """(server set, training rows, their partition over two clients, the
-    clients, an initial model): the toy problem of the round checks."""
-    pool = generate_synthetic(SyntheticSpec(2, 30, 3, 0.5, seed=1))
-    server_set, data = build_server_set(pool, 2, seed=1)
-    part = dirichlet_partition(data, 2, 1.0, seed=1)
-    clients = [engine.ClientState(i, data.subset(idx)) for i, idx in enumerate(part.client_indices)]
-    return server_set, data, part, clients, nn.init_model(nn.ModelArch((3, 5, 2)), 0)
-
-
-def _two_rounds(server_set, clients, model, cfgs) -> bool:
-    """Whether two rounds of each config from model end on one model."""
+def _two_rounds(problem, cfgs) -> bool:
+    """Whether two rounds of each config on problem, each on the one plan a
+    run of it builds, end on one model."""
     finals = []
     for cfg in cfgs:
-        server = engine.ServerState(model, server_set)
+        server, clients = problem.server, problem.clients
+        plan = engine.round_plan(server, clients, cfg, problem.test_set)
         for _ in range(2):
-            server, _rec = engine.run_round(server, clients, cfg)
+            server, _rec = engine.run_round(server, clients, cfg, problem.test_set, plan)
         finals.append(server.model.values)
     return bool(np.array_equal(finals[0], finals[1]))
 
 
-_FEDAVG = ExperimentConfig(strategy="fedavg", local_epochs=2, batch_size=8, seed=3)
+# the round checks' problem: two clients, and a public set on which some
+# local model of the first round scores below 1, so scores set a p below 1
+_FEDAVG = ExperimentConfig(
+    num_classes=2, samples_per_class=30, input_dim=3, cluster_spread=0.5, hidden=(5,), clients=2, beta=1.0,
+    server_per_class=2, test_per_class=0, local_epochs=2, batch_size=8, seed=3,
+)
 
 
 def _check_reduction() -> bool:
-    server_set, data, part, clients, model = _toy_problem()
-    if int(partition_stats(part, data).sum()) != len(data):
+    """Every class's rows are all in the server set or with a client, once,
+    and zero-prox fedprox ends where fedavg does."""
+    problem = build_problem(_FEDAVG, _FEDAVG.seed)
+    held = sum(c.data.class_histogram() for c in problem.clients) + problem.server.server_set.data.class_histogram()
+    if not (held == _FEDAVG.samples_per_class).all():
         return False
-    return _two_rounds(server_set, clients, model, (_FEDAVG, replace(_FEDAVG, strategy="fedprox", mu_prox=0.0)))
+    return _two_rounds(problem, (_FEDAVG, replace(_FEDAVG, strategy="fedprox", mu_prox=0.0)))
 
 
 def _check_scoring() -> bool:
     """Scores steer fedpdc only: fedavg ends on the same model whether or
     not dissimilarity.csv has its local models scored (and so their p set)."""
-    server_set, _data, _part, clients, model = _toy_problem()
-    return _two_rounds(server_set, clients, model, (_FEDAVG, replace(_FEDAVG, emit_dissimilarity=True)))
+    problem = build_problem(_FEDAVG, _FEDAVG.seed)
+    return _two_rounds(problem, (_FEDAVG, replace(_FEDAVG, emit_dissimilarity=True)))
 
 
 def _cmd_check(_args) -> int:

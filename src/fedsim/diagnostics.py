@@ -135,7 +135,6 @@ class FullBatchPass:
             raise DiagnosticsError("the full-batch pass needs at least one dataset")
         for k, dataset in enumerate(datasets):
             check_fits(plan.arch, dataset, f"dataset {k}")
-        self.datasets = tuple(datasets)
         blocks = _blocks(datasets, plan.rows, plan.lanes)
         self._lanes = max(map(len, blocks))
         total = float(sum(map(len, datasets)))

@@ -251,9 +251,10 @@ def train_cohort(
     together; built here when None. A call starts a generation of the
     plan's bound steps (nn.TrainPlan).
 
-    Each step writes its lanes' cross-entropies (and for a proximal term
-    ||w - w_global||^2) into a table of steps by lanes, and the reported
-    losses are formed from the tables after the last step. A diverging run
+    Each step writes its lanes' cross-entropies, and for a proximal term
+    ||w - w_global||^2 (np.vecdot, lane by lane the bits of diff @ diff),
+    into row s of two tables of steps by lanes, and the reported losses
+    are formed from the two after the last step. A diverging run
     trains on, unread; the tables give each run its first non-finite loss
     and its first step with non-finite parameters, and the DivergenceError
     of the lowest client id among the diverged is raised: the error that
@@ -289,28 +290,23 @@ def train_cohort(
     anchors = plan.values[:count].copy() if prox else None
     scales = np.array([[run.terms[1]] for run in lanes])
     scaled = bool((scales != 1.0).any())
-    # steps by lanes: each lane's cross-entropy and ||w - w_global||^2, the
-    # latter in blocks of (lanes, 1, 1), the stacked product's out; a lane
-    # past its last step reads 0.0 in both
-    ces, sq_dists = np.zeros((total, count)), np.zeros((total, count, 1, 1))
+    # steps by lanes: each lane's cross-entropy and ||w - w_global||^2; a
+    # lane past its last step reads 0.0 in both
+    ces, sq_dists = np.zeros((total, count)), np.zeros((total, count))
     # per lane, the first step whose update left its parameters non-finite; total for none
     blown = np.full(count, total)
-    # each active count's prefix views of the plan's lanes (values also
-    # flat: numpy reduces a 1-D array faster than a 2-D one over both axes),
-    # and for a proximal term of the anchors and differences
-    views = {
-        k: (plan.values[:k], momenta[:k], plan.grads[:k], scales[:k], plan.values[:k].reshape(-1),
-            *((anchors[:k], diffs[:k], diffs[:k, None, :], diffs[:k, :, None]) if prox else (None,) * 4))
-        for k in {len(sizes) for _s0, _s1, sizes, _rows in blocks}
-    }
-    add, subtract, multiply, matmul, add_reduce = np.add, np.subtract, np.multiply, np.matmul, np.add.reduce
+    add, subtract, multiply, vecdot, add_reduce = np.add, np.subtract, np.multiply, np.vecdot, np.add.reduce
     # a diverging run overflows before the finiteness checks below catch it;
     # keep numpy from warning on the way there
     with np.errstate(over="ignore", invalid="ignore"):
         for s0, s1, sizes, rows in blocks:
             k = len(sizes)
             step, inputs = plan.step(sizes), plan.inputs[: sum(sizes)]
-            values, buf, grads, lane_scales, flat, lane_anchors, diff, diff_rows, diff_columns = views[k]
+            # the active lanes' prefixes (values also flat: numpy reduces a
+            # 1-D array faster than a 2-D one over both axes)
+            values, buf, grads, lane_scales = plan.values[:k], momenta[:k], plan.grads[:k], scales[:k]
+            flat = values.reshape(-1)
+            lane_anchors, diff = (anchors[:k], diffs[:k]) if prox else (None, None)
             by_step = [array[rows].reshape(s1 - s0, -1) for array in (rows_at, labels)]
             for s, step_rows, step_labels in zip(range(s0, s1), *by_step):
                 # the indices are in range; mode="raise" would stage the rows in a fresh array
@@ -319,7 +315,7 @@ def train_cohort(
                 if prox:
                     subtract(values, lane_anchors, diff)
                     # lane by lane bitwise diff @ diff: both are one BLAS dot each
-                    matmul(diff_rows, diff_columns, out=sq_dists[s, :k])
+                    vecdot(diff, diff, out=sq_dists[s, :k])
                 if scaled:
                     multiply(grads, lane_scales, grads)
                 if prox:
@@ -336,8 +332,7 @@ def train_cohort(
                 # needs the exact check, lane by lane
                 if not math.isfinite(add_reduce(flat, None)):
                     np.minimum(blown[:k], np.where(np.isfinite(values).all(1), total, s), out=blown[:k])
-        losses = _reported_loss(ces, np.array([run.terms[0] for run in lanes]), scales[:, 0], prox_weight,
-                                sq_dists.reshape(total, count))
+        losses = _reported_loss(ces, np.array([run.terms[0] for run in lanes]), scales[:, 0], prox_weight, sq_dists)
     if not np.isfinite(losses).all() or (blown < total).any():
         raise _first_divergence(lanes, round_index, losses, blown)
     # each run's lane (order inverted), and a lane's losses contiguous, so

@@ -147,9 +147,10 @@ def _layer_slices(arch: ModelArch):
 
 
 def unpack(arch: ModelArch, values: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Flat vector -> [(W, b), ...] views, W shaped (in, out)."""
+    """[(W, b), ...] views of a flat vector, W shaped (in, out), or of a row
+    per lane, W shaped (lanes, in, out) and b (lanes, out)."""
     return [
-        (values[w_sl].reshape(w_in, w_out), values[b_sl])
+        (values[..., w_sl].reshape(*values.shape[:-1], w_in, w_out), values[..., b_sl])
         for w_sl, b_sl, w_in, w_out in _layer_slices(arch)
     ]
 
@@ -259,8 +260,9 @@ class TrainPlan:
     and diagnostics.FullBatchPass a lane per dataset of a block. Callers
     use, a row per lane, the parameters and gradients (values, grads) and
     for `rows` rows the input rows (inputs), and own any other lane state
-    (momentum, a scaled gradient). The rest is private: every layer's output
-    (holding the delta there on the way back), a tile and its bool twin
+    (momentum, a scaled gradient). The rest is private: unpack's layer views
+    of values and grads, a row per lane, every layer's output (holding the
+    delta there on the way back), a tile and its bool twin
     (below), the picks and the row max, norm, picked logit and loss term.
 
     step(sizes) is the kernel for consecutive segments of sizes[k] rows (an
@@ -312,7 +314,7 @@ class TrainPlan:
         self.arch, self.rows, self.lanes = arch, int(rows), int(lanes)
         size, widths = param_count(arch), arch.layer_widths
         self.values, self.grads = np.empty((lanes, size)), np.empty((lanes, size))
-        self._layers, self._grad_layers = _stacked(arch, self.values), _stacked(arch, self.grads)
+        self._layers, self._grad_layers = unpack(arch, self.values), unpack(arch, self.grads)
         self.inputs = np.empty((rows, widths[0]))
         self._outs = [np.empty((rows, w)) for w in widths[1:]]
         self._row_vectors, self._sums = np.empty((4, rows)), np.empty(lanes)
@@ -472,14 +474,6 @@ class TrainPlan:
             return losses
 
         return step
-
-
-def _stacked(arch: ModelArch, rows: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """unpack() of a row per lane: [(W, b), ...] views, W shaped (lanes, in, out)."""
-    return [
-        (rows[:, w_sl].reshape(-1, w_in, w_out), rows[:, b_sl])
-        for w_sl, b_sl, w_in, w_out in _layer_slices(arch)
-    ]
 
 
 def central_difference(fn: Callable[[np.ndarray], float], x: np.ndarray, step: float) -> np.ndarray:

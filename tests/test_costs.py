@@ -101,9 +101,9 @@ LOADS = {
 # lanes of 1,608 parameters)
 WARM_ROUND = 3
 WARM_PEAK = {
-    "paper_sweep": [687551, 687791],
-    "prox_small_batch": [766095],
-    "many_clients_diag": [466888],
+    "paper_sweep": [684743, 684983],
+    "prox_small_batch": [755127],
+    "many_clients_diag": [464800],
 }
 
 

@@ -37,6 +37,19 @@ class TestInitModel:
         assert np.max(np.abs(layers[0][0])) <= math.sqrt(6.0 / 12.0)
         assert np.max(np.abs(layers[1][0])) <= math.sqrt(6.0 / 11.0)
 
+    def test_unpack_of_a_row_per_lane_views_each_lane(self):
+        arch, lanes = nn.ModelArch((3, 4, 2)), 3
+        rows = np.random.default_rng(0).standard_normal((lanes, nn.param_count(arch)))
+        layers = nn.unpack(arch, rows)
+        for (weight, bias), w_in, w_out in zip(layers, (3, 4), (4, 2)):
+            assert weight.shape == (lanes, w_in, w_out) and bias.shape == (lanes, w_out)
+        for k in range(lanes):
+            for (weight, bias), (lane_weight, lane_bias) in zip(layers, nn.unpack(arch, rows[k])):
+                assert np.array_equal(weight[k], lane_weight) and np.array_equal(bias[k], lane_bias)
+        layers[1][0][2, 3, 1] = 7.0
+        layers[0][1][1, 2] = -5.0
+        assert nn.unpack(arch, rows[2])[1][0][3, 1] == 7.0 and nn.unpack(arch, rows[1])[0][1][2] == -5.0
+
     def test_rejects_invalid_arch(self):
         with pytest.raises(ConfigError):
             nn.ModelArch((3, 0, 2))

@@ -99,12 +99,18 @@ class TestRunExperiment:
         # 4 rounds: one pass per round when a diagnostic is on, one more for
         # the final loss; every pass visits every client row once
         rows_seen = []
-        call = diagnostics.FullBatchPass.__call__
+        init, call = diagnostics.FullBatchPass.__init__, diagnostics.FullBatchPass.__call__
+        datasets = {}
 
-        def counting(plan, model):
-            rows_seen.extend(tuple(row) for dataset in plan.datasets for row in dataset.features)
-            return call(plan, model)
+        def recording(pass_, plan, given):
+            datasets[pass_] = given
+            init(pass_, plan, given)
 
+        def counting(pass_, model):
+            rows_seen.extend(tuple(row) for dataset in datasets[pass_] for row in dataset.features)
+            return call(pass_, model)
+
+        monkeypatch.setattr(diagnostics.FullBatchPass, "__init__", recording)
         monkeypatch.setattr(diagnostics.FullBatchPass, "__call__", counting)
         cfg = quick_cfg(instrument_global_loss=instrument, emit_dissimilarity=dissimilarity)
         run_experiment(cfg, 0, tmp_path / "r")
@@ -435,6 +441,20 @@ class TestCli:
         assert main(["check"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out and out.count("PASS") == 4
+
+    def test_the_round_checks_build_one_plan_per_config(self, monkeypatch):
+        # two checks of two configs each, every config's two rounds on the
+        # one plan a run of it builds
+        built = []
+        init = nn.TrainPlan.__init__
+
+        def counting(plan, *args, **kwargs):
+            built.append(args)
+            init(plan, *args, **kwargs)
+
+        monkeypatch.setattr(nn.TrainPlan, "__init__", counting)
+        assert cli._check_reduction() and cli._check_scoring()
+        assert len(built) == 4
 
     def test_check_fails_on_a_wrong_training_gradient(self, monkeypatch, capsys):
         exact = nn.loss_and_grad
